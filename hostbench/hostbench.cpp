@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "ghs/cluster/cluster.hpp"
-#include "ghs/core/platform.hpp"
 #include "ghs/core/reduce.hpp"
 #include "ghs/core/sweep.hpp"
 #include "ghs/fault/injector.hpp"
@@ -188,6 +187,22 @@ struct RepeatSample {
   bool traced = false;
   /// fleet_observed traced repeats: Cluster::run of the hooks-off twin.
   double twin_run_s = -1.0;
+  /// Host time of each unit of the timed phase, in order: each public call
+  /// (serving workloads) or each (step, case) of the protocol (paper_repro).
+  std::vector<double> part_s;
+};
+
+/// Appends the host time of its scope to a repeat's list of timed units.
+class TimedPart {
+ public:
+  explicit TimedPart(std::vector<double>& parts) : parts_(parts) {}
+  ~TimedPart() { parts_.push_back(seconds_between(start_, Clock::now())); }
+  TimedPart(const TimedPart&) = delete;
+  TimedPart& operator=(const TimedPart&) = delete;
+
+ private:
+  std::vector<double>& parts_;
+  Clock::time_point start_ = Clock::now();
 };
 
 struct Result {
@@ -419,15 +434,17 @@ Result run_serve_open(const Args& args, SpanLog& spans) {
       SpanLog::Scope timed(spans, "timed");
       {
         SpanLog::Scope s(spans, "serve.submit");
+        TimedPart p(sample.part_s);
         service->submit_all(std::move(jobs));
       }
-      const auto run0 = Clock::now();
       {
         SpanLog::Scope s(spans, "serve.run");
+        TimedPart p(sample.part_s);
         service->run();
       }
-      sample.run_s = seconds_between(run0, Clock::now());
+      sample.run_s = sample.part_s.back();
       SpanLog::Scope s(spans, "serve.report");
+      TimedPart p(sample.part_s);
       report = service->report();
       report.write_json(outputs);
     }
@@ -464,6 +481,24 @@ Result run_serve_open(const Args& args, SpanLog& spans) {
     }
     return sample;
   }, result);
+
+  if (args.trace) {
+    // The tuner counts its probes only into a telemetry registry, and the
+    // timed repeats attach none; one instrumented warm-up outside them
+    // reads the count.
+    telemetry::Registry registry;
+    telemetry::FlightRecorder flight;
+    serve::ServiceModelOptions model_options;
+    model_options.telemetry = telemetry::Sink{&registry, &flight};
+    serve::ServiceModel model(model_options);
+    serve::BandwidthAwarePolicy policy(model);
+    warm_shapes(model, {&policy}, open.shape, service_options.batching);
+    result.checks.expect(
+        static_cast<double>(model.misses()) == result.layers["model.misses"],
+        "telemetry changes no warm-up pricing");
+    result.layers["tuner.probes"] = static_cast<double>(
+        counter_total(registry, "ghs_tuner_probes_total"));
+  }
   return result;
 }
 
@@ -632,26 +667,30 @@ Result run_fleet_observed(const Args& args, SpanLog& spans) {
       SpanLog::Scope timed(spans, "timed");
       {
         SpanLog::Scope s(spans, "cluster.submit");
+        TimedPart p(sample.part_s);
         cluster.submit_all(std::move(jobs));
       }
-      const auto run0 = Clock::now();
       {
         SpanLog::Scope s(spans, "cluster.run");
+        TimedPart p(sample.part_s);
         cluster.run();
       }
-      sample.run_s = seconds_between(run0, Clock::now());
+      sample.run_s = sample.part_s.back();
       {
         SpanLog::Scope s(spans, "cluster.report");
+        TimedPart p(sample.part_s);
         report = cluster.report();
         report.write_json(out);
       }
       {
         SpanLog::Scope s(spans, "telemetry.export");
+        TimedPart p(sample.part_s);
         telemetry::write_prometheus(out, fleet->registry);
         telemetry::write_json_snapshot(out, fleet->registry);
       }
       {
         SpanLog::Scope s(spans, "timeseries.export");
+        TimedPart p(sample.part_s);
         fleet->scraper->finish();
         timeseries::write_series_json(
             out, fleet->store,
@@ -659,6 +698,7 @@ Result run_fleet_observed(const Args& args, SpanLog& spans) {
       }
       {
         SpanLog::Scope s(spans, "profile.export");
+        TimedPart p(sample.part_s);
         fleet->profiler->finish();
         fleet->profiler->write_collapsed(out);
         const auto totals = cluster.conservation_totals();
@@ -667,6 +707,7 @@ Result run_fleet_observed(const Args& args, SpanLog& spans) {
       }
       {
         SpanLog::Scope s(spans, "trace.export");
+        TimedPart p(sample.part_s);
         trace::ChromeTraceExporter exporter(fleet->tracer);
         for (auto& track :
              timeseries::counter_tracks(fleet->store, plan.scrape)) {
@@ -678,6 +719,7 @@ Result run_fleet_observed(const Args& args, SpanLog& spans) {
         exporter.write(out);
       }
       SpanLog::Scope s(spans, "slo.eval");
+      TimedPart p(sample.part_s);
       slo::Monitor monitor(fleet_objectives());
       cluster.feed_slo(monitor);
       monitor.evaluate().write_json(out);
@@ -812,22 +854,6 @@ PaperPlan make_paper_plan(const Args& args) {
   return plan;
 }
 
-/// One fresh platform per Listing 8 sweep (site x case), built before the
-/// timed phase; `sink` instruments them (null members disable).
-struct UmPlatforms {
-  std::vector<std::unique_ptr<core::Platform>> a1;
-  std::vector<std::unique_ptr<core::Platform>> a2;
-
-  UmPlatforms(const PaperPlan& plan, const telemetry::Sink& sink) {
-    for (std::size_t i = 0; i < plan.cases.size(); ++i) {
-      for (auto* site : {&a1, &a2}) {
-        site->push_back(std::make_unique<core::Platform>(plan.table1.config));
-        if (sink) site->back()->set_telemetry(sink);
-      }
-    }
-  }
-};
-
 std::int64_t paper_repetitions(const PaperPlan& plan) {
   std::int64_t configs = 1;  // the Listing 2 baseline
   for (const int v : plan.table1.vs) {
@@ -846,42 +872,41 @@ std::int64_t paper_repetitions(const PaperPlan& plan) {
 struct PaperOutputs {
   std::vector<core::Table1Row> table1;
   core::UmExperimentSet um;
+  /// Host time of each (step, case) unit, in protocol order.
+  std::vector<double> part_s;
 };
 
-/// Listing 8 with the optimized kernel, as core::um_sweep_case runs it.
-core::HeteroBenchmarkResult um_sweep(core::Platform& platform,
-                                     workload::CaseId case_id,
-                                     core::AllocSite site, int iterations) {
-  core::HeteroBenchmark bench;
-  bench.case_id = case_id;
-  bench.tuning = core::paper_best_tuning(case_id);
-  bench.site = site;
-  bench.cpu_parts = core::paper_cpu_parts();
-  bench.iterations = iterations;
-  return core::run_hetero_benchmark(platform, bench);
-}
-
-PaperOutputs run_paper_protocol(const PaperPlan& plan, UmPlatforms& platforms,
-                                SpanLog& spans) {
+/// Table 1, then the optimized-kernel Listing 8 sweeps at A1 and A2, one
+/// case at a time; a sink in `plan.table1.telemetry` instruments every
+/// platform they build.
+PaperOutputs run_paper_protocol(const PaperPlan& plan, SpanLog& spans) {
   PaperOutputs out;
   {
     SpanLog::Scope s(spans, "paper.table1");
-    out.table1 = core::table1(plan.cases, plan.table1);
+    for (const auto case_id : plan.cases) {
+      TimedPart p(out.part_s);
+      out.table1.push_back(core::table1({case_id}, plan.table1).front());
+    }
   }
   out.um.cases = plan.cases;
+  core::UmSweepOptions um;
+  um.optimized = true;
+  um.iterations = plan.iterations;
+  um.config = plan.table1.config;
+  um.telemetry = plan.table1.telemetry;
   {
     SpanLog::Scope s(spans, "paper.um_a1_opt");
-    for (std::size_t i = 0; i < plan.cases.size(); ++i) {
-      out.um.optimized_a1.push_back(um_sweep(*platforms.a1[i], plan.cases[i],
-                                             core::AllocSite::kA1,
-                                             plan.iterations));
+    um.site = core::AllocSite::kA1;
+    for (const auto case_id : plan.cases) {
+      TimedPart p(out.part_s);
+      out.um.optimized_a1.push_back(core::um_sweep_case(case_id, um));
     }
   }
   SpanLog::Scope s(spans, "paper.um_a2_opt");
-  for (std::size_t i = 0; i < plan.cases.size(); ++i) {
-    out.um.optimized_a2.push_back(um_sweep(*platforms.a2[i], plan.cases[i],
-                                           core::AllocSite::kA2,
-                                           plan.iterations));
+  um.site = core::AllocSite::kA2;
+  for (const auto case_id : plan.cases) {
+    TimedPart p(out.part_s);
+    out.um.optimized_a2.push_back(core::um_sweep_case(case_id, um));
   }
   return out;
 }
@@ -939,39 +964,33 @@ std::uint64_t paper_outputs_hash(const PaperOutputs& out) {
 }
 
 Result run_paper_repro(const Args& args, SpanLog& spans) {
-  constexpr int kSetupBuilds = 256;
+  constexpr int kSetupBuilds = 4096;
   Result result;
   std::optional<std::uint64_t> first;
   PaperPlan plan;
 
   repeat_until(args, spans, [&](int, bool) {
     RepeatSample sample;
-    std::optional<UmPlatforms> platforms;
     const auto t0 = Clock::now();
     {
       SpanLog::Scope setup(spans, "setup");
-      // One set-up takes tens of microseconds, below the jitter of a
-      // single reading, so each repeat builds it kSetupBuilds times and
-      // reports the mean.
-      for (int b = 0; b < kSetupBuilds; ++b) {
-        {
-          SpanLog::Scope s(spans, "workload.gen");
-          plan = make_paper_plan(args);
-        }
-        SpanLog::Scope s(spans, "paper.build");
-        platforms.emplace(plan, telemetry::Sink{});
-      }
+      // One set-up takes about a microsecond, below the jitter of a single
+      // reading, so each repeat builds it kSetupBuilds times and reports
+      // the mean.
+      SpanLog::Scope s(spans, "workload.gen");
+      for (int b = 0; b < kSetupBuilds; ++b) plan = make_paper_plan(args);
     }
     const auto t1 = Clock::now();
     PaperOutputs out;
     {
       SpanLog::Scope timed(spans, "timed");
-      out = run_paper_protocol(plan, *platforms, spans);
+      out = run_paper_protocol(plan, spans);
     }
     const auto t2 = Clock::now();
     sample.setup_s = seconds_between(t0, t1) / kSetupBuilds;
     sample.timed_s = seconds_between(t1, t2);
     sample.run_s = sample.timed_s;
+    sample.part_s = out.part_s;
 
     SpanLog::Scope check(spans, "check");
     const auto grades = grade_paper(out);
@@ -1018,14 +1037,11 @@ Result run_paper_repro(const Args& args, SpanLog& spans) {
     telemetry::FlightRecorder flight;
     PaperPlan counted = plan;
     counted.table1.telemetry = telemetry::Sink{&registry, &flight};
-    UmPlatforms counted_platforms(counted, counted.table1.telemetry);
-    UmPlatforms plain_platforms(plan, telemetry::Sink{});
     SpanLog quiet;
-    const auto out = run_paper_protocol(counted, counted_platforms, quiet);
+    const auto out = run_paper_protocol(counted, quiet);
     result.checks.expect(
         paper_outputs_hash(out) ==
-            paper_outputs_hash(
-                run_paper_protocol(plan, plain_platforms, quiet)),
+            paper_outputs_hash(run_paper_protocol(plan, quiet)),
         "telemetry changes no simulated output");
     auto& l = result.layers;
     l["gpu.kernels"] = static_cast<double>(
@@ -1083,7 +1099,11 @@ void write_result(std::ostream& os, const Args& args, const Result& result,
     if (r.twin_run_s >= 0.0) {
       os << ",\"twin_run_s\":" << json_number(r.twin_run_s);
     }
-    os << "}";
+    os << ",\"part_s\":[";
+    for (std::size_t p = 0; p < r.part_s.size(); ++p) {
+      os << (p ? "," : "") << json_number(r.part_s[p]);
+    }
+    os << "]}";
   }
   os << "],\"sim\":{";
   const char* sep = "";

@@ -58,6 +58,43 @@ class SelfTimeTest(unittest.TestCase):
         self.assertEqual(run.covered_ns([(0, 10), (5, 15), (20, 25)]), 20)
         self.assertEqual(run.covered_ns([]), 0)
 
+    def test_layer_seconds_takes_the_fastest_repeat(self):
+        spans = [
+            ["timed", 0, 5000, -1, 0],
+            ["serve.run", 0, 2000, 0, 0],
+            ["serve.run", 2000, 4000, 0, 0],
+            ["timed", 10000, 13000, -1, 2],
+            ["serve.run", 10000, 13000, 3, 2],
+        ]
+        seconds = run.layer_seconds(spans, run.self_times(spans))
+        self.assertAlmostEqual(seconds["serve.run"], 3e-6)
+        self.assertAlmostEqual(seconds["timed"], 0.0)
+
+
+def traced_raw(spans):
+    """Raw driver output of a traced run with the given spans."""
+    repeat = {"setup_s": 1.0, "timed_s": 1.0, "run_s": 1.0}
+    return {
+        "jobs_per_repeat": 10, "peak_rss_mb": 1.0, "sim": {}, "layers": {},
+        "repeats": [dict(repeat, traced=True), dict(repeat, traced=False)],
+        "checks": {"attempted": 3, "failed": 0, "failures": []},
+        "spans": spans,
+    }
+
+
+class SpanCoverageTest(unittest.TestCase):
+    def test_covered_timed_phase_passes(self):
+        result = run.summarize(traced_raw(
+            [["timed", 0, 100, -1, 0], ["serve.run", 0, 96, 0, 0]]), True)
+        self.assertTrue(result["correct"])
+        self.assertEqual((result["attempted"], result["failed"]), (4, 0))
+
+    def test_under_covered_timed_phase_fails(self):
+        result = run.summarize(traced_raw(
+            [["timed", 0, 100, -1, 0], ["serve.run", 0, 80, 0, 0]]), True)
+        self.assertFalse(result["correct"])
+        self.assertEqual((result["attempted"], result["failed"]), (4, 1))
+
 
 class HostEstimateTest(unittest.TestCase):
     def test_single_sample(self):
@@ -76,6 +113,12 @@ class HostEstimateTest(unittest.TestCase):
     def test_empty_is_an_error(self):
         with self.assertRaises(ValueError):
             run.host_estimate([])
+
+    def test_timed_phase_sums_each_parts_fastest_repeat(self):
+        # Each repeat was slowed in a different unit; no repeat was fast
+        # throughout, but every unit was fast in some repeat.
+        repeats = [{"part_s": [1.0, 3.0]}, {"part_s": [3.0, 1.0]}]
+        self.assertEqual(run.timed_estimate(repeats), 2.0)
 
 
 class ContractTest(unittest.TestCase):
