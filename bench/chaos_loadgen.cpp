@@ -12,7 +12,7 @@
 //   $ ./bench/chaos_loadgen --plan=outage.plan --fault-seed=9
 //   $ ./bench/chaos_loadgen --policy=all --metrics-out=chaos.prom
 //   $ ./bench/chaos_loadgen --trace=chaos.json --slo --slo-latency-ms=0.25
-//   $ ./bench/chaos_loadgen --queue=calendar --perf
+//   $ ./bench/chaos_loadgen --perf
 //
 // Every run asserts the zero-lost-jobs invariant: every submitted job is
 // served, rejected at admission, or shed — chaos never loses work. Two
@@ -143,7 +143,6 @@ serve::ServiceReport run_policy(const std::string& name,
   }
   if (perf != nullptr) {
     perf->policy = name;
-    perf->queue = service.sim().queue_kind();
     perf->wall_seconds = timer.elapsed_seconds();
     perf->sim_events = service.sim().events_processed();
     perf->jobs_served =
@@ -266,8 +265,6 @@ int main(int argc, char** argv) {
   const auto* um_fraction = cli.add_double(
       "um-fraction", 0.0,
       "fraction of jobs over unified-memory buffers (GPU-only placement)");
-  const auto* queue_kind = cli.add_string(
-      "queue", "heap", "simulator event queue: heap|calendar");
   const auto* perf = cli.add_flag(
       "perf", "append wall-clock event-core throughput (machine-dependent)");
   const auto* max_attempts =
@@ -362,13 +359,6 @@ int main(int argc, char** argv) {
   settings.service.use_cpu = !*no_cpu;
   settings.service.telemetry = sink;
   settings.trace_sample = *trace_sample;
-  const auto parsed_queue = sim::parse_queue_kind(*queue_kind);
-  if (!parsed_queue) {
-    std::cerr << "chaos_loadgen: unknown --queue value '" << *queue_kind
-              << "' (expected heap or calendar)\n";
-    return 2;
-  }
-  settings.service.sim.queue = *parsed_queue;
   settings.service.retry.max_attempts = static_cast<int>(*max_attempts);
   settings.service.retry.backoff_base = *retry_base_us * kMicrosecond;
   settings.service.retry.backoff_cap = *retry_cap_us * kMicrosecond;

@@ -290,8 +290,6 @@ int main(int argc, char** argv) {
       cli.add_flag("no-spill", "rejections stay local (no spill re-route)");
   const auto* no_steal =
       cli.add_flag("no-steal", "keep queued jobs on a breaker-open node");
-  const auto* queue_kind = cli.add_string(
-      "queue", "heap", "simulator event queue: heap|calendar");
   const auto* link_gbps = cli.add_double(
       "link-gbps", 450.0, "per-direction inter-node link bandwidth, GB/s");
   const auto* plan_path = cli.add_string(
@@ -404,13 +402,6 @@ int main(int argc, char** argv) {
   settings.cluster.node.batching.enable = !*no_batch;
   settings.cluster.node.use_cpu = !*no_cpu;
   settings.cluster.node.telemetry = sink;
-  const auto parsed_queue = sim::parse_queue_kind(*queue_kind);
-  if (!parsed_queue) {
-    std::cerr << "cluster_loadgen: unknown --queue value '" << *queue_kind
-              << "' (expected heap or calendar)\n";
-    return 2;
-  }
-  settings.cluster.node.sim.queue = *parsed_queue;
   settings.cluster.crash_plan = crashes;
   settings.cluster.drains = drains;
   if (*heartbeat_us > 0) {

@@ -4,9 +4,9 @@
 // Each loadgen parses the three flags, validates them through
 // profile_settings_or_exit, attaches a profile::Recorder to its service
 // (or cluster) when any are set, wraps the run in a Profiler when
-// sampling, and funnels the results through the three consumers: the
-// collapsed-stack file, the Perfetto profile tracks, and the cost_report
-// JSON section + stderr top-K table. With all three flags at their
+// sampling, and funnels the samples into the collapsed-stack file and the
+// Perfetto profile tracks. The cost_report JSON array is each loadgen's
+// own (one entry per policy or router). With all three flags at their
 // defaults no recorder exists and every artefact keeps its exact bytes.
 #pragma once
 
@@ -15,7 +15,6 @@
 #include <string>
 #include <utility>
 
-#include "ghs/profile/cost_ledger.hpp"
 #include "ghs/profile/profiler.hpp"
 #include "ghs/profile/recorder.hpp"
 #include "ghs/trace/chrome_exporter.hpp"
@@ -78,19 +77,6 @@ inline void add_profile_tracks(trace::ChromeTraceExporter& exporter,
   for (auto& track : profiler.tracks()) {
     exporter.add_profile_track(std::move(track));
   }
-}
-
-/// Appends `,"cost_report":{...}` to the report stream and prints the
-/// top-K attribution table on stderr. Conservation is GHS_CHECKed inside
-/// write_json: a leaky ledger aborts the loadgen instead of printing a
-/// wrong bill.
-inline void write_cost_report(std::ostream& os, const std::string& label,
-                              const profile::CostLedger& ledger,
-                              const profile::ConservationTotals& telemetry) {
-  os << ",\"cost_report\":";
-  ledger.write_json(os, telemetry);
-  std::cerr << "[" << label << "] ";
-  ledger.write_table(std::cerr, /*top_k=*/5);
 }
 
 }  // namespace ghs::bench

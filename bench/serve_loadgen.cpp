@@ -8,7 +8,7 @@
 //   $ ./bench/serve_loadgen --policy=bandwidth --rate=200000 --jobs=500
 //   $ ./bench/serve_loadgen --trace=serve.json      # Chrome-trace timeline
 //   $ ./bench/serve_loadgen --slo --slo-latency-ms=0.5   # burn-rate report
-//   $ ./bench/serve_loadgen --queue=calendar --perf # event-core throughput
+//   $ ./bench/serve_loadgen --perf                  # event-core throughput
 //   $ ./bench/serve_loadgen --trace=t.json --trace-sample=0.01  # 1% of jobs
 //
 // The report is one JSON object: "workload" echoes the generator settings,
@@ -121,7 +121,6 @@ serve::ServiceReport run_policy(const std::string& name,
   }
   if (perf != nullptr) {
     perf->policy = name;
-    perf->queue = service.sim().queue_kind();
     perf->wall_seconds = timer.elapsed_seconds();
     perf->sim_events = service.sim().events_processed();
     perf->jobs_served =
@@ -234,8 +233,6 @@ int main(int argc, char** argv) {
   const auto* um_fraction = cli.add_double(
       "um-fraction", 0.0,
       "fraction of jobs over unified-memory buffers (GPU-only placement)");
-  const auto* queue_kind = cli.add_string(
-      "queue", "heap", "simulator event queue: heap|calendar");
   const auto* perf = cli.add_flag(
       "perf", "append wall-clock event-core throughput (machine-dependent)");
   const auto* metrics_out = cli.add_string(
@@ -316,13 +313,6 @@ int main(int argc, char** argv) {
   settings.service.use_cpu = !*no_cpu;
   settings.service.telemetry = sink;
   settings.trace_sample = *trace_sample;
-  const auto parsed_queue = sim::parse_queue_kind(*queue_kind);
-  if (!parsed_queue) {
-    std::cerr << "serve_loadgen: unknown --queue value '" << *queue_kind
-              << "' (expected heap or calendar)\n";
-    return 2;
-  }
-  settings.service.sim.queue = *parsed_queue;
   if (*slo) settings.slo_objectives = default_objectives(*slo_latency_ms);
 
   std::vector<std::string> policies;

@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "ghs/sim/event_queue.hpp"
-
 namespace ghs::bench {
 
 /// One policy run's event-core throughput: simulator events and served
@@ -21,7 +19,6 @@ namespace ghs::bench {
 /// drain.
 struct PerfSample {
   std::string policy;
-  sim::QueueKind queue = sim::QueueKind::kHeap;
   double wall_seconds = 0.0;
   std::uint64_t sim_events = 0;
   std::uint64_t jobs_served = 0;
@@ -63,8 +60,7 @@ inline void write_perf_json(std::ostream& os,
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const PerfSample& s = samples[i];
     if (i > 0) os << ",";
-    os << "{\"policy\":\"" << s.policy << "\",\"queue\":\""
-       << sim::queue_kind_name(s.queue) << "\",\"wall_seconds\":";
+    os << "{\"policy\":\"" << s.policy << "\",\"wall_seconds\":";
     fixed(s.wall_seconds);
     os << ",\"sim_events\":" << s.sim_events
        << ",\"events_per_sec\":";

@@ -21,9 +21,10 @@
 #                                 # metrics_diff.py --series
 #   $ scripts/check.sh membership # failure-domain suites under ASan+UBSan
 #                                 # (table/journal/detector + cluster crash,
-#                                 # drain, replay), then crash-schedule
-#                                 # byte-identity and exit-2 flag-validation
-#                                 # smokes on cluster_loadgen
+#                                 # drain, replay), then crash-schedule and
+#                                 # restart-before-detection byte-identity
+#                                 # and exit-2 flag-validation smokes on
+#                                 # cluster_loadgen
 #   $ scripts/check.sh profile    # profiling/attribution suites under
 #                                 # ASan+UBSan, then profiler-on determinism
 #                                 # + profiler-off snapshot byte-identity,
@@ -35,8 +36,8 @@
 #                                 # lower bounds (docs/PERFORMANCE.md)
 #
 # The release config also runs scripts/perf_gate.py against the checked-in
-# bench baseline after the tests pass. The asan config exercises the same
-# arena-backed event queues (heap and calendar) under ASan+UBSan via the
+# bench baseline after the tests pass. The asan config exercises the
+# simulator's event heap and its slot recycling under ASan+UBSan via the
 # sim and serve suites.
 set -euo pipefail
 
@@ -121,11 +122,8 @@ for config in "${configs[@]}"; do
     cmake --build "$dir" -j "$jobs"
   fi
   if [[ "$config" == perf ]]; then
-    echo "==> perf smoke (10^5 jobs, both queue kinds)"
-    "$dir/bench/serve_loadgen" --jobs=100000 --policy=fifo --perf \
-      --queue=heap >/dev/null
-    "$dir/bench/serve_loadgen" --jobs=100000 --policy=fifo --perf \
-      --queue=calendar >/dev/null
+    echo "==> perf smoke (10^5 jobs)"
+    "$dir/bench/serve_loadgen" --jobs=100000 --policy=fifo --perf >/dev/null
     echo "==> perf gate (wall-clock lower bounds)"
     python3 scripts/perf_gate.py --bindir "$dir/bench" --only serve_perf
     continue
@@ -158,6 +156,16 @@ for config in "${configs[@]}"; do
       --crash-plan=1@300us:2ms --drain-at=3@1ms --heartbeat-us=100 \
       >"$tmp/b.json" 2>/dev/null
     cmp "$tmp/a.json" "$tmp/b.json"
+    # Node 9 restarts before the detector declares it dead and recovers its
+    # journal locally while a transfer to it is still in flight.
+    echo "==> restart-before-detection smoke (exit 0, same-seed byte identity)"
+    for run in a b; do
+      "$dir/bench/cluster_loadgen" --nodes=16 --router=p2c --policy=bandwidth \
+        --rate=110000 --jobs=4000 --um-fraction=0.1 --remote-fraction=0.3 \
+        --crash-plan=9@1140us:1590us --heartbeat-us=100 --seed=1 \
+        >"$tmp/restart-$run.json" 2>/dev/null
+    done
+    cmp "$tmp/restart-a.json" "$tmp/restart-b.json"
     rm -rf "$tmp"
     echo "==> flag-validation smoke (out-of-range node targets exit 2)"
     for bad in "--nodes=0" "--fault-node=9" "--crash-plan=9@1ms" \

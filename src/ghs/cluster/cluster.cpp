@@ -41,13 +41,6 @@ void write_latency(std::ostream& os, const char* key,
   os << "}";
 }
 
-bool arrival_sorted(const std::vector<serve::Job>& jobs) {
-  for (std::size_t i = 1; i < jobs.size(); ++i) {
-    if (jobs[i].arrival < jobs[i - 1].arrival) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void MembershipReport::write_json(std::ostream& os) const {
@@ -112,7 +105,6 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
     : model_(model),
       options_(std::move(options)),
       tracer_(tracer),
-      sim_(options_.node.sim),
       router_(options_.router, options_.router_seed, options_.ring_vnodes) {
   GHS_REQUIRE(options_.nodes > 0, "nodes=" << options_.nodes);
   GHS_REQUIRE(!passthrough() || options_.nodes == 1,
@@ -353,40 +345,16 @@ std::vector<std::size_t> Cluster::all_loads() const {
 
 void Cluster::submit_all(std::vector<serve::Job> jobs) {
   if (jobs.empty()) return;
+  const auto count = static_cast<std::int64_t>(jobs.size());
   if (passthrough()) {
-    submitted_ += static_cast<std::int64_t>(jobs.size());
+    submitted_ += count;
     nodes_[0]->submit_all(std::move(jobs));
     return;
   }
-  for (const auto& job : jobs) {
-    GHS_REQUIRE(job.arrival >= sim_.now(),
-                "job " << job.id << " arrives in the past");
-  }
-  submitted_ += static_cast<std::int64_t>(jobs.size());
-  if (m_submitted_ != nullptr) {
-    m_submitted_->inc(static_cast<std::int64_t>(jobs.size()));
-  }
-  if (!arrival_sorted(jobs)) {
-    for (const auto& job : jobs) {
-      sim_.schedule_at(job.arrival, [this, job] { route(job); });
-    }
-    return;
-  }
-  auto chain = std::make_unique<ArrivalChain>();
-  chain->jobs = std::move(jobs);
-  ArrivalChain* raw = chain.get();
-  chains_.push_back(std::move(chain));
-  sim_.schedule_at(raw->jobs.front().arrival, [this, raw] { pump(raw); });
-}
-
-void Cluster::pump(ArrivalChain* chain) {
-  serve::Job job = chain->jobs[chain->next];
-  ++chain->next;
-  if (chain->next < chain->jobs.size()) {
-    sim_.schedule_at(chain->jobs[chain->next].arrival,
-                     [this, chain] { pump(chain); });
-  }
-  route(std::move(job));
+  serve::chain_arrivals(sim_, std::move(jobs),
+                        [this](const serve::Job& job) { route(job); });
+  submitted_ += count;
+  if (m_submitted_ != nullptr) m_submitted_->inc(count);
 }
 
 void Cluster::route(serve::Job job) {
@@ -418,18 +386,23 @@ void Cluster::route(serve::Job job) {
 void Cluster::deliver(serve::Job job, int target, int transfer_src,
                       profile::Phase phase) {
   GHS_REQUIRE(target >= 0 && target < options_.nodes, "deliver to " << target);
+  auto it = meta_.find(job.id);
+  GHS_CHECK(it != meta_.end(), "delivery for unrouted job " << job.id);
   // Write-ahead: the journal owns the job from the moment the cluster
   // commits to this delivery, before any transfer time elapses — so a
-  // crash anywhere downstream can always replay it.
-  if (journal_ != nullptr) journal_->append(target, job);
+  // crash anywhere downstream can always replay it. The new generation
+  // marks every delivery of this job still in flight as superseded.
+  std::uint32_t generation = 0;
+  if (journal_ != nullptr) {
+    journal_->append(target, job);
+    generation = ++it->second.deliveries;
+  }
   ++pending_[static_cast<std::size_t>(target)];
   if (interconnect_ == nullptr || transfer_src < 0 ||
       transfer_src == target) {
-    submit_to(std::move(job), target);
+    submit_to(std::move(job), target, generation);
     return;
   }
-  auto it = meta_.find(job.id);
-  GHS_CHECK(it != meta_.end(), "transfer for unrouted job " << job.id);
   if (it->second.transfer == 0) {
     ++remote_jobs_;
   }
@@ -451,15 +424,16 @@ void Cluster::deliver(serve::Job job, int target, int transfer_src,
                             std::to_string(target);
   interconnect_->transfer(
       transfer_src, target, bytes,
-      [this, job = std::move(job), target, transfer_src, begin]() mutable {
+      [this, job = std::move(job), target, transfer_src, begin,
+       generation]() mutable {
         const SimTime end = sim_.now();
         auto meta_it = meta_.find(job.id);
         if (meta_it != meta_.end()) {
           meta_it->second.transfer += end - begin;
         } else {
-          // Meta may only be gone when the journal replayed this job onto
-          // a peer and it already finished there — submit_to will drop
-          // the late copy. Anything else is a routing bug.
+          // Meta may only be gone when the journal replayed this job and
+          // the replayed copy already finished — submit_to will drop the
+          // late copy. Anything else is a routing bug.
           GHS_CHECK(journal_ != nullptr && !journal_->is_open(target, job.id),
                     "transfer landed for unrouted job " << job.id);
         }
@@ -469,18 +443,21 @@ void Cluster::deliver(serve::Job job, int target, int transfer_src,
                               std::to_string(target) + " job " +
                               std::to_string(job.id));
         }
-        submit_to(std::move(job), target);
+        submit_to(std::move(job), target, generation);
       },
       label);
 }
 
-void Cluster::submit_to(serve::Job job, int target) {
+void Cluster::submit_to(serve::Job job, int target,
+                        std::uint32_t generation) {
   --pending_[static_cast<std::size_t>(target)];
   if (journal_ != nullptr) {
-    if (!journal_->is_open(target, job.id)) {
-      // The journal replayed this job onto a peer while the delivery was
-      // still in flight; dropping the late copy here is what makes the
-      // replay exactly-once.
+    if (!journal_->is_open(target, job.id) ||
+        meta_.at(job.id).deliveries != generation) {
+      // The journal replayed this job — onto a peer, or locally onto this
+      // very node after a restart — while the delivery was still in
+      // flight; dropping the late copy here is what makes the replay
+      // exactly-once.
       ++dup_suppressed_;
       if (m_dup_suppressed_ != nullptr) m_dup_suppressed_->inc();
       membership_flight(sim_.now(), "duplicate", target,

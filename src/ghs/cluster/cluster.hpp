@@ -212,9 +212,8 @@ class Cluster {
   /// The shared fleet clock (the node's own clock in passthrough mode).
   sim::Simulator& sim();
 
-  /// Schedules a whole workload through the front door. Arrival-sorted
-  /// batches ride a chained pump (one arrival event in flight at a time),
-  /// mirroring the service's own submit_all.
+  /// Schedules a whole workload through the front door, chained like the
+  /// service's own submit_all (serve::chain_arrivals).
   void submit_all(std::vector<serve::Job> jobs);
 
   /// Drains the shared event queue: routing, transfers, service, spills,
@@ -261,13 +260,11 @@ class Cluster {
     SimTime transfer = 0;
     int spills = 0;
     bool stolen = false;
+    /// Journaled deliveries so far; each transfer carries the count it
+    /// was started under, so one that lands after a newer delivery (a
+    /// replay) is recognised as superseded.
+    std::uint32_t deliveries = 0;
   };
-  struct ArrivalChain {
-    std::vector<serve::Job> jobs;
-    std::size_t next = 0;
-  };
-
-  void pump(ArrivalChain* chain);
   /// Instantaneous load signal: queue depth + busy devices + in-flight
   /// deliveries (transfers already committed to the node).
   std::size_t load(int node) const;
@@ -280,7 +277,9 @@ class Cluster {
   /// transfer counter exactly.
   void deliver(serve::Job job, int target, int transfer_src,
                profile::Phase phase = profile::Phase::kTransfer);
-  void submit_to(serve::Job job, int target);
+  /// `generation` is the delivery count the hand-off was started under
+  /// (0 without the membership layer).
+  void submit_to(serve::Job job, int target, std::uint32_t generation);
   void finish_reject(const serve::Job& job, SimTime at);
   void steal_from(int sick, SimTime at);
   /// Least-loaded node the membership table still routes to, excluding
@@ -313,7 +312,6 @@ class Cluster {
   std::unique_ptr<Interconnect> interconnect_;
   Router router_;
   std::vector<std::unique_ptr<serve::ReductionService>> nodes_;
-  std::vector<std::unique_ptr<ArrivalChain>> chains_;
   std::unordered_map<serve::JobId, JobMeta> meta_;
   std::vector<ClusterRecord> records_;
   std::vector<serve::Job> rejected_;

@@ -103,7 +103,7 @@ ReductionService::ReductionService(std::unique_ptr<SchedulerPolicy> policy,
       options_(options),
       tracer_(tracer),
       owned_sim_(options.external_sim == nullptr
-                     ? std::make_unique<sim::Simulator>(options.sim)
+                     ? std::make_unique<sim::Simulator>()
                      : nullptr),
       sim_(options.external_sim != nullptr ? *options.external_sim
                                            : *owned_sim_),
@@ -202,35 +202,9 @@ void ReductionService::submit_all(const std::vector<Job>& jobs) {
 }
 
 void ReductionService::submit_all(std::vector<Job>&& jobs) {
-  if (jobs.empty()) return;
-  for (std::size_t i = 1; i < jobs.size(); ++i) {
-    if (jobs[i].arrival < jobs[i - 1].arrival) {
-      // Not arrival-sorted: keep the straightforward one-event-per-job
-      // submission rather than re-ordering the caller's batch.
-      for (const auto& job : jobs) submit(job);
-      return;
-    }
-  }
-  GHS_REQUIRE(jobs.front().arrival >= sim_.now(),
-              "job " << jobs.front().id << " arrives in the past");
   records_.reserve(records_.size() + jobs.size());
-  arrival_chains_.push_back(std::make_unique<ArrivalChain>());
-  ArrivalChain* chain = arrival_chains_.back().get();
-  chain->jobs = std::move(jobs);
-  sim_.schedule_at(chain->jobs.front().arrival,
-                   [this, chain]() { pump_arrivals(chain); });
-}
-
-void ReductionService::pump_arrivals(ArrivalChain* chain) {
-  const Job& job = chain->jobs[chain->next++];
-  // The next link is scheduled before this arrival is admitted, so among
-  // same-timestamp events the chain keeps the low sequence numbers that
-  // up-front submission would have given the arrivals.
-  if (chain->next < chain->jobs.size()) {
-    sim_.schedule_at(chain->jobs[chain->next].arrival,
-                     [this, chain]() { pump_arrivals(chain); });
-  }
-  on_arrival(job);
+  chain_arrivals(sim_, std::move(jobs),
+                 [this](const Job& job) { on_arrival(job); });
 }
 
 void ReductionService::set_on_complete(

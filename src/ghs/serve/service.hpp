@@ -15,6 +15,7 @@
 // way: served, rejected at admission, or shed — chaos never loses work.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -36,9 +37,68 @@
 #include "ghs/telemetry/flight_recorder.hpp"
 #include "ghs/telemetry/registry.hpp"
 #include "ghs/trace/tracer.hpp"
+#include "ghs/util/error.hpp"
 #include "ghs/util/rng.hpp"
 
 namespace ghs::serve {
+
+namespace detail {
+
+/// One link of a chain_arrivals stream. Running it hands the batch on to
+/// the next link's event, so the batch lives exactly as long as the chain.
+template <typename Arrive>
+class ArrivalLink {
+ public:
+  ArrivalLink(sim::Simulator& sim, std::vector<Job> jobs, Arrive arrive)
+      : chain_(std::make_unique<Chain>(
+            Chain{sim, std::move(jobs), 0, std::move(arrive)})) {}
+
+  void operator()() {
+    Chain& chain = *chain_;
+    // `job` stays valid through arrive(): the batch is owned by the next
+    // link's pending event, or still by this link when it is the last.
+    const Job& job = chain.jobs[chain.next++];
+    if (chain.next < chain.jobs.size()) {
+      chain.sim.schedule_at(chain.jobs[chain.next].arrival, std::move(*this));
+    }
+    chain.arrive(job);
+  }
+
+ private:
+  struct Chain {
+    sim::Simulator& sim;
+    std::vector<Job> jobs;
+    std::size_t next;
+    Arrive arrive;
+  };
+  std::unique_ptr<Chain> chain_;
+};
+
+}  // namespace detail
+
+/// Feeds a whole batch into `sim` as one chained arrival stream, calling
+/// `arrive(const Job&)` at each job's arrival time. The queue holds one
+/// pending arrival per batch however large the batch is. A sorted batch
+/// costs one O(n) scan; an out-of-order one is stable-sorted by arrival
+/// first, so equal arrivals keep the caller's order. Each link schedules
+/// its successor before it calls `arrive`, so a same-time successor still
+/// runs ahead of the work that arrival schedules.
+template <typename Arrive>
+void chain_arrivals(sim::Simulator& sim, std::vector<Job> jobs,
+                    Arrive arrive) {
+  if (jobs.empty()) return;
+  const auto by_arrival = [](const Job& a, const Job& b) {
+    return a.arrival < b.arrival;
+  };
+  if (!std::is_sorted(jobs.begin(), jobs.end(), by_arrival)) {
+    std::stable_sort(jobs.begin(), jobs.end(), by_arrival);
+  }
+  GHS_REQUIRE(jobs.front().arrival >= sim.now(),
+              "job " << jobs.front().id << " arrives in the past");
+  const SimTime first = jobs.front().arrival;  // read before `jobs` moves
+  sim.schedule_at(first, detail::ArrivalLink<Arrive>(sim, std::move(jobs),
+                                                     std::move(arrive)));
+}
 
 /// Per-job retry policy for failed launches (only consulted when a
 /// fault::Injector is attached; fault-free runs never retry).
@@ -72,10 +132,6 @@ struct ServiceOptions {
   RetryOptions retry;
   /// Per-device circuit-breaker thresholds (shared by GPU and CPU).
   fault::BreakerOptions breaker;
-  /// Simulator construction knobs (event-queue implementation). Both
-  /// queue kinds dispatch in identical order, so this is a pure
-  /// performance choice — reports do not change with it.
-  sim::SimConfig sim;
   /// Embeddability hook: when set, the service schedules onto this
   /// simulator instead of owning one, so several services (the nodes of a
   /// ghs::cluster fleet) share a single clock and event queue. The caller
@@ -169,11 +225,10 @@ class ReductionService {
 
   /// Schedules the job's arrival (job.arrival must be >= sim().now()).
   void submit(const Job& job);
-  /// Submits a whole workload. Arrival-sorted batches (every open-loop
-  /// generator emits one) are injected through a chained pump event — one
-  /// arrival in the simulator at a time instead of one event per job — so
-  /// the event queue stays shallow at 10^6-job scale. Dispatch order is
-  /// identical to per-job submit(); unsorted batches fall back to it.
+  /// Submits a whole workload through chain_arrivals: one arrival in the
+  /// simulator at a time instead of one event per job, so the event queue
+  /// stays shallow at 10^6-job scale. An out-of-order batch is sorted by
+  /// arrival first.
   void submit_all(const std::vector<Job>& jobs);
   /// Rvalue batches (e.g. a generator's return value) are adopted without
   /// copying the job vector.
@@ -247,15 +302,6 @@ class ReductionService {
   stats::Series latency_series() const;
 
  private:
-  /// One arrival-sorted submit_all batch being fed into the simulator by
-  /// pump_arrivals, one event per job but only one event in the queue at a
-  /// time.
-  struct ArrivalChain {
-    std::vector<Job> jobs;
-    std::size_t next = 0;
-  };
-
-  void pump_arrivals(ArrivalChain* chain);
   void on_arrival(Job job);
   void dispatch_all();
   void dispatch(Placement device);
@@ -290,7 +336,6 @@ class ReductionService {
   fault::CircuitBreaker gpu_breaker_;
   fault::CircuitBreaker cpu_breaker_;
   Rng retry_rng_;
-  std::vector<std::unique_ptr<ArrivalChain>> arrival_chains_;
   std::vector<JobRecord> records_;
   std::vector<Job> rejected_;
   std::vector<Job> shed_;

@@ -1,12 +1,12 @@
-// Event: the move-only callable a simulator event queue stores.
+// Event: the move-only callable the simulator's event queue stores.
 //
 // Replaces std::function<void()> on the hot path: a small-buffer layout
 // sized so every scheduling closure in the repository — including the
 // serve layer's [this, job] arrival and retry lambdas — lives inline in
-// the queue's pool-allocated node instead of in its own heap block. Only
+// the simulator's event slot instead of in its own heap block. Only
 // oversized callables fall back to one heap allocation; nothing is ever
 // copied, so captured state (jobs, launch results) moves straight from
-// the caller into the node and from the node into the dispatch loop.
+// the caller into the slot and from the slot into the dispatch loop.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +21,7 @@ class Event {
  public:
   /// Inline capture capacity. 120 bytes fits a serve::Job plus a couple of
   /// pointers (the largest closure the serving layer schedules) and keeps
-  /// the whole Event at 144 bytes — two cache lines through the node pool.
+  /// the whole Event at 144 bytes.
   static constexpr std::size_t kInlineBytes = 120;
 
   Event() noexcept = default;

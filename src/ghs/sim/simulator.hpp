@@ -1,32 +1,30 @@
-// Discrete-event simulator: a monotone clock plus an event queue. All
+// Discrete-event simulator: a monotone clock plus one event queue. All
 // substrate models (memory system, GPU, CPU, UM migration engine) schedule
 // work here; nothing in the repository reads wall-clock time.
 //
-// The queue implementation is pluggable (SimConfig::queue): the binary
-// heap is the reference, the calendar queue is the million-job fast path.
-// Both pop in identical (time, seq) order, so a simulation's output is
-// byte-identical across queue kinds at the same seed.
+// The queue is a binary min-heap of 32-bit slot indices ordered by
+// (time, insertion seq): events at equal times dispatch in the order they
+// were scheduled, so a run's output is a pure function of its inputs. The
+// events themselves sit in a plain vector of slots recycled through a free
+// list, so sift operations move 4-byte indices and a steady-state run
+// allocates nothing per event.
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
-#include "ghs/sim/event_queue.hpp"
+#include "ghs/sim/event.hpp"
 #include "ghs/telemetry/registry.hpp"
 #include "ghs/util/units.hpp"
 
 namespace ghs::sim {
 
-/// Knobs fixed at simulator construction.
-struct SimConfig {
-  QueueKind queue = QueueKind::kHeap;
-};
-
 class Simulator {
  public:
-  Simulator() : Simulator(SimConfig{}) {}
-  explicit Simulator(const SimConfig& config);
+  Simulator() = default;
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
 
@@ -39,43 +37,47 @@ class Simulator {
   /// Runs until the event queue drains.
   void run();
 
-  /// Runs until the queue drains or the clock would pass `deadline`;
-  /// returns true if the queue drained.
-  bool run_until(SimTime deadline);
-
-  /// Executes a single event; returns false when the queue is empty.
-  bool step();
-
   /// Advances the clock once and dispatches every event scheduled at that
   /// timestamp — including events a handler schedules at the (new) current
-  /// time, which run in the same batch after the existing ones. Dispatch
-  /// order is identical to repeated step() calls; the queue just skips the
-  /// per-event re-heapify between same-time pops. Returns the number of
-  /// events executed (0 when the queue is empty).
+  /// time, which run in the same batch after the existing ones, exactly as
+  /// (time, seq) order puts them. Returns the number of events executed
+  /// (0 when the queue is empty).
   std::size_t drain_batch();
 
   std::size_t events_processed() const { return events_processed_; }
-  bool idle() const { return queue_->empty(); }
+  bool idle() const { return heap_.empty(); }
 
   /// High-water mark of the pending-event count, updated at push.
   std::size_t peak_queue_size() const { return peak_queue_size_; }
-
-  QueueKind queue_kind() const { return queue_->kind(); }
 
   /// Registers the event/clock counters (null disables). Counters are
   /// shared by identity, so platforms wired to one registry accumulate.
   void set_telemetry(telemetry::Registry* registry);
 
  private:
+  struct Slot {
+    SimTime time = 0;
+    std::uint64_t seq = 0;
+    Event fn;
+  };
+
+  bool before(std::uint32_t a, std::uint32_t b) const {
+    const Slot& x = slots_[a];
+    const Slot& y = slots_[b];
+    return x.time != y.time ? x.time < y.time : x.seq < y.seq;
+  }
+  void sift_up(std::size_t index);
+  void sift_down(std::size_t index);
   void advance_to(SimTime t);
 
   SimTime now_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  std::vector<Slot> slots_;
+  /// Slots whose event has been dispatched, reused before slots_ grows.
+  std::vector<std::uint32_t> free_;
+  std::vector<std::uint32_t> heap_;
+  std::uint64_t next_seq_ = 0;
   std::vector<Event> batch_;
   std::size_t events_processed_ = 0;
-  /// Mirror of queue_->size(), maintained here so the push hot path needs
-  /// no virtual call to track the high-water mark.
-  std::size_t pending_ = 0;
   std::size_t peak_queue_size_ = 0;
   telemetry::Counter* events_counter_ = nullptr;
   telemetry::Counter* advanced_counter_ = nullptr;

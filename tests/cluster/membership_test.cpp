@@ -5,6 +5,7 @@
 // membership-off run stays byte-identical to a membership-unaware build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -164,6 +165,37 @@ TEST(Membership, LateDeliveriesAreSuppressedExactlyOnce) {
   check_invariant(report);
   EXPECT_GT(report.membership.duplicate_suppressed, 0);
   EXPECT_GT(report.membership.replayed, 0);
+}
+
+TEST(Membership, LateLandingAfterLocalRecoveryIsADuplicate) {
+  // Node 1 crashes and restarts before the detector declares it dead, so
+  // it recovers its own journal locally. A slow interconnect keeps a
+  // delivery to node 1 in flight across the restart: recovery re-admits
+  // that job at once, and the landing transfer must then be dropped, not
+  // admitted as a second copy.
+  ClusterOptions options;
+  options.nodes = 3;
+  options.router = RouterPolicy::kLeast;
+  options.interconnect.link_bw = Bandwidth::from_gbps(5.0);
+  options.crash_plan = fault::parse_crash_plan("1@300us:650us");
+  options.health.enabled = true;
+  serve::ServiceModel model;
+  Cluster fleet(model, options);
+  fleet.submit_all(fleet_workload(42, 300, 300000.0));
+  fleet.run();
+  const ClusterReport report = fleet.report();
+  check_invariant(report);
+  EXPECT_EQ(report.membership.restarts, 1);
+  EXPECT_EQ(report.membership.detections, 0);
+  EXPECT_GT(report.membership.replayed, 0);
+  EXPECT_GT(report.membership.duplicate_suppressed, 0);
+  std::vector<serve::JobId> ids;
+  for (const auto& record : fleet.records()) {
+    ids.push_back(record.record.job.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+      << "a job was served twice";
 }
 
 TEST(Membership, CrashRunsAreByteIdentical) {

@@ -1,25 +1,27 @@
-// End-to-end equivalence of the event-core configuration knobs: the event
-// queue implementation (heap vs calendar) and the trace head sampler are
-// pure performance choices, so the same seed must produce byte-identical
-// reports, telemetry snapshots, and (at rate 1.0) trace files whichever
-// way they are set. Also pins the chained arrival pump's contract: the
-// same dispatch order as per-job submit(), with an event queue that stays
-// shallow no matter how large the batch is.
+// End-to-end equivalence of the event core's arrival path and the trace
+// head sampler. submit_all sorts an out-of-order batch and chains it, so
+// the order a caller hands the jobs over in cannot change a byte of the
+// report or the telemetry snapshot, and the event queue stays shallow no
+// matter how large the batch is. The chain dispatches in the same order as
+// per-job submit(), and sampling at rate 1.0 is byte-identical to no
+// sampler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ghs/fault/injector.hpp"
 #include "ghs/fault/plan.hpp"
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/serve/policy.hpp"
 #include "ghs/serve/service.hpp"
-#include "ghs/sim/event_queue.hpp"
 #include "ghs/telemetry/exporters.hpp"
 #include "ghs/telemetry/registry.hpp"
 #include "ghs/trace/tracer.hpp"
+#include "ghs/util/rng.hpp"
 
 namespace ghs::serve {
 namespace {
@@ -40,9 +42,24 @@ struct RunOutput {
   std::size_t peak_queue = 0;
 };
 
+/// The order a test hands a generated batch to submit_all in.
+enum class Order { kSorted, kReversed, kShuffled };
+
+std::vector<Job> batch_in_order(std::uint64_t seed, Order order) {
+  auto jobs = open_loop_poisson(small_workload(seed));
+  if (order == Order::kReversed) {
+    std::reverse(jobs.begin(), jobs.end());
+  } else if (order == Order::kShuffled) {
+    Rng rng(seed ^ 0x5bd1e995);
+    for (std::size_t i = jobs.size(); i > 1; --i) {
+      std::swap(jobs[i - 1], jobs[rng.next_below(i)]);
+    }
+  }
+  return jobs;
+}
+
 /// One full service run: report JSON plus the telemetry JSON snapshot.
-RunOutput run_once(sim::QueueKind queue, std::uint64_t seed,
-                   bool chaos = false) {
+RunOutput run_once(Order order, std::uint64_t seed, bool chaos = false) {
   telemetry::Registry registry;
   const auto plan = fault::parse_plan(
       "kernel-fault gpu p=0.05\n"
@@ -51,11 +68,10 @@ RunOutput run_once(sim::QueueKind queue, std::uint64_t seed,
   ServiceModel model;
   ServiceOptions options;
   options.queue_depth = 16;
-  options.sim.queue = queue;
   options.telemetry.metrics = &registry;
   if (chaos) options.injector = &injector;
   ReductionService service(make_policy("fifo", model), model, options);
-  service.submit_all(open_loop_poisson(small_workload(seed)));
+  service.submit_all(batch_in_order(seed, order));
   service.run();
   RunOutput out;
   std::ostringstream report;
@@ -68,25 +84,29 @@ RunOutput run_once(sim::QueueKind queue, std::uint64_t seed,
   return out;
 }
 
-TEST(QueueEquivalenceTest, HeapAndCalendarProduceIdenticalRuns) {
+TEST(QueueEquivalenceTest, UnsortedBatchesAreSortedAndChained) {
   for (const std::uint64_t seed : {42u, 7u, 1234u}) {
-    const RunOutput heap = run_once(sim::QueueKind::kHeap, seed);
-    const RunOutput calendar = run_once(sim::QueueKind::kCalendar, seed);
-    EXPECT_EQ(heap.report, calendar.report) << "seed " << seed;
-    EXPECT_EQ(heap.metrics, calendar.metrics) << "seed " << seed;
+    const RunOutput sorted = run_once(Order::kSorted, seed);
+    EXPECT_LE(sorted.peak_queue, 8u) << "seed " << seed;
+    for (const Order order : {Order::kReversed, Order::kShuffled}) {
+      const RunOutput out = run_once(order, seed);
+      EXPECT_EQ(out.report, sorted.report) << "seed " << seed;
+      EXPECT_EQ(out.metrics, sorted.metrics) << "seed " << seed;
+      // Chained, not scheduled one event per job up front.
+      EXPECT_EQ(out.peak_queue, sorted.peak_queue) << "seed " << seed;
+    }
   }
 }
 
-TEST(QueueEquivalenceTest, EquivalenceHoldsUnderFaultInjection) {
-  const RunOutput heap = run_once(sim::QueueKind::kHeap, 42, /*chaos=*/true);
-  const RunOutput calendar =
-      run_once(sim::QueueKind::kCalendar, 42, /*chaos=*/true);
-  EXPECT_EQ(heap.report, calendar.report);
-  EXPECT_EQ(heap.metrics, calendar.metrics);
+TEST(QueueEquivalenceTest, UnsortedBatchMatchesUnderFaultInjection) {
+  const RunOutput sorted = run_once(Order::kSorted, 42, /*chaos=*/true);
+  const RunOutput shuffled = run_once(Order::kShuffled, 42, /*chaos=*/true);
+  EXPECT_EQ(shuffled.report, sorted.report);
+  EXPECT_EQ(shuffled.metrics, sorted.metrics);
   // The chaos plan actually fired (otherwise this test proves nothing):
   // the fault section is present and records at least one GPU failure.
-  EXPECT_NE(heap.report.find("\"gpu_failures\":"), std::string::npos);
-  EXPECT_EQ(heap.report.find("\"gpu_failures\":0"), std::string::npos);
+  EXPECT_NE(sorted.report.find("\"gpu_failures\":"), std::string::npos);
+  EXPECT_EQ(sorted.report.find("\"gpu_failures\":0"), std::string::npos);
 }
 
 TEST(QueueEquivalenceTest, ChainedPumpKeepsTheQueueShallow) {
@@ -124,19 +144,6 @@ TEST(QueueEquivalenceTest, BatchAndPerJobSubmissionMatch) {
     reports[batched] = os.str();
   }
   EXPECT_EQ(reports[0], reports[1]);
-}
-
-TEST(QueueEquivalenceTest, UnsortedBatchFallsBackAndStillServes) {
-  auto jobs = open_loop_poisson(small_workload(42));
-  std::reverse(jobs.begin(), jobs.end());  // violates the sorted fast path
-  ServiceModel model;
-  ServiceOptions options;
-  options.queue_depth = 16;
-  ReductionService service(make_policy("fifo", model), model, options);
-  service.submit_all(jobs);
-  service.run();
-  EXPECT_EQ(service.records().size() + service.rejected_jobs().size(),
-            jobs.size());
 }
 
 /// Report + trace JSON for one traced run at the given sampling rate
