@@ -10,34 +10,33 @@
 //   $ ./bench/serve_loadgen --slo --slo-latency-ms=0.5   # burn-rate report
 //   $ ./bench/serve_loadgen --perf                  # event-core throughput
 //   $ ./bench/serve_loadgen --trace=t.json --trace-sample=0.01  # 1% of jobs
+//   $ ./bench/serve_loadgen --plan=builtin --policy=fifo  # built-in chaos
+//   $ ./bench/serve_loadgen --plan=outage.plan --fault-seed=9
 //
 // The report is one JSON object: "workload" echoes the generator settings,
-// "policies" holds one serve report per policy (p50/p95/p99 latency and
-// queue wait, rejected count, batching and placement counters), and
-// "comparison" contrasts bandwidth-aware against FIFO when both ran.
-#include <chrono>
+// "fault" (only with --plan) the fault plan and the retry and breaker
+// settings, "policies" holds one serve report per policy (p50/p95/p99
+// latency and queue wait, rejected count, batching and placement counters,
+// plus retries, gpu_failures, breaker_opens, shed and fallback_cpu_jobs
+// under a plan), and "comparison" contrasts bandwidth-aware against FIFO
+// when both ran.
+//
+// --plan replays a deterministic fault plan -- transient kernel failures,
+// bandwidth brown-outs, device-down outages, migration stalls -- against
+// every policy run, and the service defends itself with retries, circuit
+// breakers, deadline-aware shedding, and CPU fallback. Every run checks
+// that each submitted job is served, rejected at admission, or shed; two
+// runs from the same (plan, seed) emit byte-identical reports.
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/serve/policy.hpp"
 #include "ghs/serve/service.hpp"
-#include "ghs/slo/monitor.hpp"
-#include "ghs/telemetry/exporters.hpp"
-#include "ghs/telemetry/flight_recorder.hpp"
-#include "ghs/telemetry/registry.hpp"
-#include "ghs/trace/chrome_exporter.hpp"
-#include "ghs/profile/profiler.hpp"
-#include "ghs/profile/recorder.hpp"
-#include "ghs/util/cli.hpp"
-#include "ghs/util/error.hpp"
-#include "build_info.hpp"
-#include "profile.hpp"
-#include "scrape.hpp"
+#include "harness.hpp"
 #include "serve_perf.hpp"
 
 namespace {
@@ -49,75 +48,24 @@ struct RunSettings {
   serve::OpenLoopOptions open;
   serve::ClosedLoopOptions closed_opts;
   serve::ServiceOptions service;
-  std::string trace_path;
-  /// Head-sampling rate for the tracer; 1.0 keeps every span (and leaves
-  /// the trace file byte-identical to a sampler-free run).
-  double trace_sample = 1.0;
-  /// SLO objectives to evaluate per policy run; empty = no SLO section.
-  std::vector<slo::Objective> slo_objectives;
-  /// Sim-time metrics scraping (off unless --scrape-interval was given).
-  bench::ScrapeSettings scrape;
-  /// Sim-time profiling / cost attribution (off unless a --profile-* or
-  /// --cost-report flag was given, keeping artefacts byte-identical).
-  bench::ProfileSettings profile;
 };
 
-serve::ServiceReport run_policy(const std::string& name,
-                                serve::ServiceModel& model,
+serve::ServiceReport run_policy(bench::Harness& harness,
+                                const std::string& name,
                                 const RunSettings& settings,
-                                std::string* slo_json,
-                                std::string* timeline_json,
-                                std::string* cost_json,
+                                bench::RunSections* sections,
                                 bench::PerfSample* perf) {
-  trace::Tracer tracer;
-  const bool tracing = !settings.trace_path.empty();
-  tracer.set_sampler(
-      trace::SamplerOptions{settings.trace_sample, settings.open.seed});
-  const bool profiling = settings.profile.enabled();
-  // Declared before the service so the pool's recorder pointer stays
-  // valid through the service's destructor.
-  std::optional<profile::Recorder> recorder;
-  serve::ServiceOptions service_options = settings.service;
-  if (profiling) {
-    recorder.emplace();
-    service_options.profile = &*recorder;
-  }
-  serve::ReductionService service(serve::make_policy(name, model), model,
-                                  service_options,
-                                  tracing ? &tracer : nullptr);
-  const bool scraping = settings.scrape.enabled();
-  timeseries::Tsdb store;
-  std::optional<timeseries::Scraper> scraper;
-  if (scraping) {
-    timeseries::ScraperOptions scraper_options;
-    scraper_options.interval = settings.scrape.interval;
-    scraper.emplace(service.sim(), *settings.service.telemetry.metrics, store,
-                    scraper_options);
-    scraper->start();
-  }
-  std::optional<profile::Profiler> profiler;
-  if (settings.profile.sampling()) {
-    profile::ProfilerOptions profiler_options;
-    profiler_options.interval = settings.profile.interval;
-    profiler.emplace(service.sim(), *recorder, profiler_options, &store);
-    profiler->start();
-  }
+  serve::ServiceOptions options = settings.service;
+  bench::Run run(harness, harness.fault_plan(), options, harness.outputs());
+  serve::ReductionService service(serve::make_policy(name, harness.model()),
+                                  harness.model(), options, run.tracer());
+  run.start(service.sim());
   const bench::WallTimer timer;
   if (settings.closed) {
     serve::run_closed_loop(service, settings.closed_opts);
   } else {
     service.submit_all(serve::open_loop_poisson(settings.open));
     service.run();
-  }
-  if (scraping) scraper->finish();
-  if (profiler) profiler->finish();
-  if (profiling) {
-    // Attribution must reconcile with the pool's own busy/byte totals on
-    // every profiled run, not just when the report is requested.
-    const auto check =
-        recorder->ledger().check(service.conservation_totals());
-    GHS_REQUIRE(check.ok(),
-                "cost attribution leaked on policy '" << name << "'");
   }
   if (perf != nullptr) {
     perf->policy = name;
@@ -127,245 +75,94 @@ serve::ServiceReport run_policy(const std::string& name,
         static_cast<std::uint64_t>(service.records().size());
     perf->peak_queue_size = service.sim().peak_queue_size();
   }
-  if (tracing && tracer.sampler_active() &&
-      settings.service.telemetry.metrics != nullptr) {
-    // Sampler drops are wall-clock-independent (pure function of seed and
-    // trace ids), so unlike the wall gauge this counter may live in the
-    // deterministic snapshot.
-    settings.service.telemetry.metrics
-        ->counter("ghs_trace_dropped_by_sampler_total", {},
-                  "Span/instant records rejected by the trace head sampler")
-        .inc(tracer.dropped_by_sampler());
-  }
-  if (tracing) {
-    // Last policy run wins the file; with --policy=all that is the
-    // bandwidth-aware timeline.
-    std::ofstream out(settings.trace_path);
-    GHS_REQUIRE(out.good(), "cannot write " << settings.trace_path);
-    trace::ChromeTraceExporter exporter(tracer);
-    if (scraping) {
-      bench::add_counter_tracks(exporter, store, settings.scrape.interval);
-    }
-    if (profiler) bench::add_profile_tracks(exporter, *profiler);
-    exporter.write(out);
-  }
-  if (profiler) {
-    // Like the trace, the last policy run wins the collapsed-stack file.
-    bench::write_profile_file("serve_loadgen", settings.profile, *profiler);
-  }
-  if (settings.profile.cost_report && cost_json != nullptr) {
-    std::ostringstream cost_os;
-    recorder->ledger().write_json(cost_os, service.conservation_totals());
-    *cost_json = cost_os.str();
-    std::cerr << "[" << name << "] ";
-    recorder->ledger().write_table(std::cerr, /*top_k=*/5);
-  }
-  if (scraping) {
-    // Like the trace, the last policy run wins the series file.
-    bench::write_series_file("serve_loadgen", settings.scrape, store,
-                             *scraper);
-    if (timeline_json != nullptr) {
-      timeseries::TimelineOptions timeline_options;
-      timeline_options.interval = settings.scrape.interval;
-      timeline_options.queue_capacity = settings.service.queue_depth;
-      const auto timeline = timeseries::build_timeline(store,
-                                                       timeline_options);
-      std::ostringstream timeline_os;
-      timeline.write_json(timeline_os);
-      *timeline_json = timeline_os.str();
-      std::cerr << "[" << name << "] ";
-      timeline.write_table(std::cerr);
-    }
-  }
-  if (!settings.slo_objectives.empty() && slo_json != nullptr) {
-    slo::Monitor monitor(settings.slo_objectives);
-    monitor.feed(service);
-    std::ostringstream slo_os;
-    monitor.evaluate().write_json(slo_os);
-    *slo_json = slo_os.str();
-  }
-  return service.report();
-}
-
-/// The stock objective set for --slo: three-nines availability plus a p99
-/// latency bound.
-std::vector<slo::Objective> default_objectives(double latency_ms) {
-  std::vector<slo::Objective> objectives;
-  objectives.push_back(
-      slo::Objective{"availability", slo::ObjectiveKind::kAvailability,
-                     0.999, 0.0});
-  objectives.push_back(
-      slo::Objective{"latency_p99", slo::ObjectiveKind::kLatencyQuantile,
-                     0.99, latency_ms});
-  return objectives;
+  return run.finish(
+      name, service, [&](auto& monitor) { monitor.feed(service); },
+      sections);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Cli cli("serve_loadgen",
-          "open/closed-loop load generator for the reduction service");
-  const auto* policy =
-      cli.add_string("policy", "all", "all|fifo|sjf|bandwidth");
-  const auto* rate =
-      cli.add_double("rate", 100000.0, "open-loop arrival rate, jobs/s");
-  const auto* jobs = cli.add_int("jobs", 200, "total jobs to submit");
-  const auto* depth = cli.add_int("depth", 64, "admission queue depth");
-  const auto* seed = cli.add_int("seed", 42, "workload RNG seed");
-  const auto* min_log2 =
-      cli.add_int("min-log2", 16, "smallest job, log2(elements)");
-  const auto* max_log2 =
-      cli.add_int("max-log2", 21, "largest job, log2(elements)");
-  const auto* deadline_us =
-      cli.add_int("deadline-us", 0, "relative deadline (0 = best effort)");
-  const auto* closed = cli.add_flag("closed", "closed loop instead of open");
-  const auto* tenants = cli.add_int("tenants", 8, "closed-loop tenants");
-  const auto* think_us =
-      cli.add_int("think-us", 0, "closed-loop think time between jobs");
-  const auto* no_batch = cli.add_flag("no-batch", "disable launch batching");
-  const auto* no_cpu =
-      cli.add_flag("no-cpu", "GPU-only device pool (no Grace CPU)");
-  const auto* trace_path =
-      cli.add_string("trace", "", "write a Chrome-trace JSON timeline here");
-  const auto* trace_sample = cli.add_double(
-      "trace-sample", 1.0,
-      "fraction of job traces kept by the head sampler (1.0 = all)");
-  const auto* um_fraction = cli.add_double(
-      "um-fraction", 0.0,
-      "fraction of jobs over unified-memory buffers (GPU-only placement)");
-  const auto* perf = cli.add_flag(
+  bench::Harness harness(
+      {.program = "serve_loadgen",
+       .description =
+           "open/closed-loop load generator for the reduction service",
+       .run_key = "policy",
+       .policy = "all",
+       .policy_help = "all|fifo|sjf|bandwidth",
+       .jobs = 200});
+  const auto* closed =
+      harness.cli.add_flag("closed", "closed loop instead of open");
+  const auto* tenants =
+      harness.cli.add_int("tenants", 8, "closed-loop tenants");
+  const auto* think_us = harness.cli.add_int(
+      "think-us", 0, "closed-loop think time between jobs");
+  const auto* perf = harness.cli.add_flag(
       "perf", "append wall-clock event-core throughput (machine-dependent)");
-  const auto* metrics_out = cli.add_string(
-      "metrics-out", "",
-      "write Prometheus metrics here (+ JSON snapshot at FILE.json)");
-  const auto* slo = cli.add_flag(
-      "slo", "evaluate SLOs per policy and append an slo_report section");
-  const auto* slo_latency_ms = cli.add_double(
-      "slo-latency-ms", 1.0, "latency_p99 objective threshold, milliseconds");
-  const auto* scrape_interval = cli.add_int(
-      "scrape-interval", 0,
-      "sim-time metrics scrape interval, microseconds (0 = off)");
-  const auto* series_out = cli.add_string(
-      "series-out", "",
-      "write the scraped time-series dump here (.csv for CSV)");
-  const auto* profile_interval = cli.add_int(
-      "profile-interval", 0,
-      "sim-time profiler sample interval, microseconds (0 = off)");
-  const auto* profile_out = cli.add_string(
-      "profile-out", "",
-      "write collapsed stacks here (flamegraph.pl-compatible)");
-  const auto* cost_report = cli.add_flag(
-      "cost-report",
-      "append per-tenant cost attribution to the report (+ stderr table)");
-  cli.parse_or_exit(argc, argv);
+  harness.parse_or_exit(argc, argv);
 
-  const auto scrape = bench::scrape_settings_or_exit(
-      "serve_loadgen", *scrape_interval, *series_out);
-  const auto profile = bench::profile_settings_or_exit(
-      "serve_loadgen", *profile_interval, *profile_out, *cost_report);
-  bench::require_positive("serve_loadgen", "--jobs", *jobs);
-  bench::require_positive("serve_loadgen", "--rate", *rate);
-  bench::require_positive("serve_loadgen", "--depth", *depth);
-  bench::require_fraction("serve_loadgen", "--trace-sample", *trace_sample);
-  bench::require_fraction("serve_loadgen", "--um-fraction", *um_fraction);
-  bench::require_writable_path("serve_loadgen", *metrics_out);
-  bench::require_writable_path("serve_loadgen", *trace_path);
-
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  // One registry accumulates across every policy run; null pointers keep
-  // telemetry free when neither --metrics-out nor --scrape-interval was
-  // given.
-  telemetry::Registry registry;
-  telemetry::FlightRecorder flight;
-  const bool metrics = !metrics_out->empty();
-  const bool scraping = scrape.enabled();
-  telemetry::Sink sink = (metrics || scraping)
-                             ? telemetry::Sink{&registry, &flight}
-                             : telemetry::Sink{};
-  sink.timeline = scraping;
+  const std::string& program = harness.program();
+  if (*closed) {
+    // Each tenant keeps one job in flight, so the loop needs at least one
+    // job and one queue slot per tenant.
+    bench::require_in_range(program, "--tenants", *tenants, 1,
+                            std::min(*harness.jobs, *harness.depth));
+    bench::require_non_negative(program, "--think-us", *think_us);
+  }
+  std::vector<std::string> policies = {*harness.policy};
+  if (*harness.policy == "all") policies = {"fifo", "sjf", "bandwidth"};
+  for (const auto& name : policies) harness.require_policy(name);
 
   RunSettings settings;
   settings.closed = *closed;
-  settings.trace_path = *trace_path;
-  settings.scrape = scrape;
-  settings.profile = profile;
-
-  serve::WorkloadShape shape;
-  shape.min_log2_elements = static_cast<int>(*min_log2);
-  shape.max_log2_elements = static_cast<int>(*max_log2);
-  shape.deadline = *deadline_us * kMicrosecond;
-  shape.um_fraction = *um_fraction;
-
-  settings.open.shape = shape;
-  settings.open.rate_hz = *rate;
-  settings.open.jobs = *jobs;
-  settings.open.seed = static_cast<std::uint64_t>(*seed);
-
-  settings.closed_opts.shape = shape;
+  settings.open = harness.open_loop();
+  settings.closed_opts.shape = settings.open.shape;
   settings.closed_opts.tenants = static_cast<int>(*tenants);
-  settings.closed_opts.jobs = *jobs;
+  settings.closed_opts.jobs = *harness.jobs;
   settings.closed_opts.think_time = *think_us * kMicrosecond;
-  settings.closed_opts.seed = static_cast<std::uint64_t>(*seed);
-
-  settings.service.queue_depth = static_cast<std::size_t>(*depth);
-  settings.service.batching.enable = !*no_batch;
-  settings.service.use_cpu = !*no_cpu;
-  settings.service.telemetry = sink;
-  settings.trace_sample = *trace_sample;
-  if (*slo) settings.slo_objectives = default_objectives(*slo_latency_ms);
-
-  std::vector<std::string> policies;
-  if (*policy == "all") {
-    policies = {"fifo", "sjf", "bandwidth"};
-  } else {
-    policies = {*policy};
-  }
-
-  serve::ServiceModelOptions model_options;
-  model_options.telemetry = sink;
-  serve::ServiceModel model(model_options);
+  settings.closed_opts.seed = settings.open.seed;
+  settings.service = harness.node_options();
 
   std::ostringstream out;
-  out << "{";
-  bench::write_build_info(out);
+  harness.begin_report(out);
   out << ",\"workload\":{\"mode\":\""
       << (settings.closed ? "closed" : "open") << "\"";
   if (settings.closed) {
     out << ",\"tenants\":" << settings.closed_opts.tenants
         << ",\"think_us\":" << *think_us;
   } else {
-    out << ",\"rate_hz\":" << *rate;
+    out << ",\"rate_hz\":" << *harness.rate;
   }
-  out << ",\"jobs\":" << *jobs << ",\"seed\":" << *seed
-      << ",\"min_log2_elements\":" << *min_log2
-      << ",\"max_log2_elements\":" << *max_log2
-      << ",\"deadline_us\":" << *deadline_us
-      << ",\"um_fraction\":" << *um_fraction << ",\"queue_depth\":" << *depth
+  out << ",\"jobs\":" << *harness.jobs << ",\"seed\":" << *harness.seed
+      << ",\"min_log2_elements\":" << *harness.min_log2
+      << ",\"max_log2_elements\":" << *harness.max_log2
+      << ",\"deadline_us\":" << *harness.deadline_us
+      << ",\"um_fraction\":" << *harness.um_fraction
+      << ",\"queue_depth\":" << *harness.depth
       << ",\"batching\":" << (settings.service.batching.enable ? "true"
                                                                : "false")
       << ",\"cpu_pool\":" << (settings.service.use_cpu ? "true" : "false");
-  // Echoed only when scraping, so unscraped reports keep their exact bytes.
-  if (scraping) out << ",\"scrape_interval_us\":" << *scrape_interval;
-  if (profile.sampling()) {
-    out << ",\"profile_interval_us\":" << *profile_interval;
+  harness.write_interval_echo(out);
+  out << "}";
+  if (const fault::FaultPlan* plan = harness.fault_plan()) {
+    out << ",\"fault\":{\"plan\":\"" << *harness.plan
+        << "\",\"seed\":" << *harness.fault_seed
+        << ",\"specs\":" << plan->size()
+        << ",\"max_attempts\":" << settings.service.retry.max_attempts
+        << ",\"breaker_threshold\":"
+        << settings.service.breaker.failure_threshold << "}";
   }
-  out << "},\"policies\":[";
+  out << ",\"policies\":[";
 
   serve::ServiceReport fifo_report;
   serve::ServiceReport bandwidth_report;
   bool have_fifo = false;
   bool have_bandwidth = false;
-  std::vector<std::string> slo_reports(policies.size());
-  std::vector<std::string> timeline_reports(policies.size());
-  std::vector<std::string> cost_reports(policies.size());
+  std::vector<bench::RunSections> sections(policies.size());
   std::vector<bench::PerfSample> perf_samples(policies.size());
   for (std::size_t i = 0; i < policies.size(); ++i) {
-    const auto report = run_policy(policies[i], model, settings,
-                                   &slo_reports[i],
-                                   scraping ? &timeline_reports[i] : nullptr,
-                                   profile.cost_report ? &cost_reports[i]
-                                                       : nullptr,
+    const auto report = run_policy(harness, policies[i], settings,
+                                   &sections[i],
                                    *perf ? &perf_samples[i] : nullptr);
     if (i > 0) out << ",";
     report.write_json(out);
@@ -378,33 +175,7 @@ int main(int argc, char** argv) {
     }
   }
   out << "]";
-  if (*slo) {
-    out << ",\"slo_report\":[";
-    for (std::size_t i = 0; i < policies.size(); ++i) {
-      if (i > 0) out << ",";
-      out << "{\"policy\":\"" << policies[i] << "\",\"slo\":"
-          << slo_reports[i] << "}";
-    }
-    out << "]";
-  }
-  if (scraping) {
-    out << ",\"timeline_report\":[";
-    for (std::size_t i = 0; i < policies.size(); ++i) {
-      if (i > 0) out << ",";
-      out << "{\"policy\":\"" << policies[i] << "\",\"timeline\":"
-          << timeline_reports[i] << "}";
-    }
-    out << "]";
-  }
-  if (profile.cost_report) {
-    out << ",\"cost_report\":[";
-    for (std::size_t i = 0; i < policies.size(); ++i) {
-      if (i > 0) out << ",";
-      out << "{\"policy\":\"" << policies[i] << "\",\"cost\":"
-          << cost_reports[i] << "}";
-    }
-    out << "]";
-  }
+  harness.write_sections(out, sections);
   if (have_fifo && have_bandwidth &&
       fifo_report.throughput_gbps > 0.0) {
     char buf[64];
@@ -422,38 +193,6 @@ int main(int argc, char** argv) {
     out << ",\"perf\":";
     bench::write_perf_json(out, perf_samples);
   }
-  if (metrics) {
-    // Wall time is real-world and run-dependent, so the gauge is volatile:
-    // it shows up in the Prometheus exposition but not in the JSON
-    // snapshot, keeping same-seed snapshots byte-identical.
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - wall_start;
-    registry
-        .gauge("ghs_bench_wall_seconds", {},
-               "wall-clock duration of this bench process",
-               /*volatile_instrument=*/true)
-        .set(wall.count());
-    out << ",\"metrics\":";
-    telemetry::write_json_snapshot(out, registry);
-  }
-  out << "}";
-  std::cout << out.str() << "\n";
-
-  if (metrics) {
-    {
-      // The exposition is a scrape, not a diff artefact, so it may carry
-      // the volatile wall-clock gauge; the snapshot stays deterministic.
-      telemetry::ExportOptions prom_options;
-      prom_options.include_volatile = true;
-      std::ofstream prom(*metrics_out);
-      GHS_REQUIRE(prom.good(), "cannot write " << *metrics_out);
-      telemetry::write_prometheus(prom, registry, prom_options);
-    }
-    const std::string json_path = *metrics_out + ".json";
-    std::ofstream snapshot(json_path);
-    GHS_REQUIRE(snapshot.good(), "cannot write " << json_path);
-    telemetry::write_json_snapshot(snapshot, registry);
-    snapshot << "\n";
-  }
+  harness.end_report(out);
   return 0;
 }

@@ -9,7 +9,10 @@
 #                                 # (fast gate for the registry's
 #                                 # concurrency contract)
 #   $ scripts/check.sh chaos      # fault-injection suite under ASan+UBSan
-#                                 # (breaker/injector/chaos-service tests)
+#                                 # (breaker/injector/chaos-service tests),
+#                                 # then a same-seed serve_loadgen
+#                                 # --plan=builtin byte-identity smoke
+#                                 # (stdout and metrics snapshot)
 #   $ scripts/check.sh slo        # tracing + SLO suite under ASan+UBSan
 #                                 # (span trees, exporters, burn-rate math)
 #   $ scripts/check.sh cluster    # fleet suite under ASan+UBSan (router,
@@ -25,11 +28,13 @@
 #                                 # restart-before-detection byte-identity
 #                                 # and exit-2 flag-validation smokes on
 #                                 # cluster_loadgen
-#   $ scripts/check.sh profile    # profiling/attribution suites under
-#                                 # ASan+UBSan, then profiler-on determinism
-#                                 # + profiler-off snapshot byte-identity,
-#                                 # conservation smokes, exit-2 flag
-#                                 # validation, and the instrument-name lint
+#   $ scripts/check.sh profile    # profiling/attribution and bench-harness
+#                                 # suites under ASan+UBSan, then
+#                                 # profiler-on determinism + profiler-off
+#                                 # snapshot byte-identity, conservation
+#                                 # smokes (fleet and --plan=builtin), exit-2
+#                                 # flag validation on both loadgens, and
+#                                 # the instrument-name lint
 #   $ scripts/check.sh perf       # Release event-core throughput gate only:
 #                                 # a 10^5-job serve_loadgen smoke with
 #                                 # --perf, then the serve_perf wall-clock
@@ -42,6 +47,17 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# Runs a command that must reject its flags: exit 2, not a crash or a run.
+expect_exit2() {
+  local status=0
+  "$@" >/dev/null 2>&1 || status=$?
+  if [[ "$status" -ne 2 ]]; then
+    echo "expected exit 2 for $*, got $status" >&2
+    exit 1
+  fi
+}
+
 jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 configs=("${1:-release}")
 if [[ $# -eq 0 ]]; then
@@ -69,7 +85,7 @@ for config in "${configs[@]}"; do
     chaos)
       dir=build-asan
       flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DGHS_SANITIZE=ON)
-      target="fault_tests serve_tests"
+      target="fault_tests serve_tests serve_loadgen"
       test_regex="fault_tests|serve_tests"
       ;;
     slo)
@@ -99,7 +115,7 @@ for config in "${configs[@]}"; do
     profile)
       dir=build-asan
       flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DGHS_SANITIZE=ON)
-      target="profile_tests bench_tests serve_loadgen chaos_loadgen cluster_loadgen"
+      target="profile_tests bench_tests serve_loadgen cluster_loadgen"
       test_regex="profile_tests|bench_tests"
       ;;
     perf)
@@ -134,6 +150,17 @@ for config in "${configs[@]}"; do
   else
     ctest --test-dir "$dir" --output-on-failure -j "$jobs"
   fi
+  if [[ "$config" == chaos ]]; then
+    echo "==> chaos determinism smoke (same-seed byte identity under ASan)"
+    tmp=$(mktemp -d)
+    for run in a b; do
+      "$dir/bench/serve_loadgen" --plan=builtin --policy=all \
+        --metrics-out="$tmp/$run.prom" >"$tmp/$run.json" 2>/dev/null
+    done
+    cmp "$tmp/a.json" "$tmp/b.json"
+    cmp "$tmp/a.prom.json" "$tmp/b.prom.json"
+    rm -rf "$tmp"
+  fi
   if [[ "$config" == tsdb ]]; then
     echo "==> series determinism smoke (same-seed byte identity under ASan)"
     tmp=$(mktemp -d)
@@ -167,16 +194,11 @@ for config in "${configs[@]}"; do
     done
     cmp "$tmp/restart-a.json" "$tmp/restart-b.json"
     rm -rf "$tmp"
-    echo "==> flag-validation smoke (out-of-range node targets exit 2)"
+    echo "==> flag-validation smoke (bad node targets and schedules exit 2)"
     for bad in "--nodes=0" "--fault-node=9" "--crash-plan=9@1ms" \
-               "--drain-at=9@1ms" "--crash-plan=bogus"; do
-      status=0
-      "$dir/bench/cluster_loadgen" --nodes=4 "$bad" >/dev/null 2>&1 \
-        || status=$?
-      if [[ "$status" -ne 2 ]]; then
-        echo "expected exit 2 for $bad, got $status" >&2
-        exit 1
-      fi
+               "--drain-at=9@1ms" "--crash-plan=bogus" "--drain-at=x@1ms" \
+               "--router=passthrough"; do
+      expect_exit2 "$dir/bench/cluster_loadgen" --nodes=4 "$bad"
     done
   fi
   if [[ "$config" == profile ]]; then
@@ -207,21 +229,34 @@ for config in "${configs[@]}"; do
       --remote-fraction=0.4 --um-fraction=0.2 --crash-plan=1@300us:2ms \
       --heartbeat-us=100 --cost-report --profile-interval=50 \
       >/dev/null 2>&1
-    "$dir/bench/chaos_loadgen" --jobs=500 --um-fraction=0.3 --cost-report \
-      --profile-interval=50 >/dev/null 2>&1
-    rm -rf "$tmp"
-    echo "==> flag-validation smoke (bad profile/trace flags exit 2)"
+    "$dir/bench/serve_loadgen" --plan=builtin --policy=fifo --jobs=500 \
+      --um-fraction=0.3 --cost-report --profile-interval=50 >/dev/null 2>&1
+    echo "==> flag-validation smoke (bad flags exit 2 on both loadgens)"
     for bad in "--profile-interval=-1" "--profile-out=x.folded" \
                "--trace-sample=1.5" "--trace-sample=-0.1" \
                "--um-fraction=2" "--scrape-interval=-1"; do
-      status=0
-      "$dir/bench/serve_loadgen" --jobs=10 "$bad" >/dev/null 2>&1 \
-        || status=$?
-      if [[ "$status" -ne 2 ]]; then
-        echo "expected exit 2 for $bad, got $status" >&2
-        exit 1
-      fi
+      expect_exit2 "$dir/bench/serve_loadgen" --jobs=10 "$bad"
     done
+    printf 'kernel-fault gpu p=banana\n' >"$tmp/bad.plan"
+    for bin in serve_loadgen cluster_loadgen; do
+      for bad in "--policy=bogus" "--plan=$tmp/no-such.plan" \
+                 "--plan=$tmp/bad.plan" "--min-log2=30 --max-log2=10" \
+                 "--min-log2=0" "--max-log2=40" "--deadline-us=-5" \
+                 "--slo --slo-latency-ms=-1"; do
+        # shellcheck disable=SC2086  # $bad may hold two flags
+        expect_exit2 "$dir/bench/$bin" $bad
+      done
+    done
+    for bad in "--tenants=0" "--tenants=100" \
+               "--tenants=300 --jobs=200 --depth=512" "--think-us=-3"; do
+      # shellcheck disable=SC2086
+      expect_exit2 "$dir/bench/serve_loadgen" --closed $bad
+    done
+    for bad in "--router=bogus" "--link-gbps=0" "--tenants=0" \
+               "--tenants=-3"; do
+      expect_exit2 "$dir/bench/cluster_loadgen" "$bad"
+    done
+    rm -rf "$tmp"
     echo "==> instrument-name lint (code vs docs/OBSERVABILITY.md)"
     python3 scripts/lint_instruments.py
   fi
