@@ -7,8 +7,11 @@
 
 #include "ghs/core/reduce.hpp"
 #include "ghs/core/verify.hpp"
+#include "ghs/mem/topology.hpp"
+#include "ghs/mem/transfer.hpp"
 #include "ghs/sim/fluid.hpp"
 #include "ghs/sim/simulator.hpp"
+#include "ghs/um/manager.hpp"
 #include "ghs/workload/host_array.hpp"
 
 namespace {
@@ -50,6 +53,36 @@ void BM_FluidFairShare(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * flows);
 }
 BENCHMARK(BM_FluidFairShare)->Arg(8)->Arg(64)->Arg(256);
+
+void BM_UmPlanPass(benchmark::State& state) {
+  // One warm fault-eager allocation split the way the Listing 8 loop splits
+  // it: the CPU part [0, split) in LPDDR, the GPU part [split, size) already
+  // migrated to HBM, the split mid-page. Each iteration plans one GPU and
+  // one CPU pass; with an extent page table the cost should not grow with
+  // the page count.
+  const auto pages = state.range(0);
+  sim::Simulator sim;
+  mem::Topology topology(sim, mem::TopologyConfig{});
+  mem::TransferEngine transfers(topology);
+  um::UmManager um(topology, transfers, um::UmPolicy{});
+  const Bytes size = pages * um.policy().page_size;
+  const Bytes split = size / 10 * 3 + 12;
+  const auto id = um.allocate(size, mem::RegionId::kLpddr, "bench");
+  for (const auto& seg :
+       um.plan_pass(id, um::Accessor::kGpu, split, size - split)) {
+    if (seg.migrate_on_access) {
+      um.complete_segment(id, seg.offset, seg.length, mem::RegionId::kHbm);
+    }
+  }
+  for (auto _ : state) {
+    auto gpu = um.plan_pass(id, um::Accessor::kGpu, split, size - split);
+    auto cpu = um.plan_pass(id, um::Accessor::kCpu, 0, split);
+    benchmark::DoNotOptimize(gpu.data());
+    benchmark::DoNotOptimize(cpu.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_UmPlanPass)->Arg(32)->Arg(512)->Arg(2048)->Arg(4096);
 
 void BM_GpuKernelSimulation(benchmark::State& state) {
   const auto grid = state.range(0);

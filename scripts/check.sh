@@ -35,6 +35,11 @@
 #                                 # smokes (fleet and --plan=builtin), exit-2
 #                                 # flag validation on both loadgens, and
 #                                 # the instrument-name lint
+#   $ scripts/check.sh substrate  # simulated-hardware suites under
+#                                 # ASan+UBSan: UM page table (per-page
+#                                 # reference property test), fluid
+#                                 # network, GPU/CPU/OpenMP models and the
+#                                 # full-precision substrate golden
 #   $ scripts/check.sh perf       # Release event-core throughput gate only:
 #                                 # a 10^5-job serve_loadgen smoke with
 #                                 # --perf, then the serve_perf wall-clock
@@ -118,13 +123,19 @@ for config in "${configs[@]}"; do
       target="profile_tests bench_tests serve_loadgen cluster_loadgen"
       test_regex="profile_tests|bench_tests"
       ;;
+    substrate)
+      dir=build-asan
+      flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DGHS_SANITIZE=ON)
+      target="um_tests sim_tests gpu_tests cpu_tests omp_tests core_tests"
+      test_regex="um_tests|sim_tests|gpu_tests|cpu_tests|omp_tests|core_tests"
+      ;;
     perf)
       dir=build
       flags=(-DCMAKE_BUILD_TYPE=Release -DGHS_SANITIZE=OFF)
       target=serve_loadgen
       ;;
     *)
-      echo "unknown config '$config' (release|asan|telemetry|chaos|slo|cluster|tsdb|membership|profile|perf)" >&2
+      echo "unknown config '$config' (release|asan|telemetry|chaos|slo|cluster|tsdb|membership|profile|substrate|perf)" >&2
       exit 2
       ;;
   esac

@@ -92,7 +92,8 @@ void FluidNetwork::sync_to_now() {
   if (now == last_update_) return;
   const double dt_s = to_seconds(now - last_update_);
   const double dt_ps = static_cast<double>(now - last_update_);
-  std::vector<double> resource_rate(resources_.size(), 0.0);
+  std::vector<double>& resource_rate = scratch_rate_;
+  resource_rate.assign(resources_.size(), 0.0);
   for (auto& [id, flow] : flows_) {
     if (flow.rate <= 0.0) continue;
     const double moved = std::min(flow.remaining, flow.rate * dt_s);
@@ -112,13 +113,17 @@ void FluidNetwork::sync_to_now() {
 
 void FluidNetwork::recompute_rates() {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> residual(resources_.size());
-  std::vector<int> count(resources_.size(), 0);
+  std::vector<double>& residual = scratch_residual_;
+  std::vector<int>& count = scratch_count_;
+  residual.resize(resources_.size());
+  count.assign(resources_.size(), 0);
   for (std::size_t r = 0; r < resources_.size(); ++r) {
     residual[r] = resources_[r].capacity;
   }
-  std::vector<Flow*> unfrozen;
-  unfrozen.reserve(flows_.size());
+  std::vector<Flow*>& unfrozen = scratch_unfrozen_;
+  std::vector<Flow*>& still_unfrozen = scratch_still_unfrozen_;
+  std::vector<double>& limits = scratch_limits_;
+  unfrozen.clear();
   for (auto& [id, flow] : flows_) {
     unfrozen.push_back(&flow);
     for (ResourceId r : flow.spec.resources) ++count[r];
@@ -127,7 +132,7 @@ void FluidNetwork::recompute_rates() {
   // constraint equals the global minimum, guaranteeing termination.
   while (!unfrozen.empty()) {
     double round_min = kInf;
-    std::vector<double> limits(unfrozen.size());
+    limits.resize(unfrozen.size());
     for (std::size_t i = 0; i < unfrozen.size(); ++i) {
       const Flow& flow = *unfrozen[i];
       double limit = flow.spec.rate_cap > 0.0 ? flow.spec.rate_cap : kInf;
@@ -142,8 +147,7 @@ void FluidNetwork::recompute_rates() {
     GHS_CHECK(std::isfinite(round_min),
               "all flows uncapped over zero resources");
     const double freeze_below = round_min * (1.0 + 1e-12) + 1e-9;
-    std::vector<Flow*> still_unfrozen;
-    still_unfrozen.reserve(unfrozen.size());
+    still_unfrozen.clear();
     for (std::size_t i = 0; i < unfrozen.size(); ++i) {
       Flow& flow = *unfrozen[i];
       if (limits[i] <= freeze_below) {
@@ -158,7 +162,7 @@ void FluidNetwork::recompute_rates() {
     }
     GHS_CHECK(still_unfrozen.size() < unfrozen.size(),
               "water-filling made no progress");
-    unfrozen = std::move(still_unfrozen);
+    unfrozen.swap(still_unfrozen);
   }
 }
 

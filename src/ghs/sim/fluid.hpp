@@ -108,6 +108,16 @@ class FluidNetwork {
   std::vector<Resource> resources_;
   // Ordered map so rate computation iterates flows deterministically.
   std::map<FlowId, Flow> flows_;
+  // Scratch reused by sync_to_now and recompute_rates, so the re-solve
+  // after every flow start or completion allocates nothing once warm.
+  // Neither function runs callbacks, so neither can re-enter itself
+  // while a buffer is in use.
+  std::vector<double> scratch_rate_;      // per resource
+  std::vector<double> scratch_residual_;  // per resource
+  std::vector<int> scratch_count_;        // per resource
+  std::vector<Flow*> scratch_unfrozen_;
+  std::vector<Flow*> scratch_still_unfrozen_;
+  std::vector<double> scratch_limits_;
   FlowId next_flow_id_ = 1;
   SimTime last_update_ = 0;
   std::uint64_t wake_generation_ = 0;

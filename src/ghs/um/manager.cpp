@@ -44,9 +44,8 @@ AllocId UmManager::allocate(Bytes size, mem::RegionId first_touch,
   a.size = size;
   a.label = std::move(label);
   a.live = true;
-  const auto n_pages =
-      static_cast<std::size_t>(ceil_div(size, policy_.page_size));
-  a.pages.assign(n_pages, Page{first_touch, 0, 0, false});
+  a.n_pages = static_cast<std::size_t>(ceil_div(size, policy_.page_size));
+  a.extents.push_back(Extent{0, Page{first_touch}});
   allocations_.push_back(std::move(a));
   if (telemetry::Gauge* g = residency_gauge(first_touch)) {
     g->add(static_cast<double>(size));
@@ -57,16 +56,14 @@ AllocId UmManager::allocate(Bytes size, mem::RegionId first_touch,
 void UmManager::free(AllocId id) {
   Allocation& a = alloc(id);
   if (m_resident_hbm_ != nullptr) {
-    for (std::size_t p = 0; p < a.pages.size(); ++p) {
-      const Bytes page_bytes =
-          std::min(static_cast<Bytes>(p + 1) * policy_.page_size, a.size) -
-          static_cast<Bytes>(p) * policy_.page_size;
-      residency_gauge(a.pages[p].residency)
-          ->add(-static_cast<double>(page_bytes));
+    for (std::size_t i = 0; i < a.extents.size(); ++i) {
+      residency_gauge(a.extents[i].state.residency)
+          ->add(-static_cast<double>(
+              span_bytes(a, a.extents[i].first, extent_end(a, i))));
     }
   }
   a.live = false;
-  a.pages.clear();
+  a.extents.clear();
 }
 
 void UmManager::set_telemetry(telemetry::Sink sink) {
@@ -146,9 +143,49 @@ std::pair<std::size_t, std::size_t> UmManager::page_span(const Allocation& a,
               "range [" << offset << ", " << offset + length
                         << ") outside allocation of size " << a.size);
   const auto first = static_cast<std::size_t>(offset / policy_.page_size);
+  if (length == 0) return {first, first};
   const auto last = static_cast<std::size_t>(
       ceil_div(offset + length, policy_.page_size));
   return {first, last};
+}
+
+Bytes UmManager::span_bytes(const Allocation& a, std::size_t first,
+                            std::size_t last) const {
+  return std::min(static_cast<Bytes>(last) * policy_.page_size, a.size) -
+         static_cast<Bytes>(first) * policy_.page_size;
+}
+
+std::size_t UmManager::extent_end(const Allocation& a, std::size_t i) {
+  return i + 1 < a.extents.size() ? a.extents[i + 1].first : a.n_pages;
+}
+
+std::size_t UmManager::find_extent(const Allocation& a, std::size_t page) {
+  const auto it = std::upper_bound(
+      a.extents.begin(), a.extents.end(), page,
+      [](std::size_t p, const Extent& e) { return p < e.first; });
+  return static_cast<std::size_t>(it - a.extents.begin()) - 1;
+}
+
+std::size_t UmManager::split_at(Allocation& a, std::size_t page) {
+  if (page == a.n_pages) return a.extents.size();
+  const std::size_t i = find_extent(a, page);
+  if (a.extents[i].first == page) return i;
+  a.extents.insert(a.extents.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                   Extent{page, a.extents[i].state});
+  return i + 1;
+}
+
+void UmManager::merge_around(Allocation& a, std::size_t lo, std::size_t hi) {
+  auto& ext = a.extents;
+  const std::size_t begin = lo > 0 ? lo - 1 : 0;
+  const std::size_t end = std::min(hi + 1, ext.size());
+  std::size_t kept = begin;
+  for (std::size_t i = begin + 1; i < end; ++i) {
+    if (ext[i].state == ext[kept].state) continue;
+    ext[++kept] = ext[i];
+  }
+  ext.erase(ext.begin() + static_cast<std::ptrdiff_t>(kept + 1),
+            ext.begin() + static_cast<std::ptrdiff_t>(end));
 }
 
 Bytes UmManager::resident_bytes(AllocId id, mem::RegionId region) const {
@@ -159,14 +196,17 @@ Bytes UmManager::resident_bytes(AllocId id, mem::RegionId region, Bytes offset,
                                 Bytes length) const {
   const Allocation& a = alloc(id);
   const auto [first, last] = page_span(a, offset, length);
+  if (first == last) return 0;
   Bytes total = 0;
-  for (std::size_t p = first; p < last; ++p) {
-    if (a.pages[p].residency != region) continue;
-    const Bytes page_begin = static_cast<Bytes>(p) * policy_.page_size;
-    const Bytes begin = std::max(offset, page_begin);
-    const Bytes end =
-        std::min(offset + length, std::min(page_begin + policy_.page_size,
-                                           a.size));
+  for (std::size_t i = find_extent(a, first);
+       i < a.extents.size() && a.extents[i].first < last; ++i) {
+    if (a.extents[i].state.residency != region) continue;
+    const Bytes begin = std::max(
+        offset, static_cast<Bytes>(a.extents[i].first) * policy_.page_size);
+    const Bytes end = std::min(
+        offset + length,
+        std::min(static_cast<Bytes>(extent_end(a, i)) * policy_.page_size,
+                 a.size));
     total += end - begin;
   }
   return total;
@@ -181,7 +221,8 @@ std::vector<SegmentPlan> UmManager::plan_pass(AllocId id, Accessor accessor,
                                   ? mem::RegionId::kHbm
                                   : mem::RegionId::kLpddr;
 
-  // Per-page serving decision, then coalesce identical neighbours.
+  // Per-page serving decision, taken once per extent (its pages share one
+  // state, so they share the decision), then coalesce identical neighbours.
   struct Decision {
     mem::RegionId source;
     bool migrate_on_access;
@@ -189,15 +230,13 @@ std::vector<SegmentPlan> UmManager::plan_pass(AllocId id, Accessor accessor,
   };
   std::vector<SegmentPlan> plan;
   std::vector<std::pair<std::size_t, std::size_t>> background_runs;
-  std::size_t bg_run_start = last;  // sentinel: no open run
 
-  const auto close_bg_run = [&](std::size_t end) {
-    if (bg_run_start < end) background_runs.emplace_back(bg_run_start, end);
-    bg_run_start = last;
-  };
-
-  for (std::size_t p = first; p < last; ++p) {
-    Page& page = a.pages[p];
+  const std::size_t lo = split_at(a, first);
+  const std::size_t hi = split_at(a, last);
+  for (std::size_t i = lo; i < hi; ++i) {
+    Page& page = a.extents[i].state;
+    const std::size_t run_first = a.extents[i].first;
+    const std::size_t run_last = extent_end(a, i);
     Decision d{page.residency, false, false};
     bool wants_background = false;
 
@@ -247,16 +286,20 @@ std::vector<SegmentPlan> UmManager::plan_pass(AllocId id, Accessor accessor,
     }
 
     if (wants_background) {
-      if (bg_run_start == last) bg_run_start = p;
-    } else {
-      close_bg_run(p);
+      if (!background_runs.empty() &&
+          background_runs.back().second == run_first) {
+        background_runs.back().second = run_last;
+      } else {
+        background_runs.emplace_back(run_first, run_last);
+      }
     }
 
-    const Bytes page_begin = static_cast<Bytes>(p) * policy_.page_size;
-    const Bytes begin = std::max(offset, page_begin);
-    const Bytes end = std::min(offset + length,
-                               std::min(page_begin + policy_.page_size,
-                                        a.size));
+    const Bytes begin = std::max(
+        offset, static_cast<Bytes>(run_first) * policy_.page_size);
+    const Bytes end =
+        std::min(offset + length,
+                 std::min(static_cast<Bytes>(run_last) * policy_.page_size,
+                          a.size));
     const Bytes seg_len = end - begin;
     GHS_CHECK(seg_len > 0, "empty page slice");
 
@@ -289,7 +332,7 @@ std::vector<SegmentPlan> UmManager::plan_pass(AllocId id, Accessor accessor,
       plan.push_back(seg);
     }
   }
-  close_bg_run(last);
+  merge_around(a, lo, hi);
 
   for (const auto& [run_first, run_last] : background_runs) {
     start_background_migration(id, run_first, run_last, local);
@@ -319,7 +362,8 @@ void UmManager::start_background_migration(AllocId id, std::size_t first_page,
       std::min(static_cast<Bytes>(last_page) * policy_.page_size, a.size);
   const Bytes bytes = end - begin;
   GHS_CHECK(bytes > 0, "empty background migration");
-  const mem::RegionId from = a.pages[first_page].residency;
+  const mem::RegionId from =
+      a.extents[find_extent(a, first_page)].state.residency;
   ++stats_.counter_migrations;
   if (m_background_migrations_ != nullptr) m_background_migrations_->inc();
   std::ostringstream label;
@@ -352,11 +396,9 @@ bool UmManager::read_mostly(AllocId id) const {
 Bytes UmManager::duplicated_bytes(AllocId id) const {
   const Allocation& a = alloc(id);
   Bytes total = 0;
-  for (std::size_t p = 0; p < a.pages.size(); ++p) {
-    if (!a.pages[p].duplicated) continue;
-    total += std::min(static_cast<Bytes>(p + 1) * policy_.page_size,
-                      a.size) -
-             static_cast<Bytes>(p) * policy_.page_size;
+  for (std::size_t i = 0; i < a.extents.size(); ++i) {
+    if (!a.extents[i].state.duplicated) continue;
+    total += span_bytes(a, a.extents[i].first, extent_end(a, i));
   }
   return total;
 }
@@ -367,18 +409,18 @@ void UmManager::complete_duplication(AllocId id, Bytes offset, Bytes length) {
   if (!a.live) return;
   const auto [first, last] = page_span(a, offset, length);
   Bytes fresh = 0;
-  for (std::size_t p = first; p < last; ++p) {
-    Page& page = a.pages[p];
+  const std::size_t lo = split_at(a, first);
+  const std::size_t hi = split_at(a, last);
+  for (std::size_t i = lo; i < hi; ++i) {
+    Page& page = a.extents[i].state;
     if (!page.duplicated) {
-      const Bytes page_bytes =
-          std::min(static_cast<Bytes>(p + 1) * policy_.page_size, a.size) -
-          static_cast<Bytes>(p) * policy_.page_size;
-      stats_.bytes_duplicated += page_bytes;
-      fresh += page_bytes;
+      fresh += span_bytes(a, a.extents[i].first, extent_end(a, i));
     }
     page.duplicated = true;
     page.migrating = false;
   }
+  merge_around(a, lo, hi);
+  stats_.bytes_duplicated += fresh;
   if (fresh > 0 && m_duplicated_ != nullptr) m_duplicated_->inc(fresh);
 }
 
@@ -394,17 +436,22 @@ Bytes UmManager::prefetch(AllocId id, Bytes offset, Bytes length,
     mem::RegionId from;
   };
   std::vector<Run> runs;
-  for (std::size_t p = first; p < last; ++p) {
-    Page& page = a.pages[p];
+  const std::size_t lo = split_at(a, first);
+  const std::size_t hi = split_at(a, last);
+  for (std::size_t i = lo; i < hi; ++i) {
+    Page& page = a.extents[i].state;
     if (page.residency == destination || page.migrating) continue;
     page.migrating = true;
-    if (!runs.empty() && runs.back().last == p &&
+    const std::size_t run_first = a.extents[i].first;
+    const std::size_t run_last = extent_end(a, i);
+    if (!runs.empty() && runs.back().last == run_first &&
         runs.back().from == page.residency) {
-      runs.back().last = p + 1;
+      runs.back().last = run_last;
     } else {
-      runs.push_back(Run{p, p + 1, page.residency});
+      runs.push_back(Run{run_first, run_last, page.residency});
     }
   }
+  merge_around(a, lo, hi);
   if (runs.empty()) {
     if (on_complete) on_complete();
     return 0;
@@ -445,24 +492,20 @@ void UmManager::complete_segment(AllocId id, Bytes offset, Bytes length,
   if (!a.live) return;  // allocation freed while a migration was in flight
   const auto [first, last] = page_span(a, offset, length);
   Bytes moved = 0;
-  for (std::size_t p = first; p < last; ++p) {
-    Page& page = a.pages[p];
-    if (page.residency != new_residency) {
-      const Bytes page_bytes =
-          std::min(static_cast<Bytes>(p + 1) * policy_.page_size, a.size) -
-          static_cast<Bytes>(p) * policy_.page_size;
-      if (new_residency == mem::RegionId::kHbm) {
-        stats_.bytes_migrated_to_hbm += page_bytes;
-      } else {
-        stats_.bytes_migrated_to_lpddr += page_bytes;
-      }
-      moved += page_bytes;
+  const std::size_t lo = split_at(a, first);
+  const std::size_t hi = split_at(a, last);
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (a.extents[i].state.residency != new_residency) {
+      moved += span_bytes(a, a.extents[i].first, extent_end(a, i));
     }
-    page.residency = new_residency;
-    page.migrating = false;
-    page.duplicated = false;  // moving a page collapses its replica
-    page.gpu_passes = 0;
-    page.cpu_passes = 0;
+    // Moving a page collapses its replica and resets its counters.
+    a.extents[i].state = Page{new_residency};
+  }
+  merge_around(a, lo, hi);
+  if (new_residency == mem::RegionId::kHbm) {
+    stats_.bytes_migrated_to_hbm += moved;
+  } else {
+    stats_.bytes_migrated_to_lpddr += moved;
   }
   if (moved > 0) {
     // Two tiers: everything that moved came from the other one.

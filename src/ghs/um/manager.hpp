@@ -7,6 +7,13 @@
 // flip residency when the segment's flow completes. The manager also owns
 // the access counters and launches background migrations in
 // access-counter mode.
+//
+// Pages stay the unit of every decision and boundary, but the page table is
+// stored run-length encoded: a sorted list of extents, each a run of pages
+// in one identical state. Every per-page rule reads only that page's own
+// state, so applying it once per extent gives each page the result it
+// would get alone, and a pass over a 4 GB array costs a handful of extents
+// instead of two thousand pages.
 #pragma once
 
 #include <cstdint>
@@ -137,22 +144,47 @@ class UmManager {
     /// Read-mostly allocations only: a replica exists in the non-home
     /// memory, so both processors read locally.
     bool duplicated = false;
+
+    bool operator==(const Page&) const = default;
+  };
+
+  /// Pages [first, next extent's first) all hold `state`.
+  struct Extent {
+    std::size_t first = 0;
+    Page state;
   };
 
   struct Allocation {
     Bytes size = 0;
     std::string label;
-    std::vector<Page> pages;
+    std::size_t n_pages = 0;
+    /// Sorted by `first`, covering [0, n_pages); no two neighbours hold
+    /// equal state. Empty once freed.
+    std::vector<Extent> extents;
     bool live = false;
     bool read_mostly = false;
   };
 
   Allocation& alloc(AllocId id);
   const Allocation& alloc(AllocId id) const;
-  /// Index range [first, last) of pages overlapping [offset, offset+len).
+  /// Index range [first, last) of pages overlapping [offset, offset+len);
+  /// empty when `length` is 0.
   std::pair<std::size_t, std::size_t> page_span(const Allocation& a,
                                                 Bytes offset,
                                                 Bytes length) const;
+  /// Bytes of pages [first, last), the partial last page included.
+  Bytes span_bytes(const Allocation& a, std::size_t first,
+                   std::size_t last) const;
+  /// One past the last page of extent `i`.
+  static std::size_t extent_end(const Allocation& a, std::size_t i);
+  /// Index of the extent holding `page` (< n_pages).
+  static std::size_t find_extent(const Allocation& a, std::size_t page);
+  /// Makes an extent start at `page` and returns its index (the extent
+  /// count when `page` is n_pages).
+  static std::size_t split_at(Allocation& a, std::size_t page);
+  /// Merges equal neighbours among extents [lo - 1, hi]: the extents a
+  /// call touched plus one on each side.
+  static void merge_around(Allocation& a, std::size_t lo, std::size_t hi);
   void start_background_migration(AllocId id, std::size_t first_page,
                                   std::size_t last_page,
                                   mem::RegionId destination);

@@ -246,6 +246,33 @@ TEST_F(UmManagerTest, PrefetchSubRangeLeavesRestAlone) {
             4 * kPage);
 }
 
+TEST_F(UmManagerTest, ZeroLengthPrefetchMovesNothing) {
+  auto um = make(MigrationMode::kNone);
+  const auto id = um.allocate(4 * kPage, mem::RegionId::kLpddr, "a");
+  bool done = false;
+  // An unaligned empty range overlaps no page.
+  const Bytes queued =
+      um.prefetch(id, 1000, 0, mem::RegionId::kHbm, [&] { done = true; });
+  EXPECT_EQ(queued, 0);
+  EXPECT_TRUE(done);  // completes inline
+  sim_.run();
+  EXPECT_EQ(engine_.stats().bytes, 0);
+  EXPECT_EQ(um.resident_bytes(id, mem::RegionId::kHbm), 0);
+  EXPECT_EQ(um.stats().bytes_migrated_to_hbm, 0);
+}
+
+TEST_F(UmManagerTest, ZeroLengthCompletionChangesNothing) {
+  auto um = make(MigrationMode::kFaultEager);
+  const auto id = um.allocate(6 * kPage, mem::RegionId::kLpddr, "a");
+  um.advise_read_mostly(id);
+  um.complete_segment(id, 3 * kPage + 5, 0, mem::RegionId::kHbm);
+  um.complete_duplication(id, 3 * kPage + 5, 0);
+  EXPECT_EQ(um.resident_bytes(id, mem::RegionId::kHbm), 0);
+  EXPECT_EQ(um.stats().bytes_migrated_to_hbm, 0);
+  EXPECT_EQ(um.duplicated_bytes(id), 0);
+  EXPECT_EQ(um.stats().bytes_duplicated, 0);
+}
+
 TEST_F(UmManagerTest, PrefetchHandlesMixedSources) {
   auto um = make(MigrationMode::kNone);
   const auto id = um.allocate(6 * kPage, mem::RegionId::kLpddr, "a");
