@@ -39,6 +39,7 @@
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/util/error.hpp"
 #include "ghs/util/rng.hpp"
+#include "ghs/util/strings.hpp"
 #include "harness.hpp"
 
 namespace {
@@ -98,12 +99,6 @@ cluster::ClusterReport run_router(bench::Harness& harness,
       [&](auto& monitor) { fleet.feed_slo(monitor); }, sections);
 }
 
-void write_fixed(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  os << buf;
-}
-
 /// Parses a --drain-at schedule: `node@time` entries separated by commas
 /// or whitespace, times in fault-plan duration grammar ("300us", "2ms").
 std::vector<cluster::DrainSpec> parse_drains(const std::string& text) {
@@ -160,7 +155,7 @@ int main(int argc, char** argv) {
   Cli& cli = harness.cli;
   const auto* nodes = cli.add_int("nodes", 4, "fleet size");
   const auto* router = cli.add_string(
-      "router", "least", "passthrough|hash|least|p2c|all (all = the last 3)");
+      "router", "least", "hash|least|p2c|all");
   const auto* tenants = cli.add_int("tenants", 64, "distinct tenant ids");
   const auto* remote_fraction = cli.add_double(
       "remote-fraction", 0.0,
@@ -218,13 +213,6 @@ int main(int argc, char** argv) {
   }
   const bool membership =
       !crashes.empty() || !drains.empty() || *heartbeat_us > 0;
-  if (*router == "passthrough" && (*nodes != 1 || membership)) {
-    std::cerr << program
-              << ": --router=passthrough serves a single node with no "
-                 "membership layer (--nodes=1, no --crash-plan/--drain-at/"
-                 "--heartbeat-us)\n";
-    return 2;
-  }
 
   RunSettings settings;
   settings.cluster.nodes = static_cast<int>(*nodes);
@@ -287,16 +275,13 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < reports.size(); ++i) {
       const auto& r = reports[i];
       if (i > 0) out << ",";
-      out << "{\"router\":\"" << r.router << "\",\"jobs_per_s\":";
-      write_fixed(out, r.throughput_jobs_per_s);
-      out << ",\"gbps\":";
-      write_fixed(out, r.throughput_gbps);
-      out << ",\"p99_ms\":";
-      write_fixed(out, r.latency.pct.p99);
-      out << ",\"rejected\":" << r.rejected << ",\"remote_jobs\":"
-          << r.remote_jobs << ",\"imbalance\":";
-      write_fixed(out, r.imbalance);
-      out << "}";
+      out << "{\"router\":\"" << r.router
+          << "\",\"jobs_per_s\":" << format_fixed(r.throughput_jobs_per_s, 6)
+          << ",\"gbps\":" << format_fixed(r.throughput_gbps, 6)
+          << ",\"p99_ms\":" << format_fixed(r.latency.pct.p99, 6)
+          << ",\"rejected\":" << r.rejected
+          << ",\"remote_jobs\":" << r.remote_jobs
+          << ",\"imbalance\":" << format_fixed(r.imbalance, 6) << "}";
     }
     out << "]";
     std::fprintf(stderr, "%-8s %9s %9s %10s %10s %10s %8s %10s\n", "router",
@@ -326,7 +311,6 @@ int main(int argc, char** argv) {
     single.cluster.crash_plan = fault::NodeCrashPlan{};
     single.cluster.drains.clear();
     single.cluster.health = membership::HealthOptions{};
-    single.cluster.enable_membership = false;
     single.open.rate_hz = *harness.rate;
     single.open.jobs = std::max<std::int64_t>(*harness.jobs / *nodes, 1);
     single.outputs.scrape = bench::ScrapeSettings{};
@@ -345,21 +329,16 @@ int main(int argc, char** argv) {
                                  ? fleet.latency.pct.p99 /
                                        single_report.latency.pct.p99
                                  : 0.0;
-    out << ",\"scaling\":{\"nodes\":" << *nodes << ",\"single_jobs_per_s\":";
-    write_fixed(out, single_report.throughput_jobs_per_s);
-    out << ",\"fleet_jobs_per_s\":";
-    write_fixed(out, fleet.throughput_jobs_per_s);
-    out << ",\"speedup\":";
-    write_fixed(out, speedup);
-    out << ",\"efficiency\":";
-    write_fixed(out, speedup / static_cast<double>(*nodes));
-    out << ",\"single_p99_ms\":";
-    write_fixed(out, single_report.latency.pct.p99);
-    out << ",\"fleet_p99_ms\":";
-    write_fixed(out, fleet.latency.pct.p99);
-    out << ",\"p99_ratio\":";
-    write_fixed(out, p99_ratio);
-    out << "}";
+    out << ",\"scaling\":{\"nodes\":" << *nodes << ",\"single_jobs_per_s\":"
+        << format_fixed(single_report.throughput_jobs_per_s, 6)
+        << ",\"fleet_jobs_per_s\":"
+        << format_fixed(fleet.throughput_jobs_per_s, 6)
+        << ",\"speedup\":" << format_fixed(speedup, 6) << ",\"efficiency\":"
+        << format_fixed(speedup / static_cast<double>(*nodes), 6)
+        << ",\"single_p99_ms\":"
+        << format_fixed(single_report.latency.pct.p99, 6)
+        << ",\"fleet_p99_ms\":" << format_fixed(fleet.latency.pct.p99, 6)
+        << ",\"p99_ratio\":" << format_fixed(p99_ratio, 6) << "}";
   }
 
   if (membership) {

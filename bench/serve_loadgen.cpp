@@ -148,9 +148,9 @@ int main(int argc, char** argv) {
     out << ",\"fault\":{\"plan\":\"" << *harness.plan
         << "\",\"seed\":" << *harness.fault_seed
         << ",\"specs\":" << plan->size()
-        << ",\"max_attempts\":" << settings.service.retry.max_attempts
+        << ",\"max_attempts\":" << serve::kMaxAttempts
         << ",\"breaker_threshold\":"
-        << settings.service.breaker.failure_threshold << "}";
+        << fault::BreakerOptions{}.failure_threshold << "}";
   }
   out << ",\"policies\":[";
 

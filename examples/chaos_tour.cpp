@@ -22,10 +22,6 @@ namespace {
 
 using namespace ghs;
 
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
 void print_report(const char* label, const serve::ServiceReport& r) {
   std::printf("%s\n", label);
   std::printf("  served %lld/%lld  rejected %lld  shed %lld  "
@@ -80,7 +76,7 @@ int main(int argc, char** argv) {
   std::printf("%lld mixed reductions at %.0f jobs/s; H100 down from "
               "%.3f ms to %.3f ms\n\n",
               static_cast<long long>(*jobs), *rate,
-              to_ms(outage.window.begin), to_ms(outage.window.end));
+              to_millis(outage.window.begin), to_millis(outage.window.end));
 
   serve::ServiceModel model;
 
@@ -110,7 +106,7 @@ int main(int argc, char** argv) {
   for (const auto& event : flight.events()) {
     if (event.kind == "breaker" || event.kind == "fallback" ||
         event.kind == "shed") {
-      std::printf("  [%9.3f ms] %-8s %s\n", to_ms(event.at),
+      std::printf("  [%9.3f ms] %-8s %s\n", to_millis(event.at),
                   event.kind.c_str(), event.detail.c_str());
     }
   }

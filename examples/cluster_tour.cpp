@@ -23,10 +23,6 @@ namespace {
 
 using namespace ghs;
 
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
 void print_report(const char* label, const cluster::ClusterReport& r) {
   std::printf("%s\n", label);
   std::printf("  served %lld/%lld  rejected %lld  shed %lld  "
@@ -108,8 +104,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(*jobs), total_rate,
               static_cast<long long>(*nodes), router_name->c_str(),
               static_cast<long long>(*fault_node),
-              to_ms(*down_from_us * kMicrosecond),
-              to_ms(*down_until_us * kMicrosecond));
+              to_millis(*down_from_us * kMicrosecond),
+              to_millis(*down_until_us * kMicrosecond));
 
   // Healthy fleet first: the baseline the outage run is judged against.
   {

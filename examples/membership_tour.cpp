@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(m.detections));
   std::printf("  membership log (%lld transitions):\n",
               static_cast<long long>(m.transitions));
-  for (const auto& t : fleet.membership_table()->log()) {
+  for (const auto& t : fleet.membership_table().log()) {
     std::printf("    [%8.3f ms] node%d %s -> %s (%s)\n",
                 static_cast<double>(t.at) / static_cast<double>(kMillisecond),
                 t.node, membership::node_state_name(t.from),

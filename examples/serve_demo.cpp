@@ -11,6 +11,7 @@
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/serve/policy.hpp"
 #include "ghs/serve/service.hpp"
+#include "ghs/trace/chrome_exporter.hpp"
 #include "ghs/util/cli.hpp"
 
 namespace {
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
     print_report(service.report());
     if (tracing) {
       std::ofstream out(*trace_path);
-      tracer.write_chrome_json(out);
+      trace::ChromeTraceExporter(tracer).write(out);
       std::printf("             timeline written to %s "
                   "(open in chrome://tracing)\n",
                   trace_path->c_str());

@@ -23,10 +23,6 @@ namespace {
 
 using namespace ghs;
 
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
 void print_objective(const slo::ObjectiveReport& obj) {
   std::printf("objective %-12s (%s, target %.3f%s)\n", obj.name.c_str(),
               slo::objective_kind_name(obj.kind), obj.target,
@@ -43,11 +39,11 @@ void print_objective(const slo::ObjectiveReport& obj) {
   for (const auto& rule : obj.burn) {
     std::printf("  %-5s rule (%.2f ms + %.2f ms @ %.1fx): peak burn "
                 "%.2fx, %lld alert(s)",
-                rule.severity.c_str(), to_ms(rule.long_window),
-                to_ms(rule.short_window), rule.threshold, rule.peak_burn,
+                rule.severity.c_str(), to_millis(rule.long_window),
+                to_millis(rule.short_window), rule.threshold, rule.peak_burn,
                 static_cast<long long>(rule.alerts));
     if (rule.first_alert >= 0) {
-      std::printf(", first at %.3f ms", to_ms(rule.first_alert));
+      std::printf(", first at %.3f ms", to_millis(rule.first_alert));
     }
     std::printf("\n");
   }
@@ -86,7 +82,7 @@ int main(int argc, char** argv) {
               "ms; objectives: availability 99.9%%, p99 latency <= %.3f "
               "ms\n\n",
               static_cast<long long>(*jobs), *rate,
-              to_ms(outage.window.begin), to_ms(outage.window.end),
+              to_millis(outage.window.begin), to_millis(outage.window.end),
               *latency_ms);
 
   serve::ServiceModel model;
@@ -123,7 +119,7 @@ int main(int argc, char** argv) {
     for (const auto& alert : report.alerts) {
       std::printf("  [%9.3f ms] %-5s %-12s burn %.2fx long / %.2fx "
                   "short\n",
-                  to_ms(alert.at), alert.severity.c_str(),
+                  to_millis(alert.at), alert.severity.c_str(),
                   alert.objective.c_str(), alert.burn_long,
                   alert.burn_short);
     }

@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include "ghs/core/reduce.hpp"
+#include "ghs/trace/chrome_exporter.hpp"
 #include "ghs/util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
                  out_path->c_str());
     return 1;
   }
-  tracer.write_chrome_json(out);
+  trace::ChromeTraceExporter(tracer).write(out);
 
   std::printf("co-ran %d iterations at p=%.1f: %.1f GB/s\n",
               bench.iterations, *p, result.points[0].bandwidth.gbps());

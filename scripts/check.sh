@@ -16,8 +16,7 @@
 #   $ scripts/check.sh slo        # tracing + SLO suite under ASan+UBSan
 #                                 # (span trees, exporters, burn-rate math)
 #   $ scripts/check.sh cluster    # fleet suite under ASan+UBSan (router,
-#                                 # ring, spill/steal, passthrough
-#                                 # equivalence)
+#                                 # ring, spill/steal, membership)
 #   $ scripts/check.sh tsdb       # time-series suite under ASan+UBSan, then
 #                                 # a same-seed cluster_loadgen --series-out
 #                                 # byte-identity smoke checked with

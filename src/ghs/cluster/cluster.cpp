@@ -1,60 +1,25 @@
 #include "ghs/cluster/cluster.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "ghs/serve/policy.hpp"
 #include "ghs/util/error.hpp"
+#include "ghs/util/strings.hpp"
 
 namespace ghs::cluster {
-
-namespace {
-
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
-// Same fixed snprintf shape as the serve-layer reports: JSON output must
-// be byte-stable across runs.
-void write_double(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  os << buf;
-}
-
-void write_latency(std::ostream& os, const char* key,
-                   const serve::LatencyStats& stats) {
-  os << "\"" << key << "\":{\"count\":" << stats.count << ",\"mean_ms\":";
-  write_double(os, stats.mean_ms);
-  os << ",\"p50_ms\":";
-  write_double(os, stats.pct.p50);
-  os << ",\"p95_ms\":";
-  write_double(os, stats.pct.p95);
-  os << ",\"p99_ms\":";
-  write_double(os, stats.pct.p99);
-  os << ",\"p999_ms\":";
-  write_double(os, stats.pct.p999);
-  os << ",\"max_ms\":";
-  write_double(os, stats.max_ms);
-  os << "}";
-}
-
-}  // namespace
 
 void MembershipReport::write_json(std::ostream& os) const {
   os << "{\"crashes\":" << crashes << ",\"restarts\":" << restarts
      << ",\"drains\":" << drains << ",\"drain_flushed\":" << drain_flushed
      << ",\"replayed\":" << replayed << ",\"redirected\":" << redirected
      << ",\"duplicate_suppressed\":" << duplicate_suppressed
-     << ",\"replay_gb\":";
-  write_double(os, replay_gb);
-  os << ",\"detections\":" << detections << ",\"detection_mean_ms\":";
-  write_double(os, detection_mean_ms);
-  os << ",\"detection_max_ms\":";
-  write_double(os, detection_max_ms);
-  os << ",\"transitions\":" << transitions << ",\"final_states\":[";
+     << ",\"replay_gb\":" << format_fixed(replay_gb, 6)
+     << ",\"detections\":" << detections
+     << ",\"detection_mean_ms\":" << format_fixed(detection_mean_ms, 6)
+     << ",\"detection_max_ms\":" << format_fixed(detection_max_ms, 6)
+     << ",\"transitions\":" << transitions << ",\"final_states\":[";
   for (std::size_t i = 0; i < final_states.size(); ++i) {
     os << (i == 0 ? "" : ",") << "\"" << final_states[i] << "\"";
   }
@@ -66,26 +31,22 @@ void ClusterReport::write_json(std::ostream& os) const {
      << "\",\"nodes\":" << nodes << ",\"submitted\":" << submitted
      << ",\"served\":" << served << ",\"rejected\":" << rejected
      << ",\"shed\":" << shed << ",\"remote_jobs\":" << remote_jobs
-     << ",\"transfers\":" << transfers << ",\"transfer_gb\":";
-  write_double(os, transfer_gb);
-  os << ",\"spills\":" << spills << ",\"spilled_saved\":" << spilled_saved
+     << ",\"transfers\":" << transfers
+     << ",\"transfer_gb\":" << format_fixed(transfer_gb, 6)
+     << ",\"spills\":" << spills << ",\"spilled_saved\":" << spilled_saved
      << ",\"steals\":" << steals << ",\"stolen_jobs\":" << stolen_jobs
-     << ",\"makespan_ms\":";
-  write_double(os, to_ms(makespan));
-  os << ",\"bytes_served\":" << bytes_served
-     << ",\"throughput_jobs_per_s\":";
-  write_double(os, throughput_jobs_per_s);
-  os << ",\"throughput_gbps\":";
-  write_double(os, throughput_gbps);
-  os << ",";
-  write_latency(os, "latency", latency);
+     << ",\"makespan_ms\":" << format_fixed(to_millis(makespan), 6)
+     << ",\"bytes_served\":" << bytes_served
+     << ",\"throughput_jobs_per_s\":"
+     << format_fixed(throughput_jobs_per_s, 6)
+     << ",\"throughput_gbps\":" << format_fixed(throughput_gbps, 6) << ",";
+  serve::write_latency_json(os, "latency", latency);
   os << ",\"routed\":[";
   for (std::size_t i = 0; i < routed.size(); ++i) {
     os << (i == 0 ? "" : ",") << routed[i];
   }
-  os << "],\"imbalance\":";
-  write_double(os, imbalance);
-  os << ",\"node_reports\":[";
+  os << "],\"imbalance\":" << format_fixed(imbalance, 6)
+     << ",\"node_reports\":[";
   for (std::size_t i = 0; i < node_reports.size(); ++i) {
     if (i != 0) os << ",";
     node_reports[i].write_json(os);
@@ -105,17 +66,12 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
     : model_(model),
       options_(std::move(options)),
       tracer_(tracer),
-      router_(options_.router, options_.router_seed, options_.ring_vnodes) {
-  GHS_REQUIRE(options_.nodes > 0, "nodes=" << options_.nodes);
-  GHS_REQUIRE(!passthrough() || options_.nodes == 1,
-              "passthrough routing requires exactly one node, got "
-                  << options_.nodes);
+      router_(options_.router, options_.router_seed),
+      table_(options_.nodes) {
   GHS_REQUIRE(options_.fault_node >= 0 && options_.fault_node < options_.nodes,
               "fault_node=" << options_.fault_node);
   membership_on_ = options_.health.enabled || !options_.crash_plan.empty() ||
-                   !options_.drains.empty() || options_.enable_membership;
-  GHS_REQUIRE(!membership_on_ || !passthrough(),
-              "passthrough mode cannot run the membership layer");
+                   !options_.drains.empty();
   for (const auto& crash : options_.crash_plan.crashes) {
     GHS_REQUIRE(crash.node >= 0 && crash.node < options_.nodes,
                 "crash plan targets node " << crash.node << " of a "
@@ -125,18 +81,6 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
     GHS_REQUIRE(spec.node >= 0 && spec.node < options_.nodes,
                 "drain targets node " << spec.node << " of a "
                                       << options_.nodes << "-node fleet");
-  }
-
-  if (passthrough()) {
-    // Wire-through: one standalone service, exactly as an un-clustered
-    // caller would build it. No hooks, no cluster instruments, no shared
-    // simulator — byte-identity with serve_loadgen is by construction.
-    nodes_.push_back(std::make_unique<serve::ReductionService>(
-        serve::make_policy(options_.policy, model_), model_, options_.node,
-        tracer_));
-    routed_.assign(1, 0);
-    pending_.assign(1, 0);
-    return;
   }
 
   if (options_.nodes > 1) {
@@ -150,8 +94,7 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
   for (int i = 0; i < options_.nodes; ++i) {
     serve::ServiceOptions node_options = options_.node;
     node_options.external_sim = &sim_;
-    node_options.instance_labels.push_back({"node", std::to_string(i)});
-    node_options.profile_node = static_cast<std::int16_t>(i);
+    node_options.node = i;
     if (i != options_.fault_node) node_options.injector = nullptr;
     nodes_.push_back(std::make_unique<serve::ReductionService>(
         serve::make_policy(options_.policy, model_), model_, node_options,
@@ -166,13 +109,10 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
       // The job is leaving node i (to a peer or to a terminal reject);
       // its write-ahead entry there is settled either way.
       journal_commit(i, job.id);
-      if (options_.spill && options_.nodes > 1 &&
-          it->second.spills < options_.nodes - 1) {
-        // With the membership layer on, spill only onto nodes the table
-        // still routes to; a fleet with no live peer rejects instead.
-        const int target = membership_on_
-                               ? pick_live_target(i)
-                               : Router::least_loaded_except(all_loads(), i);
+      if (options_.spill && it->second.spills < options_.nodes - 1) {
+        // Spill only onto nodes the table still routes to; a fleet with no
+        // live peer rejects instead.
+        const int target = pick_live_target(i);
         if (target >= 0) {
           ++it->second.spills;
           ++spills_;
@@ -216,7 +156,7 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
       meta_.erase(it);
       if (m_served_ != nullptr) m_served_->inc();
       if (m_latency_ms_ != nullptr) {
-        m_latency_ms_->observe(to_ms(cr.latency()));
+        m_latency_ms_->observe(to_millis(cr.latency()));
       }
     });
     svc.set_on_breaker_transition(
@@ -262,7 +202,6 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
   }
 
   if (!membership_on_) return;
-  table_ = std::make_unique<membership::Table>(options_.nodes);
   journal_ = std::make_unique<membership::JobJournal>(options_.nodes);
   up_.assign(static_cast<std::size_t>(options_.nodes), 1);
   crashed_at_.assign(static_cast<std::size_t>(options_.nodes), -1);
@@ -289,12 +228,12 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
           "4 left)");
     }
   }
-  table_->set_on_transition([this](const membership::Transition& t) {
+  table_.set_on_transition([this](const membership::Transition& t) {
     on_membership_transition(t);
   });
   if (options_.health.enabled) {
     monitor_ = std::make_unique<membership::HealthMonitor>(
-        sim_, *table_, options_.health,
+        sim_, table_, options_.health,
         [this](int i) { return up_[static_cast<std::size_t>(i)] != 0; });
     monitor_->start();
   }
@@ -321,10 +260,6 @@ const serve::ReductionService& Cluster::node(int i) const {
   return *nodes_[static_cast<std::size_t>(i)];
 }
 
-sim::Simulator& Cluster::sim() {
-  return passthrough() ? nodes_[0]->sim() : sim_;
-}
-
 std::size_t Cluster::load(int node) const {
   const serve::ReductionService& svc = *nodes_[static_cast<std::size_t>(node)];
   std::size_t load = svc.queue().size() + pending_[static_cast<std::size_t>(node)];
@@ -346,11 +281,6 @@ std::vector<std::size_t> Cluster::all_loads() const {
 void Cluster::submit_all(std::vector<serve::Job> jobs) {
   if (jobs.empty()) return;
   const auto count = static_cast<std::int64_t>(jobs.size());
-  if (passthrough()) {
-    submitted_ += count;
-    nodes_[0]->submit_all(std::move(jobs));
-    return;
-  }
   serve::chain_arrivals(sim_, std::move(jobs),
                         [this](const serve::Job& job) { route(job); });
   submitted_ += count;
@@ -364,7 +294,7 @@ void Cluster::route(serve::Job job) {
   // declared dead/draining/left. (A crashed-but-undetected node is still
   // "serving" here: the job bounces off it and spills — that bounce is
   // the real cost of detection latency.)
-  if (membership_on_ && !table_->serving(target)) {
+  if (!table_.serving(target)) {
     target = pick_live_target(-1);
   }
   if (first_arrival_ < 0 || job.arrival < first_arrival_) {
@@ -465,7 +395,7 @@ void Cluster::submit_to(serve::Job job, int target,
                             " landed after replay, suppressed");
       return;
     }
-    if (!table_->serving(target)) {
+    if (!table_.serving(target)) {
       // Landed on a node the table has since declared dead/draining/left:
       // re-point at a live peer, priced from wherever the data was headed.
       journal_->commit(target, job.id);
@@ -520,9 +450,7 @@ void Cluster::steal_from(int sick, SimTime at) {
     it->second.stolen = true;
     ++stolen_jobs_;
     journal_commit(sick, job.id);
-    const int target = membership_on_
-                           ? pick_live_target(sick)
-                           : Router::least_loaded_except(all_loads(), sick);
+    const int target = pick_live_target(sick);
     if (target < 0) {
       finish_reject(job, at);
       continue;
@@ -538,7 +466,7 @@ int Cluster::pick_live_target(int exclude) const {
   std::size_t best_load = 0;
   for (int i = 0; i < options_.nodes; ++i) {
     if (i == exclude) continue;
-    if (!table_->serving(i)) continue;
+    if (!table_.serving(i)) continue;
     const std::size_t candidate = load(i);
     if (best < 0 || candidate < best_load) {
       best = i;
@@ -572,10 +500,10 @@ void Cluster::do_crash(int node) {
                   sim_.now());
   }
   if (monitor_ == nullptr &&
-      table_->state(node) != membership::NodeState::kDead) {
+      table_.state(node) != membership::NodeState::kDead) {
     // No detector: the crash is visible instantly (zero detection
     // latency), which is the baseline the phi-accrual numbers compare to.
-    table_->transition(node, membership::NodeState::kDead, sim_.now(),
+    table_.transition(node, membership::NodeState::kDead, sim_.now(),
                        "crash (no detector)");
   }
 }
@@ -594,12 +522,12 @@ void Cluster::do_restart(int node) {
                   "membership.restart node " + std::to_string(node),
                   sim_.now());
   }
-  if (table_->state(node) == membership::NodeState::kDead) {
+  if (table_.state(node) == membership::NodeState::kDead) {
     // Detected death: the open entries were already replayed onto peers.
     // With a detector the node rejoins after its warm-up window; without
     // one the restart is visible instantly, like the crash was.
     if (monitor_ == nullptr) {
-      table_->transition(node, membership::NodeState::kAlive, sim_.now(),
+      table_.transition(node, membership::NodeState::kAlive, sim_.now(),
                          "restart (no detector)");
     }
   } else {
@@ -610,17 +538,8 @@ void Cluster::do_restart(int node) {
   }
 }
 
-void Cluster::drain(int node) {
-  GHS_REQUIRE(membership_on_,
-              "Cluster::drain needs the membership layer "
-              "(ClusterOptions::enable_membership, a crash plan, drains, "
-              "or the health detector)");
-  GHS_REQUIRE(node >= 0 && node < options_.nodes, "drain node " << node);
-  do_drain(node);
-}
-
 void Cluster::do_drain(int node) {
-  const membership::NodeState state = table_->state(node);
+  const membership::NodeState state = table_.state(node);
   if (state != membership::NodeState::kAlive &&
       state != membership::NodeState::kSuspect) {
     return;  // already dead, draining, or departed
@@ -629,7 +548,7 @@ void Cluster::do_drain(int node) {
     return;  // crashed but undetected: the detector owns this node's fate
   }
   ++drains_;
-  table_->transition(node, membership::NodeState::kDraining, sim_.now(),
+  table_.transition(node, membership::NodeState::kDraining, sim_.now(),
                      "drain requested");
   std::vector<serve::Job> jobs = nodes_[static_cast<std::size_t>(node)]
                                      ->steal_queued(
@@ -646,7 +565,7 @@ void Cluster::do_drain(int node) {
   }
   // In-flight launches finish lame-duck (their completions still count);
   // in-flight deliveries land on a non-serving node and get redirected.
-  table_->transition(node, membership::NodeState::kLeft, sim_.now(),
+  table_.transition(node, membership::NodeState::kLeft, sim_.now(),
                      "drained, " + std::to_string(jobs.size()) +
                          " queued job(s) flushed");
   membership_flight(sim_.now(), "drain", node,
@@ -717,7 +636,7 @@ void Cluster::on_membership_transition(const membership::Transition& t) {
       router_.remove_node(t.node);
       if (crashed_at_[static_cast<std::size_t>(t.node)] >= 0) {
         detection_ms_.push_back(
-            to_ms(t.at - crashed_at_[static_cast<std::size_t>(t.node)]));
+            to_millis(t.at - crashed_at_[static_cast<std::size_t>(t.node)]));
       }
       replay_open(t.node, t.at, /*onto_self=*/false);
       break;
@@ -736,10 +655,6 @@ void Cluster::on_membership_transition(const membership::Transition& t) {
 }
 
 void Cluster::run() {
-  if (passthrough()) {
-    nodes_[0]->run();
-    return;
-  }
   sim_.run();
   GHS_CHECK(meta_.empty(), meta_.size() << " job(s) without a terminal "
                                            "outcome after the run drained");
@@ -750,22 +665,6 @@ ClusterReport Cluster::report() const {
   report.router = router_policy_name(options_.router);
   report.policy = options_.policy;
   report.nodes = options_.nodes;
-  if (passthrough()) {
-    const serve::ServiceReport r0 = nodes_[0]->report();
-    report.submitted = r0.submitted;
-    report.served = r0.served;
-    report.rejected = r0.rejected;
-    report.shed = r0.shed;
-    report.makespan = r0.makespan;
-    report.bytes_served = r0.bytes_served;
-    report.throughput_jobs_per_s = r0.throughput_jobs_per_s;
-    report.throughput_gbps = r0.throughput_gbps;
-    report.latency = r0.latency;
-    report.routed = {r0.submitted};
-    report.imbalance = r0.submitted > 0 ? 1.0 : 0.0;
-    report.node_reports.push_back(r0);
-    return report;
-  }
   report.submitted = submitted_;
   report.served = static_cast<std::int64_t>(records_.size());
   report.rejected = static_cast<std::int64_t>(rejected_.size());
@@ -785,7 +684,7 @@ ClusterReport Cluster::report() const {
   std::vector<double> latency_ms;
   latency_ms.reserve(records_.size());
   for (const auto& record : records_) {
-    latency_ms.push_back(to_ms(record.latency()));
+    latency_ms.push_back(to_millis(record.latency()));
     report.bytes_served += record.record.job.bytes();
   }
   report.latency = serve::make_latency_stats(latency_ms);
@@ -830,9 +729,9 @@ ClusterReport Cluster::report() const {
       }
       m.detection_mean_ms = sum / static_cast<double>(detection_ms_.size());
     }
-    m.transitions = static_cast<std::int64_t>(table_->log().size());
+    m.transitions = static_cast<std::int64_t>(table_.log().size());
     for (int i = 0; i < options_.nodes; ++i) {
-      m.final_states.push_back(membership::node_state_name(table_->state(i)));
+      m.final_states.push_back(membership::node_state_name(table_.state(i)));
     }
   }
   return report;
@@ -852,10 +751,6 @@ profile::ConservationTotals Cluster::conservation_totals() const {
 }
 
 void Cluster::feed_slo(slo::Monitor& monitor) const {
-  if (passthrough()) {
-    monitor.feed(*nodes_[0]);
-    return;
-  }
   for (std::size_t i = 0; i < monitor.objectives().size(); ++i) {
     const auto& objective = monitor.objectives()[i];
     if (objective.kind == slo::ObjectiveKind::kAvailability) {
@@ -867,7 +762,7 @@ void Cluster::feed_slo(slo::Monitor& monitor) const {
     } else {
       for (const auto& record : records_) {
         monitor.record_latency(i, record.record.completion,
-                               to_ms(record.latency()));
+                               to_millis(record.latency()));
       }
     }
   }

@@ -21,27 +21,22 @@
 //            while peers absorb the backlog.
 //
 // The membership layer (opt-in via ClusterOptions::crash_plan / drains /
-// health / enable_membership) extends resilience to whole-node failure:
-// a fault::NodeCrashPlan kills a node's process (devices, queue, in-
-// flight launches) at a scheduled instant; a phi-accrual HealthMonitor
-// detects the silence and drives alive -> suspect -> dead -> rejoined
-// transitions on a membership::Table; a per-node write-ahead JobJournal
+// health) extends resilience to whole-node failure: a
+// fault::NodeCrashPlan kills a node's process (devices, queue, in-flight
+// launches) at a scheduled instant; a phi-accrual HealthMonitor detects
+// the silence and drives alive -> suspect -> dead -> rejoined transitions
+// on the fleet's membership::Table; a per-node write-ahead JobJournal
 // lets the jobs that died with the node be replayed on surviving peers
 // exactly once (late-landing deliveries find their entry gone and are
-// suppressed as duplicates); and Cluster::drain empties a node gracefully
-// before removing it. See docs/CLUSTERING.md "Failure domains".
+// suppressed as duplicates); and a scheduled drain empties a node
+// gracefully before removing it. See docs/CLUSTERING.md "Failure
+// domains".
 //
 // Every submitted job ends exactly one of three ways at the cluster level
 // — served, rejected, or shed — the invariant the chaos tests pin. Note
 // that per-node reports still count their local view (a spilled job is a
 // rejection on the refusing node and a serve on the rescuer), so per-node
 // sums can exceed cluster totals by design.
-//
-// Passthrough mode (router=passthrough, nodes=1) constructs exactly one
-// standalone service and delegates wholesale: no shared simulator, no
-// interconnect, no cluster instruments, no hooks — so its reports,
-// telemetry snapshots, and traces are byte-identical to the un-clustered
-// service by construction (pinned by the equivalence test).
 #pragma once
 
 #include <cstdint>
@@ -65,8 +60,9 @@
 namespace ghs::cluster {
 
 /// Scheduled graceful drain: at `at`, stop admitting to `node`, flush its
-/// queue to peers, and remove it from the fleet (Cluster::drain run on a
-/// timer).
+/// queue to peers, and remove it from the fleet. In-flight work on the
+/// node completes lame-duck; a node already dead, draining or departed is
+/// left alone.
 struct DrainSpec {
   int node = 0;
   SimTime at = 0;
@@ -77,14 +73,13 @@ struct ClusterOptions {
   RouterPolicy router = RouterPolicy::kLeast;
   /// Per-node scheduler policy name ("fifo" | "sjf" | "bandwidth").
   std::string policy = "fifo";
-  /// Template for every node's ServiceOptions. external_sim and
-  /// instance_labels are overwritten per node; the telemetry sink is
-  /// shared (node="i" labels disambiguate); the injector attaches to
-  /// `fault_node` only — chaos strikes one machine, the fleet reacts.
+  /// Template for every node's ServiceOptions. external_sim and node are
+  /// overwritten per node; the telemetry sink is shared (node="i" labels
+  /// disambiguate); the injector attaches to `fault_node` only — chaos
+  /// strikes one machine, the fleet reacts.
   serve::ServiceOptions node;
   int fault_node = 0;
   InterconnectOptions interconnect;
-  int ring_vnodes = 64;
   std::uint64_t router_seed = 0xC105CE12ULL;
   /// Spill-on-reject (see header comment). Off = a node-level rejection
   /// is immediately a cluster-level rejection.
@@ -102,10 +97,6 @@ struct ClusterOptions {
   /// latency); enabled, detection waits for heartbeats to go quiet and
   /// restarts rejoin only after the warm-up window.
   membership::HealthOptions health;
-  /// Forces the membership layer on (table + journal) even with no crash
-  /// plan, drains, or detector — for callers that invoke Cluster::drain
-  /// programmatically (a future autoscaler).
-  bool enable_membership = false;
 };
 
 /// Cluster-level accounting for one served job, wrapping the serving
@@ -201,16 +192,13 @@ class Cluster {
           trace::Tracer* tracer = nullptr);
 
   int nodes() const { return options_.nodes; }
-  bool passthrough() const {
-    return options_.router == RouterPolicy::kPassthrough;
-  }
   serve::ReductionService& node(int i);
   const serve::ReductionService& node(int i) const;
   const Router& router() const { return router_; }
-  /// Null in passthrough mode and on single-node fleets.
+  /// Null on single-node fleets.
   Interconnect* interconnect() { return interconnect_.get(); }
-  /// The shared fleet clock (the node's own clock in passthrough mode).
-  sim::Simulator& sim();
+  /// The shared fleet clock.
+  sim::Simulator& sim() { return sim_; }
 
   /// Schedules a whole workload through the front door, chained like the
   /// service's own submit_all (serve::chain_arrivals).
@@ -236,23 +224,14 @@ class Cluster {
 
   /// Feeds an SLO monitor with cluster-level outcomes: completions judged
   /// on front-door latency, cluster rejections/sheds as bad availability
-  /// samples. Passthrough mode defers to Monitor::feed semantics.
+  /// samples.
   void feed_slo(slo::Monitor& monitor) const;
 
-  /// Whether the membership layer (table + journal, optional detector) is
-  /// active for this run.
-  bool membership_enabled() const { return membership_on_; }
+  /// Every node's liveness state; all nodes stay alive unless the
+  /// membership layer runs.
+  const membership::Table& membership_table() const { return table_; }
   /// Null when the membership layer is off.
-  const membership::Table* membership_table() const { return table_.get(); }
   const membership::JobJournal* journal() const { return journal_.get(); }
-
-  /// Graceful drain, the autoscaler primitive: stops admission to `node`,
-  /// flushes its queue to live peers (paying transfers from the drained
-  /// node), and removes it from the ring. In-flight work on the node
-  /// completes lame-duck. Requires the membership layer (see
-  /// ClusterOptions::enable_membership). No-op on nodes already dead,
-  /// draining, or departed.
-  void drain(int node);
 
  private:
   struct JobMeta {
@@ -306,8 +285,7 @@ class Cluster {
   /// cluster charges its interconnect/journal bytes here, the nodes their
   /// launch time.
   profile::Recorder* recorder_ = nullptr;
-  /// Shared fleet clock; unused in passthrough mode (the single node owns
-  /// its simulator, exactly like a standalone service).
+  /// Shared fleet clock.
   sim::Simulator sim_;
   std::unique_ptr<Interconnect> interconnect_;
   Router router_;
@@ -329,10 +307,11 @@ class Cluster {
   std::int64_t spilled_saved_ = 0;
   std::int64_t steals_ = 0;
   std::int64_t stolen_jobs_ = 0;
-  /// Membership layer; all null/empty when membership_on_ is false, so a
-  /// membership-free run touches none of it.
+  /// Spill, steal and routing consult the table on every run. The rest of
+  /// the membership layer is null/empty when membership_on_ is false, so
+  /// a membership-free run touches none of it.
+  membership::Table table_;
   bool membership_on_ = false;
-  std::unique_ptr<membership::Table> table_;
   std::unique_ptr<membership::JobJournal> journal_;
   std::unique_ptr<membership::HealthMonitor> monitor_;
   /// Ground truth per node: is the process up? (The table holds the

@@ -68,11 +68,4 @@ void Interconnect::transfer(int src, int dst, Bytes bytes,
   net_.start_flow(std::move(spec));
 }
 
-double Interconnect::link_utilisation(int src, int dst) const {
-  const sim::ResourceId lane = link(src, dst);
-  const SimTime now = sim_.now();
-  if (now <= 0) return 0.0;
-  return net_.resource_stats(lane).busy_time_ps / static_cast<double>(now);
-}
-
 }  // namespace ghs::cluster

@@ -49,11 +49,6 @@ class Interconnect {
 
   std::int64_t transfers() const { return transfers_; }
   double bytes_moved() const { return bytes_moved_; }
-  std::size_t active_transfers() const { return net_.active_flows(); }
-
-  /// Average utilisation of the src->dst link over [0, now]; 0 before any
-  /// simulated time has passed.
-  double link_utilisation(int src, int dst) const;
 
   sim::FluidNetwork& network() { return net_; }
 

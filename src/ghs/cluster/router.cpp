@@ -6,8 +6,6 @@ namespace ghs::cluster {
 
 const char* router_policy_name(RouterPolicy policy) {
   switch (policy) {
-    case RouterPolicy::kPassthrough:
-      return "passthrough";
     case RouterPolicy::kHash:
       return "hash";
     case RouterPolicy::kLeast:
@@ -19,27 +17,22 @@ const char* router_policy_name(RouterPolicy policy) {
 }
 
 RouterPolicy parse_router_policy(const std::string& name) {
-  if (name == "passthrough") return RouterPolicy::kPassthrough;
   if (name == "hash") return RouterPolicy::kHash;
   if (name == "least") return RouterPolicy::kLeast;
   if (name == "p2c") return RouterPolicy::kP2c;
-  GHS_REQUIRE(name == "passthrough" || name == "hash" || name == "least" ||
-                  name == "p2c",
-              "unknown router policy '" << name
-                                        << "' (passthrough|hash|least|p2c)");
+  GHS_REQUIRE(name == "hash" || name == "least" || name == "p2c",
+              "unknown router policy '" << name << "' (hash|least|p2c)");
   GHS_UNREACHABLE("");
 }
 
-Router::Router(RouterPolicy policy, std::uint64_t seed, int ring_vnodes)
-    : policy_(policy), ring_(ring_vnodes), rng_(seed) {}
+Router::Router(RouterPolicy policy, std::uint64_t seed)
+    : policy_(policy), rng_(seed) {}
 
 int Router::pick(const serve::Job& job,
                  const std::vector<std::size_t>& loads) {
   GHS_REQUIRE(!loads.empty(), "pick() with no nodes");
   const std::size_t n = loads.size();
   switch (policy_) {
-    case RouterPolicy::kPassthrough:
-      return 0;
     case RouterPolicy::kHash:
       return ring_.owner(static_cast<std::uint64_t>(job.tenant));
     case RouterPolicy::kLeast: {
@@ -60,19 +53,6 @@ int Router::pick(const serve::Job& job,
     }
   }
   GHS_UNREACHABLE("router policy " << static_cast<int>(policy_));
-}
-
-int Router::least_loaded_except(const std::vector<std::size_t>& loads,
-                                int exclude) {
-  GHS_REQUIRE(loads.size() >= 2, "least_loaded_except() needs >= 2 nodes");
-  int best = -1;
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    if (static_cast<int>(i) == exclude) continue;
-    if (best < 0 || loads[i] < loads[static_cast<std::size_t>(best)]) {
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
 }
 
 }  // namespace ghs::cluster

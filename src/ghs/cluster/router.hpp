@@ -1,8 +1,6 @@
 // Routing policies of the cluster front door. The router decides, at each
 // job's arrival instant, which node serves it:
 //
-//   passthrough — single-node wire-through; the cluster adds no machinery
-//                 and a run is byte-identical to the standalone service.
 //   hash        — consistent-hash by tenant: a tenant's jobs stick to one
 //                 node (data locality, per-tenant cache affinity), and
 //                 resizing the fleet remaps only ~1/N of tenants.
@@ -28,17 +26,16 @@
 
 namespace ghs::cluster {
 
-enum class RouterPolicy : std::uint8_t { kPassthrough, kHash, kLeast, kP2c };
+enum class RouterPolicy : std::uint8_t { kHash, kLeast, kP2c };
 
 const char* router_policy_name(RouterPolicy policy);
 
-/// Parses "passthrough" | "hash" | "least" | "p2c"; throws on anything
-/// else.
+/// Parses "hash" | "least" | "p2c"; throws on anything else.
 RouterPolicy parse_router_policy(const std::string& name);
 
 class Router {
  public:
-  Router(RouterPolicy policy, std::uint64_t seed, int ring_vnodes = 64);
+  Router(RouterPolicy policy, std::uint64_t seed);
 
   RouterPolicy policy() const { return policy_; }
   const HashRing& ring() const { return ring_; }
@@ -50,11 +47,6 @@ class Router {
   /// hash policy ignores loads; least/p2c ignore the job. Requires a
   /// non-empty load vector (and, for hash, a non-empty ring).
   int pick(const serve::Job& job, const std::vector<std::size_t>& loads);
-
-  /// Least-loaded node excluding `exclude` (lowest index wins ties); used
-  /// for spill and steal target selection. Requires >= 2 nodes.
-  static int least_loaded_except(const std::vector<std::size_t>& loads,
-                                 int exclude);
 
  private:
   RouterPolicy policy_;

@@ -10,6 +10,12 @@ namespace ghs::core {
 
 namespace {
 
+/// The search lattice (inclusive, powers of two), as the paper sweeps it.
+constexpr std::int64_t kMinTeams = 128;
+constexpr std::int64_t kMaxTeams = 65536;
+constexpr int kMaxV = 32;
+constexpr int kThreadLimit = 256;
+
 /// Evaluates one configuration on a fresh platform; returns GB/s.
 double probe(workload::CaseId case_id, const ReduceTuning& tuning,
              const TunerOptions& options) {
@@ -29,20 +35,19 @@ double probe(workload::CaseId case_id, const ReduceTuning& tuning,
   return run_gpu_benchmark(platform, bench).bandwidth.gbps();
 }
 
-bool in_bounds(const ReduceTuning& t, const TunerOptions& o) {
-  return t.teams >= o.min_teams && t.teams <= o.max_teams && t.v >= o.min_v &&
-         t.v <= o.max_v && t.thread_limit >= o.min_thread_limit &&
-         t.thread_limit <= o.max_thread_limit && t.teams % t.v == 0;
+bool in_bounds(const ReduceTuning& t) {
+  return t.teams >= kMinTeams && t.teams <= kMaxTeams &&
+         t.v >= 1 && t.v <= kMaxV &&
+         t.thread_limit == kThreadLimit && t.teams % t.v == 0;
 }
 
 }  // namespace
 
 TunerResult tune_reduction(workload::CaseId case_id, ReduceTuning seed,
                            const TunerOptions& options) {
-  GHS_REQUIRE(is_pow2(seed.teams) && is_pow2(seed.v) &&
-                  is_pow2(seed.thread_limit),
+  GHS_REQUIRE(is_pow2(seed.teams) && is_pow2(seed.v),
               "seed must lie on the power-of-two lattice");
-  GHS_REQUIRE(in_bounds(seed, options), "seed outside the search bounds");
+  GHS_REQUIRE(in_bounds(seed), "seed outside the search bounds");
 
   if (options.telemetry.metrics != nullptr) {
     options.telemetry.metrics
@@ -66,7 +71,7 @@ TunerResult tune_reduction(workload::CaseId case_id, ReduceTuning seed,
   while (improved &&
          result.probes.size() < static_cast<std::size_t>(options.max_probes)) {
     improved = false;
-    // Candidate moves: double/halve each tuned coordinate.
+    // Candidate moves: double/halve teams and V.
     std::vector<ReduceTuning> candidates;
     for (int direction : {+1, -1}) {
       ReduceTuning t = current;
@@ -75,15 +80,9 @@ TunerResult tune_reduction(workload::CaseId case_id, ReduceTuning seed,
       t = current;
       t.v = direction > 0 ? current.v * 2 : std::max(1, current.v / 2);
       candidates.push_back(t);
-      if (options.tune_thread_limit) {
-        t = current;
-        t.thread_limit = direction > 0 ? current.thread_limit * 2
-                                       : current.thread_limit / 2;
-        candidates.push_back(t);
-      }
     }
     for (const auto& candidate : candidates) {
-      if (!in_bounds(candidate, options)) continue;
+      if (!in_bounds(candidate)) continue;
       if (result.probes.size() >=
           static_cast<std::size_t>(options.max_probes)) {
         break;
@@ -109,13 +108,9 @@ TunerResult tune_reduction(workload::CaseId case_id, ReduceTuning seed,
 TunerResult tune_reduction(workload::CaseId case_id,
                            const TunerOptions& options) {
   ReduceTuning seed;
-  seed.teams = std::clamp<std::int64_t>(4096, options.min_teams,
-                                        options.max_teams);
-  seed.thread_limit =
-      std::clamp(256, options.min_thread_limit, options.max_thread_limit);
-  seed.v = std::clamp(4, options.min_v, options.max_v);
-  // Keep the lattice constraint teams % v == 0 after clamping.
-  while (seed.teams % seed.v != 0 && seed.v > 1) seed.v /= 2;
+  seed.teams = 4096;
+  seed.thread_limit = kThreadLimit;
+  seed.v = 4;
   return tune_reduction(case_id, seed, options);
 }
 

@@ -2,9 +2,10 @@
 //
 // The paper finds its best (teams, V) by exhaustive sweep (61 points per
 // case). This tuner finds an equivalent configuration in a fraction of the
-// evaluations with coordinate-descent hill climbing over the power-of-two
-// lattice: from a seed point, repeatedly try doubling/halving each
-// coordinate (teams, V, thread_limit) and move while bandwidth improves.
+// evaluations with coordinate-descent hill climbing over the paper's
+// power-of-two lattice (teams 128-65,536, V 1-32, thread_limit pinned at
+// 256): from a seed point, repeatedly try doubling/halving teams and V and
+// move while bandwidth improves.
 // Every probe is a fresh-platform Listing 6 run, so probe count equals
 // simulated-experiment count — which is the budget on real hardware too.
 #pragma once
@@ -18,16 +19,6 @@
 namespace ghs::core {
 
 struct TunerOptions {
-  /// Bounds of the search lattice (inclusive, powers of two).
-  std::int64_t min_teams = 128;
-  std::int64_t max_teams = 65536;
-  int min_v = 1;
-  int max_v = 32;
-  int min_thread_limit = 64;
-  int max_thread_limit = 1024;
-  /// Whether thread_limit is searched or pinned at the seed's value (the
-  /// paper pins 256).
-  bool tune_thread_limit = false;
   /// Elements per probe; 0 = the case's paper M.
   std::int64_t elements = 0;
   /// Timed repetitions per probe (bandwidth is insensitive; keep small).
@@ -54,11 +45,12 @@ struct TunerResult {
   std::size_t evaluations() const { return probes.size(); }
 };
 
-/// Runs the hill climb for one case, starting from `seed`.
+/// Runs the hill climb for one case, starting from `seed`, which must lie
+/// on the lattice.
 TunerResult tune_reduction(workload::CaseId case_id, ReduceTuning seed,
                            const TunerOptions& options);
 
-/// Convenience: seed from a mid-lattice point.
+/// Convenience: seed from a mid-lattice point (teams 4096, V 4).
 TunerResult tune_reduction(workload::CaseId case_id,
                            const TunerOptions& options);
 

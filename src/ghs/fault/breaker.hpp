@@ -41,7 +41,6 @@ class CircuitBreaker {
   BreakerState state() const { return state_; }
   /// Times the breaker tripped closed -> open (or half-open -> open).
   std::int64_t opens() const { return opens_; }
-  int consecutive_failures() const { return consecutive_failures_; }
   /// Earliest time a half-open probe will be admitted (valid while open).
   SimTime probe_at() const { return opened_at_ + options_.open_duration; }
 

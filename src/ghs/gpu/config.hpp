@@ -20,8 +20,6 @@ enum class CombineClass {
   kFloatCas,    // float/double: CAS-loop combine in the runtime
 };
 
-const char* combine_class_name(CombineClass c);
-
 struct GpuConfig {
   // --- hard architecture constants (H100 SXM5 96GB) ---
   int num_sms = 132;

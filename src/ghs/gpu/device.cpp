@@ -24,18 +24,6 @@ const char* combine_strategy_name(CombineStrategy strategy) {
   return "?";
 }
 
-const char* combine_class_name(CombineClass c) {
-  switch (c) {
-    case CombineClass::kNativeInt:
-      return "native-int";
-    case CombineClass::kWideningInt:
-      return "widening-int";
-    case CombineClass::kFloatCas:
-      return "float-cas";
-  }
-  return "?";
-}
-
 struct GpuDevice::Execution {
   KernelDesc desc;
   std::function<void(const KernelResult&)> on_complete;

@@ -25,12 +25,6 @@ HealthMonitor::HealthMonitor(sim::Simulator& sim, Table& table,
                              std::function<bool(int)> up)
     : sim_(sim), table_(table), options_(options), up_(std::move(up)) {
   GHS_REQUIRE(options_.interval > 0, "health interval must be positive");
-  GHS_REQUIRE(options_.window >= 1, "health window must be >= 1");
-  GHS_REQUIRE(options_.suspect_phi > 0.0 &&
-                  options_.dead_phi >= options_.suspect_phi,
-              "need 0 < suspect_phi <= dead_phi, got "
-                  << options_.suspect_phi << " / " << options_.dead_phi);
-  GHS_REQUIRE(options_.rejoin_delay >= 0, "rejoin delay must be >= 0");
   GHS_REQUIRE(up_ != nullptr, "health monitor needs a probe");
   health_.resize(static_cast<std::size_t>(table_.nodes()));
 }
@@ -46,7 +40,7 @@ void HealthMonitor::start() {
 void HealthMonitor::heartbeat(int node, NodeHealth& h, SimTime now) {
   if (h.last_heartbeat >= 0 && now > h.last_heartbeat) {
     const SimTime gap = now - h.last_heartbeat;
-    if (static_cast<int>(h.intervals.size()) < options_.window) {
+    if (static_cast<int>(h.intervals.size()) < kHeartbeatWindow) {
       h.intervals.push_back(gap);
     } else {
       h.intervals[h.next] = gap;
@@ -66,7 +60,7 @@ void HealthMonitor::heartbeat(int node, NodeHealth& h, SimTime now) {
     table_.transition(node, NodeState::kAlive, now, "heartbeat resumed");
   } else if (state == NodeState::kDead) {
     if (h.recovering_since < 0) h.recovering_since = now;
-    if (now - h.recovering_since >= options_.rejoin_delay) {
+    if (now - h.recovering_since >= kRejoinDelay) {
       h.recovering_since = -1;
       table_.transition(node, NodeState::kAlive, now,
                         "rejoined after warm-up");
@@ -82,9 +76,9 @@ void HealthMonitor::score(int node, NodeHealth& h, SimTime now) {
   h.phi = static_cast<double>(now - h.last_heartbeat) / mean * kLog10E;
   const NodeState state = table_.state(node);
   if ((state == NodeState::kAlive || state == NodeState::kSuspect) &&
-      h.phi >= options_.dead_phi) {
+      h.phi >= kDeadPhi) {
     table_.transition(node, NodeState::kDead, now, phi_reason(h.phi));
-  } else if (state == NodeState::kAlive && h.phi >= options_.suspect_phi) {
+  } else if (state == NodeState::kAlive && h.phi >= kSuspectPhi) {
     table_.transition(node, NodeState::kSuspect, now, phi_reason(h.phi));
   }
 }

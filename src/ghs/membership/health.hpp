@@ -9,11 +9,11 @@
 //
 // — the phi-accrual suspicion level under an exponential inter-arrival
 // model, which grows without bound while heartbeats are missing. Crossing
-// `suspect_phi` marks the node suspect (still routable, first to shed);
-// crossing `dead_phi` declares it dead, which is what triggers ring
-// removal and journal replay in the cluster. A dead node whose heartbeats
-// resume is held for `rejoin_delay` of continuous health (the warm-up
-// window) before it transitions back to alive and rejoins the ring.
+// kSuspectPhi marks the node suspect (still routable, first to shed);
+// crossing kDeadPhi declares it dead, which is what triggers ring removal
+// and journal replay in the cluster. A dead node whose heartbeats resume
+// is held for kRejoinDelay of continuous health (the warm-up window)
+// before it transitions back to alive and rejoins the ring.
 //
 // Determinism: the sweep is a single self-rescheduling sim event (the
 // ghs::timeseries scraper idiom), probes are a pure function supplied by
@@ -34,23 +34,24 @@
 
 namespace ghs::membership {
 
+/// Inter-arrival samples kept per node for the mean estimate.
+inline constexpr int kHeartbeatWindow = 16;
+/// Suspicion level that marks a node suspect. phi 1.0 ~ 2.3 missed mean
+/// intervals.
+inline constexpr double kSuspectPhi = 1.0;
+/// Suspicion level that declares a node dead. phi 3.0 ~ 6.9 missed mean
+/// intervals.
+inline constexpr double kDeadPhi = 3.0;
+/// Continuous healthy heartbeats a dead node must show before it rejoins
+/// the ring (the restart warm-up window).
+inline constexpr SimTime kRejoinDelay = 200 * kMicrosecond;
+
 struct HealthOptions {
   /// Master switch; a disabled monitor is never constructed, keeping
   /// detector-off runs byte-identical.
   bool enabled = false;
   /// Heartbeat (and evaluation) period.
   SimTime interval = 100 * kMicrosecond;
-  /// Inter-arrival samples kept per node for the mean estimate.
-  int window = 16;
-  /// Suspicion level that marks a node suspect. phi 1.0 ~ 2.3 missed
-  /// mean intervals.
-  double suspect_phi = 1.0;
-  /// Suspicion level that declares a node dead. phi 3.0 ~ 6.9 missed
-  /// mean intervals.
-  double dead_phi = 3.0;
-  /// Continuous healthy heartbeats a dead node must show before it
-  /// rejoins the ring (the restart warm-up window).
-  SimTime rejoin_delay = 200 * kMicrosecond;
 };
 
 class HealthMonitor {

@@ -6,21 +6,12 @@
 #include <string>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/strings.hpp"
 #include "ghs/workload/cases.hpp"
 
 namespace ghs::profile {
 
 namespace {
-
-void write_double(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  os << buf;
-}
-
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
 
 const char* op_name(std::uint8_t op) {
   return workload::case_spec(static_cast<workload::CaseId>(op)).name;
@@ -199,16 +190,16 @@ void CostLedger::write_json(std::ostream& os,
     os << "{\"tenant\":" << key.tenant << ",\"op\":\"" << op_name(key.op)
        << "\",\"node\":" << key.node << ",\"device\":\""
        << device_name(key.device) << "\",\"phase\":\""
-       << phase_name(key.phase) << "\",\"time_ms\":";
-    write_double(os, to_ms(cost.time_ps));
-    os << ",\"bytes\":" << cost.bytes << ",\"events\":" << cost.events
+       << phase_name(key.phase)
+       << "\",\"time_ms\":" << format_fixed(to_millis(cost.time_ps), 6)
+       << ",\"bytes\":" << cost.bytes << ",\"events\":" << cost.events
        << "}";
   }
-  os << "],\"totals\":{\"gpu_busy_ms\":";
-  write_double(os, to_ms(attributed_.gpu_busy_ps));
-  os << ",\"cpu_busy_ms\":";
-  write_double(os, to_ms(attributed_.cpu_busy_ps));
-  os << ",\"um_bytes\":" << attributed_.um_bytes
+  os << "],\"totals\":{\"gpu_busy_ms\":"
+     << format_fixed(to_millis(attributed_.gpu_busy_ps), 6)
+     << ",\"cpu_busy_ms\":"
+     << format_fixed(to_millis(attributed_.cpu_busy_ps), 6)
+     << ",\"um_bytes\":" << attributed_.um_bytes
      << ",\"transfer_bytes\":" << attributed_.transfer_bytes
      << ",\"replay_bytes\":" << attributed_.replay_bytes
      << "},\"conservation\":{\"gpu_busy_ps\":{\"attributed\":"
@@ -240,15 +231,15 @@ void CostLedger::write_table(std::ostream& os, std::size_t top_k) const {
     if (rows.size() > top_k) rows.resize(top_k);
     for (const auto& [time_ps, label] : rows) {
       std::snprintf(buf, sizeof(buf), "  %-8s %-16s busy %10.3fms\n", what,
-                    label.c_str(), to_ms(time_ps));
+                    label.c_str(), to_millis(time_ps));
       os << buf;
     }
   };
   std::snprintf(buf, sizeof(buf),
                 "cost attribution: gpu %.3fms cpu %.3fms, um %lld B, "
                 "interconnect %lld B, replay %lld B\n",
-                to_ms(attributed_.gpu_busy_ps),
-                to_ms(attributed_.cpu_busy_ps),
+                to_millis(attributed_.gpu_busy_ps),
+                to_millis(attributed_.cpu_busy_ps),
                 static_cast<long long>(attributed_.um_bytes),
                 static_cast<long long>(attributed_.transfer_bytes),
                 static_cast<long long>(attributed_.replay_bytes));

@@ -31,11 +31,11 @@ namespace ghs::serve {
 struct BatchOptions {
   bool enable = true;
   /// Jobs per launch, including the one the policy selected.
-  int max_jobs = 8;
+  static constexpr int max_jobs = 8;
   /// Only jobs at or below this element count coalesce.
-  std::int64_t small_elements = 1 << 20;
+  static constexpr std::int64_t small_elements = 1 << 20;
   /// Ceiling on a batch's summed element count.
-  std::int64_t max_batch_elements = 1 << 23;
+  static constexpr std::int64_t max_batch_elements = 1 << 23;
 };
 
 struct DevicePoolStats {

@@ -47,8 +47,6 @@ BandwidthAwarePolicy::BandwidthAwarePolicy(ServiceModel& model,
                                            Options options)
     : model_(model), options_(options) {
   GHS_REQUIRE(options_.max_probes > 0, "max_probes=" << options_.max_probes);
-  GHS_REQUIRE(options_.cpu_slowdown_limit > 0.0,
-              "cpu_slowdown_limit=" << options_.cpu_slowdown_limit);
   // The cache key carries the machine identity so geometries tuned for one
   // SystemConfig are never replayed on another.
   const auto& config = model_.options().config;
@@ -67,7 +65,7 @@ bool BandwidthAwarePolicy::cpu_eligible(const Job& job) {
   const SimTime gpu = model_.gpu_service(job.case_id, job.elements,
                                          geometry(job));
   return static_cast<double>(cpu) <=
-         options_.cpu_slowdown_limit * static_cast<double>(gpu);
+         kCpuSlowdownLimit * static_cast<double>(gpu);
 }
 
 std::optional<std::size_t> BandwidthAwarePolicy::select(

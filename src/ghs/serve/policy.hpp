@@ -72,10 +72,11 @@ class BandwidthAwarePolicy : public SchedulerPolicy {
     int max_probes = 24;
     /// Largest job the Grace CPU may absorb.
     Bytes max_cpu_bytes = 64 * kMiB;
-    /// CPU-eligible when the host reduction costs at most this multiple of
-    /// the tuned GPU service for the same shape.
-    double cpu_slowdown_limit = 8.0;
   };
+
+  /// A job is CPU-eligible when the host reduction costs at most this
+  /// multiple of the tuned GPU service for the same shape.
+  static constexpr double kCpuSlowdownLimit = 8.0;
 
   /// `model` prices CPU-vs-GPU placement; its SystemConfig also drives the
   /// tuner probes so cached geometries match the machine being served.

@@ -2,43 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <string>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/strings.hpp"
 
 namespace ghs::serve {
 
 namespace {
 
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
+// Retry backoff: retry k waits kBackoffBase * 2^(k-1), capped at
+// kBackoffCap, plus a seeded uniform draw in [0, kBackoffJitter * backoff)
+// that de-synchronises retry herds without breaking replayability.
+constexpr SimTime kBackoffBase = 50 * kMicrosecond;
+constexpr SimTime kBackoffCap = 2 * kMillisecond;
+constexpr double kBackoffJitter = 0.25;
+constexpr std::uint64_t kJitterSeed = 0x6a177e5;
 
-// Fixed-notation double with enough digits to round-trip latencies; JSON
-// output must be byte-stable across runs, so formatting goes through one
-// snprintf shape only.
-void write_double(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  os << buf;
-}
-
-void write_latency(std::ostream& os, const char* key,
-                   const LatencyStats& stats) {
-  os << "\"" << key << "\":{\"count\":" << stats.count << ",\"mean_ms\":";
-  write_double(os, stats.mean_ms);
-  os << ",\"p50_ms\":";
-  write_double(os, stats.pct.p50);
-  os << ",\"p95_ms\":";
-  write_double(os, stats.pct.p95);
-  os << ",\"p99_ms\":";
-  write_double(os, stats.pct.p99);
-  os << ",\"p999_ms\":";
-  write_double(os, stats.pct.p999);
-  os << ",\"max_ms\":";
-  write_double(os, stats.max_ms);
-  os << "}";
+telemetry::Labels node_labels(int node) {
+  if (node < 0) return {};
+  return {{"node", std::to_string(node)}};
 }
 
 fault::Injector* effective_injector(fault::Injector* injector) {
@@ -51,6 +34,17 @@ int device_index(Placement device) {
 }
 
 }  // namespace
+
+void write_latency_json(std::ostream& os, const char* key,
+                        const LatencyStats& stats) {
+  os << "\"" << key << "\":{\"count\":" << stats.count
+     << ",\"mean_ms\":" << format_fixed(stats.mean_ms, 6)
+     << ",\"p50_ms\":" << format_fixed(stats.pct.p50, 6)
+     << ",\"p95_ms\":" << format_fixed(stats.pct.p95, 6)
+     << ",\"p99_ms\":" << format_fixed(stats.pct.p99, 6)
+     << ",\"p999_ms\":" << format_fixed(stats.pct.p999, 6)
+     << ",\"max_ms\":" << format_fixed(stats.max_ms, 6) << "}";
+}
 
 LatencyStats make_latency_stats(const std::vector<double>& ms) {
   LatencyStats stats;
@@ -71,17 +65,14 @@ void ServiceReport::write_json(std::ostream& os) const {
      << ",\"batched_jobs\":" << batched_jobs << ",\"gpu_jobs\":" << gpu_jobs
      << ",\"cpu_jobs\":" << cpu_jobs << ",\"um_jobs\":" << um_jobs
      << ",\"queue_high_watermark\":" << queue_high_watermark
-     << ",\"makespan_ms\":";
-  write_double(os, to_ms(makespan));
-  os << ",\"bytes_served\":" << bytes_served
-     << ",\"throughput_jobs_per_s\":";
-  write_double(os, throughput_jobs_per_s);
-  os << ",\"throughput_gbps\":";
-  write_double(os, throughput_gbps);
+     << ",\"makespan_ms\":" << format_fixed(to_millis(makespan), 6)
+     << ",\"bytes_served\":" << bytes_served
+     << ",\"throughput_jobs_per_s\":"
+     << format_fixed(throughput_jobs_per_s, 6)
+     << ",\"throughput_gbps\":" << format_fixed(throughput_gbps, 6) << ",";
+  write_latency_json(os, "latency", latency);
   os << ",";
-  write_latency(os, "latency", latency);
-  os << ",";
-  write_latency(os, "queue_wait", queue_wait);
+  write_latency_json(os, "queue_wait", queue_wait);
   os << ",\"tuner_hits\":" << tuner_hits
      << ",\"tuner_misses\":" << tuner_misses;
   // Fault keys only appear on fault-aware runs; an empty (or absent) plan
@@ -110,25 +101,22 @@ ReductionService::ReductionService(std::unique_ptr<SchedulerPolicy> policy,
       queue_(options.queue_depth),
       injector_(effective_injector(options.injector)),
       pool_(sim_, model, options.use_cpu, tracer, options.telemetry,
-            injector_, options.instance_labels, options.profile,
-            options.profile_node),
-      gpu_breaker_(options.breaker),
-      cpu_breaker_(options.breaker),
-      retry_rng_(options.retry.jitter_seed) {
+            injector_, node_labels(options.node), options.profile,
+            cost_node()),
+      retry_rng_(kJitterSeed) {
   GHS_REQUIRE(policy_ != nullptr, "null policy");
-  GHS_REQUIRE(options_.retry.max_attempts >= 1, "max_attempts must be >= 1");
-  for (const auto& [key, value] : options_.instance_labels) {
-    flight_label_ += key + "=" + value + " ";
+  if (options_.node >= 0) {
+    flight_label_ = "node=" + std::to_string(options_.node) + " ";
   }
   const telemetry::Sink& sink = options_.telemetry;
   flight_ = sink.flight;
   if (sink.metrics != nullptr) {
     telemetry::Registry& r = *sink.metrics;
     sim_.set_telemetry(&r);
-    // Per-instance labels (e.g. node="3" in a cluster) namespace every
-    // instrument; a standalone service has none, so its instrument
-    // identities stay exactly as before.
-    const telemetry::Labels& inst = options_.instance_labels;
+    // A cluster node's instruments carry its node="i" label; a standalone
+    // service has none, so its instrument identities stay exactly as
+    // before.
+    const telemetry::Labels inst = node_labels(options_.node);
     const auto with_inst = [&inst](telemetry::Labels labels) {
       labels.insert(labels.end(), inst.begin(), inst.end());
       return labels;
@@ -448,13 +436,13 @@ void ReductionService::on_launch_complete(const LaunchResult& result) {
       // latency bucket names the span tree that filled it; untraced runs
       // keep the plain (pre-exemplar) observation path.
       if (record.job.ctx.valid()) {
-        m_latency_ms_->observe_exemplar(to_ms(record.latency()),
+        m_latency_ms_->observe_exemplar(to_millis(record.latency()),
                                         record.job.ctx.trace_id);
-        m_queue_wait_ms_->observe_exemplar(to_ms(record.queue_wait()),
+        m_queue_wait_ms_->observe_exemplar(to_millis(record.queue_wait()),
                                            record.job.ctx.trace_id);
       } else {
-        m_latency_ms_->observe(to_ms(record.latency()));
-        m_queue_wait_ms_->observe(to_ms(record.queue_wait()));
+        m_latency_ms_->observe(to_millis(record.latency()));
+        m_queue_wait_ms_->observe(to_millis(record.queue_wait()));
       }
     }
     if (tracer_ != nullptr) {
@@ -487,21 +475,21 @@ void ReductionService::record_root_span(const Job& job, SimTime end,
 
 void ReductionService::handle_failed_job(const Job& job) {
   const SimTime now = sim_.now();
-  if (job.attempt + 1 >= options_.retry.max_attempts) {
+  if (job.attempt + 1 >= kMaxAttempts) {
     shed_job(job, "retry budget exhausted");
     return;
   }
   // Capped exponential backoff with deterministic jitter: the draw happens
   // on every retry decision so the jitter stream is a pure function of the
   // failure sequence.
-  const RetryOptions& retry = options_.retry;
-  SimTime backoff = retry.backoff_base;
-  for (int i = 0; i < job.attempt && backoff < retry.backoff_cap; ++i) {
+  SimTime backoff = kBackoffBase;
+  for (int i = 0; i < job.attempt && backoff < kBackoffCap; ++i) {
     backoff *= 2;
   }
-  backoff = std::min(backoff, retry.backoff_cap);
-  const SimTime jitter = static_cast<SimTime>(std::llround(
-      retry_rng_.next_double() * retry.jitter * static_cast<double>(backoff)));
+  backoff = std::min(backoff, kBackoffCap);
+  const SimTime jitter = static_cast<SimTime>(
+      std::llround(retry_rng_.next_double() * kBackoffJitter *
+                   static_cast<double>(backoff)));
   const SimTime retry_at = now + backoff + jitter;
   // Deadline-aware retry budget: if the retry cannot even start before the
   // job's deadline, shed now instead of burning a launch we know is late.
@@ -513,7 +501,7 @@ void ReductionService::handle_failed_job(const Job& job) {
   if (m_retries_ != nullptr) m_retries_->inc();
   if (options_.profile != nullptr) {
     options_.profile->on_retry_backoff(
-        options_.profile_node,
+        cost_node(),
         {job.tenant, static_cast<std::uint8_t>(job.case_id), job.elements,
          job.bytes(), job.enqueued},
         backoff + jitter);
@@ -581,9 +569,9 @@ void ReductionService::on_breaker_transition(Placement device,
     m_breaker_state_[idx]->set(static_cast<double>(to));
   }
   if (flight_ != nullptr) {
-    // Instance labels (node=N in a fleet) make the transition attributable
-    // without a trace; standalone services have no labels, so their
-    // recorded bytes are unchanged.
+    // The node=N prefix makes a fleet's transition attributable without a
+    // trace; standalone services have none, so their recorded bytes are
+    // unchanged.
     flight_->record(at, "serve", "breaker",
                     flight_label_ + placement_name(device) + " " +
                         fault::breaker_state_name(from) + " -> " +
@@ -631,8 +619,8 @@ ServiceReport ReductionService::report() const {
   for (const auto& record : records_) {
     first_arrival = std::min(first_arrival, record.job.arrival);
     last_completion = std::max(last_completion, record.completion);
-    latency_ms.push_back(to_ms(record.latency()));
-    wait_ms.push_back(to_ms(record.queue_wait()));
+    latency_ms.push_back(to_millis(record.latency()));
+    wait_ms.push_back(to_millis(record.queue_wait()));
     report.bytes_served += record.job.bytes();
     if (record.job.unified) ++report.um_jobs;
     if (record.deadline_missed()) ++report.deadline_missed;
@@ -662,14 +650,6 @@ profile::ConservationTotals ReductionService::conservation_totals() const {
   totals.cpu_busy_ps = pool_.stats().cpu_busy;
   totals.um_bytes = pool_.stats().unified_bytes;
   return totals;
-}
-
-stats::Series ReductionService::latency_series() const {
-  stats::Series series(std::string("latency-") + policy_->name());
-  for (const auto& record : records_) {
-    series.add(to_ms(record.job.arrival), to_ms(record.latency()));
-  }
-  return series;
 }
 
 }  // namespace ghs::serve

@@ -32,7 +32,6 @@
 #include "ghs/serve/queue.hpp"
 #include "ghs/serve/service_model.hpp"
 #include "ghs/sim/simulator.hpp"
-#include "ghs/stats/series.hpp"
 #include "ghs/stats/summary.hpp"
 #include "ghs/telemetry/flight_recorder.hpp"
 #include "ghs/telemetry/registry.hpp"
@@ -100,20 +99,9 @@ void chain_arrivals(sim::Simulator& sim, std::vector<Job> jobs,
                                                      std::move(arrive)));
 }
 
-/// Per-job retry policy for failed launches (only consulted when a
-/// fault::Injector is attached; fault-free runs never retry).
-struct RetryOptions {
-  /// Total attempts per job, including the first launch.
-  int max_attempts = 4;
-  /// Backoff before retry k is base * 2^(k-1), capped below.
-  SimTime backoff_base = 50 * kMicrosecond;
-  SimTime backoff_cap = 2 * kMillisecond;
-  /// Deterministic jitter: a seeded uniform draw in [0, jitter * backoff)
-  /// is added to every backoff, de-synchronising retry herds without
-  /// breaking replayability.
-  double jitter = 0.25;
-  std::uint64_t jitter_seed = 0x6a177e5;
-};
+/// Launch attempts per job, the first included, before a failing job is
+/// shed (only a run with a fault::Injector ever retries).
+inline constexpr int kMaxAttempts = 4;
 
 struct ServiceOptions {
   /// Admission-queue bound; arrivals beyond it are rejected.
@@ -129,9 +117,6 @@ struct ServiceOptions {
   /// an empty plan — leaves every code path and report byte-identical to a
   /// fault-unaware service.
   fault::Injector* injector = nullptr;
-  RetryOptions retry;
-  /// Per-device circuit-breaker thresholds (shared by GPU and CPU).
-  fault::BreakerOptions breaker;
   /// Embeddability hook: when set, the service schedules onto this
   /// simulator instead of owning one, so several services (the nodes of a
   /// ghs::cluster fleet) share a single clock and event queue. The caller
@@ -139,20 +124,17 @@ struct ServiceOptions {
   /// which in a cluster means running every node. Null (the default)
   /// preserves the standalone self-contained service.
   sim::Simulator* external_sim = nullptr;
-  /// Labels appended to every instrument this service and its device pool
-  /// register (e.g. {{"node","3"}} in a cluster), namespacing per-node
-  /// telemetry. Empty (the default) keeps the standalone instrument names
-  /// byte-identical to pre-cluster builds.
-  telemetry::Labels instance_labels;
   /// Cost-attribution recorder (ghs::profile). When set, the service and
   /// its DevicePool charge every launch interval, queue wait, and retry
-  /// backoff to the recorder's ledger under `profile_node`. Null (the
-  /// default) takes no profiling branches and keeps every output
-  /// byte-identical to an unprofiled build.
+  /// backoff to the recorder's ledger. Null (the default) takes no
+  /// profiling branches and keeps every output byte-identical to an
+  /// unprofiled build.
   profile::Recorder* profile = nullptr;
-  /// Node index stamped into this service's cost keys (a cluster sets it
-  /// per node; standalone stays 0).
-  std::int16_t profile_node = 0;
+  /// Cluster node this service runs as; -1 (the default) is a standalone
+  /// service. A node index labels every instrument of the service and its
+  /// pool node="i", prefixes its flight-recorder details "node=i ", and
+  /// is the node of its cost keys (standalone services charge node 0).
+  int node = -1;
 };
 
 /// Latency-style distribution in milliseconds.
@@ -166,6 +148,11 @@ struct LatencyStats {
 /// Zero-filled for empty input; a single sample pins every percentile to
 /// that sample.
 LatencyStats make_latency_stats(const std::vector<double>& ms);
+
+/// Writes `"key":{...}`, the stats as one JSON member, in the fixed
+/// format of every report.
+void write_latency_json(std::ostream& os, const char* key,
+                        const LatencyStats& stats);
 
 struct ServiceReport {
   std::string policy;
@@ -219,9 +206,6 @@ class ReductionService {
                    trace::Tracer* tracer = nullptr);
 
   sim::Simulator& sim() { return sim_; }
-  /// Whether this service schedules onto a caller-owned simulator (cluster
-  /// node) rather than its own.
-  bool embedded() const { return options_.external_sim != nullptr; }
 
   /// Schedules the job's arrival (job.arrival must be >= sim().now()).
   void submit(const Job& job);
@@ -297,11 +281,11 @@ class ReductionService {
   /// services move no interconnect/replay bytes).
   profile::ConservationTotals conservation_totals() const;
 
-  /// Per-job latency series (x = arrival ms, y = latency ms), ready for a
-  /// stats::Figure.
-  stats::Series latency_series() const;
-
  private:
+  /// Node of this service's cost keys: its cluster node, 0 standalone.
+  std::int16_t cost_node() const {
+    return static_cast<std::int16_t>(std::max(options_.node, 0));
+  }
   void on_arrival(Job job);
   void dispatch_all();
   void dispatch(Placement device);
@@ -357,8 +341,8 @@ class ReductionService {
   /// closures capture the epoch they were scheduled under and self-
   /// discard when it no longer matches.
   std::int64_t epoch_ = 0;
-  /// "k=v " rendering of instance_labels, prefixed to flight-recorder
-  /// details so fleet post-mortems name the node; empty standalone.
+  /// "node=i " on a cluster node, prefixed to flight-recorder details so
+  /// fleet post-mortems name the node; empty standalone.
   std::string flight_label_;
   SimTime gpu_wake_ = -1;
   SimTime cpu_wake_ = -1;

@@ -9,12 +9,8 @@
 namespace ghs::serve {
 
 ServiceModel::ServiceModel(ServiceModelOptions options)
-    : options_(std::move(options)) {
-  GHS_REQUIRE(options_.cpu_threads > 0,
-              "cpu_threads=" << options_.cpu_threads);
-  options_.cpu_threads =
-      std::min(options_.cpu_threads, options_.config.cpu.cores);
-}
+    : options_(std::move(options)),
+      cpu_threads_(std::min(72, options_.config.cpu.cores)) {}
 
 SimTime ServiceModel::gpu_service(workload::CaseId case_id,
                                   std::int64_t elements,
@@ -71,8 +67,7 @@ SimTime ServiceModel::unified_gpu_service(workload::CaseId case_id,
   bench.cpu_parts = {0.0};
   bench.elements = elements;
   bench.iterations = 2;
-  bench.cpu_threads = options_.cpu_threads;
-  bench.cpu_simd = options_.cpu_simd;
+  bench.cpu_threads = cpu_threads_;
   const auto result = core::run_hetero_benchmark(platform, bench);
   const SimTime duration = result.at(0.0).elapsed / bench.iterations;
   GHS_REQUIRE(duration > 0, "unified pricing produced no duration");
@@ -103,8 +98,7 @@ SimTime ServiceModel::cpu_service(workload::CaseId case_id,
   request.label = spec.name;
   request.elements = elements;
   request.element_size = spec.element_size;
-  request.threads = options_.cpu_threads;
-  request.use_simd = options_.cpu_simd;
+  request.threads = cpu_threads_;
   SimTime duration = 0;
   platform.cpu().reduce(request, [&duration](const cpu::CpuReduceResult& r) {
     duration = r.duration();

@@ -23,9 +23,6 @@ namespace ghs::serve {
 
 struct ServiceModelOptions {
   core::SystemConfig config = core::gh200_config();
-  /// Host threads a CPU-placed job reduces with.
-  int cpu_threads = 72;
-  bool cpu_simd = true;
   /// Instruments the pricing platforms and (through the policies that hold
   /// the model) the tuner; null members disable.
   telemetry::Sink telemetry;
@@ -40,8 +37,8 @@ class ServiceModel {
   SimTime gpu_service(workload::CaseId case_id, std::int64_t elements,
                       const core::ReduceTuning& tuning);
 
-  /// Duration of a host `parallel for simd reduction` over the shape with
-  /// the configured thread count (input resident in LPDDR).
+  /// Duration of a host `parallel for simd reduction` over the shape on
+  /// min(72, config.cpu.cores) threads (input resident in LPDDR).
   SimTime cpu_service(workload::CaseId case_id, std::int64_t elements);
 
   /// Duration of one GPU repetition over a *managed* buffer whose pages
@@ -93,6 +90,8 @@ class ServiceModel {
   };
 
   ServiceModelOptions options_;
+  /// Host threads a CPU-placed job reduces with.
+  int cpu_threads_;
   std::unordered_map<Key, SimTime, KeyHash> cache_;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;

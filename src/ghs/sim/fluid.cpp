@@ -41,11 +41,6 @@ Bandwidth FluidNetwork::capacity(ResourceId id) const {
   return Bandwidth{resources_[id].capacity};
 }
 
-const std::string& FluidNetwork::resource_name(ResourceId id) const {
-  GHS_REQUIRE(id < resources_.size(), "resource id " << id);
-  return resources_[id].name;
-}
-
 const ResourceStats& FluidNetwork::resource_stats(ResourceId id) const {
   GHS_REQUIRE(id < resources_.size(), "resource id " << id);
   return resources_[id].stats;

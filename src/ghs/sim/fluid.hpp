@@ -65,7 +65,6 @@ class FluidNetwork {
   void set_capacity(ResourceId id, Bandwidth capacity);
 
   Bandwidth capacity(ResourceId id) const;
-  const std::string& resource_name(ResourceId id) const;
   const ResourceStats& resource_stats(ResourceId id) const;
 
   /// Starts a flow now; rates of all flows are re-fair-shared.

@@ -1,27 +1,15 @@
 #include "ghs/slo/monitor.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "ghs/serve/service.hpp"
 #include "ghs/timeseries/query.hpp"
 #include "ghs/util/error.hpp"
+#include "ghs/util/strings.hpp"
 
 namespace ghs::slo {
 
 namespace {
-
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
-// One snprintf shape for every double in the report, so output is
-// byte-stable across runs and platforms.
-void write_double(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  os << buf;
-}
 
 // The error budget is 1 - target; a perfect target would make the burn
 // rate divide by zero, so it is floored at one-in-a-billion.
@@ -61,34 +49,30 @@ void Report::write_json(std::ostream& os) const {
     const auto& obj = objectives[i];
     if (i > 0) os << ",";
     os << "{\"name\":\"" << obj.name << "\",\"kind\":\""
-       << objective_kind_name(obj.kind) << "\",\"target\":";
-    write_double(os, obj.target);
+       << objective_kind_name(obj.kind)
+       << "\",\"target\":" << format_fixed(obj.target, 6);
     if (obj.kind == ObjectiveKind::kLatencyQuantile) {
-      os << ",\"threshold_ms\":";
-      write_double(os, obj.threshold_ms);
+      os << ",\"threshold_ms\":" << format_fixed(obj.threshold_ms, 6);
     }
     os << ",\"samples\":" << obj.samples << ",\"good\":" << obj.good
-       << ",\"bad\":" << obj.bad << ",\"compliance\":";
-    write_double(os, obj.compliance);
-    os << ",\"budget_burn\":";
-    write_double(os, obj.budget_burn);
-    os << ",\"met\":" << (obj.met ? "true" : "false") << ",\"burn\":[";
+       << ",\"bad\":" << obj.bad
+       << ",\"compliance\":" << format_fixed(obj.compliance, 6)
+       << ",\"budget_burn\":" << format_fixed(obj.budget_burn, 6)
+       << ",\"met\":" << (obj.met ? "true" : "false") << ",\"burn\":[";
     for (std::size_t j = 0; j < obj.burn.size(); ++j) {
       const auto& rule = obj.burn[j];
       if (j > 0) os << ",";
-      os << "{\"severity\":\"" << rule.severity << "\",\"long_window_ms\":";
-      write_double(os, to_ms(rule.long_window));
-      os << ",\"short_window_ms\":";
-      write_double(os, to_ms(rule.short_window));
-      os << ",\"threshold\":";
-      write_double(os, rule.threshold);
-      os << ",\"peak_burn\":";
-      write_double(os, rule.peak_burn);
-      os << ",\"alerts\":" << rule.alerts << ",\"first_alert_ms\":";
+      os << "{\"severity\":\"" << rule.severity << "\",\"long_window_ms\":"
+         << format_fixed(to_millis(rule.long_window), 6)
+         << ",\"short_window_ms\":"
+         << format_fixed(to_millis(rule.short_window), 6)
+         << ",\"threshold\":" << format_fixed(rule.threshold, 6)
+         << ",\"peak_burn\":" << format_fixed(rule.peak_burn, 6)
+         << ",\"alerts\":" << rule.alerts << ",\"first_alert_ms\":";
       if (rule.first_alert < 0) {
         os << "null";
       } else {
-        write_double(os, to_ms(rule.first_alert));
+        os << format_fixed(to_millis(rule.first_alert), 6);
       }
       os << "}";
     }
@@ -99,13 +83,10 @@ void Report::write_json(std::ostream& os) const {
     const auto& alert = alerts[i];
     if (i > 0) os << ",";
     os << "{\"objective\":\"" << alert.objective << "\",\"severity\":\""
-       << alert.severity << "\",\"at_ms\":";
-    write_double(os, to_ms(alert.at));
-    os << ",\"burn_long\":";
-    write_double(os, alert.burn_long);
-    os << ",\"burn_short\":";
-    write_double(os, alert.burn_short);
-    os << "}";
+       << alert.severity
+       << "\",\"at_ms\":" << format_fixed(to_millis(alert.at), 6)
+       << ",\"burn_long\":" << format_fixed(alert.burn_long, 6)
+       << ",\"burn_short\":" << format_fixed(alert.burn_short, 6) << "}";
   }
   os << "],\"total_alerts\":" << total_alerts() << "}";
 }
@@ -147,7 +128,7 @@ void Monitor::feed(const serve::ReductionService& service) {
       for (const SimTime at : service.shed_times()) record(i, at, false);
     } else {
       for (const auto& rec : service.records()) {
-        record_latency(i, rec.completion, to_ms(rec.latency()));
+        record_latency(i, rec.completion, to_millis(rec.latency()));
       }
     }
   }

@@ -34,7 +34,7 @@ Extent compute_extent(const Figure& figure, const ChartOptions& options) {
     }
   }
   GHS_REQUIRE(std::isfinite(e.min_x), "chart of an empty figure");
-  if (options.y_from_zero) e.min_y = std::min(e.min_y, 0.0);
+  e.min_y = std::min(e.min_y, 0.0);
   if (e.max_y == e.min_y) e.max_y = e.min_y + 1.0;
   if (e.max_x == e.min_x) e.max_x = e.min_x + 1.0;
   return e;

@@ -15,12 +15,11 @@ struct ChartOptions {
   int width = 72;        // plot-area columns
   int height = 20;       // plot-area rows
   bool log_x = false;    // logarithmic x spacing (requires x > 0)
-  bool y_from_zero = true;
 };
 
-/// Renders the figure as an ASCII chart. Series are drawn with the glyphs
-/// 'o', '+', 'x', '*', '#', '@' in order; overlapping points show the
-/// later series' glyph.
+/// Renders the figure as an ASCII chart whose y axis always includes 0.
+/// Series are drawn with the glyphs 'o', '+', 'x', '*', '#', '@' in order;
+/// overlapping points show the later series' glyph.
 void render_chart(const Figure& figure, std::ostream& os,
                   const ChartOptions& options = {});
 

@@ -4,16 +4,11 @@
 #include <string>
 #include <vector>
 
+#include "ghs/util/strings.hpp"
+
 namespace ghs::telemetry {
 
 namespace {
-
-// One snprintf shape per role so output is byte-stable across runs.
-std::string fixed6(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
 
 // Bucket bounds print compact ("0.05", "20"), matching Prometheus's
 // conventional le rendering.
@@ -27,21 +22,6 @@ std::string compact(double value) {
 std::string with_le(const std::string& labels, const std::string& le) {
   if (labels.empty()) return "{le=\"" + le + "\"}";
   return labels.substr(0, labels.size() - 1) + ",le=\"" + le + "\"}";
-}
-
-// Exemplar trace ids render as fixed-width hex, matching trace::id_hex.
-std::string hex16(std::uint64_t id) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(id));
-  return buf;
-}
-
-void write_escaped_json(std::ostream& os, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
 }
 
 }  // namespace
@@ -74,20 +54,19 @@ void write_prometheus(std::ostream& os, const Registry& registry,
            << "\n";
         break;
       case Kind::kGauge:
-        os << view.name << view.labels << " " << fixed6(view.gauge->value())
-           << "\n";
+        os << view.name << view.labels << " "
+           << format_fixed(view.gauge->value(), 6) << "\n";
         break;
       case Kind::kHistogram: {
         const auto& bounds = view.histogram->bounds();
         const auto cumulative = view.histogram->cumulative_counts();
-        const bool exemplars =
-            options.include_exemplars && view.histogram->has_exemplars();
+        const bool exemplars = view.histogram->has_exemplars();
         const auto exemplar_suffix = [&](std::size_t index) {
           if (!exemplars) return std::string{};
           const Exemplar exemplar = view.histogram->exemplar(index);
           if (exemplar.trace_id == 0) return std::string{};
           return " # {trace_id=\"" + hex16(exemplar.trace_id) + "\"} " +
-                 fixed6(exemplar.value);
+                 format_fixed(exemplar.value, 6);
         };
         for (std::size_t i = 0; i < bounds.size(); ++i) {
           os << view.name << "_bucket"
@@ -97,7 +76,7 @@ void write_prometheus(std::ostream& os, const Registry& registry,
         os << view.name << "_bucket" << with_le(view.labels, "+Inf") << " "
            << cumulative.back() << exemplar_suffix(bounds.size()) << "\n";
         os << view.name << "_sum" << view.labels << " "
-           << fixed6(view.histogram->sum()) << "\n";
+           << format_fixed(view.histogram->sum(), 6) << "\n";
         os << view.name << "_count" << view.labels << " "
            << view.histogram->count() << "\n";
         break;
@@ -125,20 +104,20 @@ void write_json_snapshot(std::ostream& os, const Registry& registry,
       if (!first) os << ",";
       first = false;
       os << "\"";
-      write_escaped_json(os, view.name + view.labels);
+      write_json_escaped(os, view.name + view.labels);
       os << "\":";
       switch (kind) {
         case Kind::kCounter:
           os << view.counter->value();
           break;
         case Kind::kGauge:
-          os << fixed6(view.gauge->value());
+          os << format_fixed(view.gauge->value(), 6);
           break;
         case Kind::kHistogram: {
           const auto& bounds = view.histogram->bounds();
           const auto cumulative = view.histogram->cumulative_counts();
           os << "{\"count\":" << view.histogram->count()
-             << ",\"sum\":" << fixed6(view.histogram->sum())
+             << ",\"sum\":" << format_fixed(view.histogram->sum(), 6)
              << ",\"buckets\":{";
           for (std::size_t i = 0; i < bounds.size(); ++i) {
             os << "\"" << compact(bounds[i]) << "\":" << cumulative[i]
@@ -147,7 +126,7 @@ void write_json_snapshot(std::ostream& os, const Registry& registry,
           os << "\"+Inf\":" << cumulative.back() << "}";
           // Exemplars are additive: an exemplar-free histogram keeps the
           // pre-exemplar snapshot bytes.
-          if (options.include_exemplars && view.histogram->has_exemplars()) {
+          if (view.histogram->has_exemplars()) {
             os << ",\"exemplars\":{";
             bool first_exemplar = true;
             for (std::size_t i = 0; i <= bounds.size(); ++i) {
@@ -159,7 +138,8 @@ void write_json_snapshot(std::ostream& os, const Registry& registry,
                  << (i < bounds.size() ? compact(bounds[i])
                                        : std::string("+Inf"))
                  << "\":{\"trace_id\":\"" << hex16(exemplar.trace_id)
-                 << "\",\"value\":" << fixed6(exemplar.value) << "}";
+                 << "\",\"value\":" << format_fixed(exemplar.value, 6)
+                 << "}";
             }
             os << "}";
           }
@@ -184,18 +164,18 @@ stats::Table to_table(const Registry& registry,
         value = std::to_string(view.counter->value());
         break;
       case Kind::kGauge:
-        value = fixed6(view.gauge->value());
+        value = format_fixed(view.gauge->value(), 6);
         break;
       case Kind::kHistogram: {
         const auto* h = view.histogram;
         value = "count=" + std::to_string(h->count());
         if (h->count() > 0) {
           value += " mean=" +
-                   fixed6(h->sum() / static_cast<double>(h->count()));
-          value += " p50=" + fixed6(h->quantile(0.50));
-          value += " p95=" + fixed6(h->quantile(0.95));
-          value += " p99=" + fixed6(h->quantile(0.99));
-          value += " p999=" + fixed6(h->quantile(0.999));
+                   format_fixed(h->sum() / static_cast<double>(h->count()), 6);
+          value += " p50=" + format_fixed(h->quantile(0.50), 6);
+          value += " p95=" + format_fixed(h->quantile(0.95), 6);
+          value += " p99=" + format_fixed(h->quantile(0.99), 6);
+          value += " p999=" + format_fixed(h->quantile(0.999), 6);
         }
         break;
       }

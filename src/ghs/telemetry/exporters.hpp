@@ -22,11 +22,6 @@ namespace ghs::telemetry {
 
 struct ExportOptions {
   bool include_volatile = false;
-  /// Render histogram exemplars (OpenMetrics-style `# {trace_id="..."}`
-  /// suffixes in the text exposition, an "exemplars" object in the JSON
-  /// snapshot). Histograms that never recorded an exemplar emit exactly
-  /// the pre-exemplar bytes regardless of this switch.
-  bool include_exemplars = true;
 };
 
 void write_prometheus(std::ostream& os, const Registry& registry,

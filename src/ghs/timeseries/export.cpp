@@ -1,46 +1,25 @@
 #include "ghs/timeseries/export.hpp"
 
-#include <cstdio>
 #include <string>
+
+#include "ghs/util/strings.hpp"
 
 namespace ghs::timeseries {
 
 namespace {
 
-// One snprintf shape for every double, matching the telemetry exporters.
-std::string fixed6(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
-
-void write_escaped_json(std::ostream& os, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
+/// A rollup's min,mean,max,last, comma-separated.
+void write_rollup_values(std::ostream& os, const Rollup& rollup) {
+  os << format_fixed(rollup.min, 6) << "," << format_fixed(rollup.mean(), 6)
+     << "," << format_fixed(rollup.max, 6) << ","
+     << format_fixed(rollup.last, 6);
 }
 
 void write_rollup_row(std::ostream& os, const Rollup& rollup) {
   os << "[" << rollup.begin << "," << rollup.end << "," << rollup.count
-     << "," << fixed6(rollup.min) << "," << fixed6(rollup.mean()) << ","
-     << fixed6(rollup.max) << "," << fixed6(rollup.last) << "]";
-}
-
-/// Strips the metric name, leaving a short human label: the label block
-/// without braces/quotes ("device=gpu,node=3"), or "" when unlabelled.
-std::string short_labels(const std::string& key) {
-  const auto brace = key.find('{');
-  if (brace == std::string::npos) return {};
-  std::string out;
-  for (std::size_t i = brace + 1; i + 1 < key.size(); ++i) {
-    if (key[i] != '"') out.push_back(key[i]);
-  }
-  return out;
-}
-
-bool starts_with(const std::string& text, const char* prefix) {
-  return text.rfind(prefix, 0) == 0;
+     << ",";
+  write_rollup_values(os, rollup);
+  os << "]";
 }
 
 }  // namespace
@@ -57,18 +36,18 @@ void write_series_json(std::ostream& os, const Tsdb& store,
     if (!first) os << ",";
     first = false;
     os << "\"";
-    write_escaped_json(os, series.key());
+    write_json_escaped(os, series.key());
     os << "\":{\"kind\":\"" << series_kind_name(series.kind())
        << "\",\"points\":" << series.points()
        << ",\"dropped\":" << series.dropped()
-       << ",\"sum\":" << fixed6(series.total_sum())
-       << ",\"dropped_sum\":" << fixed6(series.dropped_sum())
+       << ",\"sum\":" << format_fixed(series.total_sum(), 6)
+       << ",\"dropped_sum\":" << format_fixed(series.dropped_sum(), 6)
        << ",\"samples\":[";
     bool first_sample = true;
     for (const Sample& sample : series.raw()) {
       if (!first_sample) os << ",";
       first_sample = false;
-      os << "[" << sample.at << "," << fixed6(sample.value) << "]";
+      os << "[" << sample.at << "," << format_fixed(sample.value, 6) << "]";
     }
     os << "],\"rollups\":[";
     for (std::size_t tier = 0; tier < series.tiers().size(); ++tier) {
@@ -106,15 +85,15 @@ void write_series_csv(std::ostream& os, const Tsdb& store,
       const std::size_t t = series.tiers().size() - 1 - tier;
       for (const Rollup& rollup : series.tiers()[t]) {
         os << quoted << "," << kind << "," << t + 1 << "," << rollup.begin
-           << "," << rollup.end << "," << rollup.count << ","
-           << fixed6(rollup.min) << "," << fixed6(rollup.mean()) << ","
-           << fixed6(rollup.max) << "," << fixed6(rollup.last) << "\n";
+           << "," << rollup.end << "," << rollup.count << ",";
+        write_rollup_values(os, rollup);
+        os << "\n";
       }
     }
     for (const Sample& sample : series.raw()) {
+      const std::string value = format_fixed(sample.value, 6);
       os << quoted << "," << kind << ",0," << sample.at << "," << sample.at
-         << ",1," << fixed6(sample.value) << "," << fixed6(sample.value)
-         << "," << fixed6(sample.value) << "," << fixed6(sample.value)
+         << ",1," << value << "," << value << "," << value << "," << value
          << "\n";
     }
   });
@@ -127,20 +106,20 @@ std::vector<trace::CounterTrack> counter_tracks(const Tsdb& store,
     const std::string& key = series.key();
     std::string name;
     double scale = 1.0;
-    if (starts_with(key, "ghs_serve_queue_depth")) {
+    if (key.starts_with("ghs_serve_queue_depth")) {
       name = "queue depth";
-    } else if (starts_with(key, "ghs_serve_device_busy_ps_total")) {
+    } else if (key.starts_with("ghs_serve_device_busy_ps_total")) {
       // Busy picoseconds per scrape over the interval = utilization. A
       // launch's whole service time is credited at launch, so a single
       // tick can exceed 1.0; windows average out (docs/OBSERVABILITY.md).
       name = "utilization";
       scale = interval > 0 ? 1.0 / static_cast<double>(interval) : 1.0;
-    } else if (starts_with(key, "ghs_um_resident_bytes")) {
+    } else if (key.starts_with("ghs_um_resident_bytes")) {
       name = "um resident MiB";
       scale = 1.0 / (1024.0 * 1024.0);
-    } else if (starts_with(key, "ghs_serve_breaker_state")) {
+    } else if (key.starts_with("ghs_serve_breaker_state")) {
       name = "breaker state";
-    } else if (starts_with(key, "ghs_membership_node_state")) {
+    } else if (key.starts_with("ghs_membership_node_state")) {
       // 0 alive, 1 suspect, 2 dead, 3 draining, 4 left — a step function
       // that makes crash/detect/rejoin windows visible on the timeline.
       name = "membership state";

@@ -1,8 +1,5 @@
 #include "ghs/timeseries/query.hpp"
 
-#include <vector>
-
-#include "ghs/stats/summary.hpp"
 #include "ghs/util/error.hpp"
 
 namespace ghs::timeseries {
@@ -20,35 +17,6 @@ void SlidingWindow::push(SimTime at, double value) {
     sum_ -= samples_.front().value;
     samples_.pop_front();
   }
-}
-
-double rate_per_sec(const Series& series, SimTime window, SimTime at) {
-  GHS_REQUIRE(window > 0, "rate window must be positive");
-  const SimTime lo = at - window;
-  double total = 0.0;
-  for (const auto& tier : series.tiers()) {
-    for (const Rollup& rollup : tier) {
-      if (rollup.begin > lo && rollup.end <= at) total += rollup.sum;
-    }
-  }
-  for (const Sample& sample : series.raw()) {
-    if (sample.at > lo && sample.at <= at) total += sample.value;
-  }
-  const double seconds = static_cast<double>(window) / 1e12;
-  return total / seconds;
-}
-
-std::optional<double> quantile_over_window(const Series& series, double q,
-                                           SimTime window, SimTime at) {
-  GHS_REQUIRE(q >= 0.0 && q <= 1.0, "quantile " << q << " not in [0,1]");
-  GHS_REQUIRE(window > 0, "quantile window must be positive");
-  const SimTime lo = at - window;
-  std::vector<double> values;
-  for (const Sample& sample : series.raw()) {
-    if (sample.at > lo && sample.at <= at) values.push_back(sample.value);
-  }
-  if (values.empty()) return std::nullopt;
-  return stats::percentile(std::move(values), q);
 }
 
 }  // namespace ghs::timeseries

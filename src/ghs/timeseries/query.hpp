@@ -1,5 +1,4 @@
-// Windowed queries over scraped series, plus the SlidingWindow primitive
-// the slo::Monitor burn-rate sweep runs on.
+// SlidingWindow, the primitive the slo::Monitor burn-rate sweep runs on.
 //
 // SlidingWindow replaces ad-hoc two-pointer bookkeeping: push samples in
 // time order and the window keeps exactly the entries with
@@ -11,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 
 #include "ghs/timeseries/tsdb.hpp"
 
@@ -44,19 +42,5 @@ class SlidingWindow {
   std::deque<Sample> samples_;
   double sum_ = 0.0;
 };
-
-/// Per-second rate of a counter-delta series over (at - window, at]:
-/// raw samples inside the window plus rollups wholly contained in it
-/// (partially overlapping rollups are excluded — by construction they are
-/// older than every raw sample, so this only under-counts when the window
-/// reaches past raw retention). Window is in picoseconds like every
-/// SimTime.
-double rate_per_sec(const Series& series, SimTime window, SimTime at);
-
-/// Quantile (q in [0,1]) of the raw samples in (at - window, at]; nullopt
-/// when the window holds no raw samples. Rollups cannot contribute — a
-/// min/mean/max summary has no distribution to interpolate.
-std::optional<double> quantile_over_window(const Series& series, double q,
-                                           SimTime window, SimTime at);
 
 }  // namespace ghs::timeseries

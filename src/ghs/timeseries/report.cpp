@@ -4,42 +4,24 @@
 #include <cstdio>
 
 #include "ghs/stats/summary.hpp"
+#include "ghs/util/strings.hpp"
 
 namespace ghs::timeseries {
 
 namespace {
 
-std::string fixed6(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
+/// Utilization at or above which a sample saturates. Busy time is
+/// credited at launch, so a sample can exceed 1.0.
+constexpr double kUtilizationThreshold = 0.95;
+/// Share of the queue capacity at which a queue-depth sample saturates.
+constexpr double kQueueThreshold = 0.75;
+/// Consecutive saturated scrapes needed before a window is reported.
+constexpr std::int64_t kMinWindowPoints = 2;
 
-double to_ms(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
-void write_escaped_json(std::ostream& os, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-}
-
-bool starts_with(const std::string& text, const char* prefix) {
-  return text.rfind(prefix, 0) == 0;
-}
-
-/// Human-readable series tag: label block without braces/quotes, or the
-/// bare name when unlabelled.
+/// Human-readable series tag: its short labels, or the bare name when
+/// unlabelled.
 std::string display_name(const std::string& key) {
-  const auto brace = key.find('{');
-  if (brace == std::string::npos) return key;
-  std::string out;
-  for (std::size_t i = brace + 1; i + 1 < key.size(); ++i) {
-    if (key[i] != '"') out.push_back(key[i]);
-  }
-  return out;
+  return key.find('{') == std::string::npos ? key : short_labels(key);
 }
 
 TimelineSeriesStats stats_of(const Series& series, double scale) {
@@ -81,13 +63,12 @@ TimelineSeriesStats stats_of(const Series& series, double scale) {
 }
 
 void find_saturation(const Series& series, double scale, double threshold,
-                     const TimelineOptions& options,
                      std::vector<SaturationWindow>& out) {
   SaturationWindow window;
   window.series = series.key();
   std::int64_t run = 0;
   const auto flush = [&]() {
-    if (run >= options.min_points) out.push_back(window);
+    if (run >= kMinWindowPoints) out.push_back(window);
     run = 0;
     window.peak = 0.0;
   };
@@ -112,10 +93,12 @@ void write_stats_json(std::ostream& os,
     const auto& s = stats[i];
     if (i > 0) os << ",";
     os << "{\"series\":\"";
-    write_escaped_json(os, s.series);
-    os << "\",\"samples\":" << s.samples << ",\"mean\":" << fixed6(s.mean)
-       << ",\"p95\":" << fixed6(s.p95) << ",\"peak\":" << fixed6(s.peak)
-       << ",\"peak_at_ms\":" << fixed6(to_ms(s.peak_at)) << "}";
+    write_json_escaped(os, s.series);
+    os << "\",\"samples\":" << s.samples
+       << ",\"mean\":" << format_fixed(s.mean, 6)
+       << ",\"p95\":" << format_fixed(s.p95, 6)
+       << ",\"peak\":" << format_fixed(s.peak, 6)
+       << ",\"peak_at_ms\":" << format_fixed(to_millis(s.peak_at), 6) << "}";
   }
   os << "]";
 }
@@ -129,22 +112,21 @@ TimelineReport build_timeline(const Tsdb& store,
   const double util_scale =
       options.interval > 0 ? 1.0 / static_cast<double>(options.interval) : 1.0;
   const double queue_limit =
-      options.queue_threshold * static_cast<double>(options.queue_capacity);
+      kQueueThreshold * static_cast<double>(options.queue_capacity);
   store.visit([&](const Series& series) {
-    if (starts_with(series.key(), "ghs_serve_device_busy_ps_total")) {
+    if (series.key().starts_with("ghs_serve_device_busy_ps_total")) {
       report.utilization.push_back(stats_of(series, util_scale));
-      find_saturation(series, util_scale, options.utilization_threshold,
-                      options, report.saturation);
-    } else if (starts_with(series.key(),
-                           "ghs_profile_tenant_busy_ps_total")) {
+      find_saturation(series, util_scale, kUtilizationThreshold,
+                      report.saturation);
+    } else if (series.key().starts_with("ghs_profile_tenant_busy_ps_total")) {
       // Profiler attribution series: busy-ps deltas per tenant, same
       // utilization scaling as the device series (a tenant saturating a
       // device alone reads 1.0). No saturation windows — a hot tenant is
       // not an incident by itself.
       report.utilization.push_back(stats_of(series, util_scale));
-    } else if (starts_with(series.key(), "ghs_serve_queue_depth")) {
+    } else if (series.key().starts_with("ghs_serve_queue_depth")) {
       report.queue_depth.push_back(stats_of(series, 1.0));
-      find_saturation(series, 1.0, queue_limit, options, report.saturation);
+      find_saturation(series, 1.0, queue_limit, report.saturation);
     }
   });
   // Windows currently group by series (store order); present them the way
@@ -158,8 +140,9 @@ TimelineReport build_timeline(const Tsdb& store,
 
 void TimelineReport::write_json(std::ostream& os) const {
   os << "{\"interval_us\":"
-     << fixed6(static_cast<double>(interval) /
-               static_cast<double>(kMicrosecond))
+     << format_fixed(static_cast<double>(interval) /
+                         static_cast<double>(kMicrosecond),
+                     6)
      << ",\"utilization\":";
   write_stats_json(os, utilization);
   os << ",\"queue_depth\":";
@@ -169,10 +152,11 @@ void TimelineReport::write_json(std::ostream& os) const {
     const auto& w = saturation[i];
     if (i > 0) os << ",";
     os << "{\"series\":\"";
-    write_escaped_json(os, w.series);
-    os << "\",\"begin_ms\":" << fixed6(to_ms(w.begin))
-       << ",\"end_ms\":" << fixed6(to_ms(w.end)) << ",\"points\":" << w.points
-       << ",\"peak\":" << fixed6(w.peak) << "}";
+    write_json_escaped(os, w.series);
+    os << "\",\"begin_ms\":" << format_fixed(to_millis(w.begin), 6)
+       << ",\"end_ms\":" << format_fixed(to_millis(w.end), 6)
+       << ",\"points\":" << w.points
+       << ",\"peak\":" << format_fixed(w.peak, 6) << "}";
   }
   os << "]}";
 }
@@ -192,7 +176,7 @@ void TimelineReport::write_table(std::ostream& os) const {
       std::snprintf(buf, sizeof(buf),
                     "  %-6s %-28s mean %8.3f  p95 %8.3f  peak %8.3f @%.3fms\n",
                     what, display_name(s.series).c_str(), s.mean, s.p95,
-                    s.peak, to_ms(s.peak_at));
+                    s.peak, to_millis(s.peak_at));
       os << buf;
     }
   };
@@ -202,8 +186,9 @@ void TimelineReport::write_table(std::ostream& os) const {
     std::snprintf(buf, sizeof(buf),
                   "  SATURATED %-28s [%.3fms, %.3fms] %lld scrape(s) peak "
                   "%.3f\n",
-                  display_name(w.series).c_str(), to_ms(w.begin), to_ms(w.end),
-                  static_cast<long long>(w.points), w.peak);
+                  display_name(w.series).c_str(), to_millis(w.begin),
+                  to_millis(w.end), static_cast<long long>(w.points),
+                  w.peak);
     os << buf;
   }
 }

@@ -20,18 +20,13 @@
 
 namespace ghs::timeseries {
 
+/// A utilization sample of at least 0.95, or a queue-depth sample of at
+/// least 3/4 of `queue_capacity`, is saturated; two or more consecutive
+/// saturated scrapes make a window.
 struct TimelineOptions {
   /// The scrape interval (converts busy-ps deltas to utilization).
   SimTime interval = kMillisecond;
-  /// A utilization sample at or above this is saturated. Busy time is
-  /// credited at launch, so values can exceed 1.0.
-  double utilization_threshold = 0.95;
-  /// A queue-depth sample at or above this fraction of queue_capacity is
-  /// saturated.
-  double queue_threshold = 0.75;
   std::size_t queue_capacity = 64;
-  /// Consecutive saturated scrapes needed before a window is reported.
-  std::int64_t min_points = 2;
 };
 
 /// Over-time statistics for one series (already scaled: utilization in
@@ -47,7 +42,7 @@ struct TimelineSeriesStats {
   SimTime peak_at = 0;
 };
 
-/// One maximal run of >= min_points consecutive saturated scrapes.
+/// One maximal run of two or more consecutive saturated scrapes.
 struct SaturationWindow {
   std::string series;
   SimTime begin = 0;  // first saturated scrape instant

@@ -1,28 +1,26 @@
 #include "ghs/timeseries/scraper.hpp"
 
-#include <cstdio>
-
 #include "ghs/stats/summary.hpp"
 #include "ghs/util/error.hpp"
 
 namespace ghs::timeseries {
 
+namespace {
+
+/// Windowed histogram quantiles and the series-key suffix of each.
+struct WindowQuantile {
+  double q;
+  const char* suffix;
+};
+constexpr WindowQuantile kWindowQuantiles[] = {
+    {0.5, ":p50"}, {0.95, ":p95"}, {0.99, ":p99"}};
+
+}  // namespace
+
 Scraper::Scraper(sim::Simulator& sim, const telemetry::Registry& registry,
                  Tsdb& store, ScraperOptions options)
-    : sim_(sim), registry_(registry), store_(store),
-      options_(std::move(options)) {
+    : sim_(sim), registry_(registry), store_(store), options_(options) {
   GHS_REQUIRE(options_.interval > 0, "scrape interval must be positive");
-  for (const double q : options_.quantiles) {
-    GHS_REQUIRE(q > 0.0 && q < 1.0, "scrape quantile " << q << " not in (0,1)");
-  }
-}
-
-std::string Scraper::quantile_suffix(double q) {
-  // 0.5 -> ":p50", 0.999 -> ":p99.9"; %g keeps the suffix free of
-  // trailing zeros so keys are stable however the quantile is spelled.
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), ":p%g", q * 100.0);
-  return buf;
 }
 
 void Scraper::start() {
@@ -32,7 +30,6 @@ void Scraper::start() {
   // totals from a previous run on the same registry contribute only their
   // future increments.
   visit_registry(/*emit=*/false);
-  last_sample_at_ = sim_.now();
   sim_.schedule_after(options_.interval, [this] { on_tick(); });
 }
 
@@ -57,15 +54,12 @@ void Scraper::finish() {
   sample();
 }
 
-void Scraper::sample() {
-  visit_registry(/*emit=*/true);
-  last_sample_at_ = sim_.now();
-}
+void Scraper::sample() { visit_registry(/*emit=*/true); }
 
 void Scraper::visit_registry(bool emit) {
   const SimTime at = sim_.now();
   registry_.visit([&](const telemetry::Registry::View& view) {
-    if (options_.skip_volatile && view.volatile_instrument) return;
+    if (view.volatile_instrument) return;
     const std::string key = view.name + view.labels;
     switch (view.kind) {
       case telemetry::Kind::kCounter: {
@@ -109,8 +103,8 @@ void Scraper::visit_registry(bool emit) {
             for (std::size_t i = 0; i < cumulative.size(); ++i) {
               delta[i] = cumulative[i] - cursor.cumulative[i];
             }
-            for (const double q : options_.quantiles) {
-              store_.series(key + quantile_suffix(q), SeriesKind::kQuantile)
+            for (const auto& [q, suffix] : kWindowQuantiles) {
+              store_.series(key + suffix, SeriesKind::kQuantile)
                   .append(at,
                           stats::histogram_quantile(hist.bounds(), delta, q));
             }

@@ -33,16 +33,13 @@
 
 namespace ghs::timeseries {
 
+/// Volatile instruments (wall-clock gauges) are never scraped, keeping
+/// same-seed series files byte-identical. Each histogram also yields its
+/// p50, p95 and p99 over every scrape interval that saw observations
+/// (series keys suffixed ":p50", ":p95", ":p99").
 struct ScraperOptions {
   /// Simulated time between scrapes.
   SimTime interval = kMillisecond;
-  /// Windowed quantiles derived per histogram from the bucket deltas of
-  /// each scrape interval (series key gets a ":p<q*100>" suffix). Only
-  /// intervals that saw observations emit quantile samples.
-  std::vector<double> quantiles = {0.5, 0.95, 0.99};
-  /// Skip volatile instruments (wall-clock gauges), keeping same-seed
-  /// series files byte-identical.
-  bool skip_volatile = true;
 };
 
 class Scraper {
@@ -64,12 +61,10 @@ class Scraper {
 
   std::int64_t scrapes() const { return scrapes_; }
   SimTime interval() const { return options_.interval; }
-  SimTime last_sample_at() const { return last_sample_at_; }
 
  private:
   void on_tick();
   void visit_registry(bool emit);
-  static std::string quantile_suffix(double q);
 
   struct HistCursor {
     std::vector<std::int64_t> cumulative;
@@ -84,7 +79,6 @@ class Scraper {
   std::map<std::string, std::int64_t> counter_cursor_;
   std::map<std::string, HistCursor> hist_cursor_;
   std::int64_t scrapes_ = 0;
-  SimTime last_sample_at_ = -1;
   bool started_ = false;
 };
 

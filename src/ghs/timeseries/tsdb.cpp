@@ -47,6 +47,16 @@ const char* series_kind_name(SeriesKind kind) {
   return "unknown";
 }
 
+std::string short_labels(const std::string& key) {
+  const auto brace = key.find('{');
+  if (brace == std::string::npos) return {};
+  std::string out;
+  for (std::size_t i = brace + 1; i + 1 < key.size(); ++i) {
+    if (key[i] != '"') out.push_back(key[i]);
+  }
+  return out;
+}
+
 Series::Series(std::string key, SeriesKind kind, const TsdbOptions& options)
     : key_(std::move(key)), kind_(kind), options_(options) {
   tiers_.resize(options.tiers);

@@ -62,6 +62,10 @@ enum class SeriesKind : std::uint8_t {
 
 const char* series_kind_name(SeriesKind kind);
 
+/// The label block of a series key without braces or quotes
+/// ("device=gpu,node=3"), or "" for an unlabelled key.
+std::string short_labels(const std::string& key);
+
 struct TsdbOptions {
   /// Raw samples kept per series before folding begins.
   std::size_t raw_capacity = 512;
@@ -99,7 +103,6 @@ class Series {
 
   /// Last appended value (0 when empty) — the "current" reading.
   double last_value() const;
-  SimTime last_at() const { return last_at_; }
 
  private:
   void fold_raw();

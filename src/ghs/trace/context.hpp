@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace ghs::trace {
 
@@ -34,9 +33,5 @@ struct Context {
 /// of key+1, nudged away from 0 so a valid context is never mistaken for
 /// an absent one.
 std::uint64_t derive_trace_id(std::int64_t key);
-
-/// Fixed-width lowercase hex rendering ("00c0ffee00c0ffee"), the form the
-/// exporters embed in exemplars and trace args.
-std::string id_hex(std::uint64_t id);
 
 }  // namespace ghs::trace

@@ -1,7 +1,5 @@
 #include "ghs/trace/tracer.hpp"
 
-#include <cstdio>
-
 #include "ghs/util/error.hpp"
 #include "ghs/util/rng.hpp"
 
@@ -11,13 +9,6 @@ std::uint64_t derive_trace_id(std::int64_t key) {
   std::uint64_t state = static_cast<std::uint64_t>(key) + 1;
   const std::uint64_t id = splitmix64(state);
   return id == 0 ? 1 : id;
-}
-
-std::string id_hex(std::uint64_t id) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(id));
-  return buf;
 }
 
 const char* track_name(Track track) {
@@ -119,100 +110,6 @@ void Tracer::clear() {
   instant_next_ = 0;
   dropped_spans_ = 0;
   dropped_instants_ = 0;
-}
-
-namespace {
-
-void write_escaped(std::ostream& os, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\b':
-        os << "\\b";
-        break;
-      case '\f':
-        os << "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // Remaining control characters have no short escape; \uXXXX keeps
-          // the byte instead of silently replacing it.
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-// Chrome trace timestamps are microseconds; export simulated picoseconds
-// as fractional microseconds (1 ps = 1e-6 us) to keep full resolution.
-double to_trace_us(SimTime t) { return static_cast<double>(t) * 1e-6; }
-
-}  // namespace
-
-void Tracer::write_chrome_json(std::ostream& os) const {
-  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit_common = [&](Track track, const std::string& name,
-                               const char* phase, double ts) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"pid\":1,\"tid\":" << static_cast<int>(track) << ",\"ph\":\""
-       << phase << "\",\"ts\":" << ts << ",\"name\":\"";
-    write_escaped(os, name);
-    os << "\"";
-  };
-  // Thread-name metadata so the viewer labels the tracks.
-  for (int t = 0; t <= static_cast<int>(kLastTrack); ++t) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"pid\":1,\"tid\":" << t
-       << ",\"ph\":\"M\",\"name\":\"thread_name\",\"args\":{\"name\":\""
-       << track_name(static_cast<Track>(t)) << "\"}}";
-  }
-  for (const auto& span : spans()) {
-    emit_common(span.track, span.name, "X", to_trace_us(span.begin));
-    os << ",\"dur\":" << to_trace_us(span.end - span.begin);
-    if (!span.detail.empty()) {
-      os << ",\"args\":{\"detail\":\"";
-      write_escaped(os, span.detail);
-      os << "\"}";
-    }
-    os << "}";
-  }
-  for (const auto& instant : instants()) {
-    emit_common(instant.track, instant.name, "i", to_trace_us(instant.at));
-    os << ",\"s\":\"t\"}";
-  }
-  os << "]";
-  // Sampling metadata appears only when a sampler is active, so rate-1.0
-  // output stays byte-identical to unsampled output.
-  if (sampler_active()) {
-    char rate_buf[32];
-    std::snprintf(rate_buf, sizeof(rate_buf), "%.6f", sample_rate());
-    os << ",\"sampling\":{\"rate\":" << rate_buf
-       << ",\"seed\":" << sampler_seed()
-       << ",\"dropped_by_sampler\":" << dropped_by_sampler() << "}";
-  }
-  os << "}";
 }
 
 }  // namespace ghs::trace

@@ -1,7 +1,7 @@
 // Execution tracing: devices and the UM driver record spans (kernels,
 // waves, CPU reductions, migrations, co-execution regions) against
-// simulated time; the recorder exports Chrome trace-event JSON
-// (chrome://tracing / Perfetto) so a run's timeline can be inspected
+// simulated time; ChromeTraceExporter writes them as Chrome trace-event
+// JSON (chrome://tracing / Perfetto) so a run's timeline can be inspected
 // visually — the closest simulator analogue of an Nsight Systems capture.
 //
 // Tracing is opt-in: devices hold a Tracer pointer that is null by default,
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -128,12 +127,6 @@ class Tracer {
   /// Entries lost to the ring bound, spans + instants.
   std::int64_t dropped_total() const { return dropped_spans_ + dropped_instants_; }
   void clear();
-
-  /// Writes Chrome trace-event JSON (the "traceEvents" array format).
-  /// Simulated picoseconds are exported as microseconds scaled by 1e-6 so
-  /// nanosecond-scale events stay visible in the viewer. For the richer
-  /// per-device export with flow events, see ChromeTraceExporter.
-  void write_chrome_json(std::ostream& os) const;
 
  private:
   bool decide(std::uint64_t trace_id) const;

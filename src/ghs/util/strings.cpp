@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdio>
+#include <ostream>
 
 #include "ghs/util/error.hpp"
 
@@ -36,6 +37,50 @@ std::string format_fixed(double value, int decimals) {
   std::array<char, 64> buf{};
   std::snprintf(buf.data(), buf.size(), "%.*f", decimals, value);
   return std::string(buf.data());
+}
+
+std::string hex16(std::uint64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
+void write_json_escaped(std::ostream& os, const std::string& text) {
+  for (char c : text) {
+    switch (c) {
+      case '"':
+        os << "\\\"";
+        break;
+      case '\\':
+        os << "\\\\";
+        break;
+      case '\n':
+        os << "\\n";
+        break;
+      case '\t':
+        os << "\\t";
+        break;
+      case '\r':
+        os << "\\r";
+        break;
+      case '\b':
+        os << "\\b";
+        break;
+      case '\f':
+        os << "\\f";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          os << buf;
+        } else {
+          os << c;
+        }
+    }
+  }
 }
 
 std::string pad_left(const std::string& text, std::size_t width) {

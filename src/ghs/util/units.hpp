@@ -28,6 +28,11 @@ constexpr double to_seconds(SimTime t) {
   return static_cast<double>(t) / static_cast<double>(kSecond);
 }
 
+/// Converts simulated picoseconds to milliseconds (for reporting only).
+constexpr double to_millis(SimTime t) {
+  return static_cast<double>(t) / static_cast<double>(kMillisecond);
+}
+
 /// Converts seconds to simulated picoseconds, rounding to nearest.
 inline SimTime from_seconds(double s) {
   GHS_REQUIRE(s >= 0.0 && std::isfinite(s), "seconds=" << s);

@@ -98,7 +98,6 @@ TEST(Membership, CrashWithRestartRejoinsThroughTheDetector) {
   options.crash_plan = fault::parse_crash_plan("1@300us:2ms");
   options.health.enabled = true;
   options.health.interval = 100 * kMicrosecond;
-  options.health.rejoin_delay = 200 * kMicrosecond;
   // Long tail of arrivals so the fleet is still busy past the rejoin.
   const ClusterReport report = run_fleet(options, 1200, 120000.0);
   check_invariant(report);
@@ -137,10 +136,10 @@ TEST(Membership, ProgrammaticDrainBeforeTrafficEmptiesTheNode) {
   ClusterOptions options;
   options.nodes = 3;
   options.router = RouterPolicy::kLeast;
-  options.enable_membership = true;  // no schedule: caller-driven drain
+  // Scheduled at t = 0, so it runs before the first arrival.
+  options.drains.push_back(DrainSpec{1, 0});
   serve::ServiceModel model;
   Cluster fleet(model, options);
-  fleet.drain(1);
   fleet.submit_all(fleet_workload(42, 200, 150000.0));
   fleet.run();
   const ClusterReport report = fleet.report();

@@ -21,17 +21,10 @@ serve::Job tenant_job(std::int64_t tenant) {
 
 TEST(RouterPolicy, ParseAndNameRoundTrip) {
   for (const auto policy :
-       {RouterPolicy::kPassthrough, RouterPolicy::kHash, RouterPolicy::kLeast,
-        RouterPolicy::kP2c}) {
+       {RouterPolicy::kHash, RouterPolicy::kLeast, RouterPolicy::kP2c}) {
     EXPECT_EQ(parse_router_policy(router_policy_name(policy)), policy);
   }
   EXPECT_THROW(parse_router_policy("round-robin"), Error);
-}
-
-TEST(Router, PassthroughAlwaysPicksNodeZero) {
-  Router router(RouterPolicy::kPassthrough, 1);
-  const std::vector<std::size_t> loads = {5};
-  EXPECT_EQ(router.pick(tenant_job(3), loads), 0);
 }
 
 TEST(Router, HashIsTenantStickyAndLoadBlind) {
@@ -52,12 +45,6 @@ TEST(Router, LeastPicksArgminLowestIndexOnTies) {
   Router router(RouterPolicy::kLeast, 1);
   EXPECT_EQ(router.pick(tenant_job(0), {3, 1, 2, 1}), 1);
   EXPECT_EQ(router.pick(tenant_job(0), {2, 2, 2}), 0);
-}
-
-TEST(Router, LeastLoadedExceptSkipsTheExcludedNode) {
-  EXPECT_EQ(Router::least_loaded_except({0, 5, 7}, 0), 1);
-  EXPECT_EQ(Router::least_loaded_except({9, 5, 7}, 1), 2);
-  EXPECT_EQ(Router::least_loaded_except({1, 1, 1}, 0), 1);
 }
 
 TEST(Router, P2cIsDeterministicAtASeed) {

@@ -40,15 +40,16 @@ TEST(TunerTest, UsesFarFewerProbesThanTheSweep) {
 }
 
 TEST(TunerTest, RespectsBounds) {
-  TunerOptions options = fast_options();
-  options.max_teams = 1024;
-  options.max_v = 4;
-  const auto tuned = tune_reduction(CaseId::kC3, options);
+  const auto tuned = tune_reduction(CaseId::kC3, fast_options());
   for (const auto& probe : tuned.probes) {
-    EXPECT_LE(probe.tuning.teams, 1024);
-    EXPECT_LE(probe.tuning.v, 4);
-    EXPECT_GE(probe.tuning.teams, options.min_teams);
+    EXPECT_GE(probe.tuning.teams, 128);
+    EXPECT_LE(probe.tuning.teams, 65536);
     EXPECT_TRUE(is_pow2(probe.tuning.teams));
+    EXPECT_GE(probe.tuning.v, 1);
+    EXPECT_LE(probe.tuning.v, 32);
+    EXPECT_TRUE(is_pow2(probe.tuning.v));
+    EXPECT_EQ(probe.tuning.teams % probe.tuning.v, 0);
+    EXPECT_EQ(probe.tuning.thread_limit, 256);
   }
 }
 
@@ -67,16 +68,6 @@ TEST(TunerTest, BestIsMaxOverProbes) {
     max_seen = std::max(max_seen, probe.gbps);
   }
   EXPECT_DOUBLE_EQ(tuned.best_gbps, max_seen);
-}
-
-TEST(TunerTest, ThreadLimitTuningStaysInBounds) {
-  TunerOptions options = fast_options();
-  options.tune_thread_limit = true;
-  const auto tuned = tune_reduction(CaseId::kC1, options);
-  for (const auto& probe : tuned.probes) {
-    EXPECT_GE(probe.tuning.thread_limit, options.min_thread_limit);
-    EXPECT_LE(probe.tuning.thread_limit, options.max_thread_limit);
-  }
 }
 
 TEST(TunerTest, InvalidSeedsRejected) {

@@ -25,7 +25,6 @@ struct Fixture {
     HealthOptions o;
     o.enabled = true;
     o.interval = 100 * kMicrosecond;
-    o.rejoin_delay = 200 * kMicrosecond;
     return o;
   }
 
@@ -82,8 +81,8 @@ TEST(HealthMonitor, ResumedHeartbeatsRejoinAfterWarmup) {
   const auto& rejoin = f.table.log()[2];
   EXPECT_EQ(rejoin.from, NodeState::kDead);
   EXPECT_EQ(rejoin.to, NodeState::kAlive);
-  // The node must show rejoin_delay of continuous health first.
-  EXPECT_GE(rejoin.at, restart + f.options().rejoin_delay);
+  // The node must show kRejoinDelay of continuous health first.
+  EXPECT_GE(rejoin.at, restart + kRejoinDelay);
   EXPECT_EQ(rejoin.reason, "rejoined after warm-up");
   EXPECT_DOUBLE_EQ(monitor.phi(1), 0.0);
 }

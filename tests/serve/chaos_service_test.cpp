@@ -129,7 +129,7 @@ TEST(ChaosServiceTest, RetryBudgetExhaustionShedsInsteadOfLooping) {
   EXPECT_EQ(report.served, 0);
   EXPECT_EQ(report.shed, 5);
   EXPECT_EQ(service.shed_jobs().size(), 5u);
-  // max_attempts = 4: each job burns 3 retries before it is shed.
+  // kMaxAttempts = 4: each job burns 3 retries before it is shed.
   EXPECT_EQ(report.retries, 15);
   EXPECT_EQ(report.submitted, report.served + report.rejected + report.shed);
 }

@@ -20,6 +20,7 @@
 #include "ghs/serve/service.hpp"
 #include "ghs/telemetry/exporters.hpp"
 #include "ghs/telemetry/registry.hpp"
+#include "ghs/trace/chrome_exporter.hpp"
 #include "ghs/trace/tracer.hpp"
 #include "ghs/util/rng.hpp"
 
@@ -161,7 +162,7 @@ std::pair<std::string, std::string> traced_run(double rate) {
   std::ostringstream report;
   service.report().write_json(report);
   std::ostringstream trace_json;
-  tracer.write_chrome_json(trace_json);
+  trace::ChromeTraceExporter(tracer).write(trace_json);
   return {report.str(), trace_json.str()};
 }
 
@@ -175,7 +176,7 @@ TEST(SamplerEquivalenceTest, RateOneIsByteIdenticalToNoSampler) {
   service.submit_all(open_loop_poisson(small_workload(42)));
   service.run();
   std::ostringstream plain_trace;
-  plain.write_chrome_json(plain_trace);
+  trace::ChromeTraceExporter(plain).write(plain_trace);
 
   const auto [report, sampled_trace] = traced_run(1.0);
   EXPECT_EQ(sampled_trace, plain_trace.str());

@@ -7,6 +7,7 @@
 
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/serve/policy.hpp"
+#include "ghs/trace/chrome_exporter.hpp"
 
 namespace ghs::serve {
 namespace {
@@ -60,9 +61,7 @@ TEST(ReductionServiceTest, BackpressureRejectsBeyondQueueDepth) {
 
 TEST(ReductionServiceTest, BatchesSmallSameCaseJobsIntoOneLaunch) {
   ServiceModel model;
-  ServiceOptions options;
-  options.batching.max_jobs = 4;
-  ReductionService service(std::make_unique<FifoPolicy>(), model, options);
+  ReductionService service(std::make_unique<FifoPolicy>(), model);
   // One blocker so the burst is queued when the GPU frees.
   service.submit(job(0, workload::CaseId::kC4, 1 << 22, 0));
   for (JobId id = 1; id <= 4; ++id) {
@@ -85,6 +84,20 @@ TEST(ReductionServiceTest, BatchesSmallSameCaseJobsIntoOneLaunch) {
     EXPECT_EQ(record.launch_id, batch_launch);
     EXPECT_EQ(record.completion, completion);
   }
+}
+
+TEST(ReductionServiceTest, BatchStopsAtEightJobs) {
+  ServiceModel model;
+  ReductionService service(std::make_unique<FifoPolicy>(), model);
+  service.submit(job(0, workload::CaseId::kC4, 1 << 22, 0));
+  for (JobId id = 1; id <= 9; ++id) {
+    service.submit(job(id, workload::CaseId::kC3, 1 << 14, 1));
+  }
+  service.run();
+  const auto& stats = service.pool().stats();
+  EXPECT_EQ(stats.launches, 3);  // blocker, a batch of 8, the ninth alone
+  EXPECT_EQ(stats.multi_job_launches, 1);
+  EXPECT_EQ(stats.batched_jobs, 8);
 }
 
 TEST(ReductionServiceTest, BatchingOffLaunchesIndividually) {
@@ -168,19 +181,8 @@ TEST(ReductionServiceTest, ServerSpansLandOnTheServerTrack) {
   EXPECT_EQ(server_spans, 3u);  // blocker + 2 queued launches
   EXPECT_EQ(reject_marks, 3u);
   std::ostringstream json;
-  tracer.write_chrome_json(json);
+  trace::ChromeTraceExporter(tracer).write(json);
   EXPECT_NE(json.str().find("Reduction service"), std::string::npos);
-}
-
-TEST(ReductionServiceTest, LatencySeriesMatchesRecords) {
-  ServiceModel model;
-  ReductionService service(std::make_unique<FifoPolicy>(), model);
-  for (JobId id = 0; id < 3; ++id) {
-    service.submit(job(id, workload::CaseId::kC1, 1 << 16,
-                       id * kMicrosecond));
-  }
-  service.run();
-  EXPECT_EQ(service.latency_series().points().size(), 3u);
 }
 
 TEST(ReductionServiceTest, LatencyStatsDegradeGracefullyOnTinySeries) {

@@ -101,19 +101,6 @@ TEST(ExemplarsTest, ExemplarFreeOutputIsByteIdenticalToPlainObserve) {
   }
 }
 
-TEST(ExemplarsTest, IncludeExemplarsOptionStripsThem) {
-  Registry registry;
-  registry.histogram("h_ms", {1.0}).observe_exemplar(0.5, 0xf);
-  ExportOptions options;
-  options.include_exemplars = false;
-  std::ostringstream prom;
-  write_prometheus(prom, registry, options);
-  EXPECT_EQ(prom.str().find("trace_id"), std::string::npos);
-  std::ostringstream json;
-  write_json_snapshot(json, registry, options);
-  EXPECT_EQ(json.str().find("exemplars"), std::string::npos);
-}
-
 TEST(ExemplarsTest, ExemplarIndexOutOfRangeThrows) {
   Registry registry;
   Histogram& h = registry.histogram("h_ms", {1.0});

@@ -183,50 +183,6 @@ TEST(SlidingWindowTest, MeanOfWindowedValues) {
   EXPECT_DOUBLE_EQ(window.mean(), 6.0);
 }
 
-TEST(QueryTest, RatePerSecSumsWindowedDeltas) {
-  Tsdb store;
-  Series& series = store.series("c", SeriesKind::kCounterDelta);
-  // 5 scrapes, 100 events each, 1ms apart: steady 100k events/sec.
-  for (int i = 1; i <= 5; ++i) {
-    series.append(i * kMillisecond, 100.0);
-  }
-  EXPECT_DOUBLE_EQ(rate_per_sec(series, 5 * kMillisecond, 5 * kMillisecond),
-                   100000.0);
-  // A 2ms window at t=5ms sees only the last two scrapes.
-  EXPECT_DOUBLE_EQ(rate_per_sec(series, 2 * kMillisecond, 5 * kMillisecond),
-                   100000.0);
-}
-
-TEST(QueryTest, RateIncludesWhollyContainedRollups) {
-  TsdbOptions options = tiny_options();
-  Tsdb store(options);
-  Series& series = store.series("c", SeriesKind::kCounterDelta);
-  for (int i = 1; i <= 20; ++i) {
-    series.append(i * kMicrosecond, 1.0);
-  }
-  // 20 deltas of 1 over 20us: a window covering everything sees all of it,
-  // rollups included.
-  const double rate =
-      rate_per_sec(series, 20 * kMicrosecond, 20 * kMicrosecond);
-  EXPECT_DOUBLE_EQ(rate, 20.0 / (20e-6));
-}
-
-TEST(QueryTest, QuantileOverWindow) {
-  Tsdb store;
-  Series& series = store.series("g", SeriesKind::kGauge);
-  for (int i = 1; i <= 100; ++i) {
-    series.append(i * kMicrosecond, static_cast<double>(i));
-  }
-  const auto p50 =
-      quantile_over_window(series, 0.5, 100 * kMicrosecond,
-                           100 * kMicrosecond);
-  ASSERT_TRUE(p50.has_value());
-  EXPECT_NEAR(*p50, 50.5, 1.0);
-  // An empty window yields no quantile.
-  EXPECT_FALSE(quantile_over_window(series, 0.5, kMicrosecond, 0)
-                   .has_value());
-}
-
 TEST(ExportTest, JsonIsByteStableAndRoundTripsCounts) {
   const auto build = [] {
     Tsdb store(tiny_options());

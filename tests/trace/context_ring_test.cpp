@@ -2,6 +2,7 @@
 
 #include "ghs/trace/context.hpp"
 #include "ghs/trace/tracer.hpp"
+#include "ghs/util/strings.hpp"
 
 namespace ghs::trace {
 namespace {
@@ -32,8 +33,8 @@ TEST(ContextTest, DerivedTraceIdsAreDeterministicAndNonZero) {
 }
 
 TEST(ContextTest, IdHexIsSixteenLowercaseDigits) {
-  EXPECT_EQ(id_hex(0x1), "0000000000000001");
-  EXPECT_EQ(id_hex(0xdeadbeefcafef00dULL), "deadbeefcafef00d");
+  EXPECT_EQ(hex16(0x1), "0000000000000001");
+  EXPECT_EQ(hex16(0xdeadbeefcafef00dULL), "deadbeefcafef00d");
 }
 
 TEST(TracerRingTest, DropsOldestBeyondCapacity) {

@@ -5,10 +5,17 @@
 #include <sstream>
 
 #include "ghs/core/reduce.hpp"
+#include "ghs/trace/chrome_exporter.hpp"
 #include "ghs/util/error.hpp"
 
 namespace ghs::trace {
 namespace {
+
+std::string export_json(const Tracer& tracer) {
+  std::ostringstream os;
+  ChromeTraceExporter(tracer).write(os);
+  return os.str();
+}
 
 TEST(TracerTest, RecordsSpansAndInstants) {
   Tracer tracer;
@@ -46,9 +53,7 @@ TEST(TracerTest, ServerTrackIsNamedAndExported) {
   EXPECT_STREQ(track_name(Track::kServer), "Reduction service");
   Tracer tracer;
   tracer.record(Track::kServer, "C1 x4 @GPU", 0, 100);
-  std::ostringstream oss;
-  tracer.write_chrome_json(oss);
-  const std::string json = oss.str();
+  const std::string json = export_json(tracer);
   EXPECT_NE(json.find("Reduction service"), std::string::npos);
   EXPECT_NE(json.find("C1 x4 @GPU"), std::string::npos);
 }
@@ -64,9 +69,7 @@ TEST(TracerTest, ChromeJsonIsWellFormed) {
   Tracer tracer;
   tracer.record(Track::kGpu, "kernel", 1000, 3000, "grid=16");
   tracer.mark(Track::kRuntime, "update", 500);
-  std::ostringstream oss;
-  tracer.write_chrome_json(oss);
-  const std::string json = oss.str();
+  const std::string json = export_json(tracer);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
@@ -90,9 +93,7 @@ TEST(TracerTest, ChromeJsonIsWellFormed) {
 TEST(TracerTest, JsonEscapesSpecialCharacters) {
   Tracer tracer;
   tracer.record(Track::kGpu, "with \"quote\" and \\slash", 0, 1);
-  std::ostringstream oss;
-  tracer.write_chrome_json(oss);
-  EXPECT_NE(oss.str().find("with \\\"quote\\\" and \\\\slash"),
+  EXPECT_NE(export_json(tracer).find("with \\\"quote\\\" and \\\\slash"),
             std::string::npos);
 }
 
@@ -103,9 +104,7 @@ TEST(TracerTest, JsonEscapesHostileSpanNames) {
   Tracer tracer;
   tracer.record(Track::kServer, "evil\t\"name\"\nwith\\stuff\x01", 0, 1,
                 "detail\rwith\fcontrols\b");
-  std::ostringstream oss;
-  tracer.write_chrome_json(oss);
-  const std::string json = oss.str();
+  const std::string json = export_json(tracer);
   EXPECT_NE(
       json.find("evil\\t\\\"name\\\"\\nwith\\\\stuff\\u0001"),
       std::string::npos);
@@ -252,9 +251,7 @@ TEST(TracerSamplerTest, RateOneJsonIsByteIdenticalToUnsampled) {
     tracer.record(Track::kJobs, "span", 0, 100, "d",
                   Context{derive_trace_id(3), 1, 0});
     tracer.mark(Track::kRuntime, "m", 50);
-    std::ostringstream os;
-    tracer.write_chrome_json(os);
-    return os.str();
+    return export_json(tracer);
   };
   Tracer plain;
   Tracer sampled;
@@ -266,9 +263,7 @@ TEST(TracerSamplerTest, ActiveSamplerIsVisibleInJson) {
   Tracer tracer;
   tracer.set_sampler(SamplerOptions{0.25, 5});
   tracer.record(Track::kGpu, "kernel", 0, 10);
-  std::ostringstream os;
-  tracer.write_chrome_json(os);
-  const std::string json = os.str();
+  const std::string json = export_json(tracer);
   EXPECT_NE(json.find("\"sampling\":{\"rate\":0.250000,\"seed\":5"),
             std::string::npos);
   EXPECT_NE(json.find("\"dropped_by_sampler\":0"), std::string::npos);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "ghs/util/error.hpp"
 
 namespace ghs {
@@ -46,6 +48,47 @@ TEST(StringsTest, FormatFixed) {
 TEST(StringsTest, FormatFixedRejectsBadDecimals) {
   EXPECT_THROW(format_fixed(1.0, -1), Error);
   EXPECT_THROW(format_fixed(1.0, 13), Error);
+}
+
+std::string json_escaped(const std::string& text) {
+  std::ostringstream os;
+  write_json_escaped(os, text);
+  return os.str();
+}
+
+TEST(StringsTest, JsonEscapesQuoteAndBackslash) {
+  EXPECT_EQ(json_escaped("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json_escaped("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escaped("plain text {}[]:,"), "plain text {}[]:,");
+}
+
+TEST(StringsTest, JsonEscapesEveryControlByte) {
+  const char* hex = "0123456789abcdef";
+  for (int c = 0; c < 0x20; ++c) {
+    std::string expected;
+    switch (c) {
+      case '\b':
+        expected = "\\b";
+        break;
+      case '\t':
+        expected = "\\t";
+        break;
+      case '\n':
+        expected = "\\n";
+        break;
+      case '\f':
+        expected = "\\f";
+        break;
+      case '\r':
+        expected = "\\r";
+        break;
+      default:
+        expected = std::string("\\u00") + hex[c >> 4] + hex[c & 0xf];
+    }
+    EXPECT_EQ(json_escaped(std::string(1, static_cast<char>(c))), expected)
+        << "byte " << c;
+  }
+  EXPECT_EQ(json_escaped(std::string(1, '\x20')), " ");
 }
 
 TEST(StringsTest, PadLeft) {

@@ -19,6 +19,14 @@ TEST(UnitsTest, SecondsRoundTrip) {
   EXPECT_EQ(from_seconds(0.0), 0);
 }
 
+TEST(UnitsTest, Millis) {
+  EXPECT_DOUBLE_EQ(to_millis(kMillisecond), 1.0);
+  EXPECT_DOUBLE_EQ(to_millis(1500 * kMicrosecond), 1.5);
+  EXPECT_DOUBLE_EQ(to_millis(kSecond), 1000.0);
+  EXPECT_DOUBLE_EQ(to_millis(kPicosecond), 1e-9);
+  EXPECT_DOUBLE_EQ(to_millis(0), 0.0);
+}
+
 TEST(UnitsTest, FromSecondsRejectsNegativeAndNan) {
   EXPECT_THROW(from_seconds(-1.0), Error);
   EXPECT_THROW(from_seconds(std::nan("")), Error);
