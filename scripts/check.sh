@@ -44,8 +44,9 @@
 #                                 # --perf, then the serve_perf wall-clock
 #                                 # lower bounds (docs/PERFORMANCE.md)
 #
-# The release config also runs scripts/perf_gate.py against the checked-in
-# bench baseline after the tests pass. The asan config exercises the
+# After the tests pass, the release config also runs certify_reproduction
+# (it must print CERTIFIED) and scripts/perf_gate.py against the checked-in
+# bench baseline. The asan config exercises the
 # simulator's event heap and its slot recycling under ASan+UBSan via the
 # sim and serve suites.
 set -euo pipefail
@@ -271,6 +272,13 @@ for config in "${configs[@]}"; do
     python3 scripts/lint_instruments.py
   fi
   if [[ "$config" == release ]]; then
+    echo "==> certify_reproduction (every published number in band)"
+    certify=$("$dir/bench/certify_reproduction") || true
+    if ! grep -q '^CERTIFIED' <<<"$certify"; then
+      echo "$certify" >&2
+      echo "certify_reproduction did not print CERTIFIED" >&2
+      exit 1
+    fi
     echo "==> instrument-name lint (code vs docs/OBSERVABILITY.md)"
     python3 scripts/lint_instruments.py
     echo "==> perf gate ($config)"

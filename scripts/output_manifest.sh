@@ -8,7 +8,8 @@
 #   $ diff parent-out/MANIFEST change-out/MANIFEST   # parent vs change
 #
 # BUILD_DIR is a built tree (Release is fastest); OUT_DIR must be empty or
-# absent. The runs take about a minute, most of it certify_reproduction.
+# absent. The runs take about ten seconds on a Release build, most of it
+# certify_reproduction.
 # The volatile ghs_bench_wall_seconds line is dropped from every .prom
 # file before hashing. The script fails if table1_baseline_vs_optimized with
 # --config=configs/gh200.properties (the library defaults, spelled out)

@@ -24,6 +24,23 @@ const char* combine_strategy_name(CombineStrategy strategy) {
   return "?";
 }
 
+namespace {
+
+/// One flow of a wave: a byte range of the kernel's input, where it is
+/// served from and the flow's rate cap.
+struct Slice {
+  Bytes begin = 0;
+  Bytes end = 0;
+  mem::RegionId source = mem::RegionId::kHbm;
+  double cap = 0.0;
+  bool migrate_on_access = false;
+  bool duplicate_on_access = false;
+
+  bool plain() const { return !migrate_on_access && !duplicate_on_access; }
+};
+
+}  // namespace
+
 struct GpuDevice::Execution {
   KernelDesc desc;
   std::function<void(const KernelResult&)> on_complete;
@@ -33,7 +50,9 @@ struct GpuDevice::Execution {
   std::int64_t wave_size = 0;       // resident CTAs
   double bytes_per_cta = 0.0;
   double cta_cap = 0.0;             // bytes/s per CTA
+  double hbm_stream_cap = 0.0;      // bytes/s of a saturating stream
   SimTime tree_latency = 0;
+  std::string wave_label;
 
   // Progress.
   std::int64_t ctas_done = 0;       // CTAs whose data has drained
@@ -41,6 +60,19 @@ struct GpuDevice::Execution {
   double bytes_done = 0.0;          // kernel-range bytes drained so far
   SimTime begin_time = 0;           // after launch latency
   SimTime last_combine_done = 0;
+
+  // The wave in flight.
+  std::int64_t wave_ctas = 0;
+  SimTime wave_start = 0;
+  SimTime wave_end = 0;             // latest slice completion so far
+  std::size_t slices_left = 0;
+  std::vector<Slice> slices;
+  /// True while the wave runs as one plain flow (no migration, no
+  /// replica) from `flow_source` capped at `flow_cap`; a next wave with
+  /// the same source and cap renews that flow.
+  bool one_plain_flow = false;
+  mem::RegionId flow_source = mem::RegionId::kHbm;
+  double flow_cap = 0.0;
 
   // UM pass plan for this launch (empty in explicit mode).
   std::vector<um::SegmentPlan> plan;
@@ -76,11 +108,14 @@ void GpuDevice::launch(const KernelDesc& desc,
                         static_cast<double>(desc.grid);
   exec->cta_cap =
       cta_rate_cap(config_, desc.threads_per_cta, desc.v, desc.element_size);
+  exec->hbm_stream_cap = config_.stream_efficiency(desc.element_size) *
+                         topology_.config().hbm_bw.bytes_per_second;
   const int tree_steps = log2_pow2(desc.threads_per_cta / config_.warp_size) +
                          log2_pow2(config_.warp_size);
   exec->tree_latency = static_cast<SimTime>(
       config_.tree_step_cycles * static_cast<double>(tree_steps) *
       config_.cycle_ps());
+  exec->wave_label = desc.label + ":wave";
 
   sim_.schedule_after(config_.kernel_launch_latency, [this, exec] {
     exec->begin_time = sim_.now();
@@ -117,97 +152,96 @@ void GpuDevice::start_wave(const std::shared_ptr<Execution>& exec) {
       exec->begin_time + config_.cta_dispatch_cost * exec->ctas_dispatched;
   const SimTime start_at = std::max(sim_.now(), dispatch_ready);
 
-  const double wave_bytes =
-      static_cast<double>(count) * exec->bytes_per_cta;
+  const double wave_bytes = static_cast<double>(count) * exec->bytes_per_cta;
   const double wave_cap = static_cast<double>(count) * exec->cta_cap;
-  const double hbm_stream_cap =
-      config_.stream_efficiency(desc.element_size) *
-      topology_.config().hbm_bw.bytes_per_second;
 
   // Byte range this wave covers within the kernel's input.
-  const Bytes range_begin =
-      desc.range_offset + static_cast<Bytes>(std::llround(exec->bytes_done));
+  const Bytes range_begin = desc.range_offset + round_nonneg(exec->bytes_done);
   exec->bytes_done += wave_bytes;
-  const Bytes range_end = (exec->ctas_dispatched == desc.grid)
-                              ? desc.range_offset + desc.total_bytes()
-                              : desc.range_offset +
-                                    static_cast<Bytes>(
-                                        std::llround(exec->bytes_done));
+  const Bytes range_end =
+      desc.range_offset + (exec->ctas_dispatched == desc.grid
+                               ? desc.total_bytes()
+                               : round_nonneg(exec->bytes_done));
 
-  // Build the wave's flows: one in explicit mode, one per residency slice
-  // in UM mode.
-  struct Slice {
-    Bytes begin;
-    Bytes end;
-    std::vector<sim::ResourceId> path;
-    double cap;
-    bool migrate_on_access;
-    bool duplicate_on_access = false;
-  };
-  std::vector<Slice> slices;
+  // The wave's flows: one in explicit mode, one per residency slice in UM
+  // mode.
+  std::vector<Slice>& slices = exec->slices;
+  slices.clear();
   if (desc.input == InputLocation::kDeviceBuffer) {
-    slices.push_back(Slice{range_begin, range_end,
-                           topology_.gpu_read_path(mem::RegionId::kHbm),
-                           std::min(wave_cap, hbm_stream_cap), false});
+    slices.push_back(Slice{range_begin, range_end, mem::RegionId::kHbm,
+                           std::min(wave_cap, exec->hbm_stream_cap)});
   } else {
     for (const auto& seg : exec->plan) {
       const Bytes begin = std::max(range_begin, seg.offset);
       const Bytes end = std::min(range_end, seg.offset + seg.length);
       if (begin >= end) continue;
-      Slice slice;
-      slice.begin = begin;
-      slice.end = end;
-      slice.migrate_on_access = seg.migrate_on_access;
-      slice.duplicate_on_access = seg.duplicate_on_access;
-      if (seg.duplicate_on_access) {
-        // Establishing a read replica: a copy from the home memory into
-        // HBM at the duplication rate.
-        slice.path = topology_.copy_path(seg.source, mem::RegionId::kHbm);
-        slice.cap = std::min(wave_cap, seg.rate_cap);
-      } else if (seg.migrate_on_access) {
-        // Fault-driven migration: the wave's reads drive the pages across
-        // the link at the fault-handling rate.
-        slice.path = topology_.migration_path(seg.source, mem::RegionId::kHbm);
+      Slice slice{begin, end, seg.source, 0.0, seg.migrate_on_access,
+                  seg.duplicate_on_access};
+      if (seg.duplicate_on_access || seg.migrate_on_access) {
+        // A replica copy or a fault-driven migration: the wave's reads
+        // drive the pages across the link at the duplication or
+        // fault-handling rate.
         slice.cap = std::min(wave_cap, seg.rate_cap);
       } else if (seg.source == mem::RegionId::kHbm) {
-        slice.path = topology_.gpu_read_path(mem::RegionId::kHbm);
         slice.cap = std::min(wave_cap * config_.um_hbm_efficiency,
-                             hbm_stream_cap * config_.um_hbm_efficiency);
+                             exec->hbm_stream_cap * config_.um_hbm_efficiency);
       } else {
-        slice.path = topology_.gpu_read_path(mem::RegionId::kLpddr);
         slice.cap = std::min(wave_cap, config_.remote_read_bw.bytes_per_second);
       }
-      slices.push_back(std::move(slice));
+      slices.push_back(slice);
     }
     GHS_CHECK(!slices.empty(), "UM wave produced no slices");
   }
+  exec->wave_ctas = count;
+  exec->wave_start = start_at;
+  exec->wave_end = 0;
+  exec->slices_left = slices.size();
 
-  auto pending = std::make_shared<std::size_t>(slices.size());
-  auto flow_end_max = std::make_shared<SimTime>(0);
+  const Slice& first = slices.front();
+  const bool one_plain = slices.size() == 1 && first.plain();
+  if (one_plain && exec->one_plain_flow && first.source == exec->flow_source &&
+      first.cap == exec->flow_cap && start_at == sim_.now()) {
+    // The previous wave ran as one plain flow, which has just drained:
+    // start_wave runs from its completion callback. This wave is the same
+    // flow (same path and cap, starting at once), so renew it with this
+    // wave's bytes; the fluid network then runs the wave train.
+    topology_.network().renew_flow(
+        static_cast<double>(first.end - first.begin));
+    return;
+  }
+  exec->one_plain_flow = one_plain;
+  exec->flow_source = first.source;
+  exec->flow_cap = first.cap;
   const um::AllocId managed = desc.managed_alloc;
-  for (const auto& slice : slices) {
+  for (const Slice& slice : slices) {
     sim::FlowSpec spec;
     spec.bytes = static_cast<double>(slice.end - slice.begin);
     spec.rate_cap = slice.cap;
-    spec.resources = slice.path;
-    spec.label = desc.label + ":wave";
+    if (slice.duplicate_on_access) {
+      // Establishing a read replica: a copy from the home memory into HBM.
+      spec.resources = topology_.copy_path(slice.source, mem::RegionId::kHbm);
+    } else if (slice.migrate_on_access) {
+      spec.resources =
+          topology_.migration_path(slice.source, mem::RegionId::kHbm);
+    } else {
+      spec.resources = topology_.gpu_read_path(slice.source);
+    }
+    spec.label = exec->wave_label;
     const Bytes s_begin = slice.begin;
     const Bytes s_len = slice.end - slice.begin;
-    const bool flip = slice.migrate_on_access;
-    const bool duplicate = slice.duplicate_on_access;
-    spec.on_complete = [this, exec, pending, flow_end_max, count, s_begin,
-                        s_len, flip, duplicate, managed, start_at] {
-      if (flip) {
+    if (slice.migrate_on_access) {
+      spec.on_complete = [this, exec, managed, s_begin, s_len] {
         um_.complete_segment(managed, s_begin, s_len, mem::RegionId::kHbm);
-      } else if (duplicate) {
+        slice_drained(exec);
+      };
+    } else if (slice.duplicate_on_access) {
+      spec.on_complete = [this, exec, managed, s_begin, s_len] {
         um_.complete_duplication(managed, s_begin, s_len);
-      }
-      *flow_end_max = std::max(*flow_end_max, sim_.now());
-      GHS_CHECK(*pending > 0, "wave completion underflow");
-      if (--*pending == 0) {
-        finish_wave(exec, count, start_at, *flow_end_max);
-      }
-    };
+        slice_drained(exec);
+      };
+    } else {
+      spec.on_complete = [this, exec] { slice_drained(exec); };
+    }
     const SimTime delay = start_at - sim_.now();
     if (delay > 0) {
       sim_.schedule_after(delay, [this, spec = std::move(spec)]() mutable {
@@ -219,12 +253,19 @@ void GpuDevice::start_wave(const std::shared_ptr<Execution>& exec) {
   }
 }
 
-void GpuDevice::finish_wave(const std::shared_ptr<Execution>& exec,
-                            std::int64_t cta_count, SimTime wave_start,
-                            SimTime flow_end) {
-  trace::record_span(tracer_, trace::Track::kGpuWaves,
-                     exec->desc.label + ":wave", wave_start, flow_end,
-                     std::to_string(cta_count) + " CTAs");
+void GpuDevice::slice_drained(const std::shared_ptr<Execution>& exec) {
+  exec->wave_end = std::max(exec->wave_end, sim_.now());
+  GHS_CHECK(exec->slices_left > 0, "wave completion underflow");
+  if (--exec->slices_left == 0) finish_wave(exec);
+}
+
+void GpuDevice::finish_wave(const std::shared_ptr<Execution>& exec) {
+  const std::int64_t cta_count = exec->wave_ctas;
+  const SimTime flow_end = exec->wave_end;
+  if (tracer_ != nullptr) {
+    tracer_->record(trace::Track::kGpuWaves, exec->wave_label, exec->wave_start,
+                    flow_end, std::to_string(cta_count) + " CTAs");
+  }
   // Fold the wave's partials according to the kernel's combine strategy.
   switch (exec->desc.strategy) {
     case CombineStrategy::kAtomicPerCta: {
@@ -235,8 +276,7 @@ void GpuDevice::finish_wave(const std::shared_ptr<Execution>& exec,
           config_.combine_cost(exec->desc.combine, exec->desc.element_size),
           cta_count);
       stats_.combines_issued += cta_count;
-      exec->last_combine_done =
-          std::max(exec->last_combine_done, combine_done);
+      exec->last_combine_done = std::max(exec->last_combine_done, combine_done);
       break;
     }
     case CombineStrategy::kAtomicPerWarp: {
@@ -246,15 +286,13 @@ void GpuDevice::finish_wave(const std::shared_ptr<Execution>& exec,
           config_.tree_step_cycles *
           static_cast<double>(log2_pow2(config_.warp_size)) * 0.5 *
           config_.cycle_ps());
-      const std::int64_t combines =
-          cta_count * exec->desc.warps_per_cta();
+      const std::int64_t combines = cta_count * exec->desc.warps_per_cta();
       const SimTime combine_done = combine_unit_.submit_batch(
           flow_end + shuffle_latency,
           config_.combine_cost(exec->desc.combine, exec->desc.element_size),
           combines);
       stats_.combines_issued += combines;
-      exec->last_combine_done =
-          std::max(exec->last_combine_done, combine_done);
+      exec->last_combine_done = std::max(exec->last_combine_done, combine_done);
       break;
     }
     case CombineStrategy::kTwoKernel:

@@ -57,6 +57,8 @@ class GpuDevice {
 
   bool busy() const { return busy_; }
   const GpuDeviceStats& stats() const { return stats_; }
+  /// The serial combine unit the kernels' partials fold through.
+  const sim::SerialServer& combine_unit() const { return combine_unit_; }
 
   /// Installs a span recorder (null disables tracing). Kernel spans go on
   /// the GPU track, per-wave spans on the wave track — enable wave tracing
@@ -70,10 +72,13 @@ class GpuDevice {
  private:
   struct Execution;
 
+  /// Per-wave bookkeeping shared by the event path and wave trains:
+  /// start_wave dispatches the next wave's CTAs and starts (or renews)
+  /// its flows; finish_wave records the drained wave and folds its
+  /// partials on the combine unit.
   void start_wave(const std::shared_ptr<Execution>& exec);
-  void finish_wave(const std::shared_ptr<Execution>& exec,
-                   std::int64_t cta_count, SimTime wave_start,
-                   SimTime flow_end);
+  void slice_drained(const std::shared_ptr<Execution>& exec);
+  void finish_wave(const std::shared_ptr<Execution>& exec);
   void finish_kernel(const std::shared_ptr<Execution>& exec);
 
   sim::Simulator& sim_;

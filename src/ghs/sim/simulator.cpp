@@ -74,7 +74,7 @@ std::size_t Simulator::drain_batch() {
   batch.clear();
   const SimTime t = slots_[heap_.front()].time;
   advance_to(t);
-  std::size_t executed = 0;
+  const std::size_t processed_before = events_processed_;
   do {
     // Pop the whole (time == t) run, moving each event straight into the
     // batch; its slot is free for the handlers below to reuse.
@@ -90,15 +90,30 @@ std::size_t Simulator::drain_batch() {
       events_counter_->inc(static_cast<std::int64_t>(batch.size()));
     }
     events_processed_ += batch.size();
-    executed += batch.size();
-    for (Event& fn : batch) fn();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      last_of_batch_ = i + 1 == batch.size();
+      batch[i]();
+    }
+    last_of_batch_ = false;
     batch.clear();
     // Handlers may schedule more work at the current time; those events
     // carry higher seq numbers than everything just run, so the next
     // round keeps exact (time, seq) order.
   } while (!heap_.empty() && slots_[heap_.front()].time == t);
   batch_ = std::move(batch);
-  return executed;
+  return events_processed_ - processed_before;
+}
+
+bool Simulator::dispatch_inline(SimTime t) {
+  GHS_REQUIRE(t > now_, "inline event at t=" << t << " now=" << now_);
+  if (!last_of_batch_) return false;
+  if (!heap_.empty() && slots_[heap_.front()].time <= t) return false;
+  // The bookkeeping of a schedule_at(t) followed by its own drain_batch.
+  if (heap_.size() + 1 > peak_queue_size_) peak_queue_size_ = heap_.size() + 1;
+  advance_to(t);
+  if (events_counter_ != nullptr) events_counter_->inc();
+  ++events_processed_;
+  return true;
 }
 
 void Simulator::run() {

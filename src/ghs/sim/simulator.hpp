@@ -40,9 +40,20 @@ class Simulator {
   /// Advances the clock once and dispatches every event scheduled at that
   /// timestamp — including events a handler schedules at the (new) current
   /// time, which run in the same batch after the existing ones, exactly as
-  /// (time, seq) order puts them. Returns the number of events executed
-  /// (0 when the queue is empty).
+  /// (time, seq) order puts them. The batch's last handler may run further
+  /// events inline (dispatch_inline), moving the clock on within the call.
+  /// Returns the number of events executed, inline ones included (0 when
+  /// the queue is empty).
   std::size_t drain_batch();
+
+  /// Lets the running handler dispatch the event it would schedule at `t`
+  /// (> now()) itself, when run() would dispatch that event next anyway:
+  /// the handler is the last of its batch and no pending event is due at
+  /// or before `t`. Then the clock moves to `t`, the event counts as
+  /// scheduled and dispatched (event count, advanced time, queue
+  /// high-water mark), and the caller runs its work. Otherwise nothing
+  /// changes and the caller schedules the event as usual.
+  bool dispatch_inline(SimTime t);
 
   std::size_t events_processed() const { return events_processed_; }
   bool idle() const { return heap_.empty(); }
@@ -77,6 +88,8 @@ class Simulator {
   std::vector<std::uint32_t> heap_;
   std::uint64_t next_seq_ = 0;
   std::vector<Event> batch_;
+  /// True while the last handler of a batch runs.
+  bool last_of_batch_ = false;
   std::size_t events_processed_ = 0;
   std::size_t peak_queue_size_ = 0;
   telemetry::Counter* events_counter_ = nullptr;

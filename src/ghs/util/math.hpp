@@ -1,6 +1,7 @@
 // Small integer-math helpers shared by the simulator and the runtime model.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <type_traits>
 
@@ -37,6 +38,17 @@ constexpr int log2_pow2(T x) {
     ++n;
   }
   return n;
+}
+
+/// std::llround(x) for finite x >= 0, without the library call below 2^52.
+/// There the spacing of doubles is at most 0.5, so x + 0.5 is exact or
+/// rounds to a value with the same integer part, and truncation then
+/// rounds half away from zero as llround does. The one double under 0.5
+/// whose x + 0.5 rounds up to 1 is caught first.
+inline std::int64_t round_nonneg(double x) {
+  if (x < 0.5) return 0;
+  if (x >= 0x1p52) return std::llround(x);
+  return static_cast<std::int64_t>(x + 0.5);
 }
 
 /// Linear interpolation.

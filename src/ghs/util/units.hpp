@@ -10,6 +10,7 @@
 #include <string>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/math.hpp"
 
 namespace ghs {
 
@@ -36,7 +37,7 @@ constexpr double to_millis(SimTime t) {
 /// Converts seconds to simulated picoseconds, rounding to nearest.
 inline SimTime from_seconds(double s) {
   GHS_REQUIRE(s >= 0.0 && std::isfinite(s), "seconds=" << s);
-  return static_cast<SimTime>(std::llround(s * static_cast<double>(kSecond)));
+  return round_nonneg(s * static_cast<double>(kSecond));
 }
 
 /// Converts nanoseconds to simulated time.

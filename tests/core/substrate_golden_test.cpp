@@ -11,9 +11,18 @@
 //
 // plus one baseline-kernel sweep at N = 2 (fault migrations complete one
 // wave slice at a time) and the UM/GPU/sim telemetry snapshot and flight
-// recorder of the whole matrix. Any speed-up of the substrate must keep
-// every hash; a deliberate model change regenerates them (the failure
-// message prints the new value).
+// recorder of the whole matrix. A second test pins the explicit-map path
+// and configs/future_part.properties the same way:
+//
+//   Table 1 at N = 2 for C1-C4 (baseline and optimized GB/s, the chosen
+//   geometry), then each case's chosen geometry under every combine
+//   strategy with a tracer attached (elapsed ps and every span), on the
+//   GH200 defaults and on the future part (160 SMs change the wave size),
+//   plus one optimized A1 Listing 8 sweep at N = 4 on the future part and
+//   the telemetry snapshot and flight recorder of all of it.
+//
+// Any speed-up of the substrate must keep every hash; a deliberate model
+// change regenerates them (the failure message prints the new value).
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -22,12 +31,15 @@
 
 #include <gtest/gtest.h>
 
+#include "ghs/core/config_io.hpp"
 #include "ghs/core/platform.hpp"
 #include "ghs/core/reduce.hpp"
+#include "ghs/core/sweep.hpp"
 #include "ghs/core/system_config.hpp"
 #include "ghs/telemetry/exporters.hpp"
 #include "ghs/telemetry/flight_recorder.hpp"
 #include "ghs/telemetry/registry.hpp"
+#include "ghs/trace/tracer.hpp"
 #include "ghs/workload/cases.hpp"
 
 namespace ghs::core {
@@ -109,6 +121,21 @@ void print_points(std::string& out, const char* label,
   }
 }
 
+/// Compares each group's FNV-1a hash with its expected value, in order.
+void expect_hashes(
+    const std::vector<std::pair<std::string, std::string>>& groups,
+    const std::vector<Group>& expected) {
+  ASSERT_EQ(groups.size(), expected.size());
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    ASSERT_EQ(groups[i].first, expected[i].name);
+    const std::uint64_t hash = fnv1a(groups[i].second);
+    char got[32];
+    std::snprintf(got, sizeof got, "0x%016" PRIx64 "ull", hash);
+    EXPECT_EQ(hash, expected[i].expected)
+        << "group " << groups[i].first << " moved; its hash is now " << got;
+  }
+}
+
 HeteroBenchmarkResult run_point_set(const SystemConfig& config,
                                     const telemetry::Sink& sink,
                                     const HeteroBenchmark& bench) {
@@ -182,16 +209,97 @@ TEST(SubstrateGoldenTest, ListingEightPointsAreBitIdentical) {
   flight.dump(telemetry_text);
   groups.emplace_back("telemetry", telemetry_text.str());
 
-  const auto& expected = expected_groups();
-  ASSERT_EQ(groups.size(), expected.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    ASSERT_EQ(groups[i].first, expected[i].name);
-    const std::uint64_t hash = fnv1a(groups[i].second);
-    char got[32];
-    std::snprintf(got, sizeof got, "0x%016" PRIx64 "ull", hash);
-    EXPECT_EQ(hash, expected[i].expected)
-        << "group " << groups[i].first << " moved; its hash is now " << got;
+  expect_hashes(groups, expected_groups());
+}
+
+/// Table 1 at N = 2, every number at full precision, then each case's
+/// chosen geometry under every combine strategy on a traced platform.
+std::string table1_text(const SystemConfig& config,
+                        const telemetry::Sink& sink) {
+  SweepOptions opts;
+  opts.iterations = 2;
+  opts.config = config;
+  opts.telemetry = sink;
+  std::string out;
+  char line[256];
+  for (const auto& row : table1(workload::all_cases(), opts)) {
+    const char* name = workload::case_spec(row.case_id).name;
+    std::snprintf(line, sizeof line,
+                  "%s baseline_gbps=%.17g optimized_gbps=%.17g "
+                  "best=%" PRId64 "/%d/%d\n",
+                  name, row.baseline_gbps, row.optimized_gbps,
+                  static_cast<std::int64_t>(row.best.teams),
+                  row.best.thread_limit, row.best.v);
+    out += line;
+    for (const auto strategy : {gpu::CombineStrategy::kAtomicPerCta,
+                                gpu::CombineStrategy::kAtomicPerWarp,
+                                gpu::CombineStrategy::kTwoKernel}) {
+      Platform platform(config);
+      platform.set_telemetry(sink);
+      const trace::Tracer& tracer = platform.enable_tracing();
+      GpuBenchmark bench;
+      bench.case_id = row.case_id;
+      bench.tuning = row.best;
+      bench.tuning->strategy = strategy;
+      bench.iterations = 2;
+      const auto result = run_gpu_benchmark(platform, bench);
+      std::snprintf(line, sizeof line, "%s %s elapsed_ps=%" PRId64 "\n",
+                    name, gpu::combine_strategy_name(strategy),
+                    static_cast<std::int64_t>(result.elapsed));
+      out += line;
+      for (const auto& span : tracer.spans()) {
+        std::snprintf(line, sizeof line, "  %s [%" PRId64 ", %" PRId64 "] ",
+                      trace::track_name(span.track),
+                      static_cast<std::int64_t>(span.begin),
+                      static_cast<std::int64_t>(span.end));
+        out += line + span.name + " " + span.detail + "\n";
+      }
+    }
   }
+  return out;
+}
+
+// Generated on the event-per-wave GPU model, before wave trains.
+const std::vector<Group>& expected_explicit_groups() {
+  static const std::vector<Group> groups = {
+      {"gh200/table1", 0x5f720ed46a56ea3dull},
+      {"future-part/table1", 0xc5e5d6f2529c79f0ull},
+      {"future-part/um-a1-optimized", 0xefcf60f5ee17e699ull},
+      {"telemetry", 0xff47cd5dbeb58bc9ull},
+  };
+  return groups;
+}
+
+TEST(SubstrateGoldenTest, ExplicitMapAndFuturePartAreBitIdentical) {
+  telemetry::Registry registry;
+  telemetry::FlightRecorder flight;
+  const telemetry::Sink sink{&registry, &flight};
+  const SystemConfig future =
+      load_system_config(GHS_CONFIG_DIR "/future_part.properties");
+
+  std::vector<std::pair<std::string, std::string>> groups;
+  groups.emplace_back("gh200/table1", table1_text(gh200_config(), sink));
+  groups.emplace_back("future-part/table1", table1_text(future, sink));
+  {
+    UmSweepOptions opts;
+    opts.site = AllocSite::kA1;
+    opts.optimized = true;
+    opts.iterations = 4;
+    opts.config = future;
+    opts.telemetry = sink;
+    std::string text;
+    print_points(text, "C1 A1",
+                 um_sweep_case(workload::CaseId::kC1, opts));
+    groups.emplace_back("future-part/um-a1-optimized", text);
+  }
+
+  std::ostringstream telemetry_text;
+  telemetry::write_json_snapshot(telemetry_text, registry);
+  telemetry_text << "\nrecorded=" << flight.total_recorded() << "\n";
+  flight.dump(telemetry_text);
+  groups.emplace_back("telemetry", telemetry_text.str());
+
+  expect_hashes(groups, expected_explicit_groups());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "ghs/util/error.hpp"
@@ -134,6 +135,118 @@ TEST_F(FluidTest, CompletionCallbackCanStartNewFlow) {
   ASSERT_EQ(completions.size(), 2u);
   EXPECT_NEAR(static_cast<double>(completions[0]), 1e12, 1e6);
   EXPECT_NEAR(static_cast<double>(completions[1]), 2e12, 1e6);
+}
+
+// from_seconds rounds a wake to the nearest picosecond. A flow whose exact
+// end lies 0.4 ps past 1000 ps at 4 B/ps wakes at 1000 ps with 1.6 bytes
+// left, more than the half-byte drain epsilon, so it stays in flight and a
+// second wake 1 ps later finishes it.
+TEST_F(FluidTest, WakeRoundedDownLeavesTheFlowForASecondWake) {
+  const auto r = net.add_resource("r", Bandwidth{4e12});
+  SimTime done = -1;
+  FlowSpec spec;
+  spec.bytes = 4001.6;
+  spec.resources = {r};
+  spec.on_complete = [&] { done = sim.now(); };
+  const FlowId id = net.start_flow(std::move(spec));
+  EXPECT_EQ(sim.drain_batch(), 1u);
+  EXPECT_EQ(sim.now(), 1000);
+  ASSERT_TRUE(net.active(id));
+  EXPECT_NEAR(net.remaining_bytes(id), 1.6, 1e-9);
+  sim.run();
+  EXPECT_EQ(done, 1001);
+  EXPECT_EQ(sim.events_processed(), 2u);
+}
+
+// Rounded up instead (0.6 ps past 1000 ps), one wake drains it.
+TEST_F(FluidTest, WakeRoundedUpDrainsTheFlowAtOnce) {
+  const auto r = net.add_resource("r", Bandwidth{4e12});
+  SimTime done = -1;
+  FlowSpec spec;
+  spec.bytes = 4002.4;
+  spec.resources = {r};
+  spec.on_complete = [&] { done = sim.now(); };
+  net.start_flow(std::move(spec));
+  sim.run();
+  EXPECT_EQ(done, 1001);
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+struct WaveRun {
+  std::vector<SimTime> completions;
+  std::vector<FlowId> ids;
+  ResourceStats shared;
+  ResourceStats other;
+  std::size_t events = 0;
+};
+
+/// Six successive "waves" of one flow on a shared resource, while a
+/// co-flow starts mid-way, drains and lets the waves speed up again. Each
+/// wave's successor is renewed in place or started afresh.
+WaveRun run_waves(bool renew) {
+  Simulator sim;
+  FluidNetwork net(sim);
+  const auto shared = net.add_resource("shared", Bandwidth::from_gbps(100.0));
+  const auto other = net.add_resource("other", Bandwidth::from_gbps(30.0));
+  WaveRun out;
+  int left = 6;
+  std::function<void()> start_wave;
+  const auto wave_done = [&] {
+    out.completions.push_back(sim.now());
+    if (--left == 0) return;
+    const double bytes = 1e6 + 0.3 * left;
+    if (renew) {
+      out.ids.push_back(net.renew_flow(bytes));
+    } else {
+      FlowSpec spec;
+      spec.bytes = bytes;
+      spec.rate_cap = 60e9;
+      spec.resources = {shared};
+      spec.on_complete = [&] { start_wave(); };
+      out.ids.push_back(net.start_flow(std::move(spec)));
+    }
+  };
+  start_wave = wave_done;
+  FlowSpec first;
+  first.bytes = 1e6;
+  first.rate_cap = 60e9;
+  first.resources = {shared};
+  first.on_complete = [&] { start_wave(); };
+  out.ids.push_back(net.start_flow(std::move(first)));
+  sim.schedule_at(25'000'000, [&] {
+    FlowSpec co;
+    co.bytes = 1.3e6;
+    co.resources = {shared, other};
+    co.on_complete = [&] { out.completions.push_back(-sim.now()); };
+    out.ids.push_back(net.start_flow(std::move(co)));
+  });
+  sim.run();
+  out.shared = net.resource_stats(shared);
+  out.other = net.resource_stats(other);
+  out.events = sim.events_processed();
+  return out;
+}
+
+TEST(FluidRenewTest, RenewedFlowRunsExactlyAsAFreshOne) {
+  const WaveRun renewed = run_waves(true);
+  const WaveRun fresh = run_waves(false);
+  ASSERT_EQ(renewed.completions.size(), 7u);
+  EXPECT_EQ(renewed.completions, fresh.completions);
+  EXPECT_EQ(renewed.ids, fresh.ids);
+  EXPECT_EQ(renewed.shared.bytes_served, fresh.shared.bytes_served);
+  EXPECT_EQ(renewed.shared.busy_time_ps, fresh.shared.busy_time_ps);
+  EXPECT_EQ(renewed.other.bytes_served, fresh.other.bytes_served);
+  EXPECT_EQ(renewed.other.busy_time_ps, fresh.other.busy_time_ps);
+  EXPECT_EQ(renewed.events, fresh.events);
+}
+
+TEST_F(FluidTest, RenewOnlyFromACompletionCallback) {
+  const auto r = net.add_resource("r", Bandwidth::from_gbps(1.0));
+  FlowSpec spec;
+  spec.bytes = 1e3;
+  spec.resources = {r};
+  net.start_flow(std::move(spec));
+  EXPECT_THROW(net.renew_flow(1e3), Error);
 }
 
 TEST_F(FluidTest, BytesConservationInStats) {

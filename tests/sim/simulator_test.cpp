@@ -117,6 +117,40 @@ TEST(SimulatorTest, DrainBatchPicksUpSameTimeEventsScheduledByHandlers) {
   EXPECT_EQ(sim.events_processed(), 3u);
 }
 
+TEST(SimulatorTest, DispatchInlineOnlyForTheNextEvent) {
+  Simulator sim;
+  EXPECT_FALSE(sim.dispatch_inline(5));  // outside any handler
+  std::vector<bool> inlined;
+  sim.schedule_at(10, [&] {
+    inlined.push_back(sim.dispatch_inline(50));  // nothing due before 200
+    EXPECT_EQ(sim.now(), 50);
+    sim.schedule_at(100, [] {});
+    inlined.push_back(sim.dispatch_inline(100));  // the new event is due
+    inlined.push_back(sim.dispatch_inline(99));
+    EXPECT_EQ(sim.now(), 99);
+  });
+  sim.schedule_at(200, [] {});
+  // One handler plus its two inline events, counted in the same drain.
+  EXPECT_EQ(sim.drain_batch(), 3u);
+  EXPECT_EQ(inlined, (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(sim.events_processed(), 3u);
+  // The inline events count as pushed, on top of the two pending ones.
+  EXPECT_EQ(sim.peak_queue_size(), 3u);
+  sim.run();
+  EXPECT_EQ(sim.now(), 200);
+  EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+TEST(SimulatorTest, DispatchInlineOnlyFromTheLastHandlerOfABatch) {
+  Simulator sim;
+  std::vector<bool> inlined;
+  sim.schedule_at(10, [&] { inlined.push_back(sim.dispatch_inline(20)); });
+  sim.schedule_at(10, [&] { inlined.push_back(sim.dispatch_inline(20)); });
+  EXPECT_EQ(sim.drain_batch(), 3u);
+  EXPECT_EQ(inlined, (std::vector<bool>{false, true}));
+  EXPECT_EQ(sim.now(), 20);
+}
+
 TEST(SimulatorTest, PeakQueueSizeTracksHighWaterMark) {
   Simulator sim;
   EXPECT_EQ(sim.peak_queue_size(), 0u);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+
+#include "ghs/util/rng.hpp"
 
 namespace ghs {
 namespace {
@@ -52,6 +55,39 @@ TEST(MathTest, RelativeDifference) {
   // Symmetric.
   EXPECT_DOUBLE_EQ(relative_difference(3.0, 4.0),
                    relative_difference(4.0, 3.0));
+}
+
+TEST(MathTest, RoundNonnegMatchesLlround) {
+  const double edges[] = {0.0,
+                          0x1.fffffffffffffp-2,  // largest double below 0.5
+                          0.5,
+                          1.5,
+                          2.5,
+                          0x1.fffffffffffffp0,
+                          4503599627370495.5,  // 2^52 - 0.5
+                          0x1p52,
+                          0x1p52 + 1.0,
+                          0x1p53 + 2.0,
+                          1e12,
+                          8.6e9 + 0.5};
+  for (const double x : edges) {
+    EXPECT_EQ(round_nonneg(x), std::llround(x)) << x;
+    EXPECT_EQ(round_nonneg(std::nextafter(x, 0.0)),
+              std::llround(std::nextafter(x, 0.0)))
+        << x;
+    EXPECT_EQ(round_nonneg(std::nextafter(x, 1e300)),
+              std::llround(std::nextafter(x, 1e300)))
+        << x;
+  }
+  // Random doubles across every binade up to 2^62, and halves.
+  Rng rng(7);
+  for (int i = 0; i < 200000; ++i) {
+    const double x = std::ldexp(rng.next_double(),
+                                static_cast<int>(rng.next_below(124)) - 60);
+    ASSERT_EQ(round_nonneg(x), std::llround(x)) << x;
+    const double half = std::floor(x) + 0.5;
+    ASSERT_EQ(round_nonneg(half), std::llround(half)) << half;
+  }
 }
 
 }  // namespace
