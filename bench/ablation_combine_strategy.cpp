@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   for (workload::CaseId case_id : options.cases) {
     for (const auto& variant : variants) {
       core::Platform platform(variant.config);
+      platform.set_telemetry(options.telemetry());
       core::GpuBenchmark bench;
       bench.case_id = case_id;
       bench.tuning = std::nullopt;  // the Listing 2 baseline
@@ -68,5 +69,6 @@ int main(int argc, char** argv) {
         "per-type combine costs explain the baseline spread 620 / 172 / "
         "271 / 526 GB/s");
   }
+  bench::write_metrics(options);
   return 0;
 }

@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
                           cpu::ScheduleKind::kGuided}) {
       const auto run_cpu = [&](bool mixed) {
         core::Platform platform(options.config);
+        platform.set_telemetry(options.telemetry());
         auto alloc = platform.um().allocate(bytes, mem::RegionId::kLpddr,
                                             spec.name);
         if (mixed) {
@@ -73,5 +74,6 @@ int main(int argc, char** argv) {
         "extension: dynamic scheduling removes the static schedule's "
         "stragglers on mixed-residency ranges");
   }
+  bench::write_metrics(options);
   return 0;
 }

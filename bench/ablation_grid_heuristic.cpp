@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
 
     for (const auto& policy : policies) {
       core::Platform platform(config);
+      platform.set_telemetry(options.telemetry());
       core::GpuBenchmark bench;
       bench.case_id = case_id;
       // v = 1 with teams == grid reproduces the baseline loop body under a
@@ -68,5 +69,6 @@ int main(int argc, char** argv) {
         "the NVHPC heuristic grid leaves 6.1x-20.9x on the table vs tuned "
         "geometry (Table 1)");
   }
+  bench::write_metrics(options);
   return 0;
 }

@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
   for (workload::CaseId case_id : options.cases) {
     for (const auto& variant : variants) {
       core::Platform platform(options.config);
+      platform.set_telemetry(options.telemetry());
       core::HeteroBenchmark bench;
       bench.case_id = case_id;
       bench.tuning = core::paper_best_tuning(case_id);
@@ -76,5 +77,6 @@ int main(int argc, char** argv) {
         "extension beyond the paper: explicit placement recovers the A1 "
         "benefit at A2 and fixes A1's CPU-only penalty");
   }
+  bench::write_metrics(options);
   return 0;
 }

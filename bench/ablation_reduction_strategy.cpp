@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
       double heuristic_gbps;
       {
         core::Platform platform;
+        platform.set_telemetry(options.telemetry());
         const std::int64_t grid = platform.runtime().default_grid(elements);
         core::GpuBenchmark bench;
         bench.case_id = case_id;
@@ -51,6 +52,7 @@ int main(int argc, char** argv) {
       double tuned_gbps;
       {
         core::Platform platform;
+        platform.set_telemetry(options.telemetry());
         core::ReduceTuning tuning = core::paper_best_tuning(case_id);
         tuning.strategy = strategy;
         core::GpuBenchmark bench;
@@ -77,5 +79,6 @@ int main(int argc, char** argv) {
         "future-work extension: abstraction choice matters only when the "
         "grid heuristic over-decomposes");
   }
+  bench::write_metrics(options);
   return 0;
 }

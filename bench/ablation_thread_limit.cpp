@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
           figure.add_series("T" + std::to_string(thread_limit));
       for (std::int64_t teams : {1024LL, 4096LL, 16384LL, 65536LL}) {
         core::Platform platform(options.config);
+        platform.set_telemetry(options.telemetry());
         core::GpuBenchmark bench;
         bench.case_id = case_id;
         bench.tuning = core::ReduceTuning{teams, thread_limit,
@@ -47,5 +48,6 @@ int main(int argc, char** argv) {
       std::cout << "\n";
     }
   }
+  bench::write_metrics(options);
   return 0;
 }

@@ -54,6 +54,7 @@ int main(int argc, char** argv) {
         um_opts.optimized = true;
         um_opts.iterations = options.iterations;
         um_opts.elements = options.elements;
+        um_opts.telemetry = options.telemetry();
         um_opts.config.um = variant.policy;
         const auto result = core::um_sweep_case(case_id, um_opts);
         double best = 0.0;
@@ -79,5 +80,6 @@ int main(int argc, char** argv) {
         "fault-eager migration + allocation site reproduce the paper's "
         "A1 ~2.48x vs A2 ~1.07x split");
   }
+  bench::write_metrics(options);
   return 0;
 }

@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
     core::SweepOptions sweep;
     sweep.iterations = 5;  // repetition-insensitive metric
     sweep.elements = options.elements;
+    sweep.telemetry = options.telemetry();
     const auto rows = core::table1(workload::all_cases(), sweep);
     const double paper_base[] = {620, 172, 271, 526};
     const double paper_opt[] = {3795, 3596, 3790, 3833};
@@ -60,6 +61,7 @@ int main(int argc, char** argv) {
     core::UmSweepOptions um;
     um.iterations = options.iterations;
     um.elements = options.elements;
+    um.telemetry = options.telemetry();
     const auto set = core::run_um_experiments(options.cases, um);
     const auto s = core::summarize_corun(set);
     checks.push_back({"IV.B avg best co-run speedup, baseline A1",
@@ -113,5 +115,6 @@ int main(int argc, char** argv) {
     std::cout << (failures == 0 ? "CERTIFIED: all graded metrics in band\n"
                                 : "FAILED: see verdicts above\n");
   }
+  bench::write_metrics(options);
   return failures == 0 ? 0 : 1;
 }

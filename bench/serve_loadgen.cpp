@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
         << ",\"specs\":" << plan->size()
         << ",\"max_attempts\":" << serve::kMaxAttempts
         << ",\"breaker_threshold\":"
-        << fault::BreakerOptions{}.failure_threshold << "}";
+        << fault::kFailureThreshold << "}";
   }
   out << ",\"policies\":[";
 

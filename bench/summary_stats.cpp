@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   um.config = options.config;
   um.iterations = options.iterations;
   um.elements = options.elements;
+  um.telemetry = options.telemetry();
   const auto set = core::run_um_experiments(options.cases, um);
   const auto s = core::summarize_corun(set);
 
@@ -52,5 +53,6 @@ int main(int argc, char** argv) {
     std::cout << "Section IV.B summary statistics:\n";
     table.render(std::cout);
   }
+  bench::write_metrics(options);
   return 0;
 }

@@ -43,12 +43,17 @@
 #                                 # a 10^5-job serve_loadgen smoke with
 #                                 # --perf, then the serve_perf wall-clock
 #                                 # lower bounds (docs/PERFORMANCE.md)
+#   $ scripts/check.sh coverage   # Debug --coverage build (build-coverage/)
+#                                 # runs ctest, then scripts/line_coverage.py
+#                                 # prints src line coverage and fails below
+#                                 # its floor
 #
 # After the tests pass, the release config also runs certify_reproduction
-# (it must print CERTIFIED) and scripts/perf_gate.py against the checked-in
-# bench baseline. The asan config exercises the
-# simulator's event heap and its slot recycling under ASan+UBSan via the
-# sim and serve suites.
+# (it must print CERTIFIED), checks that it, summary_stats and the seven
+# ablation benches write their --metrics-out snapshots, and runs
+# scripts/perf_gate.py against the checked-in bench baseline. The asan
+# config exercises the simulator's event heap and its slot recycling under
+# ASan+UBSan via the sim and serve suites.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -134,8 +139,13 @@ for config in "${configs[@]}"; do
       flags=(-DCMAKE_BUILD_TYPE=Release -DGHS_SANITIZE=OFF)
       target=serve_loadgen
       ;;
+    coverage)
+      dir=build-coverage
+      flags=(-DCMAKE_BUILD_TYPE=Debug -DGHS_SANITIZE=OFF
+             -DCMAKE_CXX_FLAGS=--coverage -DCMAKE_EXE_LINKER_FLAGS=--coverage)
+      ;;
     *)
-      echo "unknown config '$config' (release|asan|telemetry|chaos|slo|cluster|tsdb|membership|profile|substrate|perf)" >&2
+      echo "unknown config '$config' (release|asan|telemetry|chaos|slo|cluster|tsdb|membership|profile|substrate|perf|coverage)" >&2
       exit 2
       ;;
   esac
@@ -155,11 +165,19 @@ for config in "${configs[@]}"; do
     python3 scripts/perf_gate.py --bindir "$dir/bench" --only serve_perf
     continue
   fi
+  if [[ "$config" == coverage ]]; then
+    # Counters from earlier runs would inflate this one's coverage.
+    find "$dir" -name '*.gcda' -delete
+  fi
   echo "==> test $config"
   if [[ -n "$test_regex" ]]; then
     ctest --test-dir "$dir" --output-on-failure -j "$jobs" -R "$test_regex"
   else
     ctest --test-dir "$dir" --output-on-failure -j "$jobs"
+  fi
+  if [[ "$config" == coverage ]]; then
+    echo "==> src line coverage"
+    python3 scripts/line_coverage.py "$dir"
   fi
   if [[ "$config" == chaos ]]; then
     echo "==> chaos determinism smoke (same-seed byte identity under ASan)"
@@ -272,13 +290,31 @@ for config in "${configs[@]}"; do
     python3 scripts/lint_instruments.py
   fi
   if [[ "$config" == release ]]; then
+    tmp=$(mktemp -d)
     echo "==> certify_reproduction (every published number in band)"
-    certify=$("$dir/bench/certify_reproduction") || true
+    certify=$("$dir/bench/certify_reproduction" \
+      --metrics-out="$tmp/certify_reproduction.prom") || true
     if ! grep -q '^CERTIFIED' <<<"$certify"; then
       echo "$certify" >&2
       echo "certify_reproduction did not print CERTIFIED" >&2
       exit 1
     fi
+    echo "==> metrics-out smoke (paper benches write FILE and FILE.json)"
+    benches=(summary_stats ablation_combine_strategy ablation_cpu_schedule
+             ablation_grid_heuristic ablation_prefetch
+             ablation_reduction_strategy ablation_thread_limit
+             ablation_um_policy)
+    for bench in "${benches[@]}"; do
+      "$dir/bench/$bench" --iters=2 --metrics-out="$tmp/$bench.prom" \
+        >/dev/null
+    done
+    for bench in certify_reproduction "${benches[@]}"; do
+      if [[ ! -s "$tmp/$bench.prom" || ! -s "$tmp/$bench.prom.json" ]]; then
+        echo "$bench --metrics-out wrote no snapshot" >&2
+        exit 1
+      fi
+    done
+    rm -rf "$tmp"
     echo "==> instrument-name lint (code vs docs/OBSERVABILITY.md)"
     python3 scripts/lint_instruments.py
     echo "==> perf gate ($config)"

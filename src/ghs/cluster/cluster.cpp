@@ -263,10 +263,8 @@ const serve::ReductionService& Cluster::node(int i) const {
 std::size_t Cluster::load(int node) const {
   const serve::ReductionService& svc = *nodes_[static_cast<std::size_t>(node)];
   std::size_t load = svc.queue().size() + pending_[static_cast<std::size_t>(node)];
-  if (!svc.pool().idle(serve::Placement::kGpu)) ++load;
-  if (svc.pool().use_cpu() && !svc.pool().idle(serve::Placement::kCpu)) {
-    ++load;
-  }
+  if (svc.busy(serve::Placement::kGpu)) ++load;
+  if (svc.busy(serve::Placement::kCpu)) ++load;
   return load;
 }
 

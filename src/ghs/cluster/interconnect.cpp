@@ -16,14 +16,12 @@ Interconnect::Interconnect(sim::Simulator& sim, int nodes,
                            InterconnectOptions options)
     : sim_(sim), net_(sim), nodes_(nodes) {
   GHS_REQUIRE(nodes > 0, "nodes=" << nodes);
-  GHS_REQUIRE(options.memory_bw.bytes_per_second > 0.0 &&
-                  options.link_bw.bytes_per_second > 0.0,
+  GHS_REQUIRE(options.link_bw.bytes_per_second > 0.0,
               "non-positive interconnect bandwidth");
   mem_.reserve(static_cast<std::size_t>(nodes));
   for (int n = 0; n < nodes; ++n) {
     mem_.push_back(
-        net_.add_resource("node" + std::to_string(n) + ".mem",
-                          options.memory_bw));
+        net_.add_resource("node" + std::to_string(n) + ".mem", kMemoryBw));
   }
   const std::size_t width = static_cast<std::size_t>(nodes);
   links_.assign(width * width, kNoLink);

@@ -22,10 +22,11 @@
 
 namespace ghs::cluster {
 
+/// Per-node memory capacity the fabric can draw on (LPDDR5X share
+/// reserved for network traffic).
+inline constexpr Bandwidth kMemoryBw = Bandwidth::from_gbps(500.0);
+
 struct InterconnectOptions {
-  /// Per-node memory capacity the fabric can draw on (LPDDR5X share
-  /// reserved for network traffic).
-  Bandwidth memory_bw = Bandwidth::from_gbps(500.0);
   /// Per-ordered-pair link capacity (one NVLink direction).
   Bandwidth link_bw = Bandwidth::from_gbps(450.0);
 };

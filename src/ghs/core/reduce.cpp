@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "ghs/util/error.hpp"
-#include "ghs/util/log.hpp"
 #include "ghs/util/math.hpp"
 
 namespace ghs::core {

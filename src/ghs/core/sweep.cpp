@@ -7,7 +7,6 @@
 
 #include "ghs/stats/summary.hpp"
 #include "ghs/util/error.hpp"
-#include "ghs/util/log.hpp"
 
 namespace ghs::core {
 

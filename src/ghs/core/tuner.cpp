@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ghs/util/error.hpp"
-#include "ghs/util/log.hpp"
 #include "ghs/util/math.hpp"
 
 namespace ghs::core {
@@ -99,9 +98,6 @@ TunerResult tune_reduction(workload::CaseId case_id, ReduceTuning seed,
       }
     }
   }
-  GHS_INFO("tuner: " << result.evaluations() << " probes, best "
-                     << result.best_gbps << " GB/s at teams="
-                     << result.best.teams << " v=" << result.best.v);
   return result;
 }
 

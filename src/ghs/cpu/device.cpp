@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "ghs/util/error.hpp"
-#include "ghs/util/log.hpp"
 
 namespace ghs::cpu {
 
@@ -112,10 +111,6 @@ void CpuDevice::reduce(const CpuReduceRequest& request,
                  on_complete = std::move(on_complete)] {
     sim_.schedule_after(join, [this, result, label, on_complete] {
       result->end = sim_.now();
-      GHS_DEBUG("cpu reduce done in " << format_time(result->duration())
-                                      << " ("
-                                      << format_bandwidth(result->bandwidth())
-                                      << ")");
       if (tracer_ != nullptr) {
         std::string detail = format_bandwidth(result->bandwidth());
         if (result->remote_bytes > 0) {

@@ -16,15 +16,6 @@ const char* breaker_state_name(BreakerState state) {
   GHS_UNREACHABLE("breaker state " << static_cast<int>(state));
 }
 
-CircuitBreaker::CircuitBreaker(BreakerOptions options) : options_(options) {
-  GHS_REQUIRE(options_.failure_threshold > 0,
-              "failure_threshold=" << options_.failure_threshold);
-  GHS_REQUIRE(options_.open_duration > 0,
-              "open_duration=" << options_.open_duration);
-  GHS_REQUIRE(options_.close_threshold > 0,
-              "close_threshold=" << options_.close_threshold);
-}
-
 void CircuitBreaker::set_on_transition(TransitionHook hook) {
   on_transition_ = std::move(hook);
 }
@@ -37,7 +28,6 @@ void CircuitBreaker::transition(BreakerState to, SimTime at) {
     ++opens_;
     opened_at_ = at;
   }
-  if (to == BreakerState::kHalfOpen) half_open_successes_ = 0;
   if (on_transition_) on_transition_(from, to, at);
 }
 
@@ -58,8 +48,7 @@ bool CircuitBreaker::allow(SimTime now) {
 
 void CircuitBreaker::record_success(SimTime now) {
   consecutive_failures_ = 0;
-  if (state_ == BreakerState::kHalfOpen &&
-      ++half_open_successes_ >= options_.close_threshold) {
+  if (state_ == BreakerState::kHalfOpen) {
     transition(BreakerState::kClosed, now);
   }
 }
@@ -72,7 +61,7 @@ void CircuitBreaker::record_failure(SimTime now) {
     return;
   }
   if (state_ == BreakerState::kClosed &&
-      ++consecutive_failures_ >= options_.failure_threshold) {
+      ++consecutive_failures_ >= kFailureThreshold) {
     consecutive_failures_ = 0;
     transition(BreakerState::kOpen, now);
   }

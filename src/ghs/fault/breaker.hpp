@@ -14,14 +14,10 @@
 
 namespace ghs::fault {
 
-struct BreakerOptions {
-  /// Consecutive failures that trip the breaker open.
-  int failure_threshold = 3;
-  /// Cool-down before a half-open probe is allowed.
-  SimTime open_duration = 500 * kMicrosecond;
-  /// Successes required in half-open before the breaker closes again.
-  int close_threshold = 1;
-};
+/// Consecutive failures that trip the breaker open.
+inline constexpr int kFailureThreshold = 3;
+/// Cool-down before a half-open probe is allowed.
+inline constexpr SimTime kOpenDuration = 500 * kMicrosecond;
 
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
@@ -29,8 +25,6 @@ const char* breaker_state_name(BreakerState state);
 
 class CircuitBreaker {
  public:
-  explicit CircuitBreaker(BreakerOptions options = {});
-
   /// Whether a launch may proceed at `now`. An open breaker whose
   /// cool-down has elapsed transitions to half-open and admits the probe.
   bool allow(SimTime now);
@@ -42,7 +36,7 @@ class CircuitBreaker {
   /// Times the breaker tripped closed -> open (or half-open -> open).
   std::int64_t opens() const { return opens_; }
   /// Earliest time a half-open probe will be admitted (valid while open).
-  SimTime probe_at() const { return opened_at_ + options_.open_duration; }
+  SimTime probe_at() const { return opened_at_ + kOpenDuration; }
 
   /// Fires on every state change (telemetry, flight recorder, logging).
   using TransitionHook =
@@ -52,10 +46,8 @@ class CircuitBreaker {
  private:
   void transition(BreakerState to, SimTime at);
 
-  BreakerOptions options_;
   BreakerState state_ = BreakerState::kClosed;
   int consecutive_failures_ = 0;
-  int half_open_successes_ = 0;
   SimTime opened_at_ = 0;
   std::int64_t opens_ = 0;
   TransitionHook on_transition_;

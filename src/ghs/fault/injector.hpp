@@ -60,8 +60,9 @@ class Injector {
   double migration_stall_scale(SimTime now) const;
 
   /// Accounting entry points for the layer that applies the verdicts (the
-  /// DevicePool), so outage failures and slow-down episodes show up in
-  /// stats and telemetry exactly once per affected launch.
+  /// serve::ReductionService launch path), so outage failures and
+  /// slow-down episodes show up in stats and telemetry exactly once per
+  /// affected launch.
   void note_outage_fault(Target target, SimTime now);
   void note_slowed_launch(Target target, SimTime now, double scale);
   void note_stalled_launch(SimTime now, double scale);

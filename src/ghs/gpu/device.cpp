@@ -7,7 +7,6 @@
 
 #include "ghs/gpu/occupancy.hpp"
 #include "ghs/util/error.hpp"
-#include "ghs/util/log.hpp"
 #include "ghs/util/math.hpp"
 
 namespace ghs::gpu {
@@ -330,9 +329,6 @@ void GpuDevice::finish_kernel(const std::shared_ptr<Execution>& exec) {
   sim_.schedule_after(delay, [this, exec] {
     exec->result.end = sim_.now();
     busy_ = false;
-    GHS_DEBUG("kernel '" << exec->desc.label << "' done in "
-                         << format_time(exec->result.duration()) << " ("
-                         << format_bandwidth(exec->result.bandwidth()) << ")");
     if (tracer_ != nullptr) {
       std::string detail = "grid=" + std::to_string(exec->desc.grid);
       detail += " threads=" + std::to_string(exec->desc.threads_per_cta);

@@ -6,11 +6,11 @@
 // report can answer "which tenant, op, or node is consuming the hardware".
 //
 // The ledger is conservation-checked: the attributed device time must
-// equal the DevicePool's busy-time totals exactly, and the attributed
-// bytes must equal the interconnect + replay + unified-memory byte totals
-// the telemetry layer already keeps. check() compares the two sides and
-// the loadgens assert it at report time, so a charging-site regression
-// fails loudly instead of silently skewing the per-tenant bill.
+// equal the serving nodes' device busy-time totals exactly, and the
+// attributed bytes must equal the interconnect + replay + unified-memory
+// byte totals the telemetry layer already keeps. check() compares the two
+// sides and the loadgens assert it at report time, so a charging-site
+// regression fails loudly instead of silently skewing the per-tenant bill.
 //
 // Charging is integer-exact: a batched launch's service time is split
 // across its jobs proportionally to element count with the rounding
@@ -90,7 +90,8 @@ struct Cost {
 };
 
 /// Telemetry-side totals the ledger must reconcile against, gathered from
-/// DevicePoolStats / cluster counters by the caller.
+/// ReductionService::conservation_totals() / cluster counters by the
+/// caller.
 struct ConservationTotals {
   SimTime gpu_busy_ps = 0;
   SimTime cpu_busy_ps = 0;

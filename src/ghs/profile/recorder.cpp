@@ -23,7 +23,7 @@ void Recorder::on_launch(const LaunchSample& sample,
   }
 
   // Service time: the whole [begin, end) interval occupies the device
-  // (DevicePool credits gpu_busy/cpu_busy unconditionally, failures
+  // (the service credits device busy time unconditionally, failures
   // included), so the ledger must charge all of it to keep conservation.
   std::vector<std::int64_t> weights;
   weights.reserve(jobs.size());

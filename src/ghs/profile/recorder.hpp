@@ -1,8 +1,8 @@
 // Recorder: the charging surface ghs::serve and ghs::cluster call into
-// when profiling is on. The DevicePool reports every launch (with the
-// per-job element weights), the service reports retry backoffs, and the
-// cluster reports interconnect transfers / steals / drains / journal
-// replays; the recorder turns each into exact CostLedger charges and
+// when profiling is on. The service reports every launch (with the
+// per-job element weights) and every retry backoff, and the cluster
+// reports interconnect transfers / steals / drains / journal replays; the
+// recorder turns each into exact CostLedger charges and
 // keeps a per-(node, device) activity registry the sampling Profiler
 // reads to answer "what is this device doing right now".
 //
@@ -33,7 +33,7 @@ struct JobCost {
   SimTime enqueued = 0;
 };
 
-/// One DevicePool launch, batch-level.
+/// One serve::ReductionService launch, batch-level.
 struct LaunchSample {
   std::int16_t node = 0;
   Device device = Device::kGpu;
@@ -64,7 +64,7 @@ struct DeviceActivity {
 class Recorder {
  public:
   /// Announces a device so the profiler samples it (as idle) even before
-  /// its first launch. Called from DevicePool construction.
+  /// its first launch. Called from ReductionService construction.
   void register_device(std::int16_t node, Device device);
 
   /// Charges one launch: queue wait per job, then the service time split

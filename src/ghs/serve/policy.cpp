@@ -1,6 +1,5 @@
 #include "ghs/serve/policy.hpp"
 
-#include <cmath>
 #include <string>
 
 #include "ghs/telemetry/flight_recorder.hpp"
@@ -43,24 +42,11 @@ core::ReduceTuning ShortestJobFirstPolicy::geometry(const Job& job) {
   return core::paper_best_tuning(job.case_id);
 }
 
-BandwidthAwarePolicy::BandwidthAwarePolicy(ServiceModel& model,
-                                           Options options)
-    : model_(model), options_(options) {
-  GHS_REQUIRE(options_.max_probes > 0, "max_probes=" << options_.max_probes);
-  // The cache key carries the machine identity so geometries tuned for one
-  // SystemConfig are never replayed on another.
-  const auto& config = model_.options().config;
-  config_fingerprint_ =
-      std::llround(config.topology.hbm_bw.gbps() * 1000.0) * 1'000'000 +
-      std::llround(config.cpu.aggregate_local_bw.gbps()) * 1'000 +
-      config.cpu.cores;
-}
-
 bool BandwidthAwarePolicy::cpu_eligible(const Job& job) {
   // Unified jobs hand the GPU a managed buffer; the host path is not
   // priced for them.
   if (job.unified) return false;
-  if (job.bytes() > options_.max_cpu_bytes) return false;
+  if (job.bytes() > kMaxCpuBytes) return false;
   const SimTime cpu = model_.cpu_service(job.case_id, job.elements);
   const SimTime gpu = model_.gpu_service(job.case_id, job.elements,
                                          geometry(job));
@@ -82,8 +68,7 @@ std::optional<std::size_t> BandwidthAwarePolicy::select(
 
 core::ReduceTuning BandwidthAwarePolicy::geometry(const Job& job) {
   const telemetry::Sink& sink = model_.options().telemetry;
-  const Key key{static_cast<int>(job.case_id), job.elements,
-                config_fingerprint_};
+  const Key key{static_cast<int>(job.case_id), job.elements};
   if (const auto it = cache_.find(key); it != cache_.end()) {
     ++cache_stats_.hits;
     if (sink.metrics != nullptr) {
@@ -110,7 +95,7 @@ core::ReduceTuning BandwidthAwarePolicy::geometry(const Job& job) {
   core::TunerOptions tuner;
   tuner.elements = job.elements;
   tuner.iterations = 1;
-  tuner.max_probes = options_.max_probes;
+  tuner.max_probes = kMaxProbes;
   tuner.config = model_.options().config;
   tuner.telemetry = sink;
   const auto result = core::tune_reduction(

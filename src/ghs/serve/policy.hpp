@@ -15,7 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <tuple>
+#include <utility>
 
 #include "ghs/core/reduce.hpp"
 #include "ghs/core/tuner.hpp"
@@ -66,23 +66,18 @@ struct TunerCacheStats {
 
 class BandwidthAwarePolicy : public SchedulerPolicy {
  public:
-  struct Options {
-    /// Probe budget per distinct (case, elements) shape; each probe is one
-    /// simulated Listing 6 run inside the Tuner's hill climb.
-    int max_probes = 24;
-    /// Largest job the Grace CPU may absorb.
-    Bytes max_cpu_bytes = 64 * kMiB;
-  };
-
+  /// Probe budget per distinct (case, elements) shape; each probe is one
+  /// simulated Listing 6 run inside the Tuner's hill climb.
+  static constexpr int kMaxProbes = 24;
+  /// Largest job the Grace CPU may absorb.
+  static constexpr Bytes kMaxCpuBytes = 64 * kMiB;
   /// A job is CPU-eligible when the host reduction costs at most this
   /// multiple of the tuned GPU service for the same shape.
   static constexpr double kCpuSlowdownLimit = 8.0;
 
   /// `model` prices CPU-vs-GPU placement; its SystemConfig also drives the
   /// tuner probes so cached geometries match the machine being served.
-  BandwidthAwarePolicy(ServiceModel& model, Options options);
-  explicit BandwidthAwarePolicy(ServiceModel& model)
-      : BandwidthAwarePolicy(model, Options{}) {}
+  explicit BandwidthAwarePolicy(ServiceModel& model) : model_(model) {}
 
   const char* name() const override { return "bandwidth"; }
   std::optional<std::size_t> select(const AdmissionQueue& queue,
@@ -98,12 +93,11 @@ class BandwidthAwarePolicy : public SchedulerPolicy {
   bool cpu_eligible(const Job& job);
 
  private:
-  // (case, elements, config fingerprint) -> tuned geometry.
-  using Key = std::tuple<int, std::int64_t, std::int64_t>;
+  // (case, elements) -> tuned geometry. The model, and so the machine
+  // being tuned for, never changes under a policy.
+  using Key = std::pair<int, std::int64_t>;
 
   ServiceModel& model_;
-  Options options_;
-  std::int64_t config_fingerprint_ = 0;
   std::map<Key, core::ReduceTuning> cache_;
   TunerCacheStats cache_stats_;
 };

@@ -100,11 +100,16 @@ ReductionService::ReductionService(std::unique_ptr<SchedulerPolicy> policy,
                                            : *owned_sim_),
       queue_(options.queue_depth),
       injector_(effective_injector(options.injector)),
-      pool_(sim_, model, options.use_cpu, tracer, options.telemetry,
-            injector_, node_labels(options.node), options.profile,
-            cost_node()),
       retry_rng_(kJitterSeed) {
   GHS_REQUIRE(policy_ != nullptr, "null policy");
+  if (options_.profile != nullptr) {
+    // Announce the devices up front so the profiler samples them as idle
+    // before their first launch.
+    options_.profile->register_device(cost_node(), profile::Device::kGpu);
+    if (options_.use_cpu) {
+      options_.profile->register_device(cost_node(), profile::Device::kCpu);
+    }
+  }
   if (options_.node >= 0) {
     flight_label_ = "node=" + std::to_string(options_.node) + " ";
   }
@@ -112,7 +117,6 @@ ReductionService::ReductionService(std::unique_ptr<SchedulerPolicy> policy,
   flight_ = sink.flight;
   if (sink.metrics != nullptr) {
     telemetry::Registry& r = *sink.metrics;
-    sim_.set_telemetry(&r);
     // A cluster node's instruments carry its node="i" label; a standalone
     // service has none, so its instrument identities stay exactly as
     // before.
@@ -121,6 +125,27 @@ ReductionService::ReductionService(std::unique_ptr<SchedulerPolicy> policy,
       labels.insert(labels.end(), inst.begin(), inst.end());
       return labels;
     };
+    m_launches_[0] = &r.counter("ghs_serve_launches_total",
+                                with_inst({{"device", "gpu"}}),
+                                "Device launches performed by the pool");
+    m_launches_[1] = &r.counter("ghs_serve_launches_total",
+                                with_inst({{"device", "cpu"}}),
+                                "Device launches performed by the pool");
+    m_batched_jobs_ =
+        &r.counter("ghs_serve_batched_jobs_total", with_inst({}),
+                   "Jobs that rode a multi-job launch");
+    if (sink.timeline) {
+      // Timeline-only: busy time per device, credited at launch, which the
+      // ghs::timeseries scraper turns into utilization-over-time. Gated on
+      // Sink::timeline so snapshot-only runs keep their instrument set.
+      m_busy_ps_[0] = &r.counter(
+          "ghs_serve_device_busy_ps_total", with_inst({{"device", "gpu"}}),
+          "Simulated picoseconds of device service, credited at launch");
+      m_busy_ps_[1] = &r.counter(
+          "ghs_serve_device_busy_ps_total", with_inst({{"device", "cpu"}}),
+          "Simulated picoseconds of device service, credited at launch");
+    }
+    sim_.set_telemetry(&r);
     m_submitted_ = &r.counter("ghs_serve_jobs_submitted_total", with_inst({}),
                               "Jobs whose arrival reached the service");
     m_admitted_ = &r.counter("ghs_serve_jobs_admitted_total", with_inst({}),
@@ -270,8 +295,8 @@ void ReductionService::on_arrival(Job job) {
   ++submitted_;
   if (m_submitted_ != nullptr) m_submitted_->inc();
   // With a tracer attached every job opens a trace at admission: the root
-  // context rides the Job through queue, placement, retries, and the device
-  // pool, so each child span can name its parent deterministically.
+  // context rides the Job through queue, placement, retries, and the
+  // launch, so each child span can name its parent deterministically.
   if (tracer_ != nullptr && !job.ctx.valid()) {
     job.ctx = trace::Context{trace::derive_trace_id(job.id),
                              tracer_->new_span_id(), 0};
@@ -289,7 +314,8 @@ void ReductionService::on_arrival(Job job) {
                       std::string(workload::case_spec(job.case_id).name) +
                           " job " + std::to_string(job.id));
     }
-    if (tracer_ != nullptr && tracer_->keep(job.ctx)) {
+    // The reject marker and the root span.
+    if (tracer_ != nullptr && tracer_->keep(job.ctx, 2)) {
       tracer_->mark(trace::Track::kServer,
                     std::string("reject ") +
                         workload::case_spec(job.case_id).name,
@@ -320,14 +346,18 @@ void ReductionService::update_queue_gauge() {
   }
 }
 
+bool ReductionService::busy(Placement device) const {
+  return busy_[device_index(device)];
+}
+
 void ReductionService::dispatch_all() {
   dispatch(Placement::kGpu);
-  if (pool_.use_cpu()) dispatch(Placement::kCpu);
+  if (options_.use_cpu) dispatch(Placement::kCpu);
 }
 
 void ReductionService::dispatch(Placement device) {
   if (!alive_) return;
-  while (pool_.idle(device) && !queue_.empty()) {
+  while (!busy(device) && !queue_.empty()) {
     if (injector_ != nullptr) {
       fault::CircuitBreaker& breaker = breaker_ref(device);
       if (!breaker.allow(sim_.now())) {
@@ -404,32 +434,222 @@ void ReductionService::dispatch(Placement device) {
                                           ? policy_->geometry(batch.front())
                                           : core::ReduceTuning{};
     update_queue_gauge();
-    // The completion closure belongs to this incarnation: if the node
-    // crashes before the launch lands, the stale result is discarded (the
-    // jobs are replayed elsewhere by the cluster's journal). dispatch_all
-    // still runs so a restarted node reclaims the device the moment the
-    // stale completion frees it.
-    pool_.launch(device, std::move(batch), tuning,
-                 [this, epoch = epoch_](const LaunchResult& result) {
-                   if (epoch == epoch_) on_launch_complete(result);
-                   dispatch_all();
-                 });
+    launch(device, std::move(batch), tuning);
   }
 }
 
-void ReductionService::on_launch_complete(const LaunchResult& result) {
-  if (result.failed) {
-    if (injector_ != nullptr) {
-      breaker_ref(result.device).record_failure(sim_.now());
+void ReductionService::launch(Placement device, std::vector<Job> jobs,
+                              const core::ReduceTuning& tuning) {
+  // dispatch() only launches on an idle device, and only batches jobs of
+  // one case and one memory mode.
+  const auto case_id = jobs.front().case_id;
+  const bool unified = jobs.front().unified;
+  std::int64_t total_elements = 0;
+  for (const auto& job : jobs) total_elements += job.elements;
+  GHS_REQUIRE(!unified || device == Placement::kGpu,
+              "unified jobs are GPU-only");
+  const bool gpu = device == Placement::kGpu;
+  const int idx = device_index(device);
+
+  SimTime service =
+      gpu ? (unified
+                 ? model_.unified_gpu_service(case_id, total_elements, tuning)
+                 : model_.gpu_service(case_id, total_elements, tuning))
+          : model_.cpu_service(case_id, total_elements);
+  const SimTime begin = sim_.now();
+
+  // Fault interpretation, all decided at launch time so the outcome is a
+  // pure function of (plan, seed, launch sequence): a launch on a down
+  // device errors out fast; otherwise brown-outs stretch the service and
+  // the launch fails if an outage window overlaps it or a transient kernel
+  // fault fires.
+  bool failed = false;
+  const fault::Target target = gpu ? fault::Target::kGpu : fault::Target::kCpu;
+  if (injector_ != nullptr) {
+    if (injector_->device_down(target, begin)) {
+      failed = true;
+      service = injector_->plan().down_error_latency;
+      injector_->note_outage_fault(target, begin);
+    } else {
+      const double scale = injector_->service_scale(target, begin);
+      const double stall =
+          unified ? injector_->migration_stall_scale(begin) : 1.0;
+      if (scale > 1.0) injector_->note_slowed_launch(target, begin, scale);
+      if (stall > 1.0) injector_->note_stalled_launch(begin, stall);
+      if (scale * stall > 1.0) {
+        service = static_cast<SimTime>(
+            std::llround(static_cast<double>(service) * scale * stall));
+      }
+      if (injector_->outage_overlaps(target, begin, begin + service)) {
+        failed = true;
+        injector_->note_outage_fault(target, begin);
+      }
+      if (injector_->kernel_fails(target, begin)) failed = true;
     }
-    for (const auto& job : result.jobs) handle_failed_job(job);
+  }
+  const SimTime end = begin + service;
+  const auto batch = static_cast<std::int64_t>(jobs.size());
+
+  const std::int64_t launch_id = launches_++;
+  if (m_launches_[idx] != nullptr) m_launches_[idx]->inc();
+  if (batch > 1) {
+    ++multi_job_launches_;
+    batched_jobs_ += batch;
+    if (m_batched_jobs_ != nullptr) m_batched_jobs_->inc(batch);
+  }
+  if (flight_ != nullptr) {
+    flight_->record(begin, "serve", "launch",
+                    std::string(workload::case_spec(case_id).name) + " x" +
+                        std::to_string(batch) + " @" +
+                        placement_name(device) +
+                        (unified ? " unified" : "") +
+                        (failed ? " FAIL" : ""));
+  }
+  busy_[idx] = true;
+  busy_ps_[idx] += service;
+  if (m_busy_ps_[idx] != nullptr) m_busy_ps_[idx]->inc(service);
+  if (failed) {
+    if (gpu) ++gpu_failures_;
+  } else {
+    device_jobs_[idx] += batch;
+  }
+
+  // Kernel start within the launch: unified launches migrate their managed
+  // buffers first. The share goes through the model's memo cache (tuner
+  // hit/miss counters), so it is computed only when a consumer — the
+  // tracer's device spans or the profile recorder — is attached, keeping
+  // consumer-free runs byte-identical. It is computed for sampled-out
+  // launches too: whether there would be a um.migrate span decides how
+  // many entries the sampler counts, and the sample rate then changes no
+  // counter but the sampler's (docs/PERFORMANCE.md §4).
+  SimTime kernel_begin = begin;
+  if (!failed && unified &&
+      (tracer_ != nullptr || options_.profile != nullptr)) {
+    const SimTime share = std::min(
+        model_.unified_migration_share(case_id, total_elements, tuning),
+        service);
+    kernel_begin = begin + share;
+  }
+  if (tracer_ != nullptr) {
+    // Spans each job's execute subtree holds: serve.execute and, on
+    // success, its device children (the page-migration share first for
+    // unified launches, then the kernel).
+    const std::int64_t job_entries =
+        failed ? 1 : (kernel_begin > begin ? 3 : 2);
+    // Sampling: the whole launch block (including the batch-level kServer
+    // span) is skipped when no job in the batch survives the sampler, so a
+    // heavily sampled million-job run builds span strings for O(sampled)
+    // launches. Launches whose jobs carry no context (tracer attached
+    // outside the serving path) are always traced.
+    std::int64_t traced_jobs = 0;
+    const trace::Context* dropped = nullptr;
+    bool any_kept = false;
+    for (const auto& job : jobs) {
+      if (!job.ctx.valid()) continue;
+      ++traced_jobs;
+      if (tracer_->sampled(job.ctx.trace_id)) {
+        any_kept = true;
+      } else {
+        dropped = &job.ctx;
+      }
+    }
+    if (dropped != nullptr && !any_kept) {
+      // The launch span and every job's subtree.
+      tracer_->keep(*dropped, 1 + traced_jobs * job_entries);
+    } else {
+      const auto& spec = workload::case_spec(case_id);
+      tracer_->record(trace::Track::kServer,
+                      std::string(spec.name) + " x" + std::to_string(batch) +
+                          " @" + placement_name(device) +
+                          (failed ? " FAIL" : ""),
+                      begin, end,
+                      std::to_string(total_elements) + " elements, launch " +
+                          std::to_string(launch_id));
+      // Causal layer: one serve.execute child per job under its root span,
+      // and — on success — the device-level grandchildren, so a job's
+      // trace tree reaches all the way into the simulated hardware.
+      for (const auto& job : jobs) {
+        if (!job.ctx.valid() || !tracer_->keep(job.ctx, job_entries)) {
+          continue;
+        }
+        const trace::Context exec_ctx =
+            job.ctx.child(tracer_->new_span_id());
+        tracer_->record(trace::Track::kJobs, "serve.execute", begin, end,
+                        std::string("device=") + placement_name(device) +
+                            " retry=" + std::to_string(job.attempt) +
+                            " batch=" + std::to_string(batch) +
+                            " launch=" + std::to_string(launch_id) +
+                            (failed ? " failed" : ""),
+                        exec_ctx);
+        if (failed) continue;
+        const std::string launch_detail =
+            "launch=" + std::to_string(launch_id);
+        if (!gpu) {
+          tracer_->record(trace::Track::kCpu, "cpu.reduce", begin, end,
+                          launch_detail,
+                          exec_ctx.child(tracer_->new_span_id()));
+          continue;
+        }
+        if (kernel_begin > begin) {
+          tracer_->record(trace::Track::kUmMigration, "um.migrate", begin,
+                          kernel_begin, launch_detail,
+                          exec_ctx.child(tracer_->new_span_id()));
+        }
+        tracer_->record(trace::Track::kGpu, "gpu.kernel", kernel_begin, end,
+                        launch_detail,
+                        exec_ctx.child(tracer_->new_span_id()));
+      }
+    }
+  }
+
+  if (!failed && unified) {
+    for (const auto& job : jobs) unified_bytes_ += job.bytes();
+  }
+  if (options_.profile != nullptr) {
+    profile::LaunchSample sample;
+    sample.node = cost_node();
+    sample.device = gpu ? profile::Device::kGpu : profile::Device::kCpu;
+    sample.begin = begin;
+    sample.kernel_begin = kernel_begin;
+    sample.end = end;
+    sample.unified = unified;
+    sample.failed = failed;
+    std::vector<profile::JobCost> costs;
+    costs.reserve(jobs.size());
+    for (const auto& job : jobs) {
+      costs.push_back({job.tenant, static_cast<std::uint8_t>(job.case_id),
+                       job.elements, job.bytes(), job.enqueued});
+    }
+    options_.profile->on_launch(sample, costs);
+  }
+
+  // The completion belongs to this incarnation: if the node crashes before
+  // the launch lands, the stale outcome is discarded (the jobs are
+  // replayed elsewhere by the cluster's journal). dispatch_all still runs
+  // so a restarted node reclaims the device the moment the stale
+  // completion frees it.
+  sim_.schedule_at(end, [this, device, failed, launch_id, begin,
+                         epoch = epoch_, jobs = std::move(jobs)]() mutable {
+    busy_[device_index(device)] = false;
+    if (epoch == epoch_) {
+      complete_launch(device, failed, launch_id, begin, jobs);
+    }
+    dispatch_all();
+  });
+}
+
+void ReductionService::complete_launch(Placement device, bool failed,
+                                       std::int64_t launch_id, SimTime begin,
+                                       std::vector<Job>& jobs) {
+  if (failed) {
+    if (injector_ != nullptr) breaker_ref(device).record_failure(sim_.now());
+    for (const auto& job : jobs) handle_failed_job(job);
     return;
   }
-  if (injector_ != nullptr) {
-    breaker_ref(result.device).record_success(sim_.now());
-  }
-  for (const auto& record : result.records) {
-    records_.push_back(record);
+  if (injector_ != nullptr) breaker_ref(device).record_success(sim_.now());
+  for (auto& job : jobs) {
+    records_.push_back({std::move(job), device, launch_id, begin, sim_.now()});
+    const JobRecord& record = records_.back();
     if (m_completed_ != nullptr) m_completed_->inc();
     if (m_latency_ms_ != nullptr) {
       // Traced runs attach the job's trace id as an exemplar, so a fat
@@ -542,7 +762,8 @@ void ReductionService::shed_job(const Job& job, const char* reason) {
     flight_->record(sim_.now(), "serve", "shed",
                     "job " + std::to_string(job.id) + ": " + reason);
   }
-  if (tracer_ != nullptr && tracer_->keep(job.ctx)) {
+  // The shed marker and the root span.
+  if (tracer_ != nullptr && tracer_->keep(job.ctx, 2)) {
     tracer_->mark(trace::Track::kServer,
                   "shed " + std::to_string(job.id), sim_.now());
     record_root_span(job, sim_.now(), "shed", "");
@@ -592,17 +813,16 @@ ServiceReport ReductionService::report() const {
   report.submitted = submitted_;
   report.served = static_cast<std::int64_t>(records_.size());
   report.rejected = static_cast<std::int64_t>(rejected_.size());
-  const auto& pool_stats = pool_.stats();
-  report.launches = pool_stats.launches;
-  report.multi_job_launches = pool_stats.multi_job_launches;
-  report.batched_jobs = pool_stats.batched_jobs;
-  report.gpu_jobs = pool_stats.gpu_jobs;
-  report.cpu_jobs = pool_stats.cpu_jobs;
+  report.launches = launches_;
+  report.multi_job_launches = multi_job_launches_;
+  report.batched_jobs = batched_jobs_;
+  report.gpu_jobs = device_jobs_[0];
+  report.cpu_jobs = device_jobs_[1];
   report.queue_high_watermark = queue_.high_watermark();
   if (injector_ != nullptr) {
     report.fault_aware = true;
     report.retries = retries_;
-    report.gpu_failures = pool_stats.gpu_failed_launches;
+    report.gpu_failures = gpu_failures_;
     report.breaker_opens = gpu_breaker_.opens() + cpu_breaker_.opens();
     report.shed = static_cast<std::int64_t>(shed_.size());
     report.fallback_cpu_jobs = fallback_cpu_jobs_;
@@ -646,9 +866,9 @@ ServiceReport ReductionService::report() const {
 
 profile::ConservationTotals ReductionService::conservation_totals() const {
   profile::ConservationTotals totals;
-  totals.gpu_busy_ps = pool_.stats().gpu_busy;
-  totals.cpu_busy_ps = pool_.stats().cpu_busy;
-  totals.um_bytes = pool_.stats().unified_bytes;
+  totals.gpu_busy_ps = busy_ps_[0];
+  totals.cpu_busy_ps = busy_ps_[1];
+  totals.um_bytes = unified_bytes_;
   return totals;
 }
 

@@ -1,18 +1,28 @@
 // ReductionService: the multi-tenant serving loop. Tenants submit jobs
 // (arrivals are simulator events); the admission queue applies
-// backpressure; the scheduler policy places work on the DevicePool; every
-// completion is recorded and fed to the latency report. One service run is
-// one deterministic discrete-event simulation — same submissions, same
-// seed, same report, byte for byte.
+// backpressure; the scheduler policy places work on the simulated H100 or
+// the Grace CPU, which the service time-shares; every completion is
+// recorded and fed to the latency report. One service run is one
+// deterministic discrete-event simulation — same submissions, same seed,
+// same report, byte for byte.
 //
-// With a fault::Injector attached (ServiceOptions::injector) the loop is
-// self-healing: failed launches are retried with capped exponential
-// backoff plus deterministic jitter, a per-device circuit breaker stops
-// hammering a sick device and probes it half-open after a cool-down, jobs
-// that can no longer make their deadline are shed instead of retried, and
-// while the GPU breaker is open non-unified jobs fall back to the Grace
-// CPU (degraded placement). Every admitted job therefore ends exactly one
-// way: served, rejected at admission, or shed — chaos never loses work.
+// A launch is one kernel (or one host parallel region) serving one job or
+// a batch of small same-case jobs — batching amortises the per-launch
+// runtime overhead exactly the way fusing tiny reductions does on the real
+// machine. Every launch is recorded as a Track::kServer span so a served
+// workload renders in the Chrome-trace timeline.
+//
+// With a fault::Injector attached (ServiceOptions::injector) launches
+// become the failure surface — bandwidth brown-outs stretch a launch's
+// service time, device-down windows and transient kernel faults turn its
+// completion into a failure — and the loop is self-healing: failed
+// launches are retried with capped exponential backoff plus deterministic
+// jitter, a per-device circuit breaker stops hammering a sick device and
+// probes it half-open after a cool-down, jobs that can no longer make
+// their deadline are shed instead of retried, and while the GPU breaker
+// is open non-unified jobs fall back to the Grace CPU (degraded
+// placement). Every admitted job therefore ends exactly one way: served,
+// rejected at admission, or shed — chaos never loses work.
 #pragma once
 
 #include <algorithm>
@@ -23,10 +33,10 @@
 #include <string>
 #include <vector>
 
+#include "ghs/core/reduce.hpp"
 #include "ghs/fault/breaker.hpp"
 #include "ghs/fault/injector.hpp"
 #include "ghs/profile/recorder.hpp"
-#include "ghs/serve/device_pool.hpp"
 #include "ghs/serve/job.hpp"
 #include "ghs/serve/policy.hpp"
 #include "ghs/serve/queue.hpp"
@@ -103,15 +113,25 @@ void chain_arrivals(sim::Simulator& sim, std::vector<Job> jobs,
 /// shed (only a run with a fault::Injector ever retries).
 inline constexpr int kMaxAttempts = 4;
 
+struct BatchOptions {
+  bool enable = true;
+  /// Jobs per launch, including the one the policy selected.
+  static constexpr int max_jobs = 8;
+  /// Only jobs at or below this element count coalesce.
+  static constexpr std::int64_t small_elements = 1 << 20;
+  /// Ceiling on a batch's summed element count.
+  static constexpr std::int64_t max_batch_elements = 1 << 23;
+};
+
 struct ServiceOptions {
   /// Admission-queue bound; arrivals beyond it are rejected.
   std::size_t queue_depth = 64;
-  /// Whether the pool includes the Grace CPU (policies that never place
-  /// there are unaffected).
+  /// Whether the service launches on the Grace CPU too (policies that
+  /// never place there are unaffected).
   bool use_cpu = true;
   BatchOptions batching;
-  /// Metric instruments + flight recorder for the service, its pool, and
-  /// its simulator (null members disable).
+  /// Metric instruments + flight recorder for the service and its
+  /// simulator (null members disable).
   telemetry::Sink telemetry;
   /// Fault injector driving chaos for this run. Null — or an injector with
   /// an empty plan — leaves every code path and report byte-identical to a
@@ -124,16 +144,15 @@ struct ServiceOptions {
   /// which in a cluster means running every node. Null (the default)
   /// preserves the standalone self-contained service.
   sim::Simulator* external_sim = nullptr;
-  /// Cost-attribution recorder (ghs::profile). When set, the service and
-  /// its DevicePool charge every launch interval, queue wait, and retry
-  /// backoff to the recorder's ledger. Null (the default) takes no
-  /// profiling branches and keeps every output byte-identical to an
-  /// unprofiled build.
+  /// Cost-attribution recorder (ghs::profile). When set, the service
+  /// charges every launch interval, queue wait, and retry backoff to the
+  /// recorder's ledger. Null (the default) takes no profiling branches and
+  /// keeps every output byte-identical to an unprofiled build.
   profile::Recorder* profile = nullptr;
   /// Cluster node this service runs as; -1 (the default) is a standalone
-  /// service. A node index labels every instrument of the service and its
-  /// pool node="i", prefixes its flight-recorder details "node=i ", and
-  /// is the node of its cost keys (standalone services charge node 0).
+  /// service. A node index labels every instrument of the service
+  /// node="i", prefixes its flight-recorder details "node=i ", and is the
+  /// node of its cost keys (standalone services charge node 0).
   int node = -1;
 };
 
@@ -268,7 +287,8 @@ class ReductionService {
   const std::vector<SimTime>& rejected_times() const { return rejected_at_; }
   const std::vector<SimTime>& shed_times() const { return shed_at_; }
   const AdmissionQueue& queue() const { return queue_; }
-  const DevicePool& pool() const { return pool_; }
+  /// Whether a launch occupies `device` right now.
+  bool busy(Placement device) const;
   SchedulerPolicy& policy() { return *policy_; }
   const fault::CircuitBreaker& breaker(Placement device) const {
     return device == Placement::kGpu ? gpu_breaker_ : cpu_breaker_;
@@ -277,7 +297,7 @@ class ReductionService {
   ServiceReport report() const;
 
   /// Telemetry-side totals the profile::CostLedger reconciles against:
-  /// the pool's device busy time and unified-migration bytes (standalone
+  /// the devices' busy time and unified-migration bytes (standalone
   /// services move no interconnect/replay bytes).
   profile::ConservationTotals conservation_totals() const;
 
@@ -293,7 +313,16 @@ class ReductionService {
   fault::CircuitBreaker& breaker_ref(Placement device) {
     return device == Placement::kGpu ? gpu_breaker_ : cpu_breaker_;
   }
-  void on_launch_complete(const LaunchResult& result);
+  /// Runs `jobs` as one launch on the idle `device` from sim.now():
+  /// prices the batch, applies the fault plan, emits the launch's spans,
+  /// counters and cost charges, and schedules its completion. `tuning` is
+  /// the GPU geometry (ignored for CPU launches).
+  void launch(Placement device, std::vector<Job> jobs,
+              const core::ReduceTuning& tuning);
+  /// The launch's completion in the incarnation that started it: served
+  /// jobs are recorded, failed ones go to the retry machinery.
+  void complete_launch(Placement device, bool failed, std::int64_t launch_id,
+                       SimTime begin, std::vector<Job>& jobs);
   void handle_failed_job(const Job& job);
   void shed_job(const Job& job, const char* reason);
   /// Closes the job's trace with its serve.job root span (traced runs
@@ -316,7 +345,6 @@ class ReductionService {
   /// The effective injector: options.injector with an empty plan is
   /// normalised to null, so "no faults" is one code path.
   fault::Injector* injector_;
-  DevicePool pool_;
   fault::CircuitBreaker gpu_breaker_;
   fault::CircuitBreaker cpu_breaker_;
   Rng retry_rng_;
@@ -332,6 +360,21 @@ class ReductionService {
                      SimTime)>
       on_breaker_;
   std::int64_t submitted_ = 0;
+  // Launch accounting; per-device arrays are indexed gpu 0, cpu 1.
+  bool busy_[2] = {false, false};
+  /// Service time credited at launch, failed launches included.
+  SimTime busy_ps_[2] = {0, 0};
+  /// Jobs of successful launches, counted at launch.
+  std::int64_t device_jobs_[2] = {0, 0};
+  std::int64_t launches_ = 0;
+  /// Launches that carried more than one job, and the jobs they carried.
+  std::int64_t multi_job_launches_ = 0;
+  std::int64_t batched_jobs_ = 0;
+  /// Failed GPU launches (injected kernel faults + outage kills).
+  std::int64_t gpu_failures_ = 0;
+  /// Managed-buffer bytes moved by successful unified launches; the
+  /// telemetry side of the profile ledger's um.migrate byte conservation.
+  Bytes unified_bytes_ = 0;
   std::int64_t retries_ = 0;
   std::int64_t fallback_cpu_jobs_ = 0;
   /// Node-process liveness (cluster crash plans); standalone services stay
@@ -357,6 +400,10 @@ class ReductionService {
   telemetry::Counter* m_retries_ = nullptr;
   telemetry::Counter* m_shed_ = nullptr;
   telemetry::Counter* m_fallback_ = nullptr;
+  telemetry::Counter* m_launches_[2] = {nullptr, nullptr};
+  telemetry::Counter* m_batched_jobs_ = nullptr;
+  /// Non-null only with Sink::timeline (scraped runs).
+  telemetry::Counter* m_busy_ps_[2] = {nullptr, nullptr};
   telemetry::Counter* m_breaker_opens_[2] = {nullptr, nullptr};
   telemetry::Gauge* m_breaker_state_[2] = {nullptr, nullptr};
 };

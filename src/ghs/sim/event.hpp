@@ -5,7 +5,7 @@
 // serve layer's [this, job] arrival and retry lambdas — lives inline in
 // the simulator's event slot instead of in its own heap block. Only
 // oversized callables fall back to one heap allocation; nothing is ever
-// copied, so captured state (jobs, launch results) moves straight from
+// copied, so captured state (jobs, launch batches) moves straight from
 // the caller into the slot and from the slot into the dispatch loop.
 #pragma once
 

@@ -57,10 +57,8 @@ std::string short_labels(const std::string& key) {
   return out;
 }
 
-Series::Series(std::string key, SeriesKind kind, const TsdbOptions& options)
-    : key_(std::move(key)), kind_(kind), options_(options) {
-  tiers_.resize(options.tiers);
-}
+Series::Series(std::string key, SeriesKind kind)
+    : key_(std::move(key)), kind_(kind), tiers_(kTiers) {}
 
 void Series::append(SimTime at, double value) {
   GHS_REQUIRE(at >= last_at_,
@@ -70,14 +68,13 @@ void Series::append(SimTime at, double value) {
   ++points_;
   total_sum_ += value;
   raw_.push_back(Sample{at, value});
-  if (raw_.size() > options_.raw_capacity) fold_raw();
+  if (raw_.size() > kRawCapacity) fold_raw();
 }
 
 double Series::last_value() const { return points_ > 0 ? last_value_ : 0.0; }
 
 void Series::fold_raw() {
-  const std::size_t take = std::min(std::max<std::size_t>(options_.fold, 1),
-                                    raw_.size());
+  const std::size_t take = std::min(kFold, raw_.size());
   Rollup rollup;
   for (std::size_t i = 0; i < take; ++i) {
     rollup.fold(raw_.front());
@@ -96,9 +93,8 @@ void Series::push_rollup(std::size_t tier, Rollup rollup) {
   }
   auto& ring = tiers_[tier];
   ring.push_back(rollup);
-  if (ring.size() > options_.tier_capacity) {
-    const std::size_t take =
-        std::min(std::max<std::size_t>(options_.fold, 1), ring.size());
+  if (ring.size() > kTierCapacity) {
+    const std::size_t take = std::min(kFold, ring.size());
     Rollup merged;
     for (std::size_t i = 0; i < take; ++i) {
       merged.merge(ring.front());
@@ -108,17 +104,10 @@ void Series::push_rollup(std::size_t tier, Rollup rollup) {
   }
 }
 
-Tsdb::Tsdb(TsdbOptions options) : options_(options) {
-  GHS_REQUIRE(options_.raw_capacity > 0, "raw_capacity must be positive");
-  GHS_REQUIRE(options_.fold > 0, "fold must be positive");
-  GHS_REQUIRE(options_.tiers == 0 || options_.tier_capacity > 0,
-              "tier_capacity must be positive with tiers configured");
-}
-
 Series& Tsdb::series(const std::string& key, SeriesKind kind) {
   auto it = series_.find(key);
   if (it == series_.end()) {
-    it = series_.emplace(key, Series(key, kind, options_)).first;
+    it = series_.emplace(key, Series(key, kind)).first;
   } else {
     GHS_REQUIRE(it->second.kind() == kind,
                 "series " << key << " is " << series_kind_name(

@@ -3,7 +3,7 @@
 // no matter how long a simulation runs.
 //
 // Retention works like a miniature TSDB: the newest samples sit in a raw
-// ring; when the ring is full, the oldest `fold` samples collapse into one
+// ring; when the ring is full, the oldest kFold samples collapse into one
 // min/mean/max/last rollup pushed to tier 1; full tiers fold into the next
 // tier the same way; rollups evicted past the last tier are counted (and
 // their sums preserved) in per-series drop counters, so `sum()` over the
@@ -66,21 +66,19 @@ const char* series_kind_name(SeriesKind kind);
 /// ("device=gpu,node=3"), or "" for an unlabelled key.
 std::string short_labels(const std::string& key);
 
-struct TsdbOptions {
-  /// Raw samples kept per series before folding begins.
-  std::size_t raw_capacity = 512;
-  /// Oldest points folded into one rollup when a ring overflows.
-  std::size_t fold = 8;
-  /// Rollups kept per downsampling tier.
-  std::size_t tier_capacity = 256;
-  /// Downsampling tiers behind the raw ring; rollups evicted past the last
-  /// tier are dropped (and counted). 0 drops straight from the raw ring.
-  std::size_t tiers = 2;
-};
+/// Raw samples kept per series before folding begins.
+inline constexpr std::size_t kRawCapacity = 512;
+/// Oldest points folded into one rollup when a ring overflows.
+inline constexpr std::size_t kFold = 8;
+/// Rollups kept per downsampling tier.
+inline constexpr std::size_t kTierCapacity = 256;
+/// Downsampling tiers behind the raw ring; rollups evicted past the last
+/// tier are dropped (and counted).
+inline constexpr std::size_t kTiers = 2;
 
 class Series {
  public:
-  Series(std::string key, SeriesKind kind, const TsdbOptions& options);
+  Series(std::string key, SeriesKind kind);
 
   /// Appends one sample; `at` must be monotonically non-decreasing.
   void append(SimTime at, double value);
@@ -110,7 +108,6 @@ class Series {
 
   std::string key_;
   SeriesKind kind_;
-  TsdbOptions options_;  // by value, so a moved Tsdb never dangles
   std::deque<Sample> raw_;
   std::vector<std::deque<Rollup>> tiers_;
   std::int64_t points_ = 0;
@@ -123,8 +120,6 @@ class Series {
 
 class Tsdb {
  public:
-  explicit Tsdb(TsdbOptions options = {});
-
   /// Returns the series for `key`, creating it on first use. Re-asking
   /// with a different kind is an error (one meaning per key).
   Series& series(const std::string& key, SeriesKind kind);
@@ -133,7 +128,6 @@ class Tsdb {
   const Series* find(const std::string& key) const;
 
   std::size_t size() const { return series_.size(); }
-  const TsdbOptions& options() const { return options_; }
 
   /// Store-wide accounting across every series.
   std::int64_t total_points() const;
@@ -143,7 +137,6 @@ class Tsdb {
   void visit(const std::function<void(const Series&)>& fn) const;
 
  private:
-  TsdbOptions options_;
   std::map<std::string, Series> series_;
 };
 

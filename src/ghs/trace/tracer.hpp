@@ -97,13 +97,21 @@ class Tracer {
     return decide(trace_id);
   }
 
-  /// Pre-check for callers: skip building span names/details entirely for
-  /// traces the sampler will drop — this is what makes tracing at 10^6
-  /// jobs O(sampled) instead of O(jobs).
-  bool keep(const Context& ctx) const { return sampled(ctx.trace_id); }
+  /// Pre-check for emit sites: skip building span names/details entirely
+  /// for traces the sampler will drop — this is what makes tracing at 10^6
+  /// jobs O(sampled) instead of O(jobs). A dropped trace counts the
+  /// `entries` spans and instants the site skips, exactly as record() and
+  /// mark() count the ones they reject.
+  bool keep(const Context& ctx, std::int64_t entries = 1) {
+    if (sampled(ctx.trace_id)) return true;
+    dropped_by_sampler_ += entries;
+    return false;
+  }
 
-  /// Ctx-carrying entries rejected by the sampler (record/mark calls made
-  /// without the keep() pre-check still count their drops here).
+  /// Spans and instants dropped because their request's trace was sampled
+  /// out: those an emit site skipped through keep() — including
+  /// context-free ones it skipped with them, such as a launch span or a
+  /// reject marker — and those record()/mark() rejected.
   std::int64_t dropped_by_sampler() const { return dropped_by_sampler_; }
 
   /// Records a completed span; begin <= end required.

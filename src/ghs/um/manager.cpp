@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "ghs/util/error.hpp"
-#include "ghs/util/log.hpp"
 #include "ghs/util/math.hpp"
 
 namespace ghs::um {

@@ -14,6 +14,7 @@
 #include "ghs/fault/plan.hpp"
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/telemetry/flight_recorder.hpp"
+#include "ghs/trace/tracer.hpp"
 #include "ghs/util/units.hpp"
 
 namespace ghs::cluster {
@@ -89,6 +90,35 @@ TEST(Membership, ReplayedJobsLandOnSurvivors) {
   const auto* journal = fleet.journal();
   ASSERT_NE(journal, nullptr);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(journal->open_count(i), 0);
+}
+
+TEST(Membership, SamplerCountsEverySpanItSkipsAcrossACrash) {
+  // Kept + ring drops + sampler drops at rate 0.05 must add up to what the
+  // unsampled fleet keeps: every skipped span or instant is counted once.
+  const auto accounted = [](double rate) {
+    trace::Tracer tracer;
+    tracer.set_sampler(trace::SamplerOptions{rate, 11});
+    ClusterOptions options;
+    options.nodes = 4;
+    options.router = RouterPolicy::kLeast;
+    options.crash_plan = fault::parse_crash_plan("1@300us:2ms");
+    serve::ServiceModel model;
+    Cluster fleet(model, options, &tracer);
+    auto jobs = fleet_workload(42, 600, 400000.0);
+    for (std::size_t i = 0; i < jobs.size(); i += 5) jobs[i].unified = true;
+    fleet.submit_all(std::move(jobs));
+    fleet.run();
+    const ClusterReport report = fleet.report();
+    check_invariant(report);
+    EXPECT_EQ(report.membership.crashes, 1);
+    EXPECT_GT(report.membership.replayed, 0);
+    if (rate < 1.0) {
+      EXPECT_GT(tracer.dropped_by_sampler(), 0);
+    }
+    return static_cast<std::int64_t>(tracer.size()) +
+           tracer.dropped_total() + tracer.dropped_by_sampler();
+  };
+  EXPECT_EQ(accounted(0.05), accounted(1.0));
 }
 
 TEST(Membership, CrashWithRestartRejoinsThroughTheDetector) {

@@ -54,9 +54,7 @@ TEST(SjfPolicyTest, PicksSmallestBytesNotSmallestElements) {
 
 TEST(BandwidthAwarePolicyTest, TunerCacheHitsOnRepeatedShapes) {
   ServiceModel model;
-  BandwidthAwarePolicy::Options options;
-  options.max_probes = 8;
-  BandwidthAwarePolicy policy(model, options);
+  BandwidthAwarePolicy policy(model);
   const auto first = policy.geometry(job(0, workload::CaseId::kC1, 1 << 18));
   EXPECT_EQ(policy.tuner_cache().misses, 1);
   EXPECT_EQ(policy.tuner_cache().hits, 0);
@@ -72,22 +70,17 @@ TEST(BandwidthAwarePolicyTest, TunerCacheHitsOnRepeatedShapes) {
 
 TEST(BandwidthAwarePolicyTest, PlacesSmallJobsOnCpuAndLargeOnGpu) {
   ServiceModel model;
-  BandwidthAwarePolicy::Options options;
-  options.max_probes = 8;
-  BandwidthAwarePolicy policy(model, options);
+  BandwidthAwarePolicy policy(model);
   EXPECT_TRUE(policy.cpu_eligible(job(0, workload::CaseId::kC1, 1 << 14)));
-  // Far beyond max_cpu_bytes (64 MiB): 2^26 float64 elements = 512 MiB.
+  // Far beyond kMaxCpuBytes (64 MiB): 2^26 float64 elements = 512 MiB.
   EXPECT_FALSE(policy.cpu_eligible(job(1, workload::CaseId::kC4, 1 << 26)));
 }
 
 TEST(BandwidthAwarePolicyTest, CpuSelectSkipsIneligibleJobs) {
   ServiceModel model;
-  BandwidthAwarePolicy::Options options;
-  options.max_probes = 8;
-  options.max_cpu_bytes = 1 * kMiB;
-  BandwidthAwarePolicy policy(model, options);
+  BandwidthAwarePolicy policy(model);
   AdmissionQueue queue(8);
-  queue.push(job(0, workload::CaseId::kC4, 1 << 20));  // 8 MiB: GPU only
+  queue.push(job(0, workload::CaseId::kC4, 1 << 24));  // 128 MiB: GPU only
   queue.push(job(1, workload::CaseId::kC1, 1 << 14));  // 64 KiB: CPU ok
   EXPECT_EQ(policy.select(queue, Placement::kGpu, 0), std::size_t{0});
   EXPECT_EQ(policy.select(queue, Placement::kCpu, 0), std::size_t{1});

@@ -68,7 +68,7 @@ TEST(ReductionServiceTest, BatchesSmallSameCaseJobsIntoOneLaunch) {
     service.submit(job(id, workload::CaseId::kC3, 1 << 14, 1));
   }
   service.run();
-  const auto& stats = service.pool().stats();
+  const auto stats = service.report();
   EXPECT_EQ(stats.multi_job_launches, 1);
   EXPECT_EQ(stats.batched_jobs, 4);
   EXPECT_EQ(stats.launches, 2);  // blocker + one fused launch
@@ -94,7 +94,7 @@ TEST(ReductionServiceTest, BatchStopsAtEightJobs) {
     service.submit(job(id, workload::CaseId::kC3, 1 << 14, 1));
   }
   service.run();
-  const auto& stats = service.pool().stats();
+  const auto stats = service.report();
   EXPECT_EQ(stats.launches, 3);  // blocker, a batch of 8, the ninth alone
   EXPECT_EQ(stats.multi_job_launches, 1);
   EXPECT_EQ(stats.batched_jobs, 8);
@@ -110,8 +110,8 @@ TEST(ReductionServiceTest, BatchingOffLaunchesIndividually) {
     service.submit(job(id, workload::CaseId::kC3, 1 << 14, 1));
   }
   service.run();
-  EXPECT_EQ(service.pool().stats().launches, 5);
-  EXPECT_EQ(service.pool().stats().multi_job_launches, 0);
+  EXPECT_EQ(service.report().launches, 5);
+  EXPECT_EQ(service.report().multi_job_launches, 0);
 }
 
 TEST(ReductionServiceTest, BatchingImprovesMakespanOnTinyJobBursts) {

@@ -121,6 +121,48 @@ TEST(TraceIntegrityTest, SameSeedRunsExportByteIdenticalTraces) {
   EXPECT_NE(first.find("\"ph\":\"s\""), std::string::npos);
 }
 
+// Every span or instant an emit site considers ends one way: kept,
+// dropped by the ring, or dropped by the sampler. So at any rate the three
+// add up to what the unsampled run keeps.
+std::int64_t accounted(const trace::Tracer& tracer) {
+  return static_cast<std::int64_t>(tracer.size()) + tracer.dropped_total() +
+         tracer.dropped_by_sampler();
+}
+
+TEST(TraceIntegrityTest, SamplerCountsEverySpanItSkips) {
+  const auto run = [](trace::Tracer& tracer) {
+    ServiceModel model;
+    const fault::FaultPlan plan = fault::parse_plan(kChaosPlan);
+    fault::Injector injector(plan, 7);
+    ServiceOptions options;
+    options.injector = &injector;
+    ReductionService service(make_policy("fifo", model), model, options,
+                             &tracer);
+    OpenLoopOptions load;
+    load.jobs = 400;
+    load.rate_hz = 200000.0;
+    load.seed = 42;
+    load.shape.um_fraction = 0.3;
+    service.submit_all(open_loop_poisson(load));
+    service.run();
+    return service.report();
+  };
+  trace::Tracer full;
+  const auto report = run(full);
+  ASSERT_GT(report.retries, 0);
+  ASSERT_GT(report.shed + report.rejected, 0);
+  ASSERT_GT(report.um_jobs, 0);
+  ASSERT_EQ(full.dropped_by_sampler(), 0);
+  for (const std::size_t capacity : {trace::Tracer::kDefaultCapacity,
+                                     std::size_t{64}}) {
+    trace::Tracer sampled(capacity);
+    sampled.set_sampler(trace::SamplerOptions{0.05, 3});
+    run(sampled);
+    EXPECT_GT(sampled.dropped_by_sampler(), 0);
+    EXPECT_EQ(accounted(sampled), accounted(full)) << "capacity " << capacity;
+  }
+}
+
 TEST(TraceIntegrityTest, UntracedRunsLeaveJobContextsInvalid) {
   ServiceModel model;
   ReductionService service(make_policy("fifo", model), model);

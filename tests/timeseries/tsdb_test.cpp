@@ -15,15 +15,6 @@
 namespace ghs::timeseries {
 namespace {
 
-TsdbOptions tiny_options() {
-  TsdbOptions options;
-  options.raw_capacity = 8;
-  options.fold = 4;
-  options.tier_capacity = 4;
-  options.tiers = 2;
-  return options;
-}
-
 /// Appends n samples value = i at 1us spacing.
 void fill(Series& series, int n, int start = 0) {
   for (int i = start; i < start + n; ++i) {
@@ -64,33 +55,33 @@ TEST(RollupTest, MergeCombinesRanges) {
 }
 
 TEST(SeriesTest, RawRingHoldsNewestSamples) {
-  Tsdb store(tiny_options());
+  Tsdb store;
   Series& series = store.series("s", SeriesKind::kGauge);
-  fill(series, 8);
-  EXPECT_EQ(series.raw().size(), 8u);
+  fill(series, 512);
+  EXPECT_EQ(series.raw().size(), 512u);
   EXPECT_TRUE(series.tiers()[0].empty());
-  // One more sample folds the oldest 4 into a tier-0 rollup.
-  series.append(8 * kMicrosecond, 8.0);
-  EXPECT_EQ(series.raw().size(), 5u);
+  // One more sample folds the oldest 8 into a tier-0 rollup.
+  series.append(512 * kMicrosecond, 512.0);
+  EXPECT_EQ(series.raw().size(), 505u);
   ASSERT_EQ(series.tiers()[0].size(), 1u);
   const Rollup& rollup = series.tiers()[0].front();
-  EXPECT_EQ(rollup.count, 4);
+  EXPECT_EQ(rollup.count, 8);
   EXPECT_DOUBLE_EQ(rollup.min, 0.0);
-  EXPECT_DOUBLE_EQ(rollup.max, 3.0);
-  EXPECT_DOUBLE_EQ(rollup.last, 3.0);
+  EXPECT_DOUBLE_EQ(rollup.max, 7.0);
+  EXPECT_DOUBLE_EQ(rollup.last, 7.0);
 }
 
 TEST(SeriesTest, DownsamplingInvariants) {
-  Tsdb store(tiny_options());
+  Tsdb store;
   Series& series = store.series("s", SeriesKind::kCounterDelta);
   Rng rng(7);
   double expected_sum = 0.0;
-  for (int i = 0; i < 1000; ++i) {
+  for (int i = 0; i < 25000; ++i) {
     const double value = std::floor(rng.next_double() * 100.0);
     expected_sum += value;
     series.append(i * kMicrosecond, value);
   }
-  EXPECT_EQ(series.points(), 1000);
+  EXPECT_EQ(series.points(), 25000);
   EXPECT_DOUBLE_EQ(series.total_sum(), expected_sum);
 
   // min <= mean <= max in every rollup of every tier.
@@ -117,14 +108,15 @@ TEST(SeriesTest, DownsamplingInvariants) {
 }
 
 TEST(SeriesTest, DropCountersOnlyAfterTiersFill) {
-  Tsdb store(tiny_options());
+  Tsdb store;
   Series& series = store.series("s", SeriesKind::kGauge);
-  // Capacity before drops: raw 8 + tier0 4*4 + tier1 4*16 = 88 samples;
-  // the first drop needs one more fold cascade beyond that.
-  fill(series, 88);
+  // Capacity before drops: raw 512 + tier0 256*8 + tier1 256*64 = 18944
+  // samples; the next sample folds the oldest 8 tier-1 rollups (64 samples
+  // each) past the last tier.
+  fill(series, 18944);
   EXPECT_EQ(series.dropped(), 0);
-  fill(series, 200, 88);
-  EXPECT_GT(series.dropped(), 0);
+  fill(series, 1, 18944);
+  EXPECT_EQ(series.dropped(), 512);
   EXPECT_EQ(store.total_dropped(), series.dropped());
 }
 
@@ -184,11 +176,12 @@ TEST(SlidingWindowTest, MeanOfWindowedValues) {
 }
 
 TEST(ExportTest, JsonIsByteStableAndRoundTripsCounts) {
+  // Enough samples to put rollups in both tiers.
   const auto build = [] {
-    Tsdb store(tiny_options());
+    Tsdb store;
     Series& gauge = store.series("g{node=\"0\"}", SeriesKind::kGauge);
     Series& counter = store.series("c", SeriesKind::kCounterDelta);
-    for (int i = 0; i < 40; ++i) {
+    for (int i = 0; i < 3000; ++i) {
       gauge.append(i * kMicrosecond, static_cast<double>(i % 7));
       counter.append(i * kMicrosecond, static_cast<double>(i % 3));
     }
@@ -196,9 +189,10 @@ TEST(ExportTest, JsonIsByteStableAndRoundTripsCounts) {
   };
   const Tsdb a = build();
   const Tsdb b = build();
+  ASSERT_FALSE(a.find("c")->tiers()[1].empty());
   std::ostringstream oa;
   std::ostringstream ob;
-  const SeriesMeta meta{kMicrosecond, 40};
+  const SeriesMeta meta{kMicrosecond, 3000};
   write_series_json(oa, a, meta);
   write_series_json(ob, b, meta);
   EXPECT_EQ(oa.str(), ob.str());

@@ -246,6 +246,17 @@ TEST(TracerSamplerTest, WholeSpanTreeSharesOneDecision) {
   EXPECT_EQ(tracer.keep(root), tracer.keep(child));
 }
 
+TEST(TracerSamplerTest, KeepCountsTheEntriesASiteSkips) {
+  Tracer tracer;
+  tracer.set_sampler(SamplerOptions{0.0, 0});
+  EXPECT_FALSE(tracer.keep(Context{derive_trace_id(1), 1, 0}, 3));
+  EXPECT_FALSE(tracer.keep(Context{derive_trace_id(2), 2, 0}));
+  EXPECT_EQ(tracer.dropped_by_sampler(), 4);
+  // Context-free entries are never sampled, so nothing is counted.
+  EXPECT_TRUE(tracer.keep(Context{}, 5));
+  EXPECT_EQ(tracer.dropped_by_sampler(), 4);
+}
+
 TEST(TracerSamplerTest, RateOneJsonIsByteIdenticalToUnsampled) {
   const auto render = [](Tracer& tracer) {
     tracer.record(Track::kJobs, "span", 0, 100, "d",
