@@ -72,8 +72,9 @@ serve::ServiceReport run_policy(bench::Harness& harness,
     perf->wall_seconds = timer.elapsed_seconds();
     perf->sim_events = service.sim().events_processed();
     perf->jobs_served =
-        static_cast<std::uint64_t>(service.records().size());
+        static_cast<std::uint64_t>(service.served_times().size());
     perf->peak_queue_size = service.sim().peak_queue_size();
+    perf->peak_rss_mb = bench::peak_rss_mb();
   }
   return run.finish(
       name, service, [&](auto& monitor) { monitor.feed(service); },
@@ -98,7 +99,9 @@ int main(int argc, char** argv) {
   const auto* think_us = harness.cli.add_int(
       "think-us", 0, "closed-loop think time between jobs");
   const auto* perf = harness.cli.add_flag(
-      "perf", "append wall-clock event-core throughput (machine-dependent)");
+      "perf",
+      "append wall-clock event-core throughput and peak RSS "
+      "(machine-dependent)");
   harness.parse_or_exit(argc, argv);
 
   const std::string& program = harness.program();

@@ -2,8 +2,11 @@
 // generators (--perf). Everything here measures the real machine, not the
 // simulated one, so the section is opt-in: default reports stay
 // byte-identical across runs and machines, and perf numbers are gated by
-// scripts/perf_gate.py as lower bounds rather than diffed exactly.
+// scripts/perf_gate.py as bounds (floors on throughput, a ceiling on peak
+// RSS) rather than diffed exactly.
 #pragma once
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdint>
@@ -16,13 +19,14 @@ namespace ghs::bench {
 
 /// One policy run's event-core throughput: simulator events and served
 /// jobs per second of wall time, measured from first submit to queue
-/// drain.
+/// drain, and the process's peak resident set so far.
 struct PerfSample {
   std::string policy;
   double wall_seconds = 0.0;
   std::uint64_t sim_events = 0;
   std::uint64_t jobs_served = 0;
   std::size_t peak_queue_size = 0;
+  double peak_rss_mb = 0.0;
 
   double events_per_sec() const {
     return wall_seconds > 0.0 ? static_cast<double>(sim_events) / wall_seconds
@@ -33,6 +37,14 @@ struct PerfSample {
                               : 0.0;
   }
 };
+
+/// Peak resident set size of this process so far, in MiB (getrusage
+/// reports KiB on Linux).
+inline double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
 
 class WallTimer {
  public:
@@ -67,7 +79,10 @@ inline void write_perf_json(std::ostream& os,
     fixed(s.events_per_sec());
     os << ",\"jobs_per_sec\":";
     fixed(s.jobs_per_sec());
-    os << ",\"peak_queue_size\":" << s.peak_queue_size << "}";
+    os << ",\"peak_queue_size\":" << s.peak_queue_size
+       << ",\"peak_rss_mb\":";
+    fixed(s.peak_rss_mb);
+    os << "}";
   }
   os << "]";
 }

@@ -42,7 +42,8 @@
 #   $ scripts/check.sh perf       # Release event-core throughput gate only:
 #                                 # a 10^5-job serve_loadgen smoke with
 #                                 # --perf, then the serve_perf wall-clock
-#                                 # lower bounds (docs/PERFORMANCE.md)
+#                                 # floors and peak-RSS ceiling
+#                                 # (docs/PERFORMANCE.md)
 #   $ scripts/check.sh coverage   # Debug --coverage build (build-coverage/)
 #                                 # runs ctest, then scripts/line_coverage.py
 #                                 # prints src line coverage and fails below
@@ -161,7 +162,7 @@ for config in "${configs[@]}"; do
   if [[ "$config" == perf ]]; then
     echo "==> perf smoke (10^5 jobs)"
     "$dir/bench/serve_loadgen" --jobs=100000 --policy=fifo --perf >/dev/null
-    echo "==> perf gate (wall-clock lower bounds)"
+    echo "==> perf gate (wall-clock floors, peak-RSS ceiling)"
     python3 scripts/perf_gate.py --bindir "$dir/bench" --only serve_perf
     continue
   fi

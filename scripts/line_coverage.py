@@ -31,8 +31,9 @@ BATCH = 64
 # Least-covered files listed after the total.
 WORST = 10
 # Src line coverage below this fails, percent: the value measured when the
-# floor was set (5,905 of 6,293 lines). Raise it as tests reach more code.
-FLOOR = 93.8
+# floor was set (6,054 of 6,309 lines, 95.96%). Raise it as tests reach
+# more code.
+FLOOR = 95.9
 
 
 def gcov_reports(notes: list[pathlib.Path]):

@@ -21,7 +21,7 @@ report; "csv" aggregates every numeric cell and offers the paths "max" and
 "mean". "id" names the entry for --only when one binary appears under
 several argument sets (defaults to "name").
 
-Two metric kinds:
+Three metric kinds:
 
   {"path", "value", "higher_is_better"}            kind: "regression"
       Deterministic simulator output; compared exactly against "value"
@@ -34,6 +34,12 @@ Two metric kinds:
       tolerance does not apply. --update refreshes the informational
       "observed" field but never moves the floor — raise it by hand when
       the engine genuinely gets faster.
+
+  {"path", "kind": "upper_bound", "max_value"}     machine-dependent ceilings
+      The mirror of lower_bound for costs such as the --perf section's
+      peak_rss_mb. Fails only above the absolute ceiling "max_value";
+      the tolerance does not apply. --update refreshes "observed" only;
+      lower the ceiling by hand when the cost genuinely falls.
 
 Exit status: 0 when every metric is inside tolerance, 2 when any metric
 regressed (the gate), 1 when a bench is missing, fails to run, or emits
@@ -167,23 +173,29 @@ def main():
             current = extract(stdout, bench, metric["path"])
             checked += 1
             kind = metric.get("kind", "regression")
-            if kind == "lower_bound":
+            if kind in ("lower_bound", "upper_bound"):
                 if args.update:
                     metric["observed"] = round(current, 6)
                     continue
-                floor = float(metric["min_value"])
-                bad = current < floor
+                if kind == "lower_bound":
+                    limit = float(metric["min_value"])
+                    bad = current < limit
+                    what, side = "floor", "below"
+                else:
+                    limit = float(metric["max_value"])
+                    bad = current > limit
+                    what, side = "ceiling", "above"
                 status = "REGRESSED" if bad else "ok"
                 print(f"{status:9s} {label} {metric['path']}: {current:g} "
-                      f"(floor {floor:g}, wall-clock lower bound)")
+                      f"({what} {limit:g}, machine-dependent bound)")
                 if bad:
                     regressions.append(
-                        f"{label} {metric['path']}: {current:g} below "
-                        f"floor {floor:g}")
+                        f"{label} {metric['path']}: {current:g} {side} "
+                        f"{what} {limit:g}")
                 continue
             if kind != "regression":
                 fail(f"{label} {metric['path']}: unknown metric kind "
-                     f"'{kind}' (regression|lower_bound)")
+                     f"'{kind}' (regression|lower_bound|upper_bound)")
             if args.update:
                 metric["value"] = round(current, 6)
                 continue

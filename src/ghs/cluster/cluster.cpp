@@ -144,13 +144,16 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
       journal_commit(i, record.job.id);
       const JobMeta& meta = it->second;
       ClusterRecord cr;
-      cr.record = record;
-      cr.node = i;
+      cr.id = record.job.id;
       cr.original_arrival = meta.original_arrival;
+      cr.node_arrival = record.job.arrival;
+      cr.completion = record.completion;
       cr.transfer = meta.transfer;
+      cr.node = i;
       cr.spills = meta.spills;
       cr.stolen = meta.stolen;
       last_completion_ = std::max(last_completion_, record.completion);
+      bytes_served_ += record.job.bytes();
       if (meta.spills > 0) ++spilled_saved_;
       records_.push_back(cr);
       meta_.erase(it);
@@ -679,13 +682,13 @@ ClusterReport Cluster::report() const {
   if (first_arrival_ >= 0 && last_completion_ > first_arrival_) {
     report.makespan = last_completion_ - first_arrival_;
   }
+  report.bytes_served = bytes_served_;
   std::vector<double> latency_ms;
   latency_ms.reserve(records_.size());
   for (const auto& record : records_) {
     latency_ms.push_back(to_millis(record.latency()));
-    report.bytes_served += record.record.job.bytes();
   }
-  report.latency = serve::make_latency_stats(latency_ms);
+  report.latency = serve::make_latency_stats(std::move(latency_ms));
   if (report.makespan > 0) {
     const double seconds = to_seconds(report.makespan);
     report.throughput_jobs_per_s =
@@ -753,13 +756,13 @@ void Cluster::feed_slo(slo::Monitor& monitor) const {
     const auto& objective = monitor.objectives()[i];
     if (objective.kind == slo::ObjectiveKind::kAvailability) {
       for (const auto& record : records_) {
-        monitor.record(i, record.record.completion, true);
+        monitor.record(i, record.completion, true);
       }
       for (const SimTime at : rejected_at_) monitor.record(i, at, false);
       for (const SimTime at : shed_at_) monitor.record(i, at, false);
     } else {
       for (const auto& record : records_) {
-        monitor.record_latency(i, record.record.completion,
+        monitor.record_latency(i, record.completion,
                                to_millis(record.latency()));
       }
     }

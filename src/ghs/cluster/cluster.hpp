@@ -1,6 +1,6 @@
 // ghs::cluster — the reduction service sharded across a simulated GH200
 // fleet. N nodes, each a full serve::ReductionService (admission queue,
-// scheduler policy, device pool, retries/breakers when chaos is on), all
+// scheduler policy, GPU and Grace CPU, retries/breakers when chaos is on), all
 // embedded on ONE shared simulator so the fleet runs as a single
 // deterministic discrete-event simulation. A Router decides each job's
 // node at its arrival instant; an Interconnect prices the bytes a job
@@ -99,20 +99,22 @@ struct ClusterOptions {
   membership::HealthOptions health;
 };
 
-/// Cluster-level accounting for one served job, wrapping the serving
-/// node's JobRecord. `record.job.arrival` is the delivery instant at the
+/// Cluster-level accounting for one served job (48 bytes), kept in
+/// completion order. `node_arrival` is the delivery instant at the serving
 /// node (post transfer); cluster latency is measured from the tenant's
 /// original arrival at the front door.
 struct ClusterRecord {
-  serve::JobRecord record;
-  int node = 0;
+  serve::JobId id = 0;
   SimTime original_arrival = 0;
+  SimTime node_arrival = 0;
+  SimTime completion = 0;
   /// Total inter-node transfer time the job paid (route + spills + steal).
   SimTime transfer = 0;
+  int node = 0;
   int spills = 0;
   bool stolen = false;
 
-  SimTime latency() const { return record.completion - original_arrival; }
+  SimTime latency() const { return completion - original_arrival; }
 };
 
 /// Membership/recovery accounting for one cluster run; serialised (and
@@ -208,6 +210,8 @@ class Cluster {
   /// and steals all run to completion.
   void run();
 
+  /// Every served job, in completion order. The report's latency and the
+  /// SLO feed read these; bytes served are summed as jobs complete.
   const std::vector<ClusterRecord>& records() const { return records_; }
   /// Cluster-level terminal rejections/sheds and their instants.
   const std::vector<serve::Job>& rejected_jobs() const { return rejected_; }
@@ -292,6 +296,8 @@ class Cluster {
   std::vector<std::unique_ptr<serve::ReductionService>> nodes_;
   std::unordered_map<serve::JobId, JobMeta> meta_;
   std::vector<ClusterRecord> records_;
+  /// Bytes of the served jobs, accumulated at completion.
+  Bytes bytes_served_ = 0;
   std::vector<serve::Job> rejected_;
   std::vector<SimTime> rejected_at_;
   std::vector<serve::Job> shed_;

@@ -1,8 +1,8 @@
 // Request types of the reduction service: a Job is one tenant asking for
-// one sum reduction (case, element count, optional deadline); a JobRecord
-// is the accounting the service keeps once the job has been admitted,
-// placed, and served. Everything is in simulated time, so a served workload
-// is bit-reproducible.
+// one sum reduction (case, element count, optional deadline); JobTimes is
+// what the service keeps of each served job; a JobRecord is what its
+// completion hook is handed. Everything is in simulated time, so a served
+// workload is bit-reproducible.
 #pragma once
 
 #include <cstdint>
@@ -57,21 +57,27 @@ struct Job {
   }
 };
 
-/// Accounting for one served job. `launch_id` groups jobs that were batched
-/// into the same device launch; all jobs of a launch share start/completion.
+/// The 24 bytes the service keeps per served job, in completion order:
+/// all the latency report and the SLO feed read. `start` is the launch's
+/// start.
+struct JobTimes {
+  SimTime arrival = 0;
+  SimTime start = 0;
+  SimTime completion = 0;
+
+  SimTime queue_wait() const { return start - arrival; }
+  SimTime latency() const { return completion - arrival; }
+};
+
+/// The completion hook's argument: one served job with its placement and
+/// launch. `launch_id` groups jobs that were batched into the same device
+/// launch; all jobs of a launch share start/completion.
 struct JobRecord {
   Job job;
   Placement placement = Placement::kGpu;
   std::int64_t launch_id = -1;
   SimTime start = 0;
   SimTime completion = 0;
-
-  SimTime queue_wait() const { return start - job.arrival; }
-  SimTime service() const { return completion - start; }
-  SimTime latency() const { return completion - job.arrival; }
-  bool deadline_missed() const {
-    return job.deadline > 0 && completion > job.deadline;
-  }
 };
 
 }  // namespace ghs::serve

@@ -46,13 +46,13 @@ void write_latency_json(std::ostream& os, const char* key,
      << ",\"max_ms\":" << format_fixed(stats.max_ms, 6) << "}";
 }
 
-LatencyStats make_latency_stats(const std::vector<double>& ms) {
+LatencyStats make_latency_stats(std::vector<double> ms) {
   LatencyStats stats;
   stats.count = ms.size();
   if (ms.empty()) return stats;
   stats.mean_ms = stats::arithmetic_mean(ms);
   stats.max_ms = *std::max_element(ms.begin(), ms.end());
-  stats.pct = stats::percentiles(ms);
+  stats.pct = stats::percentiles(std::move(ms));
   return stats;
 }
 
@@ -215,7 +215,7 @@ void ReductionService::submit_all(const std::vector<Job>& jobs) {
 }
 
 void ReductionService::submit_all(std::vector<Job>&& jobs) {
-  records_.reserve(records_.size() + jobs.size());
+  served_.reserve(served_.size() + jobs.size());
   chain_arrivals(sim_, std::move(jobs),
                  [this](const Job& job) { on_arrival(job); });
 }
@@ -629,7 +629,7 @@ void ReductionService::launch(Placement device, std::vector<Job> jobs,
   // so a restarted node reclaims the device the moment the stale
   // completion frees it.
   sim_.schedule_at(end, [this, device, failed, launch_id, begin,
-                         epoch = epoch_, jobs = std::move(jobs)]() mutable {
+                         epoch = epoch_, jobs = std::move(jobs)]() {
     busy_[device_index(device)] = false;
     if (epoch == epoch_) {
       complete_launch(device, failed, launch_id, begin, jobs);
@@ -640,36 +640,40 @@ void ReductionService::launch(Placement device, std::vector<Job> jobs,
 
 void ReductionService::complete_launch(Placement device, bool failed,
                                        std::int64_t launch_id, SimTime begin,
-                                       std::vector<Job>& jobs) {
+                                       const std::vector<Job>& jobs) {
   if (failed) {
     if (injector_ != nullptr) breaker_ref(device).record_failure(sim_.now());
     for (const auto& job : jobs) handle_failed_job(job);
     return;
   }
   if (injector_ != nullptr) breaker_ref(device).record_success(sim_.now());
-  for (auto& job : jobs) {
-    records_.push_back({std::move(job), device, launch_id, begin, sim_.now()});
-    const JobRecord& record = records_.back();
+  const SimTime now = sim_.now();
+  for (const auto& job : jobs) {
+    served_.push_back({job.arrival, begin, now});
+    const JobTimes& times = served_.back();
+    first_arrival_ = std::min(first_arrival_, job.arrival);
+    bytes_served_ += job.bytes();
+    if (job.unified) ++um_jobs_;
+    if (job.deadline > 0 && now > job.deadline) ++deadline_missed_;
     if (m_completed_ != nullptr) m_completed_->inc();
     if (m_latency_ms_ != nullptr) {
       // Traced runs attach the job's trace id as an exemplar, so a fat
       // latency bucket names the span tree that filled it; untraced runs
       // keep the plain (pre-exemplar) observation path.
-      if (record.job.ctx.valid()) {
-        m_latency_ms_->observe_exemplar(to_millis(record.latency()),
-                                        record.job.ctx.trace_id);
-        m_queue_wait_ms_->observe_exemplar(to_millis(record.queue_wait()),
-                                           record.job.ctx.trace_id);
+      if (job.ctx.valid()) {
+        m_latency_ms_->observe_exemplar(to_millis(times.latency()),
+                                        job.ctx.trace_id);
+        m_queue_wait_ms_->observe_exemplar(to_millis(times.queue_wait()),
+                                           job.ctx.trace_id);
       } else {
-        m_latency_ms_->observe(to_millis(record.latency()));
-        m_queue_wait_ms_->observe(to_millis(record.queue_wait()));
+        m_latency_ms_->observe(to_millis(times.latency()));
+        m_queue_wait_ms_->observe(to_millis(times.queue_wait()));
       }
     }
     if (tracer_ != nullptr) {
-      record_root_span(record.job, record.completion, "served",
-                       placement_name(record.placement));
+      record_root_span(job, now, "served", placement_name(device));
     }
-    if (on_complete_) on_complete_(record);
+    if (on_complete_) on_complete_({job, device, launch_id, begin, now});
   }
 }
 
@@ -811,7 +815,6 @@ ServiceReport ReductionService::report() const {
   ServiceReport report;
   report.policy = policy_->name();
   report.submitted = submitted_;
-  report.served = static_cast<std::int64_t>(records_.size());
   report.rejected = static_cast<std::int64_t>(rejected_.size());
   report.launches = launches_;
   report.multi_job_launches = multi_job_launches_;
@@ -828,24 +831,14 @@ ServiceReport ReductionService::report() const {
     report.fallback_cpu_jobs = fallback_cpu_jobs_;
   }
 
-  if (records_.empty()) return report;
+  if (served_.empty()) return report;
 
-  SimTime first_arrival = records_.front().job.arrival;
-  SimTime last_completion = 0;
-  std::vector<double> latency_ms;
-  std::vector<double> wait_ms;
-  latency_ms.reserve(records_.size());
-  wait_ms.reserve(records_.size());
-  for (const auto& record : records_) {
-    first_arrival = std::min(first_arrival, record.job.arrival);
-    last_completion = std::max(last_completion, record.completion);
-    latency_ms.push_back(to_millis(record.latency()));
-    wait_ms.push_back(to_millis(record.queue_wait()));
-    report.bytes_served += record.job.bytes();
-    if (record.job.unified) ++report.um_jobs;
-    if (record.deadline_missed()) ++report.deadline_missed;
-  }
-  report.makespan = last_completion - first_arrival;
+  report.served = static_cast<std::int64_t>(served_.size());
+  report.bytes_served = bytes_served_;
+  report.um_jobs = um_jobs_;
+  report.deadline_missed = deadline_missed_;
+  // Entries are in completion order, so the last one completed last.
+  report.makespan = served_.back().completion - first_arrival_;
   if (report.makespan > 0) {
     const double seconds = to_seconds(report.makespan);
     report.throughput_jobs_per_s =
@@ -853,8 +846,17 @@ ServiceReport ReductionService::report() const {
     report.throughput_gbps =
         static_cast<double>(report.bytes_served) / 1e9 / seconds;
   }
-  report.latency = make_latency_stats(latency_ms);
-  report.queue_wait = make_latency_stats(wait_ms);
+  // One buffer at a time: make_latency_stats consumes it.
+  const auto stats_of = [this](SimTime (JobTimes::*span)() const) {
+    std::vector<double> ms;
+    ms.reserve(served_.size());
+    for (const JobTimes& times : served_) {
+      ms.push_back(to_millis((times.*span)()));
+    }
+    return make_latency_stats(std::move(ms));
+  };
+  report.latency = stats_of(&JobTimes::latency);
+  report.queue_wait = stats_of(&JobTimes::queue_wait);
 
   if (const auto* bandwidth =
           dynamic_cast<const BandwidthAwarePolicy*>(policy_.get())) {

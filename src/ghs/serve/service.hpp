@@ -1,8 +1,9 @@
 // ReductionService: the multi-tenant serving loop. Tenants submit jobs
 // (arrivals are simulator events); the admission queue applies
 // backpressure; the scheduler policy places work on the simulated H100 or
-// the Grace CPU, which the service time-shares; every completion is
-// recorded and fed to the latency report. One service run is one
+// the Grace CPU, which the service time-shares; every completion adds a
+// 24-byte JobTimes entry and its bytes, memory mode and deadline outcome
+// to the report's running totals. One service run is one
 // deterministic discrete-event simulation — same submissions, same seed,
 // same report, byte for byte.
 //
@@ -28,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -165,8 +167,9 @@ struct LatencyStats {
 };
 
 /// Zero-filled for empty input; a single sample pins every percentile to
-/// that sample.
-LatencyStats make_latency_stats(const std::vector<double>& ms);
+/// that sample. The mean sums `ms` in its given order; the percentiles
+/// then reorder it, so callers move their buffer in.
+LatencyStats make_latency_stats(std::vector<double> ms);
 
 /// Writes `"key":{...}`, the stats as one JSON member, in the fixed
 /// format of every report.
@@ -238,7 +241,9 @@ class ReductionService {
   void submit_all(std::vector<Job>&& jobs);
 
   /// Fires once per job at its completion (closed-loop generators submit
-  /// the tenant's next job from here).
+  /// the tenant's next job from here). The service keeps no JobRecord:
+  /// a caller that needs placement, launch or trace context per job
+  /// collects them here.
   void set_on_complete(std::function<void(const JobRecord&)> hook);
 
   /// Embeddability hooks for a composing layer (ghs::cluster): fire after
@@ -277,7 +282,9 @@ class ReductionService {
   /// completion.
   void run();
 
-  const std::vector<JobRecord>& records() const { return records_; }
+  /// Every served job's arrival, start and completion, in completion
+  /// order.
+  const std::vector<JobTimes>& served_times() const { return served_; }
   const std::vector<Job>& rejected_jobs() const { return rejected_; }
   /// Jobs dropped by the retry machinery (fault runs only).
   const std::vector<Job>& shed_jobs() const { return shed_; }
@@ -322,7 +329,7 @@ class ReductionService {
   /// The launch's completion in the incarnation that started it: served
   /// jobs are recorded, failed ones go to the retry machinery.
   void complete_launch(Placement device, bool failed, std::int64_t launch_id,
-                       SimTime begin, std::vector<Job>& jobs);
+                       SimTime begin, const std::vector<Job>& jobs);
   void handle_failed_job(const Job& job);
   void shed_job(const Job& job, const char* reason);
   /// Closes the job's trace with its serve.job root span (traced runs
@@ -348,7 +355,12 @@ class ReductionService {
   fault::CircuitBreaker gpu_breaker_;
   fault::CircuitBreaker cpu_breaker_;
   Rng retry_rng_;
-  std::vector<JobRecord> records_;
+  std::vector<JobTimes> served_;
+  /// Report totals over served_, accumulated at completion.
+  Bytes bytes_served_ = 0;
+  std::int64_t um_jobs_ = 0;
+  std::int64_t deadline_missed_ = 0;
+  SimTime first_arrival_ = std::numeric_limits<SimTime>::max();
   std::vector<Job> rejected_;
   std::vector<Job> shed_;
   std::vector<SimTime> rejected_at_;

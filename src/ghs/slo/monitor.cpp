@@ -121,14 +121,14 @@ void Monitor::feed(const serve::ReductionService& service) {
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
     const auto& obj = objectives_[i];
     if (obj.kind == ObjectiveKind::kAvailability) {
-      for (const auto& rec : service.records()) {
-        record(i, rec.completion, true);
+      for (const auto& times : service.served_times()) {
+        record(i, times.completion, true);
       }
       for (const SimTime at : service.rejected_times()) record(i, at, false);
       for (const SimTime at : service.shed_times()) record(i, at, false);
     } else {
-      for (const auto& rec : service.records()) {
-        record_latency(i, rec.completion, to_millis(rec.latency()));
+      for (const auto& times : service.served_times()) {
+        record_latency(i, times.completion, to_millis(times.latency()));
       }
     }
   }

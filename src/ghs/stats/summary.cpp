@@ -57,29 +57,66 @@ double arithmetic_mean(const std::vector<double>& values) {
   return sum / static_cast<double>(values.size());
 }
 
+namespace {
+
+/// Where q falls among n ascending values: between ranks lo and hi, frac
+/// of the way.
+struct Rank {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+Rank rank_of(std::size_t n, double q) {
+  GHS_REQUIRE(q >= 0.0 && q <= 1.0, "q=" << q);
+  const double idx = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(idx);
+  return {lo, std::min(lo + 1, n - 1), idx - static_cast<double>(lo)};
+}
+
+double interpolate(const std::vector<double>& ranked, const Rank& rank) {
+  return ranked[rank.lo] + (ranked[rank.hi] - ranked[rank.lo]) * rank.frac;
+}
+
+}  // namespace
+
 double sorted_quantile(const std::vector<double>& sorted_values, double q) {
   GHS_REQUIRE(!sorted_values.empty(), "quantile of empty vector");
-  GHS_REQUIRE(q >= 0.0 && q <= 1.0, "q=" << q);
-  const double idx = q * static_cast<double>(sorted_values.size() - 1);
-  const auto lo = static_cast<std::size_t>(idx);
-  const auto hi = std::min(lo + 1, sorted_values.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * frac;
+  return interpolate(sorted_values, rank_of(sorted_values.size(), q));
 }
 
 double percentile(std::vector<double> values, double q) {
   GHS_REQUIRE(!values.empty(), "percentile of empty vector");
-  std::sort(values.begin(), values.end());
-  return sorted_quantile(values, q);
+  return quantiles(std::move(values), {q}).front();
 }
 
 std::vector<double> quantiles(std::vector<double> values,
                               const std::vector<double>& qs) {
   GHS_REQUIRE(!values.empty(), "quantiles of empty vector");
-  std::sort(values.begin(), values.end());
+  std::vector<Rank> ranks;
+  ranks.reserve(qs.size());
+  std::vector<std::size_t> needed;
+  needed.reserve(2 * qs.size());
+  for (double q : qs) {
+    ranks.push_back(rank_of(values.size(), q));
+    needed.push_back(ranks.back().lo);
+    needed.push_back(ranks.back().hi);
+  }
+  std::sort(needed.begin(), needed.end());
+  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
+  // Select the needed ranks in ascending order. Once rank r is in place,
+  // the positions after it hold exactly the values of the ranks above r,
+  // so each selection searches only those, and every selected position
+  // keeps its value: the sorted vector's value at that rank.
+  auto unplaced = values.begin();
+  for (const std::size_t rank : needed) {
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank);
+    std::nth_element(unplaced, nth, values.end());
+    unplaced = nth + 1;
+  }
   std::vector<double> out;
-  out.reserve(qs.size());
-  for (double q : qs) out.push_back(sorted_quantile(values, q));
+  out.reserve(ranks.size());
+  for (const Rank& rank : ranks) out.push_back(interpolate(values, rank));
   return out;
 }
 

@@ -34,7 +34,8 @@ double geometric_mean(const std::vector<double>& values);
 /// Arithmetic mean; requires non-empty input.
 double arithmetic_mean(const std::vector<double>& values);
 
-/// Exact percentile by sorting a copy (q in [0,1], linear interpolation).
+/// Exact percentile (q in [0,1], linear interpolation); quantiles() with
+/// one q.
 double percentile(std::vector<double> values, double q);
 
 /// The interpolation primitive behind percentile()/quantiles() and the
@@ -42,8 +43,12 @@ double percentile(std::vector<double> values, double q);
 /// linear between neighbours.
 double sorted_quantile(const std::vector<double>& sorted_values, double q);
 
-/// Quantiles at each q of `qs` (all in [0,1]) with one sort; requires
-/// non-empty values. Supports arbitrary lists, e.g. {0.5, 0.99, 0.999}.
+/// Quantiles at each q of `qs` (all in [0,1], any order, repeats allowed);
+/// requires non-empty, NaN-free values. Each is sorted_quantile() of the
+/// sorted values bit for bit (-0.0 and 0.0 compare equal, so either may
+/// stand at a rank, as under a sort), but only the two ranks it reads are
+/// selected (std::nth_element, ascending), so a few quantiles of n values
+/// cost O(n) instead of a sort. Move a buffer in to skip the copy.
 std::vector<double> quantiles(std::vector<double> values,
                               const std::vector<double>& qs);
 
@@ -64,9 +69,8 @@ struct Percentiles {
   double p999 = 0.0;
 };
 
-/// p50/p95/p99/p999 of `values` with one sort (same interpolation as
-/// percentile()). Empty input yields all zeros; a single sample pins every
-/// percentile to that sample.
+/// p50/p95/p99/p999 of `values` through quantiles(). Empty input yields all
+/// zeros; a single sample pins every percentile to that sample.
 Percentiles percentiles(std::vector<double> values);
 
 }  // namespace ghs::stats

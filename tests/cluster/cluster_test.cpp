@@ -90,13 +90,12 @@ TEST(Cluster, RemoteDataPaysTransfersThatAreAccounted) {
   EXPECT_EQ(fleet.interconnect()->transfers(), report.transfers);
   for (const auto& record : fleet.records()) {
     if (record.node != 0) {
-      EXPECT_GT(record.transfer, 0) << "job " << record.record.job.id;
+      EXPECT_GT(record.transfer, 0) << "job " << record.id;
     } else if (record.spills == 0 && !record.stolen) {
-      EXPECT_EQ(record.transfer, 0) << "job " << record.record.job.id;
+      EXPECT_EQ(record.transfer, 0) << "job " << record.id;
     }
     // Front-door latency covers the transfer plus the node-local life.
-    EXPECT_GE(record.latency(),
-              record.record.completion - record.record.job.arrival);
+    EXPECT_GE(record.latency(), record.completion - record.node_arrival);
   }
 }
 
@@ -184,8 +183,8 @@ TEST(Cluster, StolenJobsAreServedByHealthyPeers) {
   for (const auto& record : fleet.records()) {
     if (!record.stolen) continue;
     ++stolen_seen;
-    EXPECT_NE(record.node, 1) << "job " << record.record.job.id;
-    EXPECT_GT(record.transfer, 0) << "job " << record.record.job.id;
+    EXPECT_NE(record.node, 1) << "job " << record.id;
+    EXPECT_GT(record.transfer, 0) << "job " << record.id;
   }
   EXPECT_EQ(stolen_seen, fleet.report().stolen_jobs);
   EXPECT_GT(stolen_seen, 0);

@@ -81,8 +81,8 @@ TEST(Membership, ReplayedJobsLandOnSurvivors) {
   fleet.run();
   const SimTime crash_at = 300 * kMicrosecond;
   for (const auto& record : fleet.records()) {
-    if (record.record.completion > crash_at) {
-      EXPECT_NE(record.node, 1) << "job " << record.record.job.id
+    if (record.completion > crash_at) {
+      EXPECT_NE(record.node, 1) << "job " << record.id
                                 << " served on the dead node";
     }
   }
@@ -220,7 +220,7 @@ TEST(Membership, LateLandingAfterLocalRecoveryIsADuplicate) {
   EXPECT_GT(report.membership.duplicate_suppressed, 0);
   std::vector<serve::JobId> ids;
   for (const auto& record : fleet.records()) {
-    ids.push_back(record.record.job.id);
+    ids.push_back(record.id);
   }
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/serve/policy.hpp"
@@ -26,16 +27,29 @@ Job job(JobId id, workload::CaseId case_id, std::int64_t elements,
 TEST(ReductionServiceTest, ServesEverythingWhenUnderLoaded) {
   ServiceModel model;
   ReductionService service(std::make_unique<FifoPolicy>(), model);
+  std::vector<JobRecord> records;
+  service.set_on_complete(
+      [&records](const JobRecord& record) { records.push_back(record); });
   for (JobId id = 0; id < 4; ++id) {
     service.submit(job(id, workload::CaseId::kC1, 1 << 16,
                        id * kMicrosecond));
   }
   service.run();
-  EXPECT_EQ(service.records().size(), 4u);
   EXPECT_EQ(service.report().rejected, 0);
-  for (const auto& record : service.records()) {
-    EXPECT_GE(record.start, record.job.arrival);
-    EXPECT_GT(record.completion, record.start);
+  // One entry per completion, in completion order, holding the times the
+  // completion hook saw.
+  const std::vector<JobTimes>& served = service.served_times();
+  ASSERT_EQ(served.size(), 4u);
+  ASSERT_EQ(records.size(), 4u);
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].arrival, records[i].job.arrival);
+    EXPECT_EQ(served[i].start, records[i].start);
+    EXPECT_EQ(served[i].completion, records[i].completion);
+    EXPECT_GE(served[i].start, served[i].arrival);
+    EXPECT_GT(served[i].completion, served[i].start);
+    if (i > 0) {
+      EXPECT_GE(served[i].completion, served[i - 1].completion);
+    }
   }
 }
 
@@ -62,6 +76,9 @@ TEST(ReductionServiceTest, BackpressureRejectsBeyondQueueDepth) {
 TEST(ReductionServiceTest, BatchesSmallSameCaseJobsIntoOneLaunch) {
   ServiceModel model;
   ReductionService service(std::make_unique<FifoPolicy>(), model);
+  std::vector<JobRecord> records;
+  service.set_on_complete(
+      [&records](const JobRecord& record) { records.push_back(record); });
   // One blocker so the burst is queued when the GPU frees.
   service.submit(job(0, workload::CaseId::kC4, 1 << 22, 0));
   for (JobId id = 1; id <= 4; ++id) {
@@ -75,7 +92,8 @@ TEST(ReductionServiceTest, BatchesSmallSameCaseJobsIntoOneLaunch) {
   // All batch riders share one launch id and completion time.
   std::int64_t batch_launch = -1;
   SimTime completion = 0;
-  for (const auto& record : service.records()) {
+  ASSERT_EQ(records.size(), 5u);
+  for (const auto& record : records) {
     if (record.job.case_id != workload::CaseId::kC3) continue;
     if (batch_launch < 0) {
       batch_launch = record.launch_id;

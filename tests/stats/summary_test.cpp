@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/rng.hpp"
 
 namespace ghs::stats {
 namespace {
@@ -154,6 +161,82 @@ TEST(SummaryTest, HistogramQuantileRejectsBadInput) {
   EXPECT_THROW(histogram_quantile(bounds, {0, 0}, 0.5), Error);  // total 0
   EXPECT_THROW(histogram_quantile(bounds, {1}, 0.5), Error);  // size mismatch
   EXPECT_THROW(histogram_quantile(bounds, {1, 1}, 1.5), Error);
+}
+
+/// The quantiles the selection replaced: sort a copy, then interpolate
+/// between ranks lo and lo + 1 as sorted_quantile() did. Kept here in full
+/// as the reference, so a fault in the library's shared rank arithmetic
+/// cannot hide in both sides.
+std::vector<double> sort_then_interpolate(std::vector<double> values,
+                                          const std::vector<double>& qs) {
+  std::sort(values.begin(), values.end());
+  std::vector<double> out;
+  for (double q : qs) {
+    const double idx = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(idx);
+    const auto hi = std::min(lo + 1, values.size() - 1);
+    const double frac = idx - static_cast<double>(lo);
+    out.push_back(values[lo] + (values[hi] - values[lo]) * frac);
+  }
+  return out;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// One input vector of `n` values in the given shape.
+std::vector<double> make_values(const std::string& shape, std::size_t n,
+                                Rng& rng) {
+  std::vector<double> values(n);
+  for (double& v : values) {
+    if (shape == "ties") {
+      v = static_cast<double>(rng.next_below(5)) * 0.75;
+    } else if (shape == "equal") {
+      v = 3.25;
+    } else {
+      v = (rng.next_double() - 0.25) * 1e3;
+    }
+  }
+  if (shape == "sorted") std::sort(values.begin(), values.end());
+  if (shape == "reversed") {
+    std::sort(values.begin(), values.end(), std::greater<>());
+  }
+  return values;
+}
+
+TEST(SummaryTest, SelectionMatchesSortThenInterpolateBitForBit) {
+  // Unsorted, with repeats, 0 and 1: the selection must handle any list.
+  const std::vector<double> fixed_qs = {0.5,   0.99, 0.0, 1.0,  0.95, 0.5,
+                                        0.999, 0.25, 1.0, 0.001, 0.0, 0.75};
+  const std::vector<double> report_qs = {0.50, 0.95, 0.99, 0.999};
+  Rng rng(17);
+  std::vector<std::size_t> sizes = {1, 2, 3, 4, 5, 7, 10, 99, 100, 101,
+                                    999, 1000, 1001, 1024, 4096};
+  for (int i = 0; i < 40; ++i) sizes.push_back(1 + rng.next_below(4000));
+  for (const std::string shape :
+       {"random", "ties", "equal", "sorted", "reversed"}) {
+    for (const std::size_t n : sizes) {
+      const std::vector<double> values = make_values(shape, n, rng);
+      std::vector<double> qs = fixed_qs;
+      for (int k = 0; k < 6; ++k) qs.push_back(rng.next_double());
+      const std::string where = shape + " n=" + std::to_string(n);
+
+      const std::vector<double> want = sort_then_interpolate(values, qs);
+      const std::vector<double> got = quantiles(values, qs);
+      ASSERT_EQ(got.size(), want.size()) << where;
+      for (std::size_t j = 0; j < qs.size(); ++j) {
+        EXPECT_EQ(bits(got[j]), bits(want[j])) << where << " q=" << qs[j];
+        EXPECT_EQ(bits(percentile(values, qs[j])), bits(want[j]))
+            << where << " percentile q=" << qs[j];
+      }
+
+      const std::vector<double> pct = sort_then_interpolate(values, report_qs);
+      const Percentiles p = percentiles(values);
+      EXPECT_EQ(bits(p.p50), bits(pct[0])) << where;
+      EXPECT_EQ(bits(p.p95), bits(pct[1])) << where;
+      EXPECT_EQ(bits(p.p99), bits(pct[2])) << where;
+      EXPECT_EQ(bits(p.p999), bits(pct[3])) << where;
+    }
+  }
 }
 
 TEST(SummaryTest, PercentilesOfEmptySeriesAreZero) {

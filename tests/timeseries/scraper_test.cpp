@@ -159,6 +159,10 @@ ServedRun run_serve(bool scraped) {
   options.telemetry = sink;
   serve::ReductionService service(std::make_unique<serve::FifoPolicy>(),
                                   model, options);
+  ServedRun out;
+  service.set_on_complete([&out](const serve::JobRecord& record) {
+    out.records.push_back(record);
+  });
 
   serve::OpenLoopOptions open;
   open.rate_hz = 200000.0;
@@ -172,8 +176,6 @@ ServedRun run_serve(bool scraped) {
   service.run();
   if (scraped) scraper.finish();
 
-  ServedRun out;
-  out.records = service.records();
   out.scrapes = scraper.scrapes();
   if (scraped) {
     std::ostringstream os;
