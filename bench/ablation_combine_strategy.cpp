@@ -69,6 +69,6 @@ int main(int argc, char** argv) {
         "per-type combine costs explain the baseline spread 620 / 172 / "
         "271 / 526 GB/s");
   }
-  bench::write_metrics(options);
+  common.write_metrics(options);
   return 0;
 }

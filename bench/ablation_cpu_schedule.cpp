@@ -74,6 +74,6 @@ int main(int argc, char** argv) {
         "extension: dynamic scheduling removes the static schedule's "
         "stragglers on mixed-residency ranges");
   }
-  bench::write_metrics(options);
+  common.write_metrics(options);
   return 0;
 }

@@ -69,6 +69,6 @@ int main(int argc, char** argv) {
         "the NVHPC heuristic grid leaves 6.1x-20.9x on the table vs tuned "
         "geometry (Table 1)");
   }
-  bench::write_metrics(options);
+  common.write_metrics(options);
   return 0;
 }

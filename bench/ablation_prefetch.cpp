@@ -77,6 +77,6 @@ int main(int argc, char** argv) {
         "extension beyond the paper: explicit placement recovers the A1 "
         "benefit at A2 and fixes A1's CPU-only penalty");
   }
-  bench::write_metrics(options);
+  common.write_metrics(options);
   return 0;
 }

@@ -79,6 +79,6 @@ int main(int argc, char** argv) {
         "future-work extension: abstraction choice matters only when the "
         "grid heuristic over-decomposes");
   }
-  bench::write_metrics(options);
+  common.write_metrics(options);
   return 0;
 }

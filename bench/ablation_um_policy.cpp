@@ -80,6 +80,6 @@ int main(int argc, char** argv) {
         "fault-eager migration + allocation site reproduce the paper's "
         "A1 ~2.48x vs A2 ~1.07x split");
   }
-  bench::write_metrics(options);
+  common.write_metrics(options);
   return 0;
 }

@@ -115,6 +115,6 @@ int main(int argc, char** argv) {
     std::cout << (failures == 0 ? "CERTIFIED: all graded metrics in band\n"
                                 : "FAILED: see verdicts above\n");
   }
-  bench::write_metrics(options);
+  common.write_metrics(options);
   return failures == 0 ? 0 : 1;
 }

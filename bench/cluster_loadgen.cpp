@@ -28,7 +28,6 @@
 // job was served, rejected or shed, across crashes and replays too.
 #include <algorithm>
 #include <cstdio>
-#include <iostream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -37,7 +36,6 @@
 #include "ghs/cluster/cluster.hpp"
 #include "ghs/fault/plan.hpp"
 #include "ghs/serve/loadgen.hpp"
-#include "ghs/util/error.hpp"
 #include "ghs/util/rng.hpp"
 #include "ghs/util/strings.hpp"
 #include "harness.hpp"
@@ -94,52 +92,7 @@ cluster::ClusterReport run_router(bench::Harness& harness,
   shard_workload(jobs, settings, fleet.router().ring());
   fleet.submit_all(std::move(jobs));
   fleet.run();
-  return run.finish(
-      cluster::router_policy_name(router), fleet,
-      [&](auto& monitor) { fleet.feed_slo(monitor); }, sections);
-}
-
-/// Parses a --drain-at schedule: `node@time` entries separated by commas
-/// or whitespace, times in fault-plan duration grammar ("300us", "2ms").
-std::vector<cluster::DrainSpec> parse_drains(const std::string& text) {
-  std::string normalized = text;
-  for (char& c : normalized) {
-    if (c == ',') c = ' ';
-  }
-  std::istringstream in(normalized);
-  std::vector<cluster::DrainSpec> drains;
-  std::string entry;
-  while (in >> entry) {
-    const auto at = entry.find('@');
-    GHS_REQUIRE(at != std::string::npos && at > 0 && at + 1 < entry.size(),
-                "drain spec '" << entry << "' must be node@time");
-    cluster::DrainSpec spec;
-    std::size_t used = 0;
-    try {
-      spec.node = std::stoi(entry.substr(0, at), &used);
-    } catch (const std::exception&) {
-      used = 0;  // not a number, or out of int range
-    }
-    GHS_REQUIRE(used == at && spec.node >= 0,
-                "drain spec '" << entry << "' needs a node index >= 0");
-    spec.at = fault::parse_duration(entry.substr(at + 1));
-    GHS_REQUIRE(spec.at > 0, "drain spec '" << entry
-                                            << "' needs a positive time");
-    drains.push_back(spec);
-  }
-  return drains;
-}
-
-/// Satellite validation: every node-index flag must name a node that
-/// exists in the --nodes fleet, or the run exits 2 Cli-style.
-void require_node_index(const std::string& program, const std::string& flag,
-                        int node, int nodes) {
-  if (node < 0 || node >= nodes) {
-    std::cerr << program << ": " << flag << " targets node " << node
-              << ", out of range for --nodes=" << nodes << " (valid: 0..."
-              << nodes - 1 << ")\n";
-    std::exit(2);
-  }
+  return run.finish(cluster::router_policy_name(router), fleet, sections);
 }
 
 }  // namespace
@@ -189,8 +142,9 @@ int main(int argc, char** argv) {
   bench::require_fraction(program, "--remote-fraction", *remote_fraction);
   bench::require_positive(program, "--link-gbps", *link_gbps);
   bench::require_non_negative(program, "--heartbeat-us", *heartbeat_us);
-  require_node_index(program, "--fault-node", static_cast<int>(*fault_node),
-                     static_cast<int>(*nodes));
+  // Every node index must name a node of the --nodes fleet.
+  bench::require_in_range(program, "--fault-node", *fault_node, 0,
+                          *nodes - 1);
   harness.require_policy(*harness.policy);
   std::vector<cluster::RouterPolicy> routers = {
       cluster::RouterPolicy::kHash, cluster::RouterPolicy::kLeast,
@@ -202,14 +156,14 @@ int main(int argc, char** argv) {
   const fault::NodeCrashPlan crashes = bench::parse_flag_or_exit(
       program, [&] { return fault::parse_crash_plan(*crash_plan); });
   const std::vector<cluster::DrainSpec> drains = bench::parse_flag_or_exit(
-      program, [&] { return parse_drains(*drain_at); });
+      program, [&] { return fault::parse_drain_plan(*drain_at); });
   for (const auto& crash : crashes.crashes) {
-    require_node_index(program, "--crash-plan", crash.node,
-                       static_cast<int>(*nodes));
+    bench::require_in_range(program, "--crash-plan node", crash.node, 0,
+                            *nodes - 1);
   }
   for (const auto& drain : drains) {
-    require_node_index(program, "--drain-at", drain.node,
-                       static_cast<int>(*nodes));
+    bench::require_in_range(program, "--drain-at node", drain.node, 0,
+                            *nodes - 1);
   }
   const bool membership =
       !crashes.empty() || !drains.empty() || *heartbeat_us > 0;

@@ -1,17 +1,14 @@
 #include "common.hpp"
 
-#include <fstream>
-
+#include "flags.hpp"
 #include "ghs/core/config_io.hpp"
-#include "ghs/telemetry/exporters.hpp"
-#include "ghs/util/error.hpp"
 #include "ghs/util/strings.hpp"
 
 namespace ghs::bench {
 
 CommonCli::CommonCli(std::string program, std::string description,
                      int default_iterations)
-    : cli_(std::move(program), std::move(description)) {
+    : program_(std::move(program)), cli_(program_, std::move(description)) {
   cases_ = cli_.add_string("cases", "all", "all or comma list of C1..C4");
   iters_ = cli_.add_int("iters", default_iterations,
                         "timed repetitions per point (paper: 200)");
@@ -27,21 +24,25 @@ CommonCli::CommonCli(std::string program, std::string description,
 
 CommonOptions CommonCli::parse(int argc, const char* const* argv) {
   cli_.parse_or_exit(argc, argv);
+  require_positive(program_, "--iters", *iters_);
+  require_non_negative(program_, "--elements", *elements_);
+  require_writable_path(program_, *metrics_out_);
   CommonOptions options;
-  if (*cases_ == "all") {
-    options.cases = workload::all_cases();
-  } else {
+  options.cases = parse_flag_or_exit(program_, [this] {
+    if (*cases_ == "all") return workload::all_cases();
+    std::vector<workload::CaseId> cases;
     for (const auto& token : split(*cases_, ',')) {
-      options.cases.push_back(workload::parse_case(token));
+      cases.push_back(workload::parse_case(token));
     }
-  }
-  GHS_REQUIRE(*iters_ > 0, "--iters must be positive");
-  GHS_REQUIRE(*elements_ >= 0, "--elements must be non-negative");
+    return cases;
+  });
   options.iterations = static_cast<int>(*iters_);
   options.elements = *elements_;
   options.csv = *csv_;
-  options.config = config_->empty() ? core::gh200_config()
-                                    : core::load_system_config(*config_);
+  options.config = parse_flag_or_exit(program_, [this] {
+    return config_->empty() ? core::gh200_config()
+                            : core::load_system_config(*config_);
+  });
   options.metrics_out = *metrics_out_;
   if (!options.metrics_out.empty()) {
     options.registry = std::make_shared<telemetry::Registry>();
@@ -50,19 +51,9 @@ CommonOptions CommonCli::parse(int argc, const char* const* argv) {
   return options;
 }
 
-void write_metrics(const CommonOptions& options) {
+void CommonCli::write_metrics(const CommonOptions& options) const {
   if (options.metrics_out.empty()) return;
-  GHS_REQUIRE(options.registry != nullptr, "telemetry was never enabled");
-  {
-    std::ofstream out(options.metrics_out);
-    GHS_REQUIRE(out.good(), "cannot write " << options.metrics_out);
-    telemetry::write_prometheus(out, *options.registry);
-  }
-  const std::string json_path = options.metrics_out + ".json";
-  std::ofstream out(json_path);
-  GHS_REQUIRE(out.good(), "cannot write " << json_path);
-  telemetry::write_json_snapshot(out, *options.registry);
-  out << "\n";
+  write_metrics_files(program_, options.metrics_out, *options.registry);
 }
 
 void print_paper_reference(bool csv, const std::string& text) {

@@ -6,7 +6,9 @@
 //   --elements=M                  input size (0 = the paper's M per case)
 //   --csv                         machine-readable output
 // Defaults favour a quick full run of `for b in build/bench/*; do $b; done`;
-// pass --iters=200 to execute the paper's exact protocol.
+// pass --iters=200 to execute the paper's exact protocol. A bad value of
+// any of them exits 2 with one "program: message" line before the bench
+// simulates anything (bench/flags.hpp).
 #pragma once
 
 #include <iostream>
@@ -56,7 +58,12 @@ class CommonCli {
 
   CommonOptions parse(int argc, const char* const* argv);
 
+  /// Writes the --metrics-out files (write_metrics_files); no-op when the
+  /// flag was not given.
+  void write_metrics(const CommonOptions& options) const;
+
  private:
+  std::string program_;
   Cli cli_;
   const std::string* cases_;
   const long long* iters_;
@@ -65,12 +72,6 @@ class CommonCli {
   const std::string* config_;
   const std::string* metrics_out_;
 };
-
-/// Writes the Prometheus exposition to options.metrics_out and the JSON
-/// snapshot to options.metrics_out + ".json". No-op when --metrics-out was
-/// not given. Snapshots exclude volatile instruments, so same-seed runs
-/// produce byte-identical files.
-void write_metrics(const CommonOptions& options);
 
 /// Prints the "paper reports ..." reference line benches emit under each
 /// reproduced artefact (suppressed in CSV mode).

@@ -65,6 +65,6 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n";
   }
-  bench::write_metrics(options);
+  common.write_metrics(options);
   return 0;
 }

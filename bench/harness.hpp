@@ -12,7 +12,8 @@
 // flags and its own report sections.
 //
 // A bad flag exits 2 with "program: message" before any simulated time
-// passes. An error thrown once a run has started is a bug and aborts.
+// passes (bench/flags.hpp). An error thrown once a run has started is a
+// bug and aborts.
 #pragma once
 
 #include <chrono>
@@ -44,7 +45,7 @@
 #include "ghs/util/cli.hpp"
 #include "ghs/util/error.hpp"
 #include "build_info.hpp"
-#include "output_path.hpp"
+#include "flags.hpp"
 
 namespace ghs::bench {
 
@@ -61,65 +62,6 @@ inline constexpr const char* kBuiltinPlan =
 
 /// Largest --max-log2 the workload generator accepts.
 inline constexpr long long kMaxLog2Elements = 39;
-
-/// Validates a numeric flag Cli-style (stderr + exit 2): the loadgens
-/// share this so `--jobs=0` or `--rate=-1` fails the same way everywhere.
-template <typename T>
-inline void require_positive(const std::string& program, const char* flag,
-                             T value) {
-  if (!(value > T{0})) {
-    std::cerr << program << ": " << flag << " must be > 0, got " << value
-              << "\n";
-    std::exit(2);
-  }
-}
-
-/// Validates a duration or count flag that may be zero, Cli-style.
-inline void require_non_negative(const std::string& program,
-                                 const char* flag, long long value) {
-  if (value < 0) {
-    std::cerr << program << ": " << flag << " must be >= 0, got " << value
-              << "\n";
-    std::exit(2);
-  }
-}
-
-/// Validates an integer flag against [lo, hi], Cli-style.
-inline void require_in_range(const std::string& program, const char* flag,
-                             long long value, long long lo, long long hi) {
-  if (value < lo || value > hi) {
-    std::cerr << program << ": " << flag << " must be in [" << lo << ", "
-              << hi << "], got " << value << "\n";
-    std::exit(2);
-  }
-}
-
-/// Validates a sampling-fraction flag Cli-style (stderr + exit 2): the
-/// trace head sampler and friends take a probability, so anything outside
-/// [0, 1] is a spelling mistake, not a configuration.
-inline void require_fraction(const std::string& program, const char* flag,
-                             double value) {
-  if (!(value >= 0.0 && value <= 1.0)) {
-    std::cerr << program << ": " << flag << " must be in [0, 1], got "
-              << value << "\n";
-    std::exit(2);
-  }
-}
-
-/// Runs `parse` over flag text (a name, a plan, a schedule) and returns
-/// its result; a ghs::Error it throws is a bad flag, so it becomes a
-/// Cli-style "program: message" and exit 2. Only for parsing before a run:
-/// errors thrown once simulation starts are bugs and must abort.
-template <typename Parse>
-auto parse_flag_or_exit(const std::string& program, Parse&& parse)
-    -> decltype(parse()) {
-  try {
-    return parse();
-  } catch (const Error& error) {
-    std::cerr << program << ": " << error.what() << "\n";
-    std::exit(2);
-  }
-}
 
 /// The --plan fault plan: none for "", the stock plan for "builtin",
 /// otherwise the named file. A missing or malformed plan exits 2.
@@ -148,10 +90,7 @@ struct ScrapeSettings {
 inline ScrapeSettings scrape_settings_or_exit(const std::string& program,
                                               long long scrape_interval_us,
                                               const std::string& series_out) {
-  if (scrape_interval_us < 0) {
-    std::cerr << program << ": --scrape-interval must be >= 0\n";
-    std::exit(2);
-  }
+  require_non_negative(program, "--scrape-interval", scrape_interval_us);
   if (!series_out.empty() && scrape_interval_us == 0) {
     std::cerr << program
               << ": --series-out requires --scrape-interval > 0\n";
@@ -205,10 +144,7 @@ struct ProfileSettings {
 inline ProfileSettings profile_settings_or_exit(
     const std::string& program, long long profile_interval_us,
     const std::string& profile_out, bool cost_report) {
-  if (profile_interval_us < 0) {
-    std::cerr << program << ": --profile-interval must be >= 0\n";
-    std::exit(2);
-  }
+  require_non_negative(program, "--profile-interval", profile_interval_us);
   if (!profile_out.empty() && profile_interval_us == 0) {
     std::cerr << program
               << ": --profile-out requires --profile-interval > 0\n";
@@ -489,16 +425,7 @@ class Harness {
     }
     out << "}";
     std::cout << out.str() << "\n";
-    if (!metrics) return;
-    {
-      telemetry::ExportOptions prom_options;
-      prom_options.include_volatile = true;
-      auto prom = open_output_or_exit(program_, *metrics_out_);
-      telemetry::write_prometheus(prom, registry_, prom_options);
-    }
-    auto snapshot = open_output_or_exit(program_, *metrics_out_ + ".json");
-    telemetry::write_json_snapshot(snapshot, registry_);
-    snapshot << "\n";
+    if (metrics) write_metrics_files(program_, *metrics_out_, registry_);
   }
 
  private:
@@ -575,12 +502,11 @@ class Run {
   /// Checks that cost attribution reconciles and that every submitted job
   /// was served, rejected or shed; writes the trace, folded-stack and
   /// series files (the last run wins each file); and, given `sections`,
-  /// fills the run's cost, timeline and SLO sections and prints their
-  /// stderr tables. `feed_slo(monitor)` feeds the target's records to an
-  /// slo::Monitor.
-  template <typename Target, typename FeedSlo>
+  /// fills the run's cost, timeline and SLO sections (the SLO monitor
+  /// reads the target's outcomes()) and prints their stderr tables.
+  template <typename Target>
   auto finish(const std::string& label, const Target& target,
-              FeedSlo&& feed_slo, RunSections* sections) {
+              RunSections* sections) {
     const std::string& program = harness_.program();
     if (scraper_) scraper_->finish();
     if (profiler_) profiler_->finish();
@@ -647,7 +573,7 @@ class Run {
     }
     if (sections != nullptr && !outputs_.slo_objectives.empty()) {
       slo::Monitor monitor(outputs_.slo_objectives);
-      feed_slo(monitor);
+      monitor.feed(target.outcomes());
       std::ostringstream slo_os;
       monitor.evaluate().write_json(slo_os);
       sections->slo = slo_os.str();

@@ -72,13 +72,11 @@ serve::ServiceReport run_policy(bench::Harness& harness,
     perf->wall_seconds = timer.elapsed_seconds();
     perf->sim_events = service.sim().events_processed();
     perf->jobs_served =
-        static_cast<std::uint64_t>(service.served_times().size());
+        static_cast<std::uint64_t>(service.outcomes().served.size());
     perf->peak_queue_size = service.sim().peak_queue_size();
     perf->peak_rss_mb = bench::peak_rss_mb();
   }
-  return run.finish(
-      name, service, [&](auto& monitor) { monitor.feed(service); },
-      sections);
+  return run.finish(name, service, sections);
 }
 
 }  // namespace

@@ -53,6 +53,6 @@ int main(int argc, char** argv) {
     std::cout << "Section IV.B summary statistics:\n";
     table.render(std::cout);
   }
-  bench::write_metrics(options);
+  common.write_metrics(options);
   return 0;
 }

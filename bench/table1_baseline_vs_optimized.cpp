@@ -49,6 +49,6 @@ int main(int argc, char** argv) {
         "4.3/89.4%), C3 271/3790 (13.985x, 6.7/94.2%), C4 526/3833 "
         "(7.287x, 13.1/95.3%)");
   }
-  bench::write_metrics(options);
+  common.write_metrics(options);
   return 0;
 }

@@ -46,7 +46,7 @@ int run_um_figure(const std::string& program, const std::string& figure_name,
     }
     print_paper_reference(options.csv, paper_note);
   }
-  write_metrics(options);
+  common.write_metrics(options);
   return 0;
 }
 
@@ -72,7 +72,7 @@ int run_um_speedup(const std::string& program,
     ratio.render(std::cout);
     print_paper_reference(options.csv, paper_note);
   }
-  write_metrics(options);
+  common.write_metrics(options);
   return 0;
 }
 

@@ -128,6 +128,10 @@ int main(int argc, char** argv) {
   options.node.injector = &injector;  // attached to fault_node only
 
   cluster::Cluster fleet(model, options);
+  std::int64_t stolen_served = 0;
+  fleet.set_on_complete([&](const cluster::ClusterRecord& record) {
+    if (record.stolen && record.node != *fault_node) ++stolen_served;
+  });
   fleet.submit_all(make_workload(fleet, static_cast<std::uint64_t>(*seed),
                                  *jobs, total_rate,
                                  static_cast<std::uint64_t>(*tenants)));
@@ -151,10 +155,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  std::int64_t stolen_served = 0;
-  for (const auto& record : fleet.records()) {
-    if (record.stolen && record.node != *fault_node) ++stolen_served;
-  }
   std::printf("\nevery job is accounted for: %lld submitted = %lld served "
               "+ %lld rejected + %lld shed\n",
               static_cast<long long>(report.submitted),

@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
       "latency_p99", slo::ObjectiveKind::kLatencyQuantile, 0.99,
       *latency_ms});
   slo::Monitor monitor(std::move(objectives));
-  monitor.feed(service);
+  monitor.feed(service.outcomes());
   const slo::Report report = monitor.evaluate();
 
   for (const auto& obj : report.objectives) {

@@ -51,10 +51,11 @@
 #
 # After the tests pass, the release config also runs certify_reproduction
 # (it must print CERTIFIED), checks that it, summary_stats and the seven
-# ablation benches write their --metrics-out snapshots, and runs
-# scripts/perf_gate.py against the checked-in bench baseline. The asan
-# config exercises the simulator's event heap and its slot recycling under
-# ASan+UBSan via the sim and serve suites.
+# ablation benches write their --metrics-out snapshots, that every paper
+# bench exits 2 on bad --iters/--elements/--cases/--config/--metrics-out
+# flags, and runs scripts/perf_gate.py against the checked-in bench
+# baseline. The asan config exercises the simulator's event heap and its
+# slot recycling under ASan+UBSan via the sim and serve suites.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -314,6 +315,17 @@ for config in "${configs[@]}"; do
         echo "$bench --metrics-out wrote no snapshot" >&2
         exit 1
       fi
+    done
+    echo "==> flag-validation smoke (bad flags exit 2 on every paper bench)"
+    for bench in certify_reproduction table1_baseline_vs_optimized \
+                 fig1_gpu_sweep fig2a_um_a1_baseline fig2b_um_a1_optimized \
+                 fig3_um_a1_speedup fig4a_um_a2_baseline \
+                 fig4b_um_a2_optimized fig5_um_a2_speedup "${benches[@]}"; do
+      for bad in "--iters=0" "--elements=-5" "--cases=C9" "--cases=" \
+                 "--config=$tmp/missing.properties" \
+                 "--metrics-out=$tmp/missing/out.prom"; do
+        expect_exit2 "$dir/bench/$bench" "$bad"
+      done
     done
     rm -rf "$tmp"
     echo "==> instrument-name lint (code vs docs/OBSERVABILITY.md)"

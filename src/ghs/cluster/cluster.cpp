@@ -35,12 +35,8 @@ void ClusterReport::write_json(std::ostream& os) const {
      << ",\"transfer_gb\":" << format_fixed(transfer_gb, 6)
      << ",\"spills\":" << spills << ",\"spilled_saved\":" << spilled_saved
      << ",\"steals\":" << steals << ",\"stolen_jobs\":" << stolen_jobs
-     << ",\"makespan_ms\":" << format_fixed(to_millis(makespan), 6)
-     << ",\"bytes_served\":" << bytes_served
-     << ",\"throughput_jobs_per_s\":"
-     << format_fixed(throughput_jobs_per_s, 6)
-     << ",\"throughput_gbps\":" << format_fixed(throughput_gbps, 6) << ",";
-  serve::write_latency_json(os, "latency", latency);
+     << ",";
+  OutcomeStats::write_json(os);
   os << ",\"routed\":[";
   for (std::size_t i = 0; i < routed.size(); ++i) {
     os << (i == 0 ? "" : ",") << routed[i];
@@ -133,8 +129,7 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
       GHS_CHECK(it != meta_.end(), "shed for unrouted job " << job.id);
       journal_commit(i, job.id);
       meta_.erase(it);
-      shed_.push_back(job);
-      shed_at_.push_back(at);
+      outcomes_.shed.push_back(at);
       if (m_shed_ != nullptr) m_shed_->inc();
     });
     svc.set_on_complete([this, i](const serve::JobRecord& record) {
@@ -142,24 +137,21 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
       GHS_CHECK(it != meta_.end(),
                 "completion for unrouted job " << record.job.id);
       journal_commit(i, record.job.id);
-      const JobMeta& meta = it->second;
-      ClusterRecord cr;
-      cr.id = record.job.id;
-      cr.original_arrival = meta.original_arrival;
-      cr.node_arrival = record.job.arrival;
-      cr.completion = record.completion;
-      cr.transfer = meta.transfer;
-      cr.node = i;
-      cr.spills = meta.spills;
-      cr.stolen = meta.stolen;
-      last_completion_ = std::max(last_completion_, record.completion);
-      bytes_served_ += record.job.bytes();
-      if (meta.spills > 0) ++spilled_saved_;
-      records_.push_back(cr);
+      const JobMeta meta = it->second;
       meta_.erase(it);
+      const serve::JobTimes times{meta.original_arrival, record.job.arrival,
+                                  record.completion};
+      outcomes_.served.push_back(times);
+      outcomes_.bytes_served += record.job.bytes();
+      if (meta.spills > 0) ++spilled_saved_;
       if (m_served_ != nullptr) m_served_->inc();
       if (m_latency_ms_ != nullptr) {
-        m_latency_ms_->observe(to_millis(cr.latency()));
+        m_latency_ms_->observe(to_millis(times.latency()));
+      }
+      if (on_complete_) {
+        on_complete_({record.job.id, meta.original_arrival, record.job.arrival,
+                      record.completion, meta.transfer, i, meta.spills,
+                      meta.stolen});
       }
     });
     svc.set_on_breaker_transition(
@@ -206,7 +198,6 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
 
   if (!membership_on_) return;
   journal_ = std::make_unique<membership::JobJournal>(options_.nodes);
-  up_.assign(static_cast<std::size_t>(options_.nodes), 1);
   crashed_at_.assign(static_cast<std::size_t>(options_.nodes), -1);
   if (options_.node.telemetry.metrics != nullptr) {
     // Membership instruments only exist on membership runs, keeping every
@@ -235,9 +226,11 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
     on_membership_transition(t);
   });
   if (options_.health.enabled) {
+    // Heartbeats come from the node processes that are really up; the
+    // table holds the detected state, which lags it.
     monitor_ = std::make_unique<membership::HealthMonitor>(
         sim_, table_, options_.health,
-        [this](int i) { return up_[static_cast<std::size_t>(i)] != 0; });
+        [this](int i) { return nodes_[static_cast<std::size_t>(i)]->alive(); });
     monitor_->start();
   }
   for (const auto& crash : options_.crash_plan.crashes) {
@@ -298,9 +291,7 @@ void Cluster::route(serve::Job job) {
   if (!table_.serving(target)) {
     target = pick_live_target(-1);
   }
-  if (first_arrival_ < 0 || job.arrival < first_arrival_) {
-    first_arrival_ = job.arrival;
-  }
+  outcomes_.origin = std::min(outcomes_.origin, job.arrival);
   JobMeta meta;
   meta.original_arrival = job.arrival;
   meta_.emplace(job.id, meta);
@@ -420,8 +411,7 @@ void Cluster::submit_to(serve::Job job, int target,
 
 void Cluster::finish_reject(const serve::Job& job, SimTime at) {
   meta_.erase(job.id);
-  rejected_.push_back(job);
-  rejected_at_.push_back(at);
+  outcomes_.rejected.push_back(at);
   if (m_rejected_ != nullptr) m_rejected_->inc();
   if (flight_ != nullptr) {
     flight_->record(at, "cluster", "reject",
@@ -489,8 +479,7 @@ void Cluster::membership_flight(SimTime at, const char* kind, int node,
 
 void Cluster::do_crash(int node) {
   const auto n = static_cast<std::size_t>(node);
-  if (up_[n] == 0) return;  // already down
-  up_[n] = 0;
+  if (!nodes_[n]->alive()) return;  // already down
   crashed_at_[n] = sim_.now();
   ++crashes_;
   nodes_[n]->crash();
@@ -511,8 +500,7 @@ void Cluster::do_crash(int node) {
 
 void Cluster::do_restart(int node) {
   const auto n = static_cast<std::size_t>(node);
-  if (up_[n] != 0) return;  // never crashed, or already restarted
-  up_[n] = 1;
+  if (nodes_[n]->alive()) return;  // never crashed, or already restarted
   crashed_at_[n] = -1;
   ++restarts_;
   nodes_[n]->restore();
@@ -545,7 +533,7 @@ void Cluster::do_drain(int node) {
       state != membership::NodeState::kSuspect) {
     return;  // already dead, draining, or departed
   }
-  if (up_[static_cast<std::size_t>(node)] == 0) {
+  if (!nodes_[static_cast<std::size_t>(node)]->alive()) {
     return;  // crashed but undetected: the detector owns this node's fate
   }
   ++drains_;
@@ -667,9 +655,9 @@ ClusterReport Cluster::report() const {
   report.policy = options_.policy;
   report.nodes = options_.nodes;
   report.submitted = submitted_;
-  report.served = static_cast<std::int64_t>(records_.size());
-  report.rejected = static_cast<std::int64_t>(rejected_.size());
-  report.shed = static_cast<std::int64_t>(shed_.size());
+  report.served = static_cast<std::int64_t>(outcomes_.served.size());
+  report.rejected = static_cast<std::int64_t>(outcomes_.rejected.size());
+  report.shed = static_cast<std::int64_t>(outcomes_.shed.size());
   report.remote_jobs = remote_jobs_;
   if (interconnect_ != nullptr) {
     report.transfers = interconnect_->transfers();
@@ -679,22 +667,12 @@ ClusterReport Cluster::report() const {
   report.spilled_saved = spilled_saved_;
   report.steals = steals_;
   report.stolen_jobs = stolen_jobs_;
-  if (first_arrival_ >= 0 && last_completion_ > first_arrival_) {
-    report.makespan = last_completion_ - first_arrival_;
-  }
-  report.bytes_served = bytes_served_;
-  std::vector<double> latency_ms;
-  latency_ms.reserve(records_.size());
-  for (const auto& record : records_) {
-    latency_ms.push_back(to_millis(record.latency()));
-  }
-  report.latency = serve::make_latency_stats(std::move(latency_ms));
+  report.fill(outcomes_);
   if (report.makespan > 0) {
-    const double seconds = to_seconds(report.makespan);
-    report.throughput_jobs_per_s =
-        static_cast<double>(report.served) / seconds;
-    report.throughput_gbps =
-        static_cast<double>(report.bytes_served) / seconds / 1e9;
+    // The fleet divides by the makespan before scaling to GB, the service
+    // after; each keeps its own rounding so its reports keep every bit.
+    report.throughput_gbps = static_cast<double>(report.bytes_served) /
+                             to_seconds(report.makespan) / 1e9;
   }
   report.routed = routed_;
   std::int64_t total_routed = 0;
@@ -749,24 +727,6 @@ profile::ConservationTotals Cluster::conservation_totals() const {
   totals.transfer_bytes = transfer_bytes_total_;
   totals.replay_bytes = replay_bytes_;
   return totals;
-}
-
-void Cluster::feed_slo(slo::Monitor& monitor) const {
-  for (std::size_t i = 0; i < monitor.objectives().size(); ++i) {
-    const auto& objective = monitor.objectives()[i];
-    if (objective.kind == slo::ObjectiveKind::kAvailability) {
-      for (const auto& record : records_) {
-        monitor.record(i, record.completion, true);
-      }
-      for (const SimTime at : rejected_at_) monitor.record(i, at, false);
-      for (const SimTime at : shed_at_) monitor.record(i, at, false);
-    } else {
-      for (const auto& record : records_) {
-        monitor.record_latency(i, record.completion,
-                               to_millis(record.latency()));
-      }
-    }
-  }
 }
 
 }  // namespace ghs::cluster

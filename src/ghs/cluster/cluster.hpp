@@ -33,17 +33,21 @@
 // domains".
 //
 // Every submitted job ends exactly one of three ways at the cluster level
-// — served, rejected, or shed — the invariant the chaos tests pin. Note
-// that per-node reports still count their local view (a spilled job is a
+// — served, rejected, or shed — the invariant the chaos tests pin. The
+// fleet logs each end in its own serve::Outcomes, the same log a node
+// keeps; its per-job placement goes to the completion hook. Note that
+// per-node reports still count their local view (a spilled job is a
 // rejection on the refusing node and a serve on the rescuer), so per-node
 // sums can exceed cluster totals by design.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ghs/cluster/interconnect.hpp"
@@ -59,14 +63,7 @@
 
 namespace ghs::cluster {
 
-/// Scheduled graceful drain: at `at`, stop admitting to `node`, flush its
-/// queue to peers, and remove it from the fleet. In-flight work on the
-/// node completes lame-duck; a node already dead, draining or departed is
-/// left alone.
-struct DrainSpec {
-  int node = 0;
-  SimTime at = 0;
-};
+using fault::DrainSpec;
 
 struct ClusterOptions {
   int nodes = 4;
@@ -90,7 +87,8 @@ struct ClusterOptions {
   /// the membership layer on; empty (the default) leaves every code path
   /// and report byte-identical to a membership-unaware cluster.
   fault::NodeCrashPlan crash_plan;
-  /// Scheduled graceful drains; any entry turns the membership layer on.
+  /// Scheduled graceful drains (fault::parse_drain_plan); any entry turns
+  /// the membership layer on.
   std::vector<DrainSpec> drains;
   /// Phi-accrual failure detector riding the shared simulator. Disabled,
   /// crashes are detected instantly at the crash event (zero detection
@@ -99,10 +97,11 @@ struct ClusterOptions {
   membership::HealthOptions health;
 };
 
-/// Cluster-level accounting for one served job (48 bytes), kept in
-/// completion order. `node_arrival` is the delivery instant at the serving
-/// node (post transfer); cluster latency is measured from the tenant's
-/// original arrival at the front door.
+/// The completion hook's argument: one served job with where and how the
+/// fleet served it (56 bytes: 49 of fields, padded). `node_arrival` is
+/// the delivery instant at the serving node (post transfer); cluster
+/// latency is measured from the tenant's original arrival at the front
+/// door.
 struct ClusterRecord {
   serve::JobId id = 0;
   SimTime original_arrival = 0;
@@ -150,7 +149,10 @@ struct MembershipReport {
   void write_json(std::ostream& os) const;
 };
 
-struct ClusterReport {
+/// One fleet run. Its makespan runs from the earliest front-door arrival
+/// of a routed job, served or not, to the last completion; its latency is
+/// front-door latency, completion minus original arrival.
+struct ClusterReport : serve::OutcomeStats {
   std::string router;
   std::string policy;
   int nodes = 1;
@@ -168,12 +170,6 @@ struct ClusterReport {
   /// Steal events / jobs moved by them.
   std::int64_t steals = 0;
   std::int64_t stolen_jobs = 0;
-  SimTime makespan = 0;
-  Bytes bytes_served = 0;
-  double throughput_jobs_per_s = 0.0;
-  double throughput_gbps = 0.0;
-  /// Front-door latency: completion minus original arrival.
-  serve::LatencyStats latency;
   /// Jobs routed to each node (first routing decision only).
   std::vector<std::int64_t> routed;
   /// max(routed) / mean(routed); 1 is perfect balance, 0 when idle.
@@ -210,14 +206,16 @@ class Cluster {
   /// and steals all run to completion.
   void run();
 
-  /// Every served job, in completion order. The report's latency and the
-  /// SLO feed read these; bytes served are summed as jobs complete.
-  const std::vector<ClusterRecord>& records() const { return records_; }
-  /// Cluster-level terminal rejections/sheds and their instants.
-  const std::vector<serve::Job>& rejected_jobs() const { return rejected_; }
-  const std::vector<SimTime>& rejected_times() const { return rejected_at_; }
-  const std::vector<serve::Job>& shed_jobs() const { return shed_; }
-  const std::vector<SimTime>& shed_times() const { return shed_at_; }
+  /// Fires once per served job at its completion with the job's node,
+  /// transfer, spills and stolen flag; the fleet keeps none of them.
+  void set_on_complete(std::function<void(const ClusterRecord&)> hook) {
+    on_complete_ = std::move(hook);
+  }
+
+  /// How every job ended at the cluster level: each served job's
+  /// front-door arrival, node arrival and completion in completion order,
+  /// and the instants of terminal rejections and sheds.
+  const serve::Outcomes& outcomes() const { return outcomes_; }
 
   ClusterReport report() const;
 
@@ -226,10 +224,8 @@ class Cluster {
   /// interconnect's moved bytes and the journal's replayed bytes.
   profile::ConservationTotals conservation_totals() const;
 
-  /// Feeds an SLO monitor with cluster-level outcomes: completions judged
-  /// on front-door latency, cluster rejections/sheds as bad availability
-  /// samples.
-  void feed_slo(slo::Monitor& monitor) const;
+  /// Same as monitor.feed(outcomes()).
+  void feed_slo(slo::Monitor& monitor) const { monitor.feed(outcomes_); }
 
   /// Every node's liveness state; all nodes stay alive unless the
   /// membership layer runs.
@@ -295,19 +291,11 @@ class Cluster {
   Router router_;
   std::vector<std::unique_ptr<serve::ReductionService>> nodes_;
   std::unordered_map<serve::JobId, JobMeta> meta_;
-  std::vector<ClusterRecord> records_;
-  /// Bytes of the served jobs, accumulated at completion.
-  Bytes bytes_served_ = 0;
-  std::vector<serve::Job> rejected_;
-  std::vector<SimTime> rejected_at_;
-  std::vector<serve::Job> shed_;
-  std::vector<SimTime> shed_at_;
+  serve::Outcomes outcomes_;
+  std::function<void(const ClusterRecord&)> on_complete_;
   std::vector<std::int64_t> routed_;
   std::vector<std::size_t> pending_;
   std::int64_t submitted_ = 0;
-  /// Front-door makespan bounds: first routed arrival, last completion.
-  SimTime first_arrival_ = -1;
-  SimTime last_completion_ = 0;
   std::int64_t remote_jobs_ = 0;
   std::int64_t spills_ = 0;
   std::int64_t spilled_saved_ = 0;
@@ -320,9 +308,6 @@ class Cluster {
   bool membership_on_ = false;
   std::unique_ptr<membership::JobJournal> journal_;
   std::unique_ptr<membership::HealthMonitor> monitor_;
-  /// Ground truth per node: is the process up? (The table holds the
-  /// *detected* state, which lags this during detection and warm-up.)
-  std::vector<char> up_;
   std::vector<SimTime> crashed_at_;
   std::int64_t crashes_ = 0;
   std::int64_t restarts_ = 0;

@@ -1,7 +1,7 @@
 #include "ghs/fault/plan.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -85,22 +85,45 @@ LineArgs parse_args(const std::vector<std::string>& tokens,
   return args;
 }
 
-std::string format_time(SimTime t) {
-  // Picoseconds render exactly, so format_plan round-trips through
-  // parse_plan without floating-point drift.
-  return std::to_string(t) + "ps";
+// One `node@at[:restart_at]` entry of a `kind` schedule ("crash" or
+// "drain"); the restart is only read when `restart` allows it.
+NodeCrash parse_node_entry(const std::string& entry, const char* kind,
+                           bool restart) {
+  const auto at_sep = entry.find('@');
+  GHS_REQUIRE(at_sep != std::string::npos && at_sep > 0,
+              kind << " spec '" << entry << "': expected node@at"
+                   << (restart ? "[:restart]" : ""));
+  NodeCrash crash;
+  std::size_t used = 0;
+  try {
+    crash.node = std::stoi(entry.substr(0, at_sep), &used);
+  } catch (const std::exception&) {
+    used = 0;  // not a number, or out of int range
+  }
+  GHS_REQUIRE(used == at_sep && crash.node >= 0,
+              kind << " spec '" << entry << "': needs a node index >= 0");
+  std::string times = entry.substr(at_sep + 1);
+  const auto restart_sep = times.find(':');
+  if (restart_sep != std::string::npos) {
+    GHS_REQUIRE(restart, kind << " spec '" << entry << "': takes no restart");
+    crash.restart_at = parse_duration(times.substr(restart_sep + 1));
+    times = times.substr(0, restart_sep);
+  }
+  crash.at = parse_duration(times);
+  return crash;
 }
 
-std::string format_window(const Window& window) {
-  if (window.unbounded()) return "";
-  return " from=" + format_time(window.begin) +
-         " until=" + format_time(window.end);
-}
-
-std::string format_probability(double p) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", p);
-  return buf;
+// Splits a node schedule into entries on commas and whitespace alike, so
+// both the compact CLI form "1@300us:2ms,2@1ms" and a spaced file form
+// work.
+std::vector<std::string> schedule_entries(const std::string& text) {
+  std::string normalized = text;
+  std::replace(normalized.begin(), normalized.end(), ',', ' ');
+  std::istringstream words(normalized);
+  std::vector<std::string> entries;
+  std::string entry;
+  while (words >> entry) entries.push_back(entry);
+  return entries;
 }
 
 }  // namespace
@@ -147,42 +170,25 @@ SimTime parse_duration(const std::string& text) {
 
 NodeCrashPlan parse_crash_plan(const std::string& text) {
   NodeCrashPlan plan;
-  // Entries split on commas and whitespace interchangeably so both the
-  // compact CLI form "1@300us:2ms,2@1ms" and a spaced file form work.
-  std::string normalized = text;
-  for (char& c : normalized) {
-    if (c == ',') c = ' ';
-  }
-  std::istringstream words(normalized);
-  std::string entry;
-  while (words >> entry) {
-    const auto at_sep = entry.find('@');
-    GHS_REQUIRE(at_sep != std::string::npos && at_sep > 0,
-                "crash spec '" << entry << "': expected node@at[:restart]");
-    NodeCrash crash;
-    try {
-      std::size_t pos = 0;
-      crash.node = std::stoi(entry.substr(0, at_sep), &pos);
-      GHS_REQUIRE(pos == at_sep,
-                  "crash spec '" << entry << "': bad node index");
-    } catch (const std::exception&) {
-      GHS_REQUIRE(false, "crash spec '" << entry << "': bad node index");
-    }
-    GHS_REQUIRE(crash.node >= 0,
-                "crash spec '" << entry << "': node must be >= 0");
-    std::string times = entry.substr(at_sep + 1);
-    const auto restart_sep = times.find(':');
-    if (restart_sep != std::string::npos) {
-      crash.restart_at = parse_duration(times.substr(restart_sep + 1));
-      times = times.substr(0, restart_sep);
-    }
-    crash.at = parse_duration(times);
+  for (const std::string& entry : schedule_entries(text)) {
+    const NodeCrash crash = parse_node_entry(entry, "crash", true);
     GHS_REQUIRE(crash.restart_at == 0 || crash.restart_at > crash.at,
                 "crash spec '" << entry
                                << "': restart must come after the crash");
     plan.crashes.push_back(crash);
   }
   return plan;
+}
+
+std::vector<DrainSpec> parse_drain_plan(const std::string& text) {
+  std::vector<DrainSpec> drains;
+  for (const std::string& entry : schedule_entries(text)) {
+    const NodeCrash drain = parse_node_entry(entry, "drain", false);
+    GHS_REQUIRE(drain.at > 0,
+                "drain spec '" << entry << "': needs a positive time");
+    drains.push_back({drain.node, drain.at});
+  }
+  return drains;
 }
 
 std::string format_crash_plan(const NodeCrashPlan& plan) {
@@ -284,32 +290,6 @@ FaultPlan load_plan(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return parse_plan(text.str());
-}
-
-std::string format_plan(const FaultPlan& plan) {
-  std::ostringstream out;
-  for (const auto& spec : plan.kernel_faults) {
-    out << "kernel-fault " << target_name(spec.target)
-        << " p=" << format_probability(spec.probability)
-        << format_window(spec.window) << "\n";
-  }
-  for (const auto& episode : plan.bandwidth_episodes) {
-    out << "bandwidth " << target_name(episode.target)
-        << " scale=" << format_probability(episode.scale)
-        << format_window(episode.window) << "\n";
-  }
-  for (const auto& outage : plan.outages) {
-    out << "device-down " << target_name(outage.target)
-        << format_window(outage.window) << "\n";
-  }
-  for (const auto& episode : plan.migration_stalls) {
-    out << "migration-stall scale=" << format_probability(episode.scale)
-        << format_window(episode.window) << "\n";
-  }
-  if (plan.down_error_latency != 10 * kMicrosecond) {
-    out << "error-latency " << format_time(plan.down_error_latency) << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace ghs::fault

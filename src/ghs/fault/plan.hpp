@@ -16,6 +16,9 @@
 //   device-down gpu from=5ms until=8ms         # outage window
 //   bandwidth gpu scale=0.25 from=1ms until=4ms  # HBM at a quarter speed
 //   migration-stall scale=0.1 from=2ms until=6ms # UM migration 10x slower
+//
+// A fleet's node schedules (crashes, drains) are data of the same kind,
+// written inline as `node@time` entries that one entry parser reads.
 #pragma once
 
 #include <cstdint>
@@ -118,6 +121,15 @@ struct NodeCrashPlan {
   std::size_t size() const { return crashes.size(); }
 };
 
+/// Scheduled graceful drain: at `at`, stop admitting to `node`, flush its
+/// queue to peers, and remove it from the fleet. In-flight work on the
+/// node completes lame-duck; a node already dead, draining or departed is
+/// left alone. Interpreted by cluster::Cluster.
+struct DrainSpec {
+  int node = 0;
+  SimTime at = 0;
+};
+
 /// Parses "2ms" / "150us" / "1.5s" / "400ns" / "7000ps" into picoseconds;
 /// throws ghs::Error on malformed input. This is the time grammar every
 /// plan format shares.
@@ -129,6 +141,11 @@ SimTime parse_duration(const std::string& text);
 /// size by the consumer (the parser cannot know it).
 NodeCrashPlan parse_crash_plan(const std::string& text);
 
+/// Parses a drain schedule: `node@at` entries in the crash spec's grammar,
+/// without the restart; throws ghs::Error on malformed entries, negative
+/// nodes, a `:restart` suffix or a zero time.
+std::vector<DrainSpec> parse_drain_plan(const std::string& text);
+
 /// Renders the crash plan back into the inline spec (picosecond times, so
 /// it round-trips through parse_crash_plan exactly).
 std::string format_crash_plan(const NodeCrashPlan& plan);
@@ -139,9 +156,5 @@ FaultPlan parse_plan(const std::string& text);
 
 /// Reads and parses a plan file; throws ghs::Error on I/O failure.
 FaultPlan load_plan(const std::string& path);
-
-/// Renders the plan back into the line format (used by benches to echo the
-/// active plan into reports deterministically).
-std::string format_plan(const FaultPlan& plan);
 
 }  // namespace ghs::fault

@@ -1,11 +1,14 @@
 // Request types of the reduction service: a Job is one tenant asking for
 // one sum reduction (case, element count, optional deadline); JobTimes is
-// what the service keeps of each served job; a JobRecord is what its
+// what is kept of each served job; Outcomes is the log of how every job of
+// a service or fleet run ended; a JobRecord is what the service's
 // completion hook is handed. Everything is in simulated time, so a served
 // workload is bit-reproducible.
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "ghs/trace/context.hpp"
 #include "ghs/util/units.hpp"
@@ -57,9 +60,10 @@ struct Job {
   }
 };
 
-/// The 24 bytes the service keeps per served job, in completion order:
-/// all the latency report and the SLO feed read. `start` is the launch's
-/// start.
+/// The 24 bytes kept per served job: all the latency reports and the SLO
+/// feed read. In a service `start` is the launch's start; in a fleet
+/// `arrival` is the front-door arrival and `start` the arrival at the
+/// serving node.
 struct JobTimes {
   SimTime arrival = 0;
   SimTime start = 0;
@@ -67,6 +71,20 @@ struct JobTimes {
 
   SimTime queue_wait() const { return start - arrival; }
   SimTime latency() const { return completion - arrival; }
+};
+
+/// How every job of a run ended. It is the only outcome state of a
+/// service or a fleet; their reports and the SLO feed read nothing else.
+struct Outcomes {
+  /// Served jobs in completion order.
+  std::vector<JobTimes> served;
+  Bytes bytes_served = 0;
+  /// Where the makespan starts: the earliest arrival of a served job in a
+  /// service, of a routed job in a fleet.
+  SimTime origin = std::numeric_limits<SimTime>::max();
+  /// Instants jobs were rejected and shed at, in the order they happened.
+  std::vector<SimTime> rejected;
+  std::vector<SimTime> shed;
 };
 
 /// The completion hook's argument: one served job with its placement and

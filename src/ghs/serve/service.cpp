@@ -33,8 +33,8 @@ int device_index(Placement device) {
   return device == Placement::kGpu ? 0 : 1;
 }
 
-}  // namespace
-
+/// Writes `"key":{...}`, the stats as one JSON member, in the fixed
+/// format of every report.
 void write_latency_json(std::ostream& os, const char* key,
                         const LatencyStats& stats) {
   os << "\"" << key << "\":{\"count\":" << stats.count
@@ -46,6 +46,19 @@ void write_latency_json(std::ostream& os, const char* key,
      << ",\"max_ms\":" << format_fixed(stats.max_ms, 6) << "}";
 }
 
+/// The distribution of one span of every served job, in milliseconds. The
+/// buffer is moved into make_latency_stats, so a report holds one at a
+/// time.
+LatencyStats stats_of(const std::vector<JobTimes>& served,
+                      SimTime (JobTimes::*span)() const) {
+  std::vector<double> ms;
+  ms.reserve(served.size());
+  for (const JobTimes& times : served) ms.push_back(to_millis((times.*span)()));
+  return make_latency_stats(std::move(ms));
+}
+
+}  // namespace
+
 LatencyStats make_latency_stats(std::vector<double> ms) {
   LatencyStats stats;
   stats.count = ms.size();
@@ -56,6 +69,28 @@ LatencyStats make_latency_stats(std::vector<double> ms) {
   return stats;
 }
 
+void OutcomeStats::fill(const Outcomes& outcomes) {
+  const std::vector<JobTimes>& served = outcomes.served;
+  bytes_served = outcomes.bytes_served;
+  // Entries are in completion order, so the last one completed last.
+  if (!served.empty() && served.back().completion > outcomes.origin) {
+    makespan = served.back().completion - outcomes.origin;
+    const double seconds = to_seconds(makespan);
+    throughput_jobs_per_s = static_cast<double>(served.size()) / seconds;
+    throughput_gbps = static_cast<double>(bytes_served) / 1e9 / seconds;
+  }
+  latency = stats_of(served, &JobTimes::latency);
+}
+
+void OutcomeStats::write_json(std::ostream& os) const {
+  os << "\"makespan_ms\":" << format_fixed(to_millis(makespan), 6)
+     << ",\"bytes_served\":" << bytes_served
+     << ",\"throughput_jobs_per_s\":"
+     << format_fixed(throughput_jobs_per_s, 6)
+     << ",\"throughput_gbps\":" << format_fixed(throughput_gbps, 6) << ",";
+  write_latency_json(os, "latency", latency);
+}
+
 void ServiceReport::write_json(std::ostream& os) const {
   os << "{\"policy\":\"" << policy << "\",\"submitted\":" << submitted
      << ",\"served\":" << served << ",\"rejected\":" << rejected
@@ -64,13 +99,8 @@ void ServiceReport::write_json(std::ostream& os) const {
      << ",\"multi_job_launches\":" << multi_job_launches
      << ",\"batched_jobs\":" << batched_jobs << ",\"gpu_jobs\":" << gpu_jobs
      << ",\"cpu_jobs\":" << cpu_jobs << ",\"um_jobs\":" << um_jobs
-     << ",\"queue_high_watermark\":" << queue_high_watermark
-     << ",\"makespan_ms\":" << format_fixed(to_millis(makespan), 6)
-     << ",\"bytes_served\":" << bytes_served
-     << ",\"throughput_jobs_per_s\":"
-     << format_fixed(throughput_jobs_per_s, 6)
-     << ",\"throughput_gbps\":" << format_fixed(throughput_gbps, 6) << ",";
-  write_latency_json(os, "latency", latency);
+     << ",\"queue_high_watermark\":" << queue_high_watermark << ",";
+  OutcomeStats::write_json(os);
   os << ",";
   write_latency_json(os, "queue_wait", queue_wait);
   os << ",\"tuner_hits\":" << tuner_hits
@@ -215,7 +245,7 @@ void ReductionService::submit_all(const std::vector<Job>& jobs) {
 }
 
 void ReductionService::submit_all(std::vector<Job>&& jobs) {
-  served_.reserve(served_.size() + jobs.size());
+  outcomes_.served.reserve(outcomes_.served.size() + jobs.size());
   chain_arrivals(sim_, std::move(jobs),
                  [this](const Job& job) { on_arrival(job); });
 }
@@ -306,8 +336,7 @@ void ReductionService::on_arrival(Job job) {
   // the composing cluster sees the bounce via on_reject and re-routes,
   // which is exactly the pre-detection cost a crashed node imposes.
   if (!alive_ || !queue_.push(job)) {
-    rejected_.push_back(job);
-    rejected_at_.push_back(sim_.now());
+    outcomes_.rejected.push_back(sim_.now());
     if (m_rejected_ != nullptr) m_rejected_->inc();
     if (flight_ != nullptr) {
       flight_->record(sim_.now(), "serve", "rejection",
@@ -649,10 +678,10 @@ void ReductionService::complete_launch(Placement device, bool failed,
   if (injector_ != nullptr) breaker_ref(device).record_success(sim_.now());
   const SimTime now = sim_.now();
   for (const auto& job : jobs) {
-    served_.push_back({job.arrival, begin, now});
-    const JobTimes& times = served_.back();
-    first_arrival_ = std::min(first_arrival_, job.arrival);
-    bytes_served_ += job.bytes();
+    const JobTimes times{job.arrival, begin, now};
+    outcomes_.served.push_back(times);
+    outcomes_.bytes_served += job.bytes();
+    outcomes_.origin = std::min(outcomes_.origin, job.arrival);
     if (job.unified) ++um_jobs_;
     if (job.deadline > 0 && now > job.deadline) ++deadline_missed_;
     if (m_completed_ != nullptr) m_completed_->inc();
@@ -759,8 +788,7 @@ void ReductionService::handle_failed_job(const Job& job) {
 }
 
 void ReductionService::shed_job(const Job& job, const char* reason) {
-  shed_.push_back(job);
-  shed_at_.push_back(sim_.now());
+  outcomes_.shed.push_back(sim_.now());
   if (m_shed_ != nullptr) m_shed_->inc();
   if (flight_ != nullptr) {
     flight_->record(sim_.now(), "serve", "shed",
@@ -815,7 +843,7 @@ ServiceReport ReductionService::report() const {
   ServiceReport report;
   report.policy = policy_->name();
   report.submitted = submitted_;
-  report.rejected = static_cast<std::int64_t>(rejected_.size());
+  report.rejected = static_cast<std::int64_t>(outcomes_.rejected.size());
   report.launches = launches_;
   report.multi_job_launches = multi_job_launches_;
   report.batched_jobs = batched_jobs_;
@@ -827,36 +855,18 @@ ServiceReport ReductionService::report() const {
     report.retries = retries_;
     report.gpu_failures = gpu_failures_;
     report.breaker_opens = gpu_breaker_.opens() + cpu_breaker_.opens();
-    report.shed = static_cast<std::int64_t>(shed_.size());
+    report.shed = static_cast<std::int64_t>(outcomes_.shed.size());
     report.fallback_cpu_jobs = fallback_cpu_jobs_;
   }
 
-  if (served_.empty()) return report;
+  const std::vector<JobTimes>& served = outcomes_.served;
+  if (served.empty()) return report;
 
-  report.served = static_cast<std::int64_t>(served_.size());
-  report.bytes_served = bytes_served_;
+  report.served = static_cast<std::int64_t>(served.size());
   report.um_jobs = um_jobs_;
   report.deadline_missed = deadline_missed_;
-  // Entries are in completion order, so the last one completed last.
-  report.makespan = served_.back().completion - first_arrival_;
-  if (report.makespan > 0) {
-    const double seconds = to_seconds(report.makespan);
-    report.throughput_jobs_per_s =
-        static_cast<double>(report.served) / seconds;
-    report.throughput_gbps =
-        static_cast<double>(report.bytes_served) / 1e9 / seconds;
-  }
-  // One buffer at a time: make_latency_stats consumes it.
-  const auto stats_of = [this](SimTime (JobTimes::*span)() const) {
-    std::vector<double> ms;
-    ms.reserve(served_.size());
-    for (const JobTimes& times : served_) {
-      ms.push_back(to_millis((times.*span)()));
-    }
-    return make_latency_stats(std::move(ms));
-  };
-  report.latency = stats_of(&JobTimes::latency);
-  report.queue_wait = stats_of(&JobTimes::queue_wait);
+  report.fill(outcomes_);
+  report.queue_wait = stats_of(served, &JobTimes::queue_wait);
 
   if (const auto* bandwidth =
           dynamic_cast<const BandwidthAwarePolicy*>(policy_.get())) {

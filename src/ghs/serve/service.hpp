@@ -1,11 +1,12 @@
 // ReductionService: the multi-tenant serving loop. Tenants submit jobs
 // (arrivals are simulator events); the admission queue applies
 // backpressure; the scheduler policy places work on the simulated H100 or
-// the Grace CPU, which the service time-shares; every completion adds a
-// 24-byte JobTimes entry and its bytes, memory mode and deadline outcome
-// to the report's running totals. One service run is one
-// deterministic discrete-event simulation — same submissions, same seed,
-// same report, byte for byte.
+// the Grace CPU, which the service time-shares; every job's end goes into
+// the service's Outcomes log (a 24-byte JobTimes entry per served job),
+// and each served job's memory mode and deadline outcome into the
+// report's running totals. One service run is one deterministic
+// discrete-event simulation — same submissions, same seed, same report,
+// byte for byte.
 //
 // A launch is one kernel (or one host parallel region) serving one job or
 // a batch of small same-case jobs — batching amortises the per-launch
@@ -29,7 +30,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -171,12 +171,26 @@ struct LatencyStats {
 /// then reorder it, so callers move their buffer in.
 LatencyStats make_latency_stats(std::vector<double> ms);
 
-/// Writes `"key":{...}`, the stats as one JSON member, in the fixed
-/// format of every report.
-void write_latency_json(std::ostream& os, const char* key,
-                        const LatencyStats& stats);
+/// The report keys a service and a fleet share, all read from one
+/// Outcomes log.
+struct OutcomeStats {
+  SimTime makespan = 0;
+  Bytes bytes_served = 0;
+  double throughput_jobs_per_s = 0.0;
+  double throughput_gbps = 0.0;
+  /// Arrival to completion.
+  LatencyStats latency;
 
-struct ServiceReport {
+  /// Fills every field from `outcomes`; the makespan runs from its
+  /// origin to the last completion.
+  void fill(const Outcomes& outcomes);
+  /// Writes the five keys as JSON members, comma-separated.
+  void write_json(std::ostream& os) const;
+};
+
+/// One service run. Its makespan runs from the earliest arrival of a
+/// served job to the last completion.
+struct ServiceReport : OutcomeStats {
   std::string policy;
   std::int64_t submitted = 0;
   std::int64_t served = 0;
@@ -190,12 +204,6 @@ struct ServiceReport {
   /// Jobs served through managed (unified) memory.
   std::int64_t um_jobs = 0;
   std::size_t queue_high_watermark = 0;
-  /// First arrival to last completion.
-  SimTime makespan = 0;
-  Bytes bytes_served = 0;
-  double throughput_jobs_per_s = 0.0;
-  double throughput_gbps = 0.0;
-  LatencyStats latency;
   LatencyStats queue_wait;
   /// Geometry-cache counters (bandwidth-aware policy; zero otherwise).
   std::int64_t tuner_hits = 0;
@@ -282,17 +290,10 @@ class ReductionService {
   /// completion.
   void run();
 
-  /// Every served job's arrival, start and completion, in completion
-  /// order.
-  const std::vector<JobTimes>& served_times() const { return served_; }
-  const std::vector<Job>& rejected_jobs() const { return rejected_; }
-  /// Jobs dropped by the retry machinery (fault runs only).
-  const std::vector<Job>& shed_jobs() const { return shed_; }
-  /// Simulated instants the corresponding rejected_/shed_ entry was
-  /// dropped at (same index), so SLO monitors can place bad events in
-  /// time.
-  const std::vector<SimTime>& rejected_times() const { return rejected_at_; }
-  const std::vector<SimTime>& shed_times() const { return shed_at_; }
+  /// How every job ended: each served job's arrival, launch start and
+  /// completion in completion order, and the instants of rejections and
+  /// sheds (sheds happen on fault runs only).
+  const Outcomes& outcomes() const { return outcomes_; }
   const AdmissionQueue& queue() const { return queue_; }
   /// Whether a launch occupies `device` right now.
   bool busy(Placement device) const;
@@ -355,16 +356,10 @@ class ReductionService {
   fault::CircuitBreaker gpu_breaker_;
   fault::CircuitBreaker cpu_breaker_;
   Rng retry_rng_;
-  std::vector<JobTimes> served_;
-  /// Report totals over served_, accumulated at completion.
-  Bytes bytes_served_ = 0;
+  Outcomes outcomes_;
+  /// Report totals over the served jobs, accumulated at completion.
   std::int64_t um_jobs_ = 0;
   std::int64_t deadline_missed_ = 0;
-  SimTime first_arrival_ = std::numeric_limits<SimTime>::max();
-  std::vector<Job> rejected_;
-  std::vector<Job> shed_;
-  std::vector<SimTime> rejected_at_;
-  std::vector<SimTime> shed_at_;
   std::function<void(const JobRecord&)> on_complete_;
   std::function<void(const Job&, SimTime)> on_reject_;
   std::function<void(const Job&, SimTime)> on_shed_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ghs/serve/service.hpp"
 #include "ghs/timeseries/query.hpp"
 #include "ghs/util/error.hpp"
 #include "ghs/util/strings.hpp"
@@ -117,17 +116,17 @@ void Monitor::record_latency(std::size_t index, SimTime at,
   samples_[index].push_back(Sample{at, good});
 }
 
-void Monitor::feed(const serve::ReductionService& service) {
+void Monitor::feed(const serve::Outcomes& outcomes) {
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
     const auto& obj = objectives_[i];
     if (obj.kind == ObjectiveKind::kAvailability) {
-      for (const auto& times : service.served_times()) {
+      for (const auto& times : outcomes.served) {
         record(i, times.completion, true);
       }
-      for (const SimTime at : service.rejected_times()) record(i, at, false);
-      for (const SimTime at : service.shed_times()) record(i, at, false);
+      for (const SimTime at : outcomes.rejected) record(i, at, false);
+      for (const SimTime at : outcomes.shed) record(i, at, false);
     } else {
-      for (const auto& times : service.served_times()) {
+      for (const auto& times : outcomes.served) {
         record_latency(i, times.completion, to_millis(times.latency()));
       }
     }

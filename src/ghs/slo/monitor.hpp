@@ -1,6 +1,7 @@
 // SLO monitoring over a served workload: declarative objectives
-// (availability, latency-quantile targets) evaluated against the stream of
-// per-job outcomes in simulated time, with multi-window error-budget
+// (availability, latency-quantile targets) evaluated against the per-job
+// outcomes of a run in simulated time — one feed reads the serve::Outcomes
+// log a service and a fleet both keep — with multi-window error-budget
 // burn-rate alerting in the style of the SRE workbook — a fast pair of
 // windows catches sharp burns (the 5m+1h rule), a slow pair catches
 // sustained slow leaks (the 6h+3d rule), both scaled to simulator time
@@ -19,10 +20,6 @@
 
 #include "ghs/serve/job.hpp"
 #include "ghs/util/units.hpp"
-
-namespace ghs::serve {
-class ReductionService;
-}
 
 namespace ghs::slo {
 
@@ -128,10 +125,11 @@ class Monitor {
   /// threshold (good for kAvailability objectives regardless of value).
   void record_latency(std::size_t index, SimTime at, double latency_ms);
 
-  /// Feeds every objective from one completed service run: completions
-  /// are good availability samples and judged latency samples; rejected
-  /// and shed jobs are bad availability samples at their drop instants.
-  void feed(const serve::ReductionService& service);
+  /// Feeds every objective from one completed run's outcome log, a
+  /// service's or a fleet's: completions are good availability samples
+  /// and judged latency samples; rejected and shed jobs are bad
+  /// availability samples at their drop instants.
+  void feed(const serve::Outcomes& outcomes);
 
   /// Evaluates objectives and burn-rate rules over everything recorded.
   Report evaluate() const;

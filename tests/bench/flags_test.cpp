@@ -1,11 +1,12 @@
-// Edge cases for bench/output_path.hpp: the fail-fast path validation
-// that every loadgen output flag funnels through.
-#include "output_path.hpp"
+// Edge cases for bench/flags.hpp: the fail-fast path validation that
+// every bench output flag funnels through, and the --metrics-out writer.
+#include "flags.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 namespace ghs::bench {
@@ -39,7 +40,7 @@ TEST(RequireWritablePathTest, NestedMissingParentsExit2) {
 }
 
 TEST(OpenOutputTest, OpensAndWrites) {
-  const std::string path = testing::TempDir() + "ghs_output_path_test.txt";
+  const std::string path = testing::TempDir() + "ghs_flags_test.txt";
   {
     auto out = open_output_or_exit("prog", path);
     out << "ok";
@@ -56,6 +57,28 @@ TEST(OpenOutputTest, UnwritablePathExits2) {
       open_output_or_exit("prog",
                           testing::TempDir() + "ghs_nodir/deep/out.txt"),
       ExitCode2(2), "");
+}
+
+TEST(WriteMetricsFilesTest, SnapshotLeavesOutVolatileInstruments) {
+  telemetry::Registry registry;
+  registry.counter("ghs_test_total", {}, "steady").inc(3);
+  registry.gauge("ghs_test_wall_seconds", {}, "volatile", true).set(1.5);
+  const std::string path = testing::TempDir() + "ghs_flags_test.prom";
+  write_metrics_files("prog", path, registry);
+  const auto read = [](const std::string& file) {
+    std::ifstream in(file);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  const std::string prom = read(path);
+  const std::string json = read(path + ".json");
+  EXPECT_NE(prom.find("ghs_test_total"), std::string::npos);
+  EXPECT_NE(prom.find("ghs_test_wall_seconds"), std::string::npos);
+  EXPECT_NE(json.find("ghs_test_total"), std::string::npos);
+  EXPECT_EQ(json.find("ghs_test_wall_seconds"), std::string::npos);
+  std::remove(path.c_str());
+  std::remove((path + ".json").c_str());
 }
 
 }  // namespace

@@ -153,6 +153,7 @@ TEST(RequireNonNegativeTest, RejectsNegativeOnly) {
 struct FakeTarget {
   std::int64_t served = 3;
   profile::ConservationTotals conservation_totals() const { return {}; }
+  serve::Outcomes outcomes() const { return {}; }
   serve::ServiceReport report() const {
     serve::ServiceReport report;
     report.submitted = 3;
@@ -185,11 +186,9 @@ TEST(RunTest, FinishChecksJobConservation) {
   serve::ServiceOptions node = harness.node_options();
   bench::Run run(harness, nullptr, node, harness.outputs());
   RunSections sections;
-  const auto no_slo = [](slo::Monitor&) {};
-  EXPECT_EQ(run.finish("fifo", FakeTarget{}, no_slo, &sections).served, 3);
+  EXPECT_EQ(run.finish("fifo", FakeTarget{}, &sections).served, 3);
   EXPECT_EQ(sections.label, "fifo");
-  EXPECT_THROW(run.finish("fifo", FakeTarget{.served = 1}, no_slo, nullptr),
-               Error);
+  EXPECT_THROW(run.finish("fifo", FakeTarget{.served = 1}, nullptr), Error);
 }
 
 TEST(RequirePositiveTest, RejectsZeroAndNegative) {

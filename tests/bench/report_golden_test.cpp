@@ -12,12 +12,22 @@
 //          fallback), under fifo and under bandwidth;
 //   fleet: 5*10^4 jobs at 400k jobs/s on 4 nodes behind p2c with remote
 //          data, the same fault plan on node 2, and node 1 crashing and
-//          restarting under the heartbeat detector (journal replay).
+//          restarting under the heartbeat detector (journal replay);
+//   early loss: 3000 jobs at 100k jobs/s whose earliest arrival ends
+//          unserved, once on a GPU-only service under an outage from time
+//          zero (shed) and once on a one-node fleet down for its first
+//          50 us (rejected). They pin the two makespan origins: the
+//          service measures from its earliest served arrival, the fleet
+//          from its earliest routed one. Their hashes were generated on
+//          the build where the service and the fleet each kept their own
+//          outcome log.
 //
 // A deliberate change to the model or the report format regenerates the
 // hashes (the failure message prints the new value).
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -111,7 +121,7 @@ void expect_serve_golden(const std::string& policy, std::uint64_t report_hash,
   expect_hash("serve report", json.str(), report_hash);
 
   slo::Monitor monitor(objectives());
-  monitor.feed(service);
+  monitor.feed(service.outcomes());
   expect_hash("serve SLO report", slo_json(monitor), slo_hash);
 }
 
@@ -159,8 +169,94 @@ TEST(ReportGoldenTest, FleetReportAndSloAreByteIdentical) {
   expect_hash("cluster report", json.str(), 0x03916374e0331a30ull);
 
   slo::Monitor monitor(objectives());
-  fleet.feed_slo(monitor);
+  monitor.feed(fleet.outcomes());
   expect_hash("cluster SLO report", slo_json(monitor), 0xc8f5406c7330cc6full);
+}
+
+/// A workload whose earliest arrival ends unserved: jobs arrive every
+/// 10 us on average, each with a deadline of 40 us, shorter than the
+/// first retry backoff (50 us plus jitter).
+std::vector<serve::Job> early_loss_jobs() {
+  serve::OpenLoopOptions open;
+  open.jobs = 3000;
+  open.rate_hz = 100000.0;
+  open.seed = 29;
+  open.shape.deadline = 40 * kMicrosecond;
+  return serve::open_loop_poisson(open);
+}
+
+TEST(ReportGoldenTest, ServeMakespanStartsAtTheEarliestServedArrival) {
+  // GPU-only under an outage from time zero: each launch fails fast and
+  // its job's deadline rules out a retry, so the first arrivals are shed
+  // and the served jobs follow the outage.
+  const std::vector<serve::Job> jobs = early_loss_jobs();
+  fault::Injector injector(
+      fault::parse_plan("device-down gpu from=0ps until=1ms\n"), 3);
+  serve::ServiceModel model;
+  serve::ServiceOptions options;
+  options.use_cpu = false;
+  options.injector = &injector;
+  serve::ReductionService service(serve::make_policy("fifo", model), model,
+                                  options);
+  bool first_shed = false;
+  service.set_on_shed([&](const serve::Job& job, SimTime) {
+    first_shed = first_shed || job.id == jobs.front().id;
+  });
+  SimTime first_served = std::numeric_limits<SimTime>::max();
+  service.set_on_complete([&](const serve::JobRecord& record) {
+    first_served = std::min(first_served, record.job.arrival);
+  });
+  service.submit_all(jobs);
+  service.run();
+
+  const serve::ServiceReport report = service.report();
+  EXPECT_EQ(report.submitted, report.served + report.rejected + report.shed);
+  EXPECT_GT(report.shed, 0);
+  EXPECT_GT(report.served, 0);
+  EXPECT_TRUE(first_shed);
+  EXPECT_GT(first_served, jobs.front().arrival);
+  std::ostringstream json;
+  report.write_json(json);
+  expect_hash("early-shed serve report", json.str(), 0x58de82c1c8b3189full);
+
+  slo::Monitor monitor(objectives());
+  monitor.feed(service.outcomes());
+  expect_hash("early-shed serve SLO report", slo_json(monitor),
+              0x42bb5f019715bd4aull);
+}
+
+TEST(ReportGoldenTest, FleetMakespanStartsAtTheEarliestRoutedArrival) {
+  // One node, down from time zero to 50 us with no detector: the fleet
+  // rejects every job routed before the restart and serves the rest.
+  std::vector<serve::Job> jobs = early_loss_jobs();
+  const SimTime first_arrival = jobs.front().arrival;
+  serve::ServiceModel model;
+  cluster::ClusterOptions options;
+  options.nodes = 1;
+  options.crash_plan = fault::parse_crash_plan("0@0ps:50us");
+  cluster::Cluster fleet(model, options);
+  fleet.submit_all(std::move(jobs));
+  fleet.run();
+
+  const cluster::ClusterReport report = fleet.report();
+  EXPECT_EQ(report.submitted, report.served + report.rejected + report.shed);
+  EXPECT_GT(report.rejected, 0);
+  EXPECT_EQ(report.shed, 0);
+  EXPECT_GT(report.served, 0);
+  SimTime first_served = std::numeric_limits<SimTime>::max();
+  for (const serve::JobTimes& times : fleet.outcomes().served) {
+    first_served = std::min(first_served, times.arrival);
+  }
+  EXPECT_GT(first_served, first_arrival);
+  std::ostringstream json;
+  report.write_json(json);
+  expect_hash("early-reject cluster report", json.str(),
+              0xda2bc9fd60b514ccull);
+
+  slo::Monitor monitor(objectives());
+  monitor.feed(fleet.outcomes());
+  expect_hash("early-reject cluster SLO report", slo_json(monitor),
+              0xbb5adf8140b66dacull);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // device-down fault plan, and byte-reproducibility at a fixed seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -78,6 +79,9 @@ TEST(Cluster, RemoteDataPaysTransfersThatAreAccounted) {
   options.router = RouterPolicy::kLeast;
   serve::ServiceModel model;
   Cluster fleet(model, options);
+  std::vector<ClusterRecord> records;
+  fleet.set_on_complete(
+      [&records](const ClusterRecord& record) { records.push_back(record); });
   fleet.submit_all(fleet_workload(42, 200, 150000.0));
   fleet.run();
   const ClusterReport report = fleet.report();
@@ -88,7 +92,7 @@ TEST(Cluster, RemoteDataPaysTransfersThatAreAccounted) {
   EXPECT_GT(report.transfer_gb, 0.0);
   ASSERT_NE(fleet.interconnect(), nullptr);
   EXPECT_EQ(fleet.interconnect()->transfers(), report.transfers);
-  for (const auto& record : fleet.records()) {
+  for (const auto& record : records) {
     if (record.node != 0) {
       EXPECT_GT(record.transfer, 0) << "job " << record.id;
     } else if (record.spills == 0 && !record.stolen) {
@@ -176,18 +180,57 @@ TEST(Cluster, StolenJobsAreServedByHealthyPeers) {
   serve::ServiceModel model;
   options.node.injector = &injector;
   Cluster fleet(model, options);
-  fleet.submit_all(fleet_workload(42, 400, 300000.0));
-  fleet.run();
-
   std::int64_t stolen_seen = 0;
-  for (const auto& record : fleet.records()) {
-    if (!record.stolen) continue;
+  fleet.set_on_complete([&stolen_seen](const ClusterRecord& record) {
+    if (!record.stolen) return;
     ++stolen_seen;
     EXPECT_NE(record.node, 1) << "job " << record.id;
     EXPECT_GT(record.transfer, 0) << "job " << record.id;
-  }
+  });
+  fleet.submit_all(fleet_workload(42, 400, 300000.0));
+  fleet.run();
   EXPECT_EQ(stolen_seen, fleet.report().stolen_jobs);
   EXPECT_GT(stolen_seen, 0);
+}
+
+TEST(Cluster, CompletionHookFiresOncePerServedJob) {
+  const auto plan = fault::parse_plan("device-down gpu from=200us until=1200us\n");
+  fault::Injector injector(plan, 7, {});
+  ClusterOptions options;
+  options.nodes = 4;
+  options.router = RouterPolicy::kHash;
+  options.fault_node = 1;
+  options.node.queue_depth = 512;
+  options.node.injector = &injector;
+  serve::ServiceModel model;
+  Cluster fleet(model, options);
+  std::vector<ClusterRecord> records;
+  fleet.set_on_complete(
+      [&records](const ClusterRecord& record) { records.push_back(record); });
+  fleet.submit_all(fleet_workload(42, 400, 300000.0));
+  fleet.run();
+
+  const ClusterReport report = fleet.report();
+  const std::vector<serve::JobTimes>& served = fleet.outcomes().served;
+  ASSERT_EQ(records.size(), served.size());
+  EXPECT_EQ(static_cast<std::int64_t>(records.size()), report.served);
+  std::int64_t stolen = 0;
+  std::vector<serve::JobId> ids;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    // Both are in completion order, and the log keeps the front-door
+    // times the hook reports.
+    EXPECT_EQ(records[i].original_arrival, served[i].arrival);
+    EXPECT_EQ(records[i].node_arrival, served[i].start);
+    EXPECT_EQ(records[i].completion, served[i].completion);
+    EXPECT_EQ(records[i].latency(), served[i].latency());
+    if (records[i].stolen) ++stolen;
+    ids.push_back(records[i].id);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+      << "the hook fired twice for one job";
+  EXPECT_EQ(stolen, report.stolen_jobs);
+  EXPECT_GT(stolen, 0);
 }
 
 TEST(Cluster, SameSeedRunsAreByteIdentical) {

@@ -77,15 +77,15 @@ TEST(Membership, ReplayedJobsLandOnSurvivors) {
   options.crash_plan = fault::parse_crash_plan("1@300us");
   serve::ServiceModel model;
   Cluster fleet(model, options);
-  fleet.submit_all(fleet_workload(42, 400, 250000.0));
-  fleet.run();
   const SimTime crash_at = 300 * kMicrosecond;
-  for (const auto& record : fleet.records()) {
+  fleet.set_on_complete([crash_at](const ClusterRecord& record) {
     if (record.completion > crash_at) {
       EXPECT_NE(record.node, 1) << "job " << record.id
                                 << " served on the dead node";
     }
-  }
+  });
+  fleet.submit_all(fleet_workload(42, 400, 250000.0));
+  fleet.run();
   // Nothing stays open in the journal at the end of a run.
   const auto* journal = fleet.journal();
   ASSERT_NE(journal, nullptr);
@@ -210,6 +210,9 @@ TEST(Membership, LateLandingAfterLocalRecoveryIsADuplicate) {
   options.health.enabled = true;
   serve::ServiceModel model;
   Cluster fleet(model, options);
+  std::vector<serve::JobId> ids;
+  fleet.set_on_complete(
+      [&ids](const ClusterRecord& record) { ids.push_back(record.id); });
   fleet.submit_all(fleet_workload(42, 300, 300000.0));
   fleet.run();
   const ClusterReport report = fleet.report();
@@ -218,10 +221,6 @@ TEST(Membership, LateLandingAfterLocalRecoveryIsADuplicate) {
   EXPECT_EQ(report.membership.detections, 0);
   EXPECT_GT(report.membership.replayed, 0);
   EXPECT_GT(report.membership.duplicate_suppressed, 0);
-  std::vector<serve::JobId> ids;
-  for (const auto& record : fleet.records()) {
-    ids.push_back(record.id);
-  }
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
       << "a job was served twice";

@@ -67,20 +67,6 @@ TEST(FaultPlanTest, RejectsMalformedLinesWithLineNumbers) {
   }
 }
 
-TEST(FaultPlanTest, FormatRoundTripsThroughParse) {
-  const auto plan = parse_plan(
-      "kernel-fault gpu p=0.05\n"
-      "bandwidth cpu scale=0.5 from=1ms until=4ms\n"
-      "device-down gpu from=5ms until=8ms\n"
-      "migration-stall scale=0.1 from=2ms until=6ms\n"
-      "error-latency 25us\n");
-  const auto reparsed = parse_plan(format_plan(plan));
-  EXPECT_EQ(format_plan(reparsed), format_plan(plan));
-  EXPECT_EQ(reparsed.size(), plan.size());
-  EXPECT_EQ(reparsed.down_error_latency, plan.down_error_latency);
-  EXPECT_EQ(reparsed.outages[0].window.begin, plan.outages[0].window.begin);
-}
-
 TEST(NodeCrashPlanTest, ParsesCrashAndRestartEntries) {
   const auto plan = parse_crash_plan("1@300us:2ms, 2@1ms\n3@500ns");
   ASSERT_EQ(plan.size(), 3u);
@@ -101,6 +87,27 @@ TEST(NodeCrashPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_crash_plan("-1@300us"), Error);    // negative node
   EXPECT_THROW(parse_crash_plan("1@300us:100us"), Error);  // restart <= at
   EXPECT_THROW(parse_crash_plan("1@300usx"), Error);    // trailing junk
+}
+
+TEST(DrainPlanTest, SharesTheCrashEntryGrammarWithoutRestarts) {
+  const auto drains = parse_drain_plan("1@300us, 2@1ms\n0@500ns");
+  ASSERT_EQ(drains.size(), 3u);
+  EXPECT_EQ(drains[0].node, 1);
+  EXPECT_EQ(drains[0].at, 300 * kMicrosecond);
+  EXPECT_EQ(drains[1].node, 2);
+  EXPECT_EQ(drains[1].at, 1 * kMillisecond);
+  EXPECT_EQ(drains[2].node, 0);
+  EXPECT_EQ(drains[2].at, 500 * kNanosecond);
+  EXPECT_TRUE(parse_drain_plan("").empty());
+  EXPECT_TRUE(parse_drain_plan("  \n ,").empty());
+  EXPECT_THROW(parse_drain_plan("1@1ms:2ms"), Error);  // no restart
+  EXPECT_THROW(parse_drain_plan("1@0ms"), Error);      // zero time
+  EXPECT_THROW(parse_drain_plan("x@1ms"), Error);      // bad node index
+  EXPECT_THROW(parse_drain_plan("-1@1ms"), Error);     // negative node
+  EXPECT_THROW(parse_drain_plan("@1ms"), Error);       // no node
+  EXPECT_THROW(parse_drain_plan("1@"), Error);         // no time
+  EXPECT_THROW(parse_drain_plan("1"), Error);          // no @
+  EXPECT_THROW(parse_drain_plan("1@1msx"), Error);     // trailing junk
 }
 
 TEST(NodeCrashPlanTest, FormatRoundTripsThroughParse) {

@@ -122,7 +122,8 @@ TEST(QueueEquivalenceTest, ChainedPumpKeepsTheQueueShallow) {
   ReductionService service(make_policy("fifo", model), model, options);
   service.submit_all(open_loop_poisson(load));
   service.run();
-  EXPECT_EQ(service.served_times().size() + service.rejected_jobs().size(),
+  EXPECT_EQ(service.outcomes().served.size() +
+                service.outcomes().rejected.size(),
             1000u);
   EXPECT_LE(service.sim().peak_queue_size(), 8u);
 }

@@ -38,7 +38,7 @@ TEST(ReductionServiceTest, ServesEverythingWhenUnderLoaded) {
   EXPECT_EQ(service.report().rejected, 0);
   // One entry per completion, in completion order, holding the times the
   // completion hook saw.
-  const std::vector<JobTimes>& served = service.served_times();
+  const std::vector<JobTimes>& served = service.outcomes().served;
   ASSERT_EQ(served.size(), 4u);
   ASSERT_EQ(records.size(), 4u);
   for (std::size_t i = 0; i < served.size(); ++i) {
@@ -69,7 +69,7 @@ TEST(ReductionServiceTest, BackpressureRejectsBeyondQueueDepth) {
   EXPECT_EQ(report.submitted, 11);
   EXPECT_EQ(report.rejected, 6);  // 4 queued + 1 in service + 6 refused
   EXPECT_EQ(report.served, 5);
-  EXPECT_EQ(service.rejected_jobs().size(), 6u);
+  EXPECT_EQ(service.outcomes().rejected.size(), 6u);
   EXPECT_EQ(report.queue_high_watermark, 4u);
 }
 

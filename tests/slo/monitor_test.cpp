@@ -162,7 +162,7 @@ TEST(MonitorTest, FeedJudgesAWholeServiceRun) {
   ASSERT_GT(sr.rejected, 0) << "test needs a rejecting run";
 
   Monitor monitor({availability(0.999), latency(0.99, 1.0)});
-  monitor.feed(service);
+  monitor.feed(service.outcomes());
   const auto report = monitor.evaluate();
   EXPECT_EQ(report.objectives[0].samples, sr.served + sr.rejected + sr.shed);
   EXPECT_EQ(report.objectives[0].bad, sr.rejected + sr.shed);
@@ -195,7 +195,7 @@ TEST(MonitorTest, ChaosRunRaisesBurnAlertDeterministically) {
     service.submit_all(serve::open_loop_poisson(load));
     service.run();
     Monitor monitor({availability(0.999), latency(0.99, 0.25)});
-    monitor.feed(service);
+    monitor.feed(service.outcomes());
     std::ostringstream os;
     monitor.evaluate().write_json(os);
     return os.str();
