@@ -22,8 +22,9 @@
 #                                 # byte-identity smoke checked with
 #                                 # metrics_diff.py --series
 #   $ scripts/check.sh membership # failure-domain suites under ASan+UBSan
-#                                 # (table/journal/detector + cluster crash,
-#                                 # drain, replay), then crash-schedule and
+#                                 # (table/detector + cluster crash, drain,
+#                                 # replay order and races), then
+#                                 # crash-schedule and
 #                                 # restart-before-detection byte-identity
 #                                 # and exit-2 flag-validation smokes on
 #                                 # cluster_loadgen

@@ -101,10 +101,13 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
     serve::ReductionService& svc = *nodes_[static_cast<std::size_t>(i)];
     svc.set_on_reject([this, i](const serve::Job& job, SimTime at) {
       auto it = meta_.find(job.id);
-      GHS_CHECK(it != meta_.end(), "reject for unrouted job " << job.id);
-      // The job is leaving node i (to a peer or to a terminal reject);
-      // its write-ahead entry there is settled either way.
-      journal_commit(i, job.id);
+      if (it == meta_.end() || it->second.node != i) {
+        // A replay re-delivered the job after this copy reached node i (a
+        // route handed it to a crashed node at the instant the detector
+        // declared that node dead): the replayed copy is the live one.
+        suppress_duplicate(job.id, i, "refused");
+        return;
+      }
       if (options_.spill && it->second.spills < options_.nodes - 1) {
         // Spill only onto nodes the table still routes to; a fleet with no
         // live peer rejects instead.
@@ -127,7 +130,6 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
     svc.set_on_shed([this, i](const serve::Job& job, SimTime at) {
       auto it = meta_.find(job.id);
       GHS_CHECK(it != meta_.end(), "shed for unrouted job " << job.id);
-      journal_commit(i, job.id);
       meta_.erase(it);
       outcomes_.shed.push_back(at);
       if (m_shed_ != nullptr) m_shed_->inc();
@@ -136,9 +138,7 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
       auto it = meta_.find(record.job.id);
       GHS_CHECK(it != meta_.end(),
                 "completion for unrouted job " << record.job.id);
-      journal_commit(i, record.job.id);
-      const JobMeta meta = it->second;
-      meta_.erase(it);
+      const JobMeta& meta = it->second;
       const serve::JobTimes times{meta.original_arrival, record.job.arrival,
                                   record.completion};
       outcomes_.served.push_back(times);
@@ -153,6 +153,7 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
                       record.completion, meta.transfer, i, meta.spills,
                       meta.stolen});
       }
+      meta_.erase(it);
     });
     svc.set_on_breaker_transition(
         [this, i](serve::Placement device, fault::BreakerState,
@@ -197,7 +198,6 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
   }
 
   if (!membership_on_) return;
-  journal_ = std::make_unique<membership::JobJournal>(options_.nodes);
   crashed_at_.assign(static_cast<std::size_t>(options_.nodes), -1);
   if (options_.node.telemetry.metrics != nullptr) {
     // Membership instruments only exist on membership runs, keeping every
@@ -310,22 +310,22 @@ void Cluster::deliver(serve::Job job, int target, int transfer_src,
   GHS_REQUIRE(target >= 0 && target < options_.nodes, "deliver to " << target);
   auto it = meta_.find(job.id);
   GHS_CHECK(it != meta_.end(), "delivery for unrouted job " << job.id);
-  // Write-ahead: the journal owns the job from the moment the cluster
-  // commits to this delivery, before any transfer time elapses — so a
-  // crash anywhere downstream can always replay it. The new generation
-  // marks every delivery of this job still in flight as superseded.
-  std::uint32_t generation = 0;
-  if (journal_ != nullptr) {
-    journal_->append(target, job);
-    generation = ++it->second.deliveries;
-  }
+  // Write-ahead: the journal entry names this delivery before any
+  // transfer time elapses, so a crash anywhere downstream can replay the
+  // job, and its new sequence number marks every earlier delivery of the
+  // job still in flight as superseded.
+  JobMeta& meta = it->second;
+  meta.job = job;
+  meta.seq = next_seq_++;
+  meta.node = target;
+  const std::uint64_t seq = meta.seq;
   ++pending_[static_cast<std::size_t>(target)];
   if (interconnect_ == nullptr || transfer_src < 0 ||
       transfer_src == target) {
-    submit_to(std::move(job), target, generation);
+    submit_to(std::move(job), target, seq);
     return;
   }
-  if (it->second.transfer == 0) {
+  if (meta.transfer == 0) {
     ++remote_jobs_;
   }
   const Bytes bytes = job.bytes();
@@ -347,66 +347,63 @@ void Cluster::deliver(serve::Job job, int target, int transfer_src,
   interconnect_->transfer(
       transfer_src, target, bytes,
       [this, job = std::move(job), target, transfer_src, begin,
-       generation]() mutable {
+       seq]() mutable {
         const SimTime end = sim_.now();
-        auto meta_it = meta_.find(job.id);
-        if (meta_it != meta_.end()) {
-          meta_it->second.transfer += end - begin;
-        } else {
-          // Meta may only be gone when the journal replayed this job and
-          // the replayed copy already finished — submit_to will drop the
-          // late copy. Anything else is a routing bug.
-          GHS_CHECK(journal_ != nullptr && !journal_->is_open(target, job.id),
-                    "transfer landed for unrouted job " << job.id);
-        }
         if (tracer_ != nullptr) {
           tracer_->record(trace::Track::kServer, "cluster.xfer", begin, end,
                           "node" + std::to_string(transfer_src) + "->node" +
                               std::to_string(target) + " job " +
                               std::to_string(job.id));
         }
-        submit_to(std::move(job), target, generation);
+        submit_to(std::move(job), target, seq, end - begin);
       },
       label);
 }
 
-void Cluster::submit_to(serve::Job job, int target,
-                        std::uint32_t generation) {
+void Cluster::submit_to(serve::Job job, int target, std::uint64_t seq,
+                        SimTime transfer) {
   --pending_[static_cast<std::size_t>(target)];
-  if (journal_ != nullptr) {
-    if (!journal_->is_open(target, job.id) ||
-        meta_.at(job.id).deliveries != generation) {
-      // The journal replayed this job — onto a peer, or locally onto this
-      // very node after a restart — while the delivery was still in
-      // flight; dropping the late copy here is what makes the replay
-      // exactly-once.
-      ++dup_suppressed_;
-      if (m_dup_suppressed_ != nullptr) m_dup_suppressed_->inc();
-      membership_flight(sim_.now(), "duplicate", target,
-                        "job " + std::to_string(job.id) +
-                            " landed after replay, suppressed");
+  const auto it = meta_.find(job.id);
+  if (it != meta_.end()) it->second.transfer += transfer;
+  if (it == meta_.end() || it->second.seq != seq) {
+    // A replay — onto a peer, or locally onto this very node after a
+    // restart — re-delivered the job (and may have finished it) while
+    // this delivery was in flight; dropping the late copy here is what
+    // makes the replay exactly-once.
+    suppress_duplicate(job.id, target, "landed");
+    return;
+  }
+  if (!table_.serving(target)) {
+    // Landed on a node the table has since declared dead/draining/left:
+    // re-point at a live peer, priced from wherever the data was headed.
+    const int next = pick_live_target(target);
+    ++redirected_;
+    membership_flight(sim_.now(), "redirect", target,
+                      "job " + std::to_string(job.id) + " re-pointed to " +
+                          (next < 0 ? std::string("nowhere")
+                                    : "node " + std::to_string(next)));
+    if (next < 0) {
+      finish_reject(job, sim_.now());
       return;
     }
-    if (!table_.serving(target)) {
-      // Landed on a node the table has since declared dead/draining/left:
-      // re-point at a live peer, priced from wherever the data was headed.
-      journal_->commit(target, job.id);
-      const int next = pick_live_target(target);
-      ++redirected_;
-      membership_flight(sim_.now(), "redirect", target,
-                        "job " + std::to_string(job.id) + " re-pointed to " +
-                            (next < 0 ? std::string("nowhere")
-                                      : "node " + std::to_string(next)));
-      if (next < 0) {
-        finish_reject(job, sim_.now());
-        return;
-      }
-      deliver(std::move(job), next, target);
-      return;
-    }
+    deliver(std::move(job), next, target);
+    return;
   }
   job.arrival = sim_.now();
   nodes_[static_cast<std::size_t>(target)]->submit(job);
+}
+
+void Cluster::suppress_duplicate(serve::JobId id, int node,
+                                 const char* what) {
+  // Only a replay supersedes a copy, and only membership runs replay.
+  GHS_CHECK(membership_on_, "stale copy of job " << id << " " << what
+                                                 << " on node " << node
+                                                 << " without a replay");
+  ++dup_suppressed_;
+  if (m_dup_suppressed_ != nullptr) m_dup_suppressed_->inc();
+  membership_flight(sim_.now(), "duplicate", node,
+                    "job " + std::to_string(id) + " " + what +
+                        " after replay, suppressed");
 }
 
 void Cluster::finish_reject(const serve::Job& job, SimTime at) {
@@ -440,7 +437,6 @@ void Cluster::steal_from(int sick, SimTime at) {
     GHS_CHECK(it != meta_.end(), "stole unrouted job " << job.id);
     it->second.stolen = true;
     ++stolen_jobs_;
-    journal_commit(sick, job.id);
     const int target = pick_live_target(sick);
     if (target < 0) {
       finish_reject(job, at);
@@ -465,10 +461,6 @@ int Cluster::pick_live_target(int exclude) const {
     }
   }
   return best;
-}
-
-void Cluster::journal_commit(int node, serve::JobId id) {
-  if (journal_ != nullptr) journal_->commit(node, id);
 }
 
 void Cluster::membership_flight(SimTime at, const char* kind, int node,
@@ -543,7 +535,6 @@ void Cluster::do_drain(int node) {
                                      ->steal_queued(
                                          std::numeric_limits<std::size_t>::max());
   for (auto& job : jobs) {
-    journal_commit(node, job.id);
     ++drain_flushed_;
     const int target = pick_live_target(node);
     if (target < 0) {
@@ -563,15 +554,20 @@ void Cluster::do_drain(int node) {
 }
 
 void Cluster::replay_open(int node, SimTime at, bool onto_self) {
-  std::vector<serve::Job> jobs = journal_->take_open(node);
-  if (jobs.empty()) return;
+  std::vector<std::pair<std::uint64_t, serve::Job>> open;
+  for (const auto& [id, meta] : meta_) {
+    if (meta.node == node) open.emplace_back(meta.seq, meta.job);
+  }
+  if (open.empty()) return;
+  std::sort(open.begin(), open.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
   membership_flight(at, "replay", node,
-                    std::to_string(jobs.size()) + " journaled job(s) " +
+                    std::to_string(open.size()) + " journaled job(s) " +
                         (onto_self ? "recovered locally" :
                                      "replayed on peers"));
-  for (auto& job : jobs) {
-    GHS_CHECK(meta_.find(job.id) != meta_.end(),
-              "journal replays unrouted job " << job.id);
+  for (auto& entry : open) {
+    serve::Job& job = entry.second;
     ++replayed_;
     replay_bytes_ += job.bytes();
     if (m_replayed_ != nullptr) m_replayed_->inc();

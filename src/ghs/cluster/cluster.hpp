@@ -25,10 +25,12 @@
 // fault::NodeCrashPlan kills a node's process (devices, queue, in-flight
 // launches) at a scheduled instant; a phi-accrual HealthMonitor detects
 // the silence and drives alive -> suspect -> dead -> rejoined transitions
-// on the fleet's membership::Table; a per-node write-ahead JobJournal
-// lets the jobs that died with the node be replayed on surviving peers
-// exactly once (late-landing deliveries find their entry gone and are
-// suppressed as duplicates); and a scheduled drain empties a node
+// on the fleet's membership::Table; a write-ahead journal entry in the
+// fleet's in-flight job table (the node each job was last delivered to,
+// the delivery's sequence number and a copy of the job) lets the jobs
+// that died with the node be replayed on surviving peers exactly once
+// (a copy that lands or is refused after its entry moved on is
+// suppressed as a duplicate); and a scheduled drain empties a node
 // gracefully before removing it. See docs/CLUSTERING.md "Failure
 // domains".
 //
@@ -54,7 +56,6 @@
 #include "ghs/cluster/router.hpp"
 #include "ghs/fault/plan.hpp"
 #include "ghs/membership/health.hpp"
-#include "ghs/membership/journal.hpp"
 #include "ghs/membership/table.hpp"
 #include "ghs/serve/service.hpp"
 #include "ghs/sim/simulator.hpp"
@@ -132,8 +133,9 @@ struct MembershipReport {
   /// In-flight deliveries re-pointed at a live peer because the target
   /// was already declared dead/draining when they landed.
   std::int64_t redirected = 0;
-  /// Deliveries dropped because the job's journal entry was already
-  /// replayed elsewhere — the exactly-once proof under replay races.
+  /// Copies dropped because the job's journal entry had already moved on
+  /// (a delivery landing, or a rejection, after a replay) — the
+  /// exactly-once proof under replay races.
   std::int64_t duplicate_suppressed = 0;
   double replay_gb = 0.0;
   /// Crash-to-declared-dead latencies (zero-latency with the detector
@@ -230,19 +232,20 @@ class Cluster {
   /// Every node's liveness state; all nodes stay alive unless the
   /// membership layer runs.
   const membership::Table& membership_table() const { return table_; }
-  /// Null when the membership layer is off.
-  const membership::JobJournal* journal() const { return journal_.get(); }
 
  private:
+  /// One in-flight job, from its routing until its terminal outcome.
   struct JobMeta {
     SimTime original_arrival = 0;
     SimTime transfer = 0;
+    /// The write-ahead journal entry, rewritten by every deliver(): the
+    /// copy a replay resubmits, that delivery's sequence number (a copy
+    /// carrying an older one was superseded by a replay), and its node.
+    serve::Job job;
+    std::uint64_t seq = 0;
+    int node = -1;
     int spills = 0;
     bool stolen = false;
-    /// Journaled deliveries so far; each transfer carries the count it
-    /// was started under, so one that lands after a newer delivery (a
-    /// replay) is recognised as superseded.
-    std::uint32_t deliveries = 0;
   };
   /// Instantaneous load signal: queue depth + busy devices + in-flight
   /// deliveries (transfers already committed to the node).
@@ -256,9 +259,12 @@ class Cluster {
   /// transfer counter exactly.
   void deliver(serve::Job job, int target, int transfer_src,
                profile::Phase phase = profile::Phase::kTransfer);
-  /// `generation` is the delivery count the hand-off was started under
-  /// (0 without the membership layer).
-  void submit_to(serve::Job job, int target, std::uint32_t generation);
+  /// Lands a delivery started under sequence number `seq`, after
+  /// `transfer` of interconnect time.
+  void submit_to(serve::Job job, int target, std::uint64_t seq,
+                 SimTime transfer = 0);
+  /// Drops a copy of job `id` at `node` that a replay superseded.
+  void suppress_duplicate(serve::JobId id, int node, const char* what);
   void finish_reject(const serve::Job& job, SimTime at);
   void steal_from(int sick, SimTime at);
   /// Least-loaded node the membership table still routes to, excluding
@@ -267,14 +273,13 @@ class Cluster {
   void do_crash(int node);
   void do_restart(int node);
   void do_drain(int node);
-  /// Replays `node`'s open journal entries: onto live peers after a death
-  /// (onto_self=false, transfers priced from the dead node's memory), or
-  /// back onto the node itself when its process restarts before the
-  /// detector ever declared it dead (onto_self=true — local WAL recovery,
-  /// no transfer).
+  /// Replays the jobs whose journal entry names `node`, in delivery
+  /// order: onto live peers after a death (onto_self=false, transfers
+  /// priced from the dead node's memory), or back onto the node itself
+  /// when its process restarts before the detector ever declared it dead
+  /// (onto_self=true — local WAL recovery, no transfer).
   void replay_open(int node, SimTime at, bool onto_self);
   void on_membership_transition(const membership::Transition& t);
-  void journal_commit(int node, serve::JobId id);
   void membership_flight(SimTime at, const char* kind, int node,
                          const std::string& detail);
 
@@ -291,6 +296,7 @@ class Cluster {
   Router router_;
   std::vector<std::unique_ptr<serve::ReductionService>> nodes_;
   std::unordered_map<serve::JobId, JobMeta> meta_;
+  std::uint64_t next_seq_ = 0;
   serve::Outcomes outcomes_;
   std::function<void(const ClusterRecord&)> on_complete_;
   std::vector<std::int64_t> routed_;
@@ -301,12 +307,11 @@ class Cluster {
   std::int64_t spilled_saved_ = 0;
   std::int64_t steals_ = 0;
   std::int64_t stolen_jobs_ = 0;
-  /// Spill, steal and routing consult the table on every run. The rest of
-  /// the membership layer is null/empty when membership_on_ is false, so
-  /// a membership-free run touches none of it.
+  /// Spill, steal, routing and landings consult the table on every run.
+  /// The rest of the membership layer is null/empty when membership_on_
+  /// is false, so a membership-free run touches none of it.
   membership::Table table_;
   bool membership_on_ = false;
-  std::unique_ptr<membership::JobJournal> journal_;
   std::unique_ptr<membership::HealthMonitor> monitor_;
   std::vector<SimTime> crashed_at_;
   std::int64_t crashes_ = 0;

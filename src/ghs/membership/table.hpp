@@ -4,9 +4,10 @@
 // States follow the usual failure-detector lifecycle. kAlive nodes take
 // traffic; kSuspect nodes still take traffic (the detector is not yet
 // sure) but are first in line to be declared dead; kDead nodes are off
-// the ring and their journaled jobs have been replayed; kDraining nodes
-// are being emptied by an operator and admit nothing new; kLeft nodes
-// have departed cleanly. Transitions are appended to a log with the sim
+// the ring, and the cluster has replayed every job whose journal entry
+// (kept in its in-flight job table) named them; kDraining nodes are
+// being emptied by an operator and admit nothing new; kLeft nodes have
+// departed cleanly. Transitions are appended to a log with the sim
 // timestamp and a human-readable reason, and a single callback lets the
 // cluster react (ring membership, replay, telemetry) in one place no
 // matter who drove the transition — the HealthMonitor or a forced

@@ -18,12 +18,8 @@ AdmissionQueue::AdmissionQueue(std::size_t max_depth)
 
 bool AdmissionQueue::push(const Job& job) {
   GHS_REQUIRE(job.elements > 0, "job " << job.id << " has no elements");
-  if (jobs_.size() >= max_depth_) {
-    ++rejected_;
-    return false;
-  }
+  if (jobs_.size() >= max_depth_) return false;
   jobs_.push_back(job);
-  ++accepted_;
   high_watermark_ = std::max(high_watermark_, jobs_.size());
   return true;
 }

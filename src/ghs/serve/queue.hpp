@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "ghs/serve/job.hpp"
@@ -18,7 +17,7 @@ class AdmissionQueue {
   explicit AdmissionQueue(std::size_t max_depth);
 
   /// Admits the job unless the queue is at max depth; returns whether the
-  /// job was admitted. A refused job counts toward rejected().
+  /// job was admitted.
   bool push(const Job& job);
 
   /// Removes and returns the job at position `index` (arrival order).
@@ -29,8 +28,6 @@ class AdmissionQueue {
   bool empty() const { return jobs_.empty(); }
   std::size_t max_depth() const { return max_depth_; }
 
-  std::int64_t accepted() const { return accepted_; }
-  std::int64_t rejected() const { return rejected_; }
   /// Deepest the queue has ever been (backpressure diagnostics).
   std::size_t high_watermark() const { return high_watermark_; }
 
@@ -39,8 +36,6 @@ class AdmissionQueue {
   /// Bounded by max_depth_, so the vector reserves its whole capacity up
   /// front and never reallocates while serving.
   std::vector<Job> jobs_;
-  std::int64_t accepted_ = 0;
-  std::int64_t rejected_ = 0;
   std::size_t high_watermark_ = 0;
 };
 

@@ -69,6 +69,15 @@ class ServiceModel {
   // zero the geometry fields.
   using Key = std::tuple<int, int, std::int64_t, std::int64_t, int, int, int>;
 
+  static Key gpu_key(int device, workload::CaseId case_id,
+                     std::int64_t elements, const core::ReduceTuning& tuning);
+
+  /// The memoised duration for `key`; a miss prices it once with
+  /// `price(platform)` on a fresh instrumented core::Platform. Defined in
+  /// the .cpp, its only user, so a hit inlines to one find.
+  template <typename Price>
+  SimTime memo(const Key& key, Price price);
+
   // Pricing sits on the per-launch hot path (hundreds of thousands of
   // lookups in a million-job run), so the memo is hashed, not ordered.
   // Nothing iterates the cache; only hits_/misses_ are observable.

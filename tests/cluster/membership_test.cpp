@@ -85,11 +85,85 @@ TEST(Membership, ReplayedJobsLandOnSurvivors) {
     }
   });
   fleet.submit_all(fleet_workload(42, 400, 250000.0));
+  // run() throws if any job, replayed or not, is left without a terminal
+  // outcome.
+  EXPECT_NO_THROW(fleet.run());
+}
+
+TEST(Membership, ReplayServesADeadNodesJobsInDeliveryOrder) {
+  // Jobs 30, 10, 20 are delivered to node 1 in that order, too large to
+  // batch. They land there by 112 us, and node 1 dies at 120 us with job
+  // 30 on its GPU and the other two queued. The peer must serve them in
+  // delivery order, not job-id order.
+  ClusterOptions options;
+  options.nodes = 2;
+  options.router = RouterPolicy::kHash;
+  options.node.use_cpu = false;
+  options.crash_plan = fault::parse_crash_plan("1@120us");
+  serve::ServiceModel model;
+  Cluster fleet(model, options);
+  ASSERT_EQ(fleet.router().ring().owner(0), 1);
+  std::vector<serve::Job> jobs;
+  for (const serve::JobId id : {30, 10, 20}) {
+    serve::Job job;
+    job.id = id;
+    job.elements = serve::BatchOptions::small_elements * 4;
+    job.arrival = static_cast<SimTime>(jobs.size()) * kMicrosecond;
+    // Homed on node 0, so the replay onto node 0 moves no bytes and
+    // resubmits in replay order.
+    job.source_node = 0;
+    jobs.push_back(job);
+  }
+  std::vector<serve::JobId> order;
+  fleet.set_on_complete([&order](const ClusterRecord& record) {
+    EXPECT_EQ(record.node, 0) << "job " << record.id;
+    order.push_back(record.id);
+  });
+  fleet.submit_all(std::move(jobs));
   fleet.run();
-  // Nothing stays open in the journal at the end of a run.
-  const auto* journal = fleet.journal();
-  ASSERT_NE(journal, nullptr);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(journal->open_count(i), 0);
+  const ClusterReport report = fleet.report();
+  EXPECT_EQ(report.membership.replayed, 3);
+  EXPECT_EQ(report.membership.duplicate_suppressed, 0);
+  EXPECT_EQ(order, (std::vector<serve::JobId>{30, 10, 20}));
+}
+
+void check_replay_reject_race(int nodes) {
+  // The detector declares node 1 dead at the 800 us sweep (last heartbeat
+  // at 100 us, crash at 150 us). The job arrives at that same instant and
+  // its route runs first: tenant 0's owner is node 1, still "suspect", so
+  // the job is handed to the crashed node. The sweep then replays it onto
+  // a peer, and node 1's queued arrival refuses its own copy.
+  ClusterOptions options;
+  options.nodes = nodes;
+  options.router = RouterPolicy::kHash;
+  options.crash_plan = fault::parse_crash_plan("1@150us");
+  options.health.enabled = true;
+  options.health.interval = 100 * kMicrosecond;
+  serve::ServiceModel model;
+  Cluster fleet(model, options);
+  EXPECT_EQ(fleet.router().ring().owner(0), 1);
+  serve::Job job;
+  job.id = 1;
+  job.elements = 1 << 16;
+  job.arrival = 800 * kMicrosecond;
+  fleet.submit_all({job});
+  fleet.run();
+  // The refused copy is a duplicate, not a spill: the replayed copy is
+  // the live one, and it is served once.
+  const ClusterReport report = fleet.report();
+  EXPECT_DOUBLE_EQ(report.membership.detection_max_ms, 0.65);
+  EXPECT_EQ(report.served, 1);
+  EXPECT_EQ(report.membership.replayed, 1);
+  EXPECT_EQ(report.membership.duplicate_suppressed, 1);
+  EXPECT_EQ(report.spills, 0);
+}
+
+TEST(Membership, RefusalAfterReplayIsADuplicateOnTwoNodes) {
+  check_replay_reject_race(2);
+}
+
+TEST(Membership, RefusalAfterReplayIsADuplicateOnFourNodes) {
+  check_replay_reject_race(4);
 }
 
 TEST(Membership, SamplerCountsEverySpanItSkipsAcrossACrash) {
