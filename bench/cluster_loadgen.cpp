@@ -141,7 +141,8 @@ int main(int argc, char** argv) {
                           std::numeric_limits<int>::max());
   bench::require_fraction(program, "--remote-fraction", *remote_fraction);
   bench::require_positive(program, "--link-gbps", *link_gbps);
-  bench::require_non_negative(program, "--heartbeat-us", *heartbeat_us);
+  const SimTime heartbeat =
+      bench::micros_or_exit(program, "--heartbeat-us", *heartbeat_us);
   // Every node index must name a node of the --nodes fleet.
   bench::require_in_range(program, "--fault-node", *fault_node, 0,
                           *nodes - 1);
@@ -166,7 +167,7 @@ int main(int argc, char** argv) {
                             *nodes - 1);
   }
   const bool membership =
-      !crashes.empty() || !drains.empty() || *heartbeat_us > 0;
+      !crashes.empty() || !drains.empty() || heartbeat > 0;
 
   RunSettings settings;
   settings.cluster.nodes = static_cast<int>(*nodes);
@@ -178,9 +179,9 @@ int main(int argc, char** argv) {
   settings.cluster.node = harness.node_options();
   settings.cluster.crash_plan = crashes;
   settings.cluster.drains = drains;
-  if (*heartbeat_us > 0) {
+  if (heartbeat > 0) {
     settings.cluster.health.enabled = true;
-    settings.cluster.health.interval = *heartbeat_us * kMicrosecond;
+    settings.cluster.health.interval = heartbeat;
   }
   settings.open = harness.open_loop();
   settings.open.rate_hz *= static_cast<double>(*nodes);

@@ -46,7 +46,6 @@ CommonOptions CommonCli::parse(int argc, const char* const* argv) {
   options.metrics_out = *metrics_out_;
   if (!options.metrics_out.empty()) {
     options.registry = std::make_shared<telemetry::Registry>();
-    options.flight = std::make_shared<telemetry::FlightRecorder>();
   }
   return options;
 }

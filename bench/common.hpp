@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "ghs/core/system_config.hpp"
-#include "ghs/telemetry/flight_recorder.hpp"
 #include "ghs/telemetry/registry.hpp"
 #include "ghs/util/cli.hpp"
 #include "ghs/workload/cases.hpp"
@@ -39,12 +38,12 @@ struct CommonOptions {
   /// Live instruments when --metrics-out was given (shared, so copies of
   /// the options point at the same registry).
   std::shared_ptr<telemetry::Registry> registry;
-  std::shared_ptr<telemetry::FlightRecorder> flight;
 
-  /// The sink to hand to SweepOptions/ServiceOptions/...; all-null when
+  /// The sink to hand to SweepOptions/ServiceOptions/...: the registry and
+  /// nothing else, since the snapshot is all a bench writes; all-null when
   /// telemetry is off.
   telemetry::Sink telemetry() const {
-    return telemetry::Sink{registry.get(), flight.get()};
+    return telemetry::Sink{registry.get()};
   }
 };
 

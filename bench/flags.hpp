@@ -12,12 +12,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <system_error>
 
 #include "ghs/telemetry/exporters.hpp"
 #include "ghs/telemetry/registry.hpp"
 #include "ghs/util/error.hpp"
+#include "ghs/util/units.hpp"
 
 namespace ghs::bench {
 
@@ -51,6 +53,22 @@ inline void require_in_range(const std::string& program, const char* flag,
               << hi << "], got " << value << "\n";
     std::exit(2);
   }
+}
+
+/// Converts a microsecond flag (a deadline, an interval, a think time) to
+/// simulated time, Cli-style: a negative value, or one whose picoseconds
+/// do not fit SimTime, exits 2 naming the flag.
+inline SimTime micros_or_exit(const std::string& program, const char* flag,
+                              long long micros) {
+  require_non_negative(program, flag, micros);
+  constexpr long long kMaxMicros =
+      std::numeric_limits<SimTime>::max() / kMicrosecond;
+  if (micros > kMaxMicros) {
+    std::cerr << program << ": " << flag << " must be at most " << kMaxMicros
+              << " (the simulated clock's range), got " << micros << "\n";
+    std::exit(2);
+  }
+  return micros * kMicrosecond;
 }
 
 /// Validates a sampling-fraction flag Cli-style (stderr + exit 2): the

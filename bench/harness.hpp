@@ -17,6 +17,7 @@
 #pragma once
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -35,7 +36,6 @@
 #include "ghs/serve/service.hpp"
 #include "ghs/slo/monitor.hpp"
 #include "ghs/telemetry/exporters.hpp"
-#include "ghs/telemetry/flight_recorder.hpp"
 #include "ghs/telemetry/registry.hpp"
 #include "ghs/timeseries/export.hpp"
 #include "ghs/timeseries/report.hpp"
@@ -63,6 +63,22 @@ inline constexpr const char* kBuiltinPlan =
 /// Largest --max-log2 the workload generator accepts.
 inline constexpr long long kMaxLog2Elements = 39;
 
+/// Exits 2 Cli-style unless `jobs` open-loop arrivals at `rate_hz` fit
+/// SimTime whatever the seed: the generator's uniform draws have 53 bits,
+/// so no exponential gap exceeds 53 ln 2 / rate_hz seconds. (The fleet
+/// offers rate * nodes, which only shortens the gaps.)
+inline void require_arrivals_fit(const std::string& program, double rate_hz,
+                                 long long jobs) {
+  const double max_gap_ps =
+      std::ceil(53.0 * std::log(2.0) / rate_hz * static_cast<double>(kSecond));
+  if (!(static_cast<double>(jobs) * (max_gap_ps + 1.0) < 0x1p63)) {
+    std::cerr << program << ": --rate=" << rate_hz
+              << " is too low for --jobs=" << jobs
+              << ": the arrivals could pass the simulated clock's range\n";
+    std::exit(2);
+  }
+}
+
 /// The --plan fault plan: none for "", the stock plan for "builtin",
 /// otherwise the named file. A missing or malformed plan exits 2.
 inline std::optional<fault::FaultPlan> load_plan_or_exit(
@@ -84,21 +100,21 @@ struct ScrapeSettings {
   bool enabled() const { return interval > 0; }
 };
 
-/// Validates the scrape flags Cli-style (stderr + exit 2): --series-out
-/// needs --scrape-interval, the interval must be non-negative, and the
-/// series path's directory must exist.
+/// Validates the scrape flags Cli-style (stderr + exit 2): the interval
+/// must be a non-negative time SimTime can hold, --series-out needs
+/// --scrape-interval, and the series path's directory must exist.
 inline ScrapeSettings scrape_settings_or_exit(const std::string& program,
                                               long long scrape_interval_us,
                                               const std::string& series_out) {
-  require_non_negative(program, "--scrape-interval", scrape_interval_us);
+  ScrapeSettings settings;
+  settings.interval =
+      micros_or_exit(program, "--scrape-interval", scrape_interval_us);
   if (!series_out.empty() && scrape_interval_us == 0) {
     std::cerr << program
               << ": --series-out requires --scrape-interval > 0\n";
     std::exit(2);
   }
   require_writable_path(program, series_out);
-  ScrapeSettings settings;
-  settings.interval = scrape_interval_us * kMicrosecond;
   settings.series_path = series_out;
   return settings;
 }
@@ -139,20 +155,20 @@ struct ProfileSettings {
 };
 
 /// Validates the profile flags Cli-style (stderr + exit 2): the interval
-/// must be non-negative, --profile-out needs --profile-interval, and the
-/// output path's directory must exist.
+/// must be a non-negative time SimTime can hold, --profile-out needs
+/// --profile-interval, and the output path's directory must exist.
 inline ProfileSettings profile_settings_or_exit(
     const std::string& program, long long profile_interval_us,
     const std::string& profile_out, bool cost_report) {
-  require_non_negative(program, "--profile-interval", profile_interval_us);
+  ProfileSettings settings;
+  settings.interval =
+      micros_or_exit(program, "--profile-interval", profile_interval_us);
   if (!profile_out.empty() && profile_interval_us == 0) {
     std::cerr << program
               << ": --profile-out requires --profile-interval > 0\n";
     std::exit(2);
   }
   require_writable_path(program, profile_out);
-  ProfileSettings settings;
-  settings.interval = profile_interval_us * kMicrosecond;
   settings.profile_out = profile_out;
   settings.cost_report = cost_report;
   return settings;
@@ -295,11 +311,12 @@ class Harness {
         program_, *profile_interval_, *profile_out_, *cost_report_);
     require_positive(program_, "--jobs", *jobs);
     require_positive(program_, "--rate", *rate);
+    require_arrivals_fit(program_, *rate, *jobs);
     require_positive(program_, "--depth", *depth);
     require_in_range(program_, "--min-log2", *min_log2, 1, kMaxLog2Elements);
     require_in_range(program_, "--max-log2", *max_log2, *min_log2,
                      kMaxLog2Elements);
-    require_non_negative(program_, "--deadline-us", *deadline_us);
+    deadline_ = micros_or_exit(program_, "--deadline-us", *deadline_us);
     require_fraction(program_, "--um-fraction", *um_fraction);
     require_fraction(program_, "--trace-sample", *trace_sample_);
     require_positive(program_, "--slo-latency-ms", *slo_latency_ms_);
@@ -310,11 +327,11 @@ class Harness {
     outputs_.trace_path = *trace_path_;
     outputs_.trace_sample = *trace_sample_;
     if (*slo_) outputs_.slo_objectives = default_objectives(*slo_latency_ms_);
-    // One registry accumulates across every run; null pointers keep
+    // One registry accumulates across every run; a null one keeps
     // telemetry free when neither --metrics-out nor --scrape-interval was
-    // given.
+    // given. No flight recorder: no output of a loadgen reads one.
     if (!metrics_out_->empty() || outputs_.scrape.enabled()) {
-      sink_ = telemetry::Sink{&registry_, &flight_};
+      sink_.metrics = &registry_;
     }
     sink_.timeline = outputs_.scrape.enabled();
     serve::ServiceModelOptions model_options;
@@ -344,7 +361,7 @@ class Harness {
     serve::OpenLoopOptions open;
     open.shape.min_log2_elements = static_cast<int>(*min_log2);
     open.shape.max_log2_elements = static_cast<int>(*max_log2);
-    open.shape.deadline = *deadline_us * kMicrosecond;
+    open.shape.deadline = deadline_;
     open.shape.um_fraction = *um_fraction;
     open.rate_hz = *rate;
     open.jobs = *jobs;
@@ -443,9 +460,10 @@ class Harness {
   std::string program_;
   std::string run_key_;
   Outputs outputs_;
+  /// --deadline-us as simulated time.
+  SimTime deadline_ = 0;
   std::optional<fault::FaultPlan> plan_;
   telemetry::Registry registry_;
-  telemetry::FlightRecorder flight_;
   telemetry::Sink sink_;
   std::optional<serve::ServiceModel> model_;
   std::chrono::steady_clock::time_point wall_start_;

@@ -103,24 +103,24 @@ int main(int argc, char** argv) {
   harness.parse_or_exit(argc, argv);
 
   const std::string& program = harness.program();
+  RunSettings settings;
   if (*closed) {
     // Each tenant keeps one job in flight, so the loop needs at least one
     // job and one queue slot per tenant.
     bench::require_in_range(program, "--tenants", *tenants, 1,
                             std::min(*harness.jobs, *harness.depth));
-    bench::require_non_negative(program, "--think-us", *think_us);
+    settings.closed_opts.think_time =
+        bench::micros_or_exit(program, "--think-us", *think_us);
   }
   std::vector<std::string> policies = {*harness.policy};
   if (*harness.policy == "all") policies = {"fifo", "sjf", "bandwidth"};
   for (const auto& name : policies) harness.require_policy(name);
 
-  RunSettings settings;
   settings.closed = *closed;
   settings.open = harness.open_loop();
   settings.closed_opts.shape = settings.open.shape;
   settings.closed_opts.tenants = static_cast<int>(*tenants);
   settings.closed_opts.jobs = *harness.jobs;
-  settings.closed_opts.think_time = *think_us * kMicrosecond;
   settings.closed_opts.seed = settings.open.seed;
   settings.service = harness.node_options();
 

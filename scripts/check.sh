@@ -270,22 +270,31 @@ for config in "${configs[@]}"; do
       expect_exit2 "$dir/bench/serve_loadgen" --jobs=10 "$bad"
     done
     printf 'kernel-fault gpu p=banana\n' >"$tmp/bad.plan"
+    # Times past SimTime's 2^63 ps exit 2 where they are parsed, instead of
+    # wrapping or aborting once the run starts.
+    printf 'device-down gpu from=1ms until=99999999s\n' >"$tmp/far.plan"
     for bin in serve_loadgen cluster_loadgen; do
       for bad in "--policy=bogus" "--plan=$tmp/no-such.plan" \
                  "--plan=$tmp/bad.plan" "--min-log2=30 --max-log2=10" \
                  "--min-log2=0" "--max-log2=40" "--deadline-us=-5" \
-                 "--slo --slo-latency-ms=-1"; do
+                 "--slo --slo-latency-ms=-1" "--plan=$tmp/far.plan" \
+                 "--deadline-us=10000000000000" \
+                 "--scrape-interval=10000000000000" \
+                 "--profile-interval=10000000000000" \
+                 "--rate=0.000000001"; do
         # shellcheck disable=SC2086  # $bad may hold two flags
         expect_exit2 "$dir/bench/$bin" $bad
       done
     done
     for bad in "--tenants=0" "--tenants=100" \
-               "--tenants=300 --jobs=200 --depth=512" "--think-us=-3"; do
+               "--tenants=300 --jobs=200 --depth=512" "--think-us=-3" \
+               "--think-us=10000000000000"; do
       # shellcheck disable=SC2086
       expect_exit2 "$dir/bench/serve_loadgen" --closed $bad
     done
     for bad in "--router=bogus" "--link-gbps=0" "--tenants=0" \
-               "--tenants=-3"; do
+               "--tenants=-3" "--heartbeat-us=10000000000000" \
+               "--crash-plan=1@99999999s" "--drain-at=1@99999999s"; do
       expect_exit2 "$dir/bench/cluster_loadgen" "$bad"
     done
     rm -rf "$tmp"

@@ -164,13 +164,4 @@ SystemConfig load_system_config(const std::string& path) {
   return config;
 }
 
-const std::vector<std::string>& config_keys() {
-  static const std::vector<std::string> keys = [] {
-    std::vector<std::string> out;
-    for (const auto& [key, setter] : setters()) out.push_back(key);
-    return out;
-  }();
-  return keys;
-}
-
 }  // namespace ghs::core

@@ -8,11 +8,11 @@
 //   um.mode           = access-counter
 //   um.gpu_access_threshold = 8
 //
-// Supported keys are listed by config_keys() and documented in the README.
+// The supported keys are the entries of the setters() table in
+// config_io.cpp.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "ghs/core/system_config.hpp"
 #include "ghs/util/properties.hpp"
@@ -25,8 +25,5 @@ void apply_properties(const Properties& props, SystemConfig& config);
 
 /// Convenience: GH200 defaults + overrides from a file.
 SystemConfig load_system_config(const std::string& path);
-
-/// All recognised keys (for --help and error messages).
-const std::vector<std::string>& config_keys();
 
 }  // namespace ghs::core

@@ -1,6 +1,7 @@
 #include "ghs/fault/injector.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -39,6 +40,60 @@ Injector::Injector(FaultPlan plan, std::uint64_t seed, telemetry::Sink sink)
   }
 }
 
+bool Injector::judge_launch(Target target, SimTime begin, bool unified,
+                            SimTime& service) {
+  for (const auto& outage : plan_.outages) {
+    if (outage.target == target && outage.window.contains(begin)) {
+      service = plan_.down_error_latency;
+      note_outage_fault(target, begin);
+      return true;
+    }
+  }
+  // A window-less episode is active for the whole run.
+  const auto active = [begin](const Window& window) {
+    return window.unbounded() || window.contains(begin);
+  };
+  double scale = 1.0;
+  for (const auto& episode : plan_.bandwidth_episodes) {
+    if (episode.target == target && active(episode.window)) {
+      scale *= 1.0 / episode.scale;
+    }
+  }
+  double stall = 1.0;
+  if (unified) {
+    for (const auto& episode : plan_.migration_stalls) {
+      if (active(episode.window)) stall *= 1.0 / episode.scale;
+    }
+  }
+  if (scale > 1.0) {
+    const auto index = static_cast<std::size_t>(target);
+    if (m_slowed_[index] != nullptr) m_slowed_[index]->inc();
+    telemetry::record_event(flight_, begin, "fault", "slowdown",
+                            std::string(target_name(target)) + " " +
+                                scale_detail("service", scale));
+  }
+  if (stall > 1.0) {
+    if (m_stalled_ != nullptr) m_stalled_->inc();
+    telemetry::record_event(flight_, begin, "fault", "migration_stall",
+                            scale_detail("service", stall));
+  }
+  if (scale * stall > 1.0) {
+    service = static_cast<SimTime>(
+        std::llround(static_cast<double>(service) * scale * stall));
+  }
+  bool failed = false;
+  for (const auto& outage : plan_.outages) {
+    if (outage.target == target &&
+        outage.window.overlaps(begin, begin + service)) {
+      failed = true;
+      note_outage_fault(target, begin);
+      break;
+    }
+  }
+  if (kernel_fails(target, begin)) failed = true;
+  return failed;
+}
+
 bool Injector::kernel_fails(Target target, SimTime now) {
   bool failed = false;
   for (const auto& spec : plan_.kernel_faults) {
@@ -55,7 +110,6 @@ bool Injector::kernel_fails(Target target, SimTime now) {
     if (rng_.next_double() < spec.probability) failed = true;
   }
   if (failed) {
-    ++stats_.kernel_faults;
     const auto index = static_cast<std::size_t>(target);
     if (m_kernel_faults_[index] != nullptr) m_kernel_faults_[index]->inc();
     telemetry::record_event(flight_, now, "fault", "kernel_fault",
@@ -64,68 +118,11 @@ bool Injector::kernel_fails(Target target, SimTime now) {
   return failed;
 }
 
-bool Injector::device_down(Target target, SimTime now) const {
-  for (const auto& outage : plan_.outages) {
-    if (outage.target == target && outage.window.contains(now)) return true;
-  }
-  return false;
-}
-
-bool Injector::outage_overlaps(Target target, SimTime begin,
-                               SimTime end) const {
-  for (const auto& outage : plan_.outages) {
-    if (outage.target == target && outage.window.overlaps(begin, end)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-double Injector::service_scale(Target target, SimTime now) const {
-  double scale = 1.0;
-  for (const auto& episode : plan_.bandwidth_episodes) {
-    if (episode.target != target) continue;
-    if (!episode.window.unbounded() && !episode.window.contains(now)) {
-      continue;
-    }
-    scale *= 1.0 / episode.scale;
-  }
-  return scale;
-}
-
-double Injector::migration_stall_scale(SimTime now) const {
-  double scale = 1.0;
-  for (const auto& episode : plan_.migration_stalls) {
-    if (!episode.window.unbounded() && !episode.window.contains(now)) {
-      continue;
-    }
-    scale *= 1.0 / episode.scale;
-  }
-  return scale;
-}
-
 void Injector::note_outage_fault(Target target, SimTime now) {
-  ++stats_.outage_faults;
   const auto index = static_cast<std::size_t>(target);
   if (m_outage_faults_[index] != nullptr) m_outage_faults_[index]->inc();
   telemetry::record_event(flight_, now, "fault", "outage_fault",
                           target_name(target));
-}
-
-void Injector::note_slowed_launch(Target target, SimTime now, double scale) {
-  ++stats_.slowed_launches;
-  const auto index = static_cast<std::size_t>(target);
-  if (m_slowed_[index] != nullptr) m_slowed_[index]->inc();
-  telemetry::record_event(
-      flight_, now, "fault", "slowdown",
-      std::string(target_name(target)) + " " + scale_detail("service", scale));
-}
-
-void Injector::note_stalled_launch(SimTime now, double scale) {
-  ++stats_.stalled_launches;
-  if (m_stalled_ != nullptr) m_stalled_->inc();
-  telemetry::record_event(flight_, now, "fault", "migration_stall",
-                          scale_detail("service", scale));
 }
 
 std::vector<SimTime> Injector::transitions() const {

@@ -1,8 +1,8 @@
 // Deterministic fault injector: interprets a FaultPlan against the
-// simulator clock. All queries are pure functions of (plan, seed, query
+// simulator clock. Every verdict is a pure function of (plan, seed, launch
 // sequence); the only randomness is the per-launch Bernoulli draw for
 // probabilistic kernel faults, which comes from a private xoshiro stream
-// seeded once — the simulation that drives the queries is itself
+// seeded once — the simulation that drives the launches is itself
 // deterministic, so two runs from the same (plan, seed) replay the exact
 // same injections, byte for byte.
 #pragma once
@@ -17,17 +17,6 @@
 
 namespace ghs::fault {
 
-struct InjectorStats {
-  /// Transient kernel failures injected (probability draws or windows).
-  std::int64_t kernel_faults = 0;
-  /// Launches failed because a device-down window covered them.
-  std::int64_t outage_faults = 0;
-  /// Launches served under a bandwidth brown-out (scale > 1 applied).
-  std::int64_t slowed_launches = 0;
-  /// Unified launches served under a migration-stall episode.
-  std::int64_t stalled_launches = 0;
-};
-
 class Injector {
  public:
   /// `sink` instruments injections (ghs_fault_* counters + flight events);
@@ -35,37 +24,21 @@ class Injector {
   Injector(FaultPlan plan, std::uint64_t seed, telemetry::Sink sink = {});
 
   const FaultPlan& plan() const { return plan_; }
-  const InjectorStats& stats() const { return stats_; }
 
-  /// Whether a launch starting on `target` at `now` suffers a transient
-  /// kernel fault; a true result is recorded as an injection. Consumes one
-  /// RNG draw per active probabilistic spec (never for p=0/p=1 specs), so
-  /// the stream stays aligned across same-(plan, seed) replays of the same
-  /// simulation.
-  bool kernel_fails(Target target, SimTime now);
-
-  /// Whether `target` is inside a device-down window at `now`.
-  bool device_down(Target target, SimTime now) const;
-
-  /// Whether any device-down window overlaps the launch span [begin, end).
-  bool outage_overlaps(Target target, SimTime begin, SimTime end) const;
-
-  /// Service-time multiplier (>= 1.0) from bandwidth episodes active at
-  /// `now`: an episode at scale s stretches service by 1/s; overlapping
-  /// episodes compound.
-  double service_scale(Target target, SimTime now) const;
-
-  /// Service-time multiplier (>= 1.0) for unified-memory launches from
-  /// migration-stall episodes active at `now`.
-  double migration_stall_scale(SimTime now) const;
-
-  /// Accounting entry points for the layer that applies the verdicts (the
-  /// serve::ReductionService launch path), so outage failures and
-  /// slow-down episodes show up in stats and telemetry exactly once per
-  /// affected launch.
-  void note_outage_fault(Target target, SimTime now);
-  void note_slowed_launch(Target target, SimTime now, double scale);
-  void note_stalled_launch(SimTime now, double scale);
+  /// Judges a launch on `target` starting at `begin` whose fault-free
+  /// service time is `service`, and returns whether it fails. A launch on
+  /// a down device fails after the plan's down_error_latency, which
+  /// replaces `service`, and draws no kernel fault. Otherwise the
+  /// bandwidth episodes active at `begin` (and, for a `unified` launch,
+  /// the migration stalls) stretch `service` by 1/scale each, compounding,
+  /// and the launch fails if a device-down window overlaps [begin, begin +
+  /// service) or a transient kernel fault fires. Each active probabilistic
+  /// kernel-fault spec consumes one RNG draw (p=0/p=1 specs never do), so
+  /// the stream stays aligned across same-(plan, seed) replays. Every
+  /// outage failure, kernel fault, slowed and stalled launch is counted
+  /// once in the ghs_fault_* counters and recorded as a flight event.
+  bool judge_launch(Target target, SimTime begin, bool unified,
+                    SimTime& service);
 
   /// Every distinct window boundary in the plan, sorted ascending. The
   /// serve layer schedules a dispatch poke at each so a device coming back
@@ -74,9 +47,11 @@ class Injector {
   std::vector<SimTime> transitions() const;
 
  private:
+  bool kernel_fails(Target target, SimTime now);
+  void note_outage_fault(Target target, SimTime now);
+
   FaultPlan plan_;
   Rng rng_;
-  InjectorStats stats_;
   telemetry::FlightRecorder* flight_ = nullptr;
   telemetry::Counter* m_kernel_faults_[2] = {nullptr, nullptr};
   telemetry::Counter* m_outage_faults_[2] = {nullptr, nullptr};

@@ -12,15 +12,19 @@ namespace ghs::fault {
 
 namespace {
 
-// Line-format wrapper around parse_duration that blames the plan line.
-SimTime parse_time(const std::string& text, int line_no) {
+// parse_duration that blames a bad time on `where`: the plan line or the
+// schedule entry holding it.
+SimTime parse_time(const std::string& text, const std::string& where) {
   try {
     return parse_duration(text);
   } catch (const Error& err) {
-    GHS_REQUIRE(false,
-                "fault plan line " << line_no << ": " << err.what());
+    GHS_REQUIRE(false, where << ": " << err.what());
   }
   return 0;
+}
+
+std::string plan_line(int line_no) {
+  return "fault plan line " + std::to_string(line_no);
 }
 
 Target parse_target(const std::string& text, int line_no) {
@@ -52,10 +56,10 @@ LineArgs parse_args(const std::vector<std::string>& tokens,
     const std::string key = tokens[i].substr(0, eq);
     const std::string value = tokens[i].substr(eq + 1);
     if (key == "from") {
-      args.window.begin = parse_time(value, line_no);
+      args.window.begin = parse_time(value, plan_line(line_no));
       args.has_window = true;
     } else if (key == "until") {
-      args.window.end = parse_time(value, line_no);
+      args.window.end = parse_time(value, plan_line(line_no));
       args.has_window = true;
     } else if (key == "p") {
       try {
@@ -102,14 +106,15 @@ NodeCrash parse_node_entry(const std::string& entry, const char* kind,
   }
   GHS_REQUIRE(used == at_sep && crash.node >= 0,
               kind << " spec '" << entry << "': needs a node index >= 0");
+  const std::string where = std::string(kind) + " spec '" + entry + "'";
   std::string times = entry.substr(at_sep + 1);
   const auto restart_sep = times.find(':');
   if (restart_sep != std::string::npos) {
     GHS_REQUIRE(restart, kind << " spec '" << entry << "': takes no restart");
-    crash.restart_at = parse_duration(times.substr(restart_sep + 1));
+    crash.restart_at = parse_time(times.substr(restart_sep + 1), where);
     times = times.substr(0, restart_sep);
   }
-  crash.at = parse_duration(times);
+  crash.at = parse_time(times, where);
   return crash;
 }
 
@@ -165,7 +170,12 @@ SimTime parse_duration(const std::string& text) {
     GHS_REQUIRE(false,
                 "time '" << text << "' needs a ps|ns|us|ms|s unit");
   }
-  return static_cast<SimTime>(value * per_unit);
+  const double ps = value * per_unit;
+  // 2^63 ps (about 106 days) is the first value SimTime cannot hold.
+  GHS_REQUIRE(ps < 0x1p63, "time '" << text
+                                    << "' is beyond the simulated clock's "
+                                       "range (2^63 ps)");
+  return static_cast<SimTime>(ps);
 }
 
 NodeCrashPlan parse_crash_plan(const std::string& text) {
@@ -273,7 +283,7 @@ FaultPlan parse_plan(const std::string& text) {
       GHS_REQUIRE(tokens.size() == 2, "fault plan line "
                                           << line_no
                                           << ": error-latency <time>");
-      plan.down_error_latency = parse_time(tokens[1], line_no);
+      plan.down_error_latency = parse_time(tokens[1], plan_line(line_no));
     } else {
       GHS_REQUIRE(false, "fault plan line "
                              << line_no << ": unknown fault kind '" << kind

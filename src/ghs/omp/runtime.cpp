@@ -52,19 +52,16 @@ gpu::KernelDesc Runtime::lower(const OffloadLoop& loop,
   GHS_REQUIRE(loop.v >= 1, "loop '" << loop.label << "' has v=" << loop.v);
   gpu::KernelDesc desc;
   desc.label = loop.label;
-  // Spec precedence for the grid geometry: clause > OMP_* environment >
-  // the implementation heuristic.
+  // Grid geometry: the num_teams/thread_limit clauses, else the NVHPC
+  // heuristic.
   if (clauses.num_teams) {
     GHS_REQUIRE(*clauses.num_teams > 0, "num_teams=" << *clauses.num_teams);
     desc.grid = std::min(*clauses.num_teams, loop.iterations);
-  } else if (options_.env.num_teams) {
-    desc.grid = std::min(*options_.env.num_teams, loop.iterations);
   } else {
     desc.grid = heuristic_grid(options_.heuristic, loop.iterations);
   }
-  desc.threads_per_cta = clauses.thread_limit.value_or(
-      options_.env.teams_thread_limit.value_or(
-          options_.heuristic.default_threads));
+  desc.threads_per_cta =
+      clauses.thread_limit.value_or(options_.heuristic.default_threads);
   GHS_REQUIRE(desc.threads_per_cta > 0 && desc.threads_per_cta % 32 == 0,
               "thread_limit=" << desc.threads_per_cta);
   desc.elements = loop.elements();

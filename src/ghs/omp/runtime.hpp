@@ -24,7 +24,6 @@
 #include "ghs/cpu/device.hpp"
 #include "ghs/gpu/device.hpp"
 #include "ghs/mem/transfer.hpp"
-#include "ghs/omp/env.hpp"
 #include "ghs/omp/heuristics.hpp"
 #include "ghs/sim/simulator.hpp"
 #include "ghs/trace/tracer.hpp"
@@ -66,8 +65,6 @@ using DeviceBufferId = std::uint32_t;
 
 struct RuntimeOptions {
   GridHeuristic heuristic;
-  /// OMP_* ICVs; resolved with clause > environment > heuristic precedence.
-  Environment env;
   /// Host-side latency of a `target update` of a scalar (runtime call +
   /// tiny transfer).
   SimTime scalar_update_latency = from_nanoseconds(3000.0);

@@ -487,35 +487,12 @@ void ReductionService::launch(Placement device, std::vector<Job> jobs,
           : model_.cpu_service(case_id, total_elements);
   const SimTime begin = sim_.now();
 
-  // Fault interpretation, all decided at launch time so the outcome is a
-  // pure function of (plan, seed, launch sequence): a launch on a down
-  // device errors out fast; otherwise brown-outs stretch the service and
-  // the launch fails if an outage window overlaps it or a transient kernel
-  // fault fires.
-  bool failed = false;
-  const fault::Target target = gpu ? fault::Target::kGpu : fault::Target::kCpu;
-  if (injector_ != nullptr) {
-    if (injector_->device_down(target, begin)) {
-      failed = true;
-      service = injector_->plan().down_error_latency;
-      injector_->note_outage_fault(target, begin);
-    } else {
-      const double scale = injector_->service_scale(target, begin);
-      const double stall =
-          unified ? injector_->migration_stall_scale(begin) : 1.0;
-      if (scale > 1.0) injector_->note_slowed_launch(target, begin, scale);
-      if (stall > 1.0) injector_->note_stalled_launch(begin, stall);
-      if (scale * stall > 1.0) {
-        service = static_cast<SimTime>(
-            std::llround(static_cast<double>(service) * scale * stall));
-      }
-      if (injector_->outage_overlaps(target, begin, begin + service)) {
-        failed = true;
-        injector_->note_outage_fault(target, begin);
-      }
-      if (injector_->kernel_fails(target, begin)) failed = true;
-    }
-  }
+  // Faults are decided at launch time, so the outcome is a pure function
+  // of (plan, seed, launch sequence).
+  const bool failed =
+      injector_ != nullptr &&
+      injector_->judge_launch(gpu ? fault::Target::kGpu : fault::Target::kCpu,
+                              begin, unified, service);
   const SimTime end = begin + service;
   const auto batch = static_cast<std::int64_t>(jobs.size());
 
@@ -686,18 +663,13 @@ void ReductionService::complete_launch(Placement device, bool failed,
     if (job.deadline > 0 && now > job.deadline) ++deadline_missed_;
     if (m_completed_ != nullptr) m_completed_->inc();
     if (m_latency_ms_ != nullptr) {
-      // Traced runs attach the job's trace id as an exemplar, so a fat
-      // latency bucket names the span tree that filled it; untraced runs
-      // keep the plain (pre-exemplar) observation path.
-      if (job.ctx.valid()) {
-        m_latency_ms_->observe_exemplar(to_millis(times.latency()),
-                                        job.ctx.trace_id);
-        m_queue_wait_ms_->observe_exemplar(to_millis(times.queue_wait()),
-                                           job.ctx.trace_id);
-      } else {
-        m_latency_ms_->observe(to_millis(times.latency()));
-        m_queue_wait_ms_->observe(to_millis(times.queue_wait()));
-      }
+      // A traced job's trace id rides along as the bucket's exemplar, so a
+      // fat latency bucket names the span tree that filled it; an untraced
+      // job's id is 0, which observes without one.
+      m_latency_ms_->observe_exemplar(to_millis(times.latency()),
+                                      job.ctx.trace_id);
+      m_queue_wait_ms_->observe_exemplar(to_millis(times.queue_wait()),
+                                         job.ctx.trace_id);
     }
     if (tracer_ != nullptr) {
       record_root_span(job, now, "served", placement_name(device));

@@ -1,54 +1,10 @@
 #include "ghs/stats/summary.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "ghs/util/error.hpp"
 
 namespace ghs::stats {
-
-void Summary::add(double value) {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
-}
-
-double Summary::mean() const {
-  GHS_REQUIRE(count_ > 0, "mean of empty summary");
-  return mean_;
-}
-
-double Summary::min() const {
-  GHS_REQUIRE(count_ > 0, "min of empty summary");
-  return min_;
-}
-
-double Summary::max() const {
-  GHS_REQUIRE(count_ > 0, "max of empty summary");
-  return max_;
-}
-
-double Summary::stddev() const {
-  if (count_ < 2) return 0.0;
-  return std::sqrt(m2_ / static_cast<double>(count_ - 1));
-}
-
-double geometric_mean(const std::vector<double>& values) {
-  GHS_REQUIRE(!values.empty(), "geometric mean of empty vector");
-  double log_sum = 0.0;
-  for (double v : values) {
-    GHS_REQUIRE(v > 0.0, "geometric mean requires positive values, got " << v);
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
 
 double arithmetic_mean(const std::vector<double>& values) {
   GHS_REQUIRE(!values.empty(), "mean of empty vector");

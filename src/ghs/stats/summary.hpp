@@ -1,35 +1,12 @@
-// Streaming summary statistics (count/mean/min/max/variance) plus geometric
-// mean, used when aggregating per-case speedups the way the paper reports
-// "average speedup" numbers.
+// Summary statistics: the arithmetic mean the paper's "average speedup"
+// numbers use, and the quantiles behind every latency report and histogram
+// export.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace ghs::stats {
-
-class Summary {
- public:
-  void add(double value);
-
-  std::size_t count() const { return count_; }
-  double mean() const;
-  double min() const;
-  double max() const;
-  /// Sample standard deviation (n-1 denominator); 0 for fewer than 2 values.
-  double stddev() const;
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;  // Welford accumulator
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Geometric mean of strictly positive values.
-double geometric_mean(const std::vector<double>& values);
 
 /// Arithmetic mean; requires non-empty input.
 double arithmetic_mean(const std::vector<double>& values);

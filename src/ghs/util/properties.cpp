@@ -50,10 +50,6 @@ Properties Properties::load_file(const std::string& path) {
   return parse(contents.str());
 }
 
-bool Properties::contains(const std::string& key) const {
-  return values_.count(key) > 0;
-}
-
 std::optional<std::string> Properties::get_string(
     const std::string& key) const {
   const auto it = values_.find(key);
@@ -92,16 +88,6 @@ std::optional<long long> Properties::get_int(const std::string& key) const {
               "property '" << key << "': '" << *text
                            << "' is not an integer");
   return parsed;
-}
-
-std::optional<bool> Properties::get_bool(const std::string& key) const {
-  const auto text = get_string(key);
-  if (!text) return std::nullopt;
-  if (*text == "true" || *text == "1") return true;
-  if (*text == "false" || *text == "0") return false;
-  GHS_REQUIRE(false,
-              "property '" << key << "': '" << *text << "' is not a bool");
-  return false;
 }
 
 std::vector<std::string> Properties::keys() const {

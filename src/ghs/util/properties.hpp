@@ -20,7 +20,6 @@ class Properties {
   /// Reads and parses a file; throws on I/O failure.
   static Properties load_file(const std::string& path);
 
-  bool contains(const std::string& key) const;
   std::size_t size() const { return values_.size(); }
 
   /// Typed getters; return nullopt when the key is absent and throw when
@@ -28,7 +27,6 @@ class Properties {
   std::optional<std::string> get_string(const std::string& key) const;
   std::optional<double> get_double(const std::string& key) const;
   std::optional<long long> get_int(const std::string& key) const;
-  std::optional<bool> get_bool(const std::string& key) const;
 
   /// All keys, sorted (for unknown-key diagnostics).
   std::vector<std::string> keys() const;

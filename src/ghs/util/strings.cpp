@@ -22,16 +22,6 @@ std::vector<std::string> split(const std::string& text, char delim) {
   }
 }
 
-std::string join(const std::vector<std::string>& tokens,
-                 const std::string& delim) {
-  std::string out;
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    if (i > 0) out += delim;
-    out += tokens[i];
-  }
-  return out;
-}
-
 std::string format_fixed(double value, int decimals) {
   GHS_REQUIRE(decimals >= 0 && decimals <= 12, "decimals=" << decimals);
   std::array<char, 64> buf{};

@@ -12,10 +12,6 @@ namespace ghs {
 /// Splits on a delimiter; empty tokens are preserved.
 std::vector<std::string> split(const std::string& text, char delim);
 
-/// Joins tokens with a delimiter.
-std::string join(const std::vector<std::string>& tokens,
-                 const std::string& delim);
-
 /// Fixed-precision decimal rendering, e.g. format_fixed(3.14159, 2) == "3.14".
 std::string format_fixed(double value, int decimals);
 

@@ -116,6 +116,28 @@ TEST(HarnessFlagsTest, NegativeDeadlineExits2) {
               "--deadline-us must be >= 0, got -5");
 }
 
+TEST(HarnessFlagsTest, MicrosecondFlagsBeyondTheClockExit2) {
+  // 9223372036854 us is the last whole microsecond SimTime holds in ps.
+  for (const char* flag :
+       {"--deadline-us", "--scrape-interval", "--profile-interval"}) {
+    const std::string arg = std::string(flag) + "=9223372036855";
+    EXPECT_EXIT(parse_shared_flags({arg.c_str()}), ExitCode2(2),
+                std::string(flag) + " must be at most 9223372036854");
+  }
+  EXPECT_EQ(micros_or_exit("prog", "--think-us", 9223372036854),
+            std::int64_t{9223372036854} * kMicrosecond);
+  EXPECT_EQ(micros_or_exit("prog", "--think-us", 0), 0);
+}
+
+TEST(HarnessFlagsTest, RateTooLowForTheJobsExits2) {
+  // 200 gaps of up to 53 ln 2 / rate seconds must fit 2^63 ps.
+  EXPECT_EXIT(parse_shared_flags({"--rate=0.000000001"}), ExitCode2(2),
+              "--rate=1e-09 is too low for --jobs=200");
+  EXPECT_EXIT(parse_shared_flags({"--rate=0.001", "--jobs=1000"}),
+              ExitCode2(2), "is too low for --jobs=1000");
+  parse_shared_flags({"--rate=0.001", "--jobs=200"});  // 7.3e6 s: fits
+}
+
 TEST(HarnessFlagsTest, NegativeSloLatencyExits2) {
   EXPECT_EXIT(parse_shared_flags({"--slo", "--slo-latency-ms=-1"}),
               ExitCode2(2), "--slo-latency-ms must be > 0, got -1");

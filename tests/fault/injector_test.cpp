@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "ghs/telemetry/flight_recorder.hpp"
@@ -11,18 +12,54 @@
 namespace ghs::fault {
 namespace {
 
-TEST(InjectorTest, DeviceDownFollowsOutageWindows) {
+constexpr SimTime kService = 100 * kMicrosecond;
+
+/// One launch's verdict: whether it fails and its (possibly stretched)
+/// service time.
+struct Verdict {
+  bool failed;
+  SimTime service;
+};
+
+Verdict judge(Injector& injector, Target target, SimTime begin,
+              bool unified = false, SimTime service = kService) {
+  const bool failed = injector.judge_launch(target, begin, unified, service);
+  return {failed, service};
+}
+
+std::int64_t count(telemetry::Registry& registry, const char* name,
+                   const char* device) {
+  return registry.counter(name, {{"device", device}}).value();
+}
+
+TEST(InjectorTest, DownDeviceFailsFastAtTheErrorLatency) {
+  const auto plan = parse_plan(
+      "device-down gpu from=1ms until=2ms\n"
+      "error-latency 7us\n");
+  telemetry::Registry registry;
+  Injector injector(plan, 1, {&registry});
+  for (const SimTime at : {1 * kMillisecond, 2 * kMillisecond - 1}) {
+    const Verdict down = judge(injector, Target::kGpu, at);
+    EXPECT_TRUE(down.failed);
+    EXPECT_EQ(down.service, 7 * kMicrosecond);
+  }
+  EXPECT_FALSE(judge(injector, Target::kCpu, kMillisecond).failed);
+  EXPECT_EQ(count(registry, "ghs_fault_outage_failures_total", "gpu"), 2);
+  EXPECT_EQ(count(registry, "ghs_fault_outage_failures_total", "cpu"), 0);
+}
+
+TEST(InjectorTest, LaunchOverlappingAnOutageFailsAtFullService) {
   const auto plan = parse_plan("device-down gpu from=1ms until=2ms\n");
-  Injector injector(plan, 1);
-  EXPECT_FALSE(injector.device_down(Target::kGpu, 0));
-  EXPECT_TRUE(injector.device_down(Target::kGpu, 1 * kMillisecond));
-  EXPECT_TRUE(injector.device_down(Target::kGpu, 2 * kMillisecond - 1));
-  EXPECT_FALSE(injector.device_down(Target::kGpu, 2 * kMillisecond));
-  EXPECT_FALSE(injector.device_down(Target::kCpu, 1 * kMillisecond));
-  EXPECT_TRUE(injector.outage_overlaps(Target::kGpu, 0, kMillisecond + 1));
-  EXPECT_FALSE(injector.outage_overlaps(Target::kGpu, 0, kMillisecond));
-  EXPECT_FALSE(injector.outage_overlaps(Target::kGpu, 2 * kMillisecond,
-                                        3 * kMillisecond));
+  telemetry::Registry registry;
+  Injector injector(plan, 1, {&registry});
+  // [0.95ms, 1.05ms) runs into the window; [0.9ms, 1ms) ends at its start.
+  const Verdict overlapping =
+      judge(injector, Target::kGpu, kMillisecond - kService / 2);
+  EXPECT_TRUE(overlapping.failed);
+  EXPECT_EQ(overlapping.service, kService);
+  EXPECT_FALSE(judge(injector, Target::kGpu, kMillisecond - kService).failed);
+  EXPECT_FALSE(judge(injector, Target::kGpu, 2 * kMillisecond).failed);
+  EXPECT_EQ(count(registry, "ghs_fault_outage_failures_total", "gpu"), 1);
 }
 
 TEST(InjectorTest, OverlappingBandwidthEpisodesCompound) {
@@ -30,30 +67,49 @@ TEST(InjectorTest, OverlappingBandwidthEpisodesCompound) {
       "bandwidth gpu scale=0.5 from=0ms until=2ms\n"
       "bandwidth gpu scale=0.5 from=1ms until=3ms\n"
       "bandwidth cpu scale=0.25\n");
-  Injector injector(plan, 1);
-  EXPECT_DOUBLE_EQ(injector.service_scale(Target::kGpu, 0), 2.0);
-  EXPECT_DOUBLE_EQ(injector.service_scale(Target::kGpu, kMillisecond), 4.0);
-  EXPECT_DOUBLE_EQ(injector.service_scale(Target::kGpu, 3 * kMillisecond),
-                   1.0);
+  telemetry::Registry registry;
+  Injector injector(plan, 1, {&registry});
+  EXPECT_EQ(judge(injector, Target::kGpu, 0).service, 2 * kService);
+  EXPECT_EQ(judge(injector, Target::kGpu, kMillisecond).service,
+            4 * kService);
+  EXPECT_EQ(judge(injector, Target::kGpu, 3 * kMillisecond).service,
+            kService);
   // The CPU episode has no window, so it is active for the whole run.
-  EXPECT_DOUBLE_EQ(injector.service_scale(Target::kCpu, 5 * kSecond), 4.0);
+  EXPECT_EQ(judge(injector, Target::kCpu, 5 * kSecond).service, 4 * kService);
+  EXPECT_EQ(count(registry, "ghs_fault_slowed_launches_total", "gpu"), 2);
+  EXPECT_EQ(count(registry, "ghs_fault_slowed_launches_total", "cpu"), 1);
 }
 
-TEST(InjectorTest, MigrationStallScaleFollowsWindow) {
-  const auto plan = parse_plan("migration-stall scale=0.1 from=2ms until=6ms\n");
-  Injector injector(plan, 1);
-  EXPECT_DOUBLE_EQ(injector.migration_stall_scale(0), 1.0);
-  EXPECT_DOUBLE_EQ(injector.migration_stall_scale(2 * kMillisecond), 10.0);
+TEST(InjectorTest, MigrationStallStretchesOnlyUnifiedLaunches) {
+  const auto plan = parse_plan(
+      "migration-stall scale=0.1 from=2ms until=6ms\n"
+      "bandwidth gpu scale=0.5 from=2ms until=6ms\n");
+  telemetry::Registry registry;
+  Injector injector(plan, 1, {&registry});
+  EXPECT_EQ(judge(injector, Target::kGpu, 0, /*unified=*/true).service,
+            kService);
+  EXPECT_EQ(judge(injector, Target::kGpu, 2 * kMillisecond).service,
+            2 * kService);
+  // Brown-out and stall compound.
+  EXPECT_EQ(
+      judge(injector, Target::kGpu, 2 * kMillisecond, /*unified=*/true)
+          .service,
+      20 * kService);
+  EXPECT_EQ(registry.counter("ghs_fault_stalled_launches_total", {}).value(),
+            1);
 }
 
 TEST(InjectorTest, WindowedKernelFaultFailsEveryLaunchInside) {
   const auto plan = parse_plan("kernel-fault gpu from=1ms until=2ms\n");
-  Injector injector(plan, 1);
-  EXPECT_FALSE(injector.kernel_fails(Target::kGpu, 0));
-  EXPECT_TRUE(injector.kernel_fails(Target::kGpu, 1 * kMillisecond));
-  EXPECT_FALSE(injector.kernel_fails(Target::kCpu, 1 * kMillisecond));
-  EXPECT_FALSE(injector.kernel_fails(Target::kGpu, 2 * kMillisecond));
-  EXPECT_EQ(injector.stats().kernel_faults, 1);
+  telemetry::Registry registry;
+  Injector injector(plan, 1, {&registry});
+  EXPECT_FALSE(judge(injector, Target::kGpu, 0).failed);
+  const Verdict inside = judge(injector, Target::kGpu, kMillisecond);
+  EXPECT_TRUE(inside.failed);
+  EXPECT_EQ(inside.service, kService);
+  EXPECT_FALSE(judge(injector, Target::kCpu, kMillisecond).failed);
+  EXPECT_FALSE(judge(injector, Target::kGpu, 2 * kMillisecond).failed);
+  EXPECT_EQ(count(registry, "ghs_fault_kernel_failures_total", "gpu"), 1);
 }
 
 TEST(InjectorTest, ProbabilisticFaultsReplayFromSeed) {
@@ -62,7 +118,7 @@ TEST(InjectorTest, ProbabilisticFaultsReplayFromSeed) {
     Injector injector(plan, seed);
     std::vector<bool> fails;
     for (SimTime t = 0; t < 200; ++t) {
-      fails.push_back(injector.kernel_fails(Target::kGpu, t));
+      fails.push_back(judge(injector, Target::kGpu, t).failed);
     }
     return fails;
   };
@@ -87,8 +143,28 @@ TEST(InjectorTest, CertainFaultConsumesNoRandomness) {
   Injector a(bare, 9);
   Injector b(padded, 9);
   for (SimTime t = 0; t < 100; ++t) {
-    EXPECT_EQ(a.kernel_fails(Target::kGpu, t),
-              b.kernel_fails(Target::kGpu, t));
+    EXPECT_EQ(judge(a, Target::kGpu, t).failed,
+              judge(b, Target::kGpu, t).failed);
+  }
+}
+
+TEST(InjectorTest, DownDeviceDrawsNoKernelFault) {
+  // Launches on a down device skip the kernel-fault draw, so a plan whose
+  // outage swallows some launches leaves the later draws where a plan
+  // without those launches would put them.
+  const auto faults = parse_plan("kernel-fault gpu p=0.5\n");
+  const auto with_outage = parse_plan(
+      "kernel-fault gpu p=0.5\n"
+      "device-down gpu from=1ms until=2ms\n");
+  Injector a(faults, 3);
+  Injector b(with_outage, 3);
+  for (SimTime t = 0; t < 50; ++t) {
+    EXPECT_TRUE(judge(b, Target::kGpu, kMillisecond + t).failed);
+  }
+  for (SimTime t = 0; t < 100; ++t) {
+    const SimTime at = 2 * kMillisecond + t;
+    EXPECT_EQ(judge(a, Target::kGpu, at).failed,
+              judge(b, Target::kGpu, at).failed);
   }
 }
 
@@ -103,34 +179,32 @@ TEST(InjectorTest, TransitionsAreSortedUniqueWindowBoundaries) {
   EXPECT_EQ(injector.transitions(), expected);
 }
 
-TEST(InjectorTest, InstrumentsInjectionsWhenSinkAttached) {
+TEST(InjectorTest, RecordsEveryInjectionAsAFlightEvent) {
   telemetry::Registry registry;
   telemetry::FlightRecorder flight;
-  const auto plan = parse_plan("kernel-fault gpu from=0ms until=1ms\n");
+  const auto plan = parse_plan(
+      "kernel-fault gpu from=0ms until=1ms\n"
+      "device-down gpu from=2ms until=3ms\n"
+      "bandwidth cpu scale=0.5\n"
+      "migration-stall scale=0.25\n");
   Injector injector(plan, 1, {&registry, &flight});
-  ASSERT_TRUE(injector.kernel_fails(Target::kGpu, 0));
-  injector.note_outage_fault(Target::kGpu, 5);
-  injector.note_slowed_launch(Target::kCpu, 6, 2.0);
-  injector.note_stalled_launch(7, 4.0);
-  EXPECT_EQ(registry
-                .counter("ghs_fault_kernel_failures_total",
-                         {{"device", "gpu"}})
-                .value(),
-            1);
-  EXPECT_EQ(registry
-                .counter("ghs_fault_outage_failures_total",
-                         {{"device", "gpu"}})
-                .value(),
-            1);
-  EXPECT_EQ(registry
-                .counter("ghs_fault_slowed_launches_total",
-                         {{"device", "cpu"}})
-                .value(),
-            1);
+  EXPECT_TRUE(judge(injector, Target::kGpu, 0).failed);  // kernel fault
+  EXPECT_TRUE(judge(injector, Target::kGpu, 2 * kMillisecond).failed);
+  EXPECT_FALSE(judge(injector, Target::kCpu, 0).failed);  // slowed
+  EXPECT_FALSE(judge(injector, Target::kGpu, 5 * kMillisecond, true).failed);
+  std::vector<std::string> kinds;
+  for (const auto& event : flight.events()) {
+    EXPECT_EQ(event.layer, "fault");
+    kinds.push_back(event.kind);
+  }
+  const std::vector<std::string> expected = {"kernel_fault", "outage_fault",
+                                             "slowdown", "migration_stall"};
+  EXPECT_EQ(kinds, expected);
+  EXPECT_EQ(count(registry, "ghs_fault_kernel_failures_total", "gpu"), 1);
+  EXPECT_EQ(count(registry, "ghs_fault_outage_failures_total", "gpu"), 1);
+  EXPECT_EQ(count(registry, "ghs_fault_slowed_launches_total", "cpu"), 1);
   EXPECT_EQ(registry.counter("ghs_fault_stalled_launches_total", {}).value(),
             1);
-  EXPECT_EQ(flight.size(), 4u);
-  EXPECT_EQ(flight.events().front().layer, "fault");
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "ghs/util/error.hpp"
 
 namespace ghs::fault {
@@ -128,6 +131,43 @@ TEST(ParseDurationTest, CoversAllUnitsAndRejectsJunk) {
   EXPECT_THROW(parse_duration("10"), Error);    // unit required
   EXPECT_THROW(parse_duration("ms"), Error);    // value required
   EXPECT_THROW(parse_duration("-1us"), Error);  // negative
+}
+
+/// The message a parser's ghs::Error carries, or "" when it parses.
+template <typename Parse>
+std::string error_of(Parse&& parse) {
+  try {
+    parse();
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ParseDurationTest, RejectsTimesBeyondTheClock) {
+  // 2^63 ps (about 106 days) is the first time SimTime cannot hold.
+  EXPECT_EQ(parse_duration("9000000s"), 9'000'000 * kSecond);
+  EXPECT_EQ(parse_duration("9223372036854774784ps"),
+            std::int64_t{9223372036854774784});  // 2^63 - 1024
+  EXPECT_THROW(parse_duration("9223372036854775808ps"), Error);  // 2^63
+  EXPECT_THROW(parse_duration("9300000s"), Error);
+  EXPECT_NE(error_of([] { parse_duration("99999999s"); })
+                .find("time '99999999s' is beyond"),
+            std::string::npos);
+  // Each schedule and plan blames the entry that holds the time.
+  EXPECT_NE(error_of([] { parse_crash_plan("1@99999999s"); })
+                .find("crash spec '1@99999999s'"),
+            std::string::npos);
+  EXPECT_NE(error_of([] { parse_crash_plan("1@1ms:99999999s"); })
+                .find("crash spec '1@1ms:99999999s'"),
+            std::string::npos);
+  EXPECT_NE(error_of([] { parse_drain_plan("1@99999999s"); })
+                .find("drain spec '1@99999999s'"),
+            std::string::npos);
+  const std::string line = error_of(
+      [] { parse_plan("device-down gpu from=1ms until=99999999s\n"); });
+  EXPECT_NE(line.find("fault plan line 1: "), std::string::npos);
+  EXPECT_NE(line.find("is beyond"), std::string::npos);
 }
 
 TEST(FaultPlanTest, WindowSemantics) {

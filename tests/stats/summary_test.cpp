@@ -16,54 +16,6 @@
 namespace ghs::stats {
 namespace {
 
-TEST(SummaryTest, EmptySummaryThrowsOnAccess) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_THROW(s.mean(), Error);
-  EXPECT_THROW(s.min(), Error);
-  EXPECT_THROW(s.max(), Error);
-}
-
-TEST(SummaryTest, SingleValue) {
-  Summary s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(SummaryTest, KnownMoments) {
-  Summary s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  // Sample variance of this classic set is 32/7.
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(SummaryTest, NegativeValues) {
-  Summary s;
-  s.add(-3.0);
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), -3.0);
-}
-
-TEST(SummaryTest, GeometricMean) {
-  EXPECT_DOUBLE_EQ(geometric_mean({4.0, 1.0}), 2.0);
-  EXPECT_NEAR(geometric_mean({2.0, 8.0}), 4.0, 1e-12);
-  EXPECT_DOUBLE_EQ(geometric_mean({5.0}), 5.0);
-}
-
-TEST(SummaryTest, GeometricMeanRejectsNonPositive) {
-  EXPECT_THROW(geometric_mean({}), Error);
-  EXPECT_THROW(geometric_mean({1.0, 0.0}), Error);
-  EXPECT_THROW(geometric_mean({1.0, -2.0}), Error);
-}
-
 TEST(SummaryTest, ArithmeticMean) {
   EXPECT_DOUBLE_EQ(arithmetic_mean({1.0, 2.0, 3.0}), 2.0);
   EXPECT_THROW(arithmetic_mean({}), Error);

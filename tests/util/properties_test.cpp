@@ -38,24 +38,17 @@ TEST(PropertiesTest, MissingKeysReturnNullopt) {
   const auto props = Properties::parse("a = 1\n");
   EXPECT_FALSE(props.get_string("missing").has_value());
   EXPECT_FALSE(props.get_double("missing").has_value());
-  EXPECT_FALSE(props.contains("missing"));
-  EXPECT_TRUE(props.contains("a"));
 }
 
 TEST(PropertiesTest, TypedGettersValidate) {
   const auto props = Properties::parse(
       "num = 42\n"
       "real = 2.5\n"
-      "flag = true\n"
-      "off = 0\n"
       "text = abc\n");
   EXPECT_EQ(props.get_int("num").value(), 42);
   EXPECT_DOUBLE_EQ(props.get_double("real").value(), 2.5);
-  EXPECT_TRUE(props.get_bool("flag").value());
-  EXPECT_FALSE(props.get_bool("off").value());
   EXPECT_THROW(props.get_int("text"), Error);
   EXPECT_THROW(props.get_double("text"), Error);
-  EXPECT_THROW(props.get_bool("text"), Error);
   EXPECT_THROW(props.get_int("real"), Error);
 }
 

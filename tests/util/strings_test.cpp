@@ -31,13 +31,6 @@ TEST(StringsTest, SplitNoDelimiter) {
   EXPECT_EQ(parts[0], "alone");
 }
 
-TEST(StringsTest, JoinInvertsSplit) {
-  const std::string text = "1,2,4,8,16,32";
-  EXPECT_EQ(join(split(text, ','), ","), text);
-}
-
-TEST(StringsTest, JoinEmpty) { EXPECT_EQ(join({}, ","), ""); }
-
 TEST(StringsTest, FormatFixed) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(2.0, 0), "2");
