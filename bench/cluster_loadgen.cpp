@@ -218,7 +218,9 @@ int main(int argc, char** argv) {
   std::vector<cluster::ClusterReport> reports(routers.size());
   std::vector<bench::RunSections> sections(routers.size());
   for (std::size_t i = 0; i < routers.size(); ++i) {
-    reports[i] = run_router(harness, routers[i], settings, &sections[i]);
+    reports[i] = bench::run_or_exit(program, [&] {
+      return run_router(harness, routers[i], settings, &sections[i]);
+    });
     if (i > 0) out << ",";
     reports[i].write_json(out);
   }

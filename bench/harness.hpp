@@ -79,6 +79,22 @@ inline void require_arrivals_fit(const std::string& program, double rate_hz,
   }
 }
 
+/// Exits 2 Cli-style unless the think times of `jobs` closed-loop jobs
+/// fit SimTime with room to spare: a tenant's arrivals are the running sum
+/// of its think and service times, so the think times may fill at most
+/// half of the clock's range and leave the rest to the services.
+inline void require_think_time_fits(const std::string& program,
+                                    long long think_us, long long jobs) {
+  const double think_ps = static_cast<double>(think_us) *
+                          static_cast<double>(kMicrosecond);
+  if (!(think_ps * static_cast<double>(jobs) < 0x1p62)) {
+    std::cerr << program << ": --think-us=" << think_us
+              << " is too long for --jobs=" << jobs
+              << ": the arrivals could pass the simulated clock's range\n";
+    std::exit(2);
+  }
+}
+
 /// The --plan fault plan: none for "", the stock plan for "builtin",
 /// otherwise the named file. A missing or malformed plan exits 2.
 inline std::optional<fault::FaultPlan> load_plan_or_exit(
@@ -88,6 +104,20 @@ inline std::optional<fault::FaultPlan> load_plan_or_exit(
     return plan == "builtin" ? fault::parse_plan(kBuiltinPlan)
                              : fault::load_plan(plan);
   });
+}
+
+/// Runs `run` (one simulated run), exiting 2 with a "program: message"
+/// line when the fault plan turns out unusable mid-run (an entry stretches
+/// a launch past SimTime's range): bad input, like a plan that fails to
+/// parse. Any other error still terminates the program.
+template <typename Run>
+auto run_or_exit(const std::string& program, Run&& run) -> decltype(run()) {
+  try {
+    return run();
+  } catch (const fault::PlanError& error) {
+    std::cerr << program << ": " << error.what() << "\n";
+    std::exit(2);
+  }
 }
 
 struct ScrapeSettings {

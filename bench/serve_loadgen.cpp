@@ -36,6 +36,7 @@
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/serve/policy.hpp"
 #include "ghs/serve/service.hpp"
+#include "alloc_counter.hpp"
 #include "harness.hpp"
 #include "serve_perf.hpp"
 
@@ -60,6 +61,7 @@ serve::ServiceReport run_policy(bench::Harness& harness,
   serve::ReductionService service(serve::make_policy(name, harness.model()),
                                   harness.model(), options, run.tracer());
   run.start(service.sim());
+  const std::uint64_t allocations = bench::allocation_count();
   const bench::WallTimer timer;
   if (settings.closed) {
     serve::run_closed_loop(service, settings.closed_opts);
@@ -70,6 +72,7 @@ serve::ServiceReport run_policy(bench::Harness& harness,
   if (perf != nullptr) {
     perf->policy = name;
     perf->wall_seconds = timer.elapsed_seconds();
+    perf->allocations = bench::allocation_count() - allocations;
     perf->sim_events = service.sim().events_processed();
     perf->jobs_served =
         static_cast<std::uint64_t>(service.outcomes().served.size());
@@ -111,6 +114,7 @@ int main(int argc, char** argv) {
                             std::min(*harness.jobs, *harness.depth));
     settings.closed_opts.think_time =
         bench::micros_or_exit(program, "--think-us", *think_us);
+    bench::require_think_time_fits(program, *think_us, *harness.jobs);
   }
   std::vector<std::string> policies = {*harness.policy};
   if (*harness.policy == "all") policies = {"fifo", "sjf", "bandwidth"};
@@ -162,9 +166,10 @@ int main(int argc, char** argv) {
   std::vector<bench::RunSections> sections(policies.size());
   std::vector<bench::PerfSample> perf_samples(policies.size());
   for (std::size_t i = 0; i < policies.size(); ++i) {
-    const auto report = run_policy(harness, policies[i], settings,
-                                   &sections[i],
-                                   *perf ? &perf_samples[i] : nullptr);
+    const auto report = bench::run_or_exit(program, [&] {
+      return run_policy(harness, policies[i], settings, &sections[i],
+                        *perf ? &perf_samples[i] : nullptr);
+    });
     if (i > 0) out << ",";
     report.write_json(out);
     if (policies[i] == "fifo") {

@@ -2,8 +2,8 @@
 // generators (--perf). Everything here measures the real machine, not the
 // simulated one, so the section is opt-in: default reports stay
 // byte-identical across runs and machines, and perf numbers are gated by
-// scripts/perf_gate.py as bounds (floors on throughput, a ceiling on peak
-// RSS) rather than diffed exactly.
+// scripts/perf_gate.py as bounds (floors on throughput, ceilings on peak
+// RSS and on heap allocations per job) rather than diffed exactly.
 #pragma once
 
 #include <sys/resource.h>
@@ -27,6 +27,8 @@ struct PerfSample {
   std::uint64_t jobs_served = 0;
   std::size_t peak_queue_size = 0;
   double peak_rss_mb = 0.0;
+  /// Heap allocations during the measured span (alloc_counter.hpp).
+  std::uint64_t allocations = 0;
 
   double events_per_sec() const {
     return wall_seconds > 0.0 ? static_cast<double>(sim_events) / wall_seconds
@@ -35,6 +37,11 @@ struct PerfSample {
   double jobs_per_sec() const {
     return wall_seconds > 0.0 ? static_cast<double>(jobs_served) / wall_seconds
                               : 0.0;
+  }
+  double allocs_per_job() const {
+    return jobs_served > 0 ? static_cast<double>(allocations) /
+                                 static_cast<double>(jobs_served)
+                           : 0.0;
   }
 };
 
@@ -82,6 +89,8 @@ inline void write_perf_json(std::ostream& os,
     os << ",\"peak_queue_size\":" << s.peak_queue_size
        << ",\"peak_rss_mb\":";
     fixed(s.peak_rss_mb);
+    os << ",\"allocs_per_job\":";
+    fixed(s.allocs_per_job());
     os << "}";
   }
   os << "]";

@@ -263,6 +263,10 @@ for config in "${configs[@]}"; do
       >/dev/null 2>&1
     "$dir/bench/serve_loadgen" --plan=builtin --policy=fifo --jobs=500 \
       --um-fraction=0.3 --cost-report --profile-interval=50 >/dev/null 2>&1
+    # 2^39-element jobs: a launch's picoseconds times its elements passes
+    # 64 bits in the ledger's proportional split.
+    "$dir/bench/serve_loadgen" --jobs=20 --min-log2=38 --max-log2=39 \
+      --policy=fifo --cost-report >/dev/null 2>&1
     echo "==> flag-validation smoke (bad flags exit 2 on both loadgens)"
     for bad in "--profile-interval=-1" "--profile-out=x.folded" \
                "--trace-sample=1.5" "--trace-sample=-0.1" \
@@ -273,6 +277,10 @@ for config in "${configs[@]}"; do
     # Times past SimTime's 2^63 ps exit 2 where they are parsed, instead of
     # wrapping or aborting once the run starts.
     printf 'device-down gpu from=1ms until=99999999s\n' >"$tmp/far.plan"
+    # A brown-out or stall that stretches a launch past the clock exits 2,
+    # naming its plan entry, when the run meets it.
+    printf 'bandwidth gpu scale=0.0000000000000001\n' >"$tmp/slow.plan"
+    printf 'migration-stall scale=0.0000000000000001\n' >"$tmp/stall.plan"
     for bin in serve_loadgen cluster_loadgen; do
       for bad in "--policy=bogus" "--plan=$tmp/no-such.plan" \
                  "--plan=$tmp/bad.plan" "--min-log2=30 --max-log2=10" \
@@ -281,14 +289,15 @@ for config in "${configs[@]}"; do
                  "--deadline-us=10000000000000" \
                  "--scrape-interval=10000000000000" \
                  "--profile-interval=10000000000000" \
-                 "--rate=0.000000001"; do
+                 "--rate=0.000000001" "--plan=$tmp/slow.plan" \
+                 "--plan=$tmp/stall.plan --um-fraction=0.5"; do
         # shellcheck disable=SC2086  # $bad may hold two flags
         expect_exit2 "$dir/bench/$bin" $bad
       done
     done
     for bad in "--tenants=0" "--tenants=100" \
                "--tenants=300 --jobs=200 --depth=512" "--think-us=-3" \
-               "--think-us=10000000000000"; do
+               "--think-us=10000000000000" "--think-us=9223372036854"; do
       # shellcheck disable=SC2086
       expect_exit2 "$dir/bench/serve_loadgen" --closed $bad
     done

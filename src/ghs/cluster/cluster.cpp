@@ -10,6 +10,81 @@
 
 namespace ghs::cluster {
 
+namespace {
+
+// Flight-recorder sites: POD arguments, formatted when the recorder is
+// read. Membership details start with the node label ("node=i "), the
+// convention fleet post-mortems grep on.
+
+using telemetry::append;
+using Args = telemetry::EventArgs;
+
+/// (job id, node)
+constexpr telemetry::EventType kSpillEvent{
+    "cluster", "spill", [](std::string& out, const Args& a) {
+      append(out, "job ", a.i(0), " off node ", a.i(1));
+    }};
+/// (job id)
+constexpr telemetry::EventType kRejectEvent{
+    "cluster", "reject", [](std::string& out, const Args& a) {
+      append(out, "job ", a.i(0), " refused everywhere");
+    }};
+/// (jobs, sick node)
+constexpr telemetry::EventType kStealEvent{
+    "cluster", "steal", [](std::string& out, const Args& a) {
+      append(out, a.i(0), " job(s) off node ", a.i(1));
+    }};
+/// (node, job id, next node or -1)
+constexpr telemetry::EventType kRedirectEvent{
+    "membership", "redirect", [](std::string& out, const Args& a) {
+      append(out, "node=", a.i(0), " job ", a.i(1), " re-pointed to ");
+      if (a.i(2) < 0) {
+        out += "nowhere";
+      } else {
+        append(out, "node ", a.i(2));
+      }
+    }};
+/// (node, job id, static what)
+constexpr telemetry::EventType kDuplicateEvent{
+    "membership", "duplicate", [](std::string& out, const Args& a) {
+      append(out, "node=", a.i(0), " job ", a.i(1), " ", a.s(2),
+             " after replay, suppressed");
+    }};
+/// (node)
+constexpr telemetry::EventType kCrashEvent{
+    "membership", "crash", [](std::string& out, const Args& a) {
+      append(out, "node=", a.i(0), " node process died");
+    }};
+/// (node)
+constexpr telemetry::EventType kRestartEvent{
+    "membership", "restart", [](std::string& out, const Args& a) {
+      append(out, "node=", a.i(0), " node process restarted (warm-up begins)");
+    }};
+/// (node, jobs flushed)
+constexpr telemetry::EventType kDrainEvent{
+    "membership", "drain", [](std::string& out, const Args& a) {
+      append(out, "node=", a.i(0), " ", a.i(1),
+             " queued job(s) flushed to peers");
+    }};
+/// (node, jobs, onto self)
+constexpr telemetry::EventType kReplayEvent{
+    "membership", "replay", [](std::string& out, const Args& a) {
+      append(out, "node=", a.i(0), " ", a.i(1), " journaled job(s) ",
+             a.i(2) != 0 ? "recovered locally" : "replayed on peers");
+    }};
+/// (node, from, to, interned reason)
+constexpr telemetry::EventType kTransitionEvent{
+    "membership", "transition", [](std::string& out, const Args& a) {
+      const auto state = [&a](std::size_t k) {
+        return membership::node_state_name(
+            static_cast<membership::NodeState>(a.i(k)));
+      };
+      append(out, "node=", a.i(0), " ", state(1), " -> ", state(2), " (",
+             a.name(3), ")");
+    }};
+
+}  // namespace
+
 void MembershipReport::write_json(std::ostream& os) const {
   os << "{\"crashes\":" << crashes << ",\"restarts\":" << restarts
      << ",\"drains\":" << drains << ",\"drain_flushed\":" << drain_flushed
@@ -117,9 +192,7 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
           ++spills_;
           if (m_spills_ != nullptr) m_spills_->inc();
           if (flight_ != nullptr) {
-            flight_->record(at, "cluster", "spill",
-                            "job " + std::to_string(job.id) + " off node " +
-                                std::to_string(i));
+            flight_->record(at, kSpillEvent, job.id, i);
           }
           deliver(job, target, job.source_node);
           return;
@@ -378,10 +451,8 @@ void Cluster::submit_to(serve::Job job, int target, std::uint64_t seq,
     // re-point at a live peer, priced from wherever the data was headed.
     const int next = pick_live_target(target);
     ++redirected_;
-    membership_flight(sim_.now(), "redirect", target,
-                      "job " + std::to_string(job.id) + " re-pointed to " +
-                          (next < 0 ? std::string("nowhere")
-                                    : "node " + std::to_string(next)));
+    telemetry::record_event(flight_, sim_.now(), kRedirectEvent, target,
+                            job.id, next);
     if (next < 0) {
       finish_reject(job, sim_.now());
       return;
@@ -401,9 +472,8 @@ void Cluster::suppress_duplicate(serve::JobId id, int node,
                                                  << " without a replay");
   ++dup_suppressed_;
   if (m_dup_suppressed_ != nullptr) m_dup_suppressed_->inc();
-  membership_flight(sim_.now(), "duplicate", node,
-                    "job " + std::to_string(id) + " " + what +
-                        " after replay, suppressed");
+  telemetry::record_event(flight_, sim_.now(), kDuplicateEvent, node, id,
+                          what);
 }
 
 void Cluster::finish_reject(const serve::Job& job, SimTime at) {
@@ -411,8 +481,7 @@ void Cluster::finish_reject(const serve::Job& job, SimTime at) {
   outcomes_.rejected.push_back(at);
   if (m_rejected_ != nullptr) m_rejected_->inc();
   if (flight_ != nullptr) {
-    flight_->record(at, "cluster", "reject",
-                    "job " + std::to_string(job.id) + " refused everywhere");
+    flight_->record(at, kRejectEvent, job.id);
   }
 }
 
@@ -428,9 +497,7 @@ void Cluster::steal_from(int sick, SimTime at) {
   ++steals_;
   if (m_steals_ != nullptr) m_steals_->inc();
   if (flight_ != nullptr) {
-    flight_->record(at, "cluster", "steal",
-                    std::to_string(jobs.size()) + " job(s) off node " +
-                        std::to_string(sick));
+    flight_->record(at, kStealEvent, jobs.size(), sick);
   }
   for (auto& job : jobs) {
     auto it = meta_.find(job.id);
@@ -463,19 +530,13 @@ int Cluster::pick_live_target(int exclude) const {
   return best;
 }
 
-void Cluster::membership_flight(SimTime at, const char* kind, int node,
-                                const std::string& detail) {
-  telemetry::record_labeled_event(flight_, at, "membership", kind,
-                                  {{"node", std::to_string(node)}}, detail);
-}
-
 void Cluster::do_crash(int node) {
   const auto n = static_cast<std::size_t>(node);
   if (!nodes_[n]->alive()) return;  // already down
   crashed_at_[n] = sim_.now();
   ++crashes_;
   nodes_[n]->crash();
-  membership_flight(sim_.now(), "crash", node, "node process died");
+  telemetry::record_event(flight_, sim_.now(), kCrashEvent, node);
   if (tracer_ != nullptr) {
     tracer_->mark(trace::Track::kServer,
                   "membership.crash node " + std::to_string(node),
@@ -496,8 +557,7 @@ void Cluster::do_restart(int node) {
   crashed_at_[n] = -1;
   ++restarts_;
   nodes_[n]->restore();
-  membership_flight(sim_.now(), "restart", node,
-                    "node process restarted (warm-up begins)");
+  telemetry::record_event(flight_, sim_.now(), kRestartEvent, node);
   if (tracer_ != nullptr) {
     tracer_->mark(trace::Track::kServer,
                   "membership.restart node " + std::to_string(node),
@@ -548,9 +608,8 @@ void Cluster::do_drain(int node) {
   table_.transition(node, membership::NodeState::kLeft, sim_.now(),
                      "drained, " + std::to_string(jobs.size()) +
                          " queued job(s) flushed");
-  membership_flight(sim_.now(), "drain", node,
-                    std::to_string(jobs.size()) +
-                        " queued job(s) flushed to peers");
+  telemetry::record_event(flight_, sim_.now(), kDrainEvent, node,
+                          jobs.size());
 }
 
 void Cluster::replay_open(int node, SimTime at, bool onto_self) {
@@ -562,10 +621,8 @@ void Cluster::replay_open(int node, SimTime at, bool onto_self) {
   std::sort(open.begin(), open.end(), [](const auto& a, const auto& b) {
     return a.first < b.first;
   });
-  membership_flight(at, "replay", node,
-                    std::to_string(open.size()) + " journaled job(s) " +
-                        (onto_self ? "recovered locally" :
-                                     "replayed on peers"));
+  telemetry::record_event(flight_, at, kReplayEvent, node, open.size(),
+                          onto_self);
   for (auto& entry : open) {
     serve::Job& job = entry.second;
     ++replayed_;
@@ -606,10 +663,10 @@ void Cluster::on_membership_transition(const membership::Transition& t) {
     m_node_state_[static_cast<std::size_t>(t.node)]->set(
         static_cast<double>(t.to));
   }
-  membership_flight(t.at, "transition", t.node,
-                    std::string(membership::node_state_name(t.from)) +
-                        " -> " + membership::node_state_name(t.to) + " (" +
-                        t.reason + ")");
+  if (flight_ != nullptr) {
+    flight_->record(t.at, kTransitionEvent, t.node, t.from, t.to,
+                    flight_->intern(t.reason));
+  }
   if (tracer_ != nullptr) {
     tracer_->mark(trace::Track::kServer,
                   "membership node " + std::to_string(t.node) + " " +

@@ -263,7 +263,8 @@ class Cluster {
   /// `transfer` of interconnect time.
   void submit_to(serve::Job job, int target, std::uint64_t seq,
                  SimTime transfer = 0);
-  /// Drops a copy of job `id` at `node` that a replay superseded.
+  /// Drops a copy of job `id` at `node` that a replay superseded. `what`
+  /// is a string literal: the flight recorder keeps the pointer.
   void suppress_duplicate(serve::JobId id, int node, const char* what);
   void finish_reject(const serve::Job& job, SimTime at);
   void steal_from(int sick, SimTime at);
@@ -280,8 +281,6 @@ class Cluster {
   /// (onto_self=true — local WAL recovery, no transfer).
   void replay_open(int node, SimTime at, bool onto_self);
   void on_membership_transition(const membership::Transition& t);
-  void membership_flight(SimTime at, const char* kind, int node,
-                         const std::string& detail);
 
   serve::ServiceModel& model_;
   ClusterOptions options_;

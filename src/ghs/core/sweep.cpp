@@ -15,6 +15,16 @@ using workload::case_spec;
 
 namespace {
 
+/// The sweeps' instrument, resolved once per registry.
+struct Instruments {
+  explicit Instruments(telemetry::Registry& r)
+      : evaluations(r.counter(
+            "ghs_tuner_sweep_evaluations_total", {},
+            "Fresh-platform evaluations performed by exhaustive sweeps")) {}
+
+  telemetry::Counter& evaluations;
+};
+
 // Wires one sweep point's fresh platform into the shared sink and counts
 // the evaluation against the tuner/sweep budget metric.
 void instrument_sweep_point(Platform& platform,
@@ -22,10 +32,7 @@ void instrument_sweep_point(Platform& platform,
   if (!sink) return;
   platform.set_telemetry(sink);
   if (sink.metrics != nullptr) {
-    sink.metrics
-        ->counter("ghs_tuner_sweep_evaluations_total", {},
-                  "Fresh-platform evaluations performed by exhaustive sweeps")
-        .inc();
+    sink.metrics->handles<Instruments>().evaluations.inc();
   }
 }
 

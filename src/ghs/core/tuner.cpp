@@ -15,17 +15,25 @@ constexpr std::int64_t kMaxTeams = 65536;
 constexpr int kMaxV = 32;
 constexpr int kThreadLimit = 256;
 
+/// The tuner's instruments, resolved once per registry.
+struct Instruments {
+  explicit Instruments(telemetry::Registry& r)
+      : runs(r.counter("ghs_tuner_runs_total", {},
+                       "Hill-climb tuning runs started")),
+        probes(r.counter(
+            "ghs_tuner_probes_total", {},
+            "Fresh-platform configurations evaluated by the tuner")) {}
+
+  telemetry::Counter& runs;
+  telemetry::Counter& probes;
+};
+
 /// Evaluates one configuration on a fresh platform; returns GB/s.
 double probe(workload::CaseId case_id, const ReduceTuning& tuning,
-             const TunerOptions& options) {
+             const TunerOptions& options, const Instruments* m) {
   Platform platform(options.config);
   if (options.telemetry) platform.set_telemetry(options.telemetry);
-  if (options.telemetry.metrics != nullptr) {
-    options.telemetry.metrics
-        ->counter("ghs_tuner_probes_total", {},
-                  "Fresh-platform configurations evaluated by the tuner")
-        .inc();
-  }
+  if (m != nullptr) m->probes.inc();
   GpuBenchmark bench;
   bench.case_id = case_id;
   bench.tuning = tuning;
@@ -48,15 +56,14 @@ TunerResult tune_reduction(workload::CaseId case_id, ReduceTuning seed,
               "seed must lie on the power-of-two lattice");
   GHS_REQUIRE(in_bounds(seed), "seed outside the search bounds");
 
-  if (options.telemetry.metrics != nullptr) {
-    options.telemetry.metrics
-        ->counter("ghs_tuner_runs_total", {},
-                  "Hill-climb tuning runs started")
-        .inc();
-  }
+  const Instruments* m =
+      options.telemetry.metrics != nullptr
+          ? &options.telemetry.metrics->handles<Instruments>()
+          : nullptr;
+  if (m != nullptr) m->runs.inc();
   TunerResult result;
   const auto evaluate = [&](const ReduceTuning& tuning) {
-    const double gbps = probe(case_id, tuning, options);
+    const double gbps = probe(case_id, tuning, options, m);
     result.probes.push_back(TunerProbe{tuning, gbps});
     return gbps;
   };

@@ -9,11 +9,37 @@ namespace ghs::fault {
 
 namespace {
 
-std::string scale_detail(const char* what, double scale) {
+/// "service xS" for a stretch of S.
+void append_stretch(std::string& out, double stretch) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s x%.3f", what, scale);
-  return buf;
+  std::snprintf(buf, sizeof(buf), "service x%.3f", stretch);
+  out += buf;
 }
+
+using Args = telemetry::EventArgs;
+
+const char* target_of(std::int64_t target) {
+  return target_name(static_cast<Target>(target));
+}
+
+/// (target, stretch)
+constexpr telemetry::EventType kSlowdownEvent{
+    "fault", "slowdown", [](std::string& out, const Args& a) {
+      telemetry::append(out, target_of(a.i(0)), " ");
+      append_stretch(out, a.d(1));
+    }};
+/// (stretch)
+constexpr telemetry::EventType kStallEvent{
+    "fault", "migration_stall",
+    [](std::string& out, const Args& a) { append_stretch(out, a.d(0)); }};
+/// (target)
+constexpr telemetry::EventType kKernelFaultEvent{
+    "fault", "kernel_fault",
+    [](std::string& out, const Args& a) { out += target_of(a.i(0)); }};
+/// (target)
+constexpr telemetry::EventType kOutageFaultEvent{
+    "fault", "outage_fault",
+    [](std::string& out, const Args& a) { out += target_of(a.i(0)); }};
 
 }  // namespace
 
@@ -68,18 +94,19 @@ bool Injector::judge_launch(Target target, SimTime begin, bool unified,
   if (scale > 1.0) {
     const auto index = static_cast<std::size_t>(target);
     if (m_slowed_[index] != nullptr) m_slowed_[index]->inc();
-    telemetry::record_event(flight_, begin, "fault", "slowdown",
-                            std::string(target_name(target)) + " " +
-                                scale_detail("service", scale));
+    telemetry::record_event(flight_, begin, kSlowdownEvent, target, scale);
   }
   if (stall > 1.0) {
     if (m_stalled_ != nullptr) m_stalled_->inc();
-    telemetry::record_event(flight_, begin, "fault", "migration_stall",
-                            scale_detail("service", stall));
+    telemetry::record_event(flight_, begin, kStallEvent, stall);
   }
   if (scale * stall > 1.0) {
-    service = static_cast<SimTime>(
-        std::llround(static_cast<double>(service) * scale * stall));
+    const double stretched = static_cast<double>(service) * scale * stall;
+    // The stretched launch must end inside SimTime's 2^63 ps.
+    if (!(stretched < 0x1p63 - static_cast<double>(begin))) {
+      throw_stretch_error(target, begin, unified, service);
+    }
+    service = static_cast<SimTime>(std::llround(stretched));
   }
   bool failed = false;
   for (const auto& outage : plan_.outages) {
@@ -92,6 +119,32 @@ bool Injector::judge_launch(Target target, SimTime begin, bool unified,
   }
   if (kernel_fails(target, begin)) failed = true;
   return failed;
+}
+
+void Injector::throw_stretch_error(Target target, SimTime begin,
+                                   bool unified, SimTime service) const {
+  // Names the most severe entry active for this launch.
+  char entry[96] = "";
+  double worst = 2.0;
+  for (const auto& episode : plan_.bandwidth_episodes) {
+    if (episode.target == target && episode.scale < worst &&
+        (episode.window.unbounded() || episode.window.contains(begin))) {
+      worst = episode.scale;
+      std::snprintf(entry, sizeof(entry), "bandwidth %s scale=%g",
+                    target_name(target), episode.scale);
+    }
+  }
+  for (const auto& episode : plan_.migration_stalls) {
+    if (unified && episode.scale < worst &&
+        (episode.window.unbounded() || episode.window.contains(begin))) {
+      worst = episode.scale;
+      std::snprintf(entry, sizeof(entry), "migration-stall scale=%g",
+                    episode.scale);
+    }
+  }
+  throw PlanError("fault plan entry '" + std::string(entry) +
+                  "' stretches a " + format_time(service) + " launch at " +
+                  format_time(begin) + " past the simulated clock's range");
 }
 
 bool Injector::kernel_fails(Target target, SimTime now) {
@@ -112,8 +165,7 @@ bool Injector::kernel_fails(Target target, SimTime now) {
   if (failed) {
     const auto index = static_cast<std::size_t>(target);
     if (m_kernel_faults_[index] != nullptr) m_kernel_faults_[index]->inc();
-    telemetry::record_event(flight_, now, "fault", "kernel_fault",
-                            target_name(target));
+    telemetry::record_event(flight_, now, kKernelFaultEvent, target);
   }
   return failed;
 }
@@ -121,8 +173,7 @@ bool Injector::kernel_fails(Target target, SimTime now) {
 void Injector::note_outage_fault(Target target, SimTime now) {
   const auto index = static_cast<std::size_t>(target);
   if (m_outage_faults_[index] != nullptr) m_outage_faults_[index]->inc();
-  telemetry::record_event(flight_, now, "fault", "outage_fault",
-                          target_name(target));
+  telemetry::record_event(flight_, now, kOutageFaultEvent, target);
 }
 
 std::vector<SimTime> Injector::transitions() const {

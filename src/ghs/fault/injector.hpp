@@ -48,6 +48,10 @@ class Injector {
 
  private:
   bool kernel_fails(Target target, SimTime now);
+  /// The PlanError of a launch whose stretched service would end past
+  /// SimTime's range.
+  [[noreturn]] void throw_stretch_error(Target target, SimTime begin,
+                                        bool unified, SimTime service) const;
   void note_outage_fault(Target target, SimTime now);
 
   FaultPlan plan_;

@@ -25,9 +25,18 @@
 #include <string>
 #include <vector>
 
+#include "ghs/util/error.hpp"
 #include "ghs/util/units.hpp"
 
 namespace ghs::fault {
+
+/// A fault plan that parses but that the run finds unusable: a brown-out
+/// or stall entry stretches a launch past SimTime's range. The loadgens
+/// exit 2 on it, as on a plan that fails to parse.
+class PlanError : public Error {
+ public:
+  using Error::Error;
+};
 
 /// Processor a fault targets. Mirrors serve::Placement without depending on
 /// the serve layer, so the fault module sits below it.

@@ -11,6 +11,31 @@
 
 namespace ghs::gpu {
 
+struct GpuDevice::Instruments {
+  explicit Instruments(telemetry::Registry& r)
+      : kernels(r.counter("ghs_gpu_kernels_total", {},
+                          "Kernels launched on the simulated GPU")),
+        waves(r.counter("ghs_gpu_waves_total", {},
+                        "Occupancy-limited waves executed")) {}
+
+  telemetry::Counter& kernels;
+  telemetry::Counter& waves;
+};
+
+namespace {
+
+/// (kernel label)
+constexpr telemetry::EventType kKernelLaunchEvent{
+    "gpu", "kernel_launch",
+    [](std::string& out, const telemetry::EventArgs& a) { out += a.name(0); }};
+/// (kernel label, CTAs)
+constexpr telemetry::EventType kWaveLaunchEvent{
+    "gpu", "wave_launch", [](std::string& out, const telemetry::EventArgs& a) {
+      telemetry::append(out, a.name(0), ": ", a.i(1), " CTAs");
+    }};
+
+}  // namespace
+
 const char* combine_strategy_name(CombineStrategy strategy) {
   switch (strategy) {
     case CombineStrategy::kAtomicPerCta:
@@ -52,6 +77,8 @@ struct GpuDevice::Execution {
   double hbm_stream_cap = 0.0;      // bytes/s of a saturating stream
   SimTime tree_latency = 0;
   std::string wave_label;
+  /// desc.label interned in the attached flight recorder.
+  std::int64_t flight_label = 0;
 
   // Progress.
   std::int64_t ctas_done = 0;       // CTAs whose data has drained
@@ -90,12 +117,14 @@ void GpuDevice::launch(const KernelDesc& desc,
                                             << "' has no elements");
   busy_ = true;
   ++stats_.kernels_launched;
-  if (kernels_counter_ != nullptr) kernels_counter_->inc();
-  if (flight_ != nullptr) {
-    flight_->record(sim_.now(), "gpu", "kernel_launch", desc.label);
-  }
+  if (m_ != nullptr) m_->kernels.inc();
 
   auto exec = std::make_shared<Execution>();
+  if (flight_ != nullptr) {
+    // Interned once per kernel; every wave record reuses the id.
+    exec->flight_label = flight_->intern(desc.label);
+    flight_->record(sim_.now(), kKernelLaunchEvent, exec->flight_label);
+  }
   exec->desc = desc;
   exec->on_complete = std::move(on_complete);
   exec->result.start = sim_.now();
@@ -139,10 +168,9 @@ void GpuDevice::start_wave(const std::shared_ptr<Execution>& exec) {
   const std::int64_t count = std::min(exec->wave_size, remaining);
   exec->ctas_dispatched += count;
   ++stats_.waves_executed;
-  if (waves_counter_ != nullptr) waves_counter_->inc();
+  if (m_ != nullptr) m_->waves.inc();
   if (flight_ != nullptr) {
-    flight_->record(sim_.now(), "gpu", "wave_launch",
-                    desc.label + ": " + std::to_string(count) + " CTAs");
+    flight_->record(sim_.now(), kWaveLaunchEvent, exec->flight_label, count);
   }
 
   // Serial CTA dispatch: the wave cannot start before the gigathread engine
@@ -346,15 +374,8 @@ void GpuDevice::finish_kernel(const std::shared_ptr<Execution>& exec) {
 
 void GpuDevice::set_telemetry(telemetry::Sink sink) {
   flight_ = sink.flight;
-  if (sink.metrics == nullptr) {
-    kernels_counter_ = nullptr;
-    waves_counter_ = nullptr;
-    return;
-  }
-  kernels_counter_ = &sink.metrics->counter(
-      "ghs_gpu_kernels_total", {}, "Kernels launched on the simulated GPU");
-  waves_counter_ = &sink.metrics->counter(
-      "ghs_gpu_waves_total", {}, "Occupancy-limited waves executed");
+  m_ = sink.metrics != nullptr ? &sink.metrics->handles<Instruments>()
+                               : nullptr;
 }
 
 }  // namespace ghs::gpu

@@ -89,8 +89,9 @@ class GpuDevice {
   GpuDeviceStats stats_;
   trace::Tracer* tracer_ = nullptr;
   telemetry::FlightRecorder* flight_ = nullptr;
-  telemetry::Counter* kernels_counter_ = nullptr;
-  telemetry::Counter* waves_counter_ = nullptr;
+  /// The GPU instruments of the attached registry (Registry::handles).
+  struct Instruments;
+  const Instruments* m_ = nullptr;
   bool busy_ = false;
 };
 

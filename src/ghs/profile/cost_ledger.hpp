@@ -14,14 +14,15 @@
 //
 // Charging is integer-exact: a batched launch's service time is split
 // across its jobs proportionally to element count with the rounding
-// remainder folded in (split_proportional), so per-key charges sum to the
+// remainder folded in (ProportionalSplit), so per-key charges sum to the
 // launch total with zero drift.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ghs/util/units.hpp"
@@ -64,23 +65,6 @@ struct CostKey {
   bool operator==(const CostKey&) const = default;
 };
 
-struct CostKeyHash {
-  std::size_t operator()(const CostKey& key) const {
-    // splitmix-style fold of the packed key; the ledger's hot path is one
-    // lookup per charge, so mixing quality matters at million-job scale.
-    std::uint64_t x = static_cast<std::uint64_t>(key.tenant) * 0x9e3779b97f4a7c15ULL;
-    x ^= (static_cast<std::uint64_t>(key.op) << 32) |
-         (static_cast<std::uint64_t>(static_cast<std::uint16_t>(key.node))
-          << 16) |
-         (static_cast<std::uint64_t>(key.device) << 8) |
-         static_cast<std::uint64_t>(key.phase);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    return static_cast<std::size_t>(x);
-  }
-};
-
 /// Accumulated charges for one key.
 struct Cost {
   SimTime time_ps = 0;
@@ -111,31 +95,72 @@ struct ConservationCheck {
   bool ok() const;
 };
 
-/// Splits `total` across `weights` proportionally, integer-exact: the
-/// shares sum to `total` with the rounding remainder folded into the
-/// largest-cumulative positions. Zero-weight inputs split evenly.
-std::vector<std::int64_t> split_proportional(
-    std::int64_t total, const std::vector<std::int64_t>& weights);
+/// Splits `total` across weights proportionally, integer-exact, one share
+/// at a time: construct with the total, the weights' sum and their count,
+/// then call next() once per weight, in order. The shares sum to `total`
+/// with the rounding remainder folded into the largest-cumulative
+/// positions; weights that sum to zero split evenly.
+class ProportionalSplit {
+ public:
+  ProportionalSplit(std::int64_t total, std::int64_t weight_sum,
+                    std::size_t count);
+  std::int64_t next(std::int64_t weight);
 
+ private:
+  std::int64_t total_;
+  std::int64_t weight_sum_;
+  std::int64_t denom_;
+  std::int64_t cumulative_ = 0;
+  std::int64_t charged_ = 0;
+};
+
+/// The ledger is one flat table of rows, one per (tenant, op, node) that
+/// was ever charged. A row holds a Cost cell for each (device, phase) pair
+/// a charge can name, so every charge of one job lands in one row, and
+/// the cells a launch touches (queue wait, kernel, migration) share its
+/// first cache lines. An open-addressing index of row numbers finds a row;
+/// charges through a RowId skip even that.
 class CostLedger {
  public:
-  void charge_time(const CostKey& key, SimTime time_ps);
-  void charge_bytes(const CostKey& key, Bytes bytes);
+  using RowId = std::uint32_t;
 
-  bool empty() const { return entries_.empty(); }
-  const std::unordered_map<CostKey, Cost, CostKeyHash>& entries() const {
-    return entries_;
+  /// Busy time of one tenant or op (see tenant_busy()).
+  struct Busy {
+    std::int64_t id = 0;
+    SimTime busy_ps = 0;
+  };
+
+  CostLedger();
+
+  /// The row of (tenant, op, node), created on first use.
+  RowId row(std::int64_t tenant, std::uint8_t op, std::int16_t node);
+
+  /// Charges time or bytes to one cell; non-positive amounts are no-ops.
+  /// The device must be the one `phase` runs on: kNone for the wait and
+  /// interconnect phases, kGpu for gpu.kernel and um.migrate, kCpu for
+  /// cpu.reduce, either for launch.failed.
+  void charge_time(RowId row, Device device, Phase phase, SimTime time_ps);
+  void charge_bytes(RowId row, Device device, Phase phase, Bytes bytes);
+  void charge_time(const CostKey& key, SimTime time_ps) {
+    charge_time(row(key.tenant, key.op, key.node), key.device, key.phase,
+                time_ps);
   }
+  void charge_bytes(const CostKey& key, Bytes bytes) {
+    charge_bytes(row(key.tenant, key.op, key.node), key.device, key.phase,
+                 bytes);
+  }
+
+  bool empty() const { return entries_ == 0; }
+  /// Every charged key with its charges, sorted by (tenant, op, node,
+  /// device, phase): the cost report's order.
+  std::vector<std::pair<CostKey, Cost>> entries() const;
 
   /// Device-busy time (kGpuKernel/kUmMigrate/kLaunchFailed on the GPU,
-  /// kCpuKernel/kLaunchFailed on the CPU) accumulated per tenant / per op,
-  /// maintained incrementally for the profiler's windowed series.
-  const std::map<std::int64_t, SimTime>& tenant_busy_ps() const {
-    return tenant_busy_ps_;
-  }
-  const std::map<std::uint8_t, SimTime>& op_busy_ps() const {
-    return op_busy_ps_;
-  }
+  /// kCpuKernel/kLaunchFailed on the CPU) per tenant and per op, in the
+  /// order each first became busy, maintained incrementally for the
+  /// profiler's windowed series. The lists only grow.
+  const std::vector<Busy>& tenant_busy() const { return tenant_busy_; }
+  const std::vector<Busy>& op_busy() const { return op_busy_; }
 
   ConservationCheck check(const ConservationTotals& telemetry) const;
 
@@ -147,11 +172,37 @@ class CostLedger {
   /// Human top-K summary (per-tenant and per-op device time, stderr).
   void write_table(std::ostream& os, std::size_t top_k) const;
 
+  /// (device, phase) pairs a row has a cell for.
+  static constexpr std::size_t kCells = 11;
+
  private:
-  std::unordered_map<CostKey, Cost, CostKeyHash> entries_;
+  static constexpr std::uint32_t kNoTally = 0xFFFFFFFFu;
+
+  struct Row {
+    std::int64_t tenant = 0;
+    std::int16_t node = 0;
+    std::uint8_t op = 0;
+    /// Index into tenant_busy_ once the row's tenant has been busy.
+    std::uint32_t tenant_tally = kNoTally;
+    Cost cells[kCells];
+  };
+
+  Cost& cell(RowId row, Device device, Phase phase);
+  void add_busy(Row& row, SimTime time_ps);
+  void grow_index();
+
+  std::vector<Row> rows_;
+  /// Open addressing, linear probing: row number + 1, 0 for a free slot.
+  /// At most half full.
+  std::vector<RowId> index_;
+  /// Charged (row, cell) pairs: the report's entry count.
+  std::size_t entries_ = 0;
   ConservationTotals attributed_;
-  std::map<std::int64_t, SimTime> tenant_busy_ps_;
-  std::map<std::uint8_t, SimTime> op_busy_ps_;
+  std::vector<Busy> tenant_busy_;
+  std::vector<Busy> op_busy_;
+  std::unordered_map<std::int64_t, std::uint32_t> tenant_tally_of_;
+  /// op -> index into op_busy_, kNoTally until the op is busy.
+  std::array<std::uint32_t, 256> op_tally_of_;
 };
 
 }  // namespace ghs::profile

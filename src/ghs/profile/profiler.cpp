@@ -27,11 +27,11 @@ void Profiler::start() {
   // Cursor baseline without emission, mirroring Scraper::start(): a ledger
   // carrying charges from a previous run on the same recorder contributes
   // only its future increments to this run's series.
-  for (const auto& [tenant, busy] : recorder_.ledger().tenant_busy_ps()) {
-    tenant_cursor_[tenant] = busy;
+  for (const auto& [tenant, busy] : recorder_.ledger().tenant_busy()) {
+    tenant_cursors_.push_back({busy, nullptr});
   }
-  for (const auto& [op, busy] : recorder_.ledger().op_busy_ps()) {
-    op_cursor_[op] = busy;
+  for (const auto& [op, busy] : recorder_.ledger().op_busy()) {
+    op_cursors_.push_back({busy, nullptr});
   }
   last_sample_at_ = sim_.now();
   sim_.schedule_after(options_.interval, [this] { on_tick(); });
@@ -110,26 +110,29 @@ void Profiler::take_sample() {
 
 void Profiler::flush_series() {
   if (store_ == nullptr) return;
+  flush(recorder_.ledger().tenant_busy(), tenant_cursors_,
+        "ghs_profile_tenant_busy_ps_total{tenant=\"", false);
+  flush(recorder_.ledger().op_busy(), op_cursors_,
+        "ghs_profile_op_busy_ps_total{op=\"", true);
+}
+
+void Profiler::flush(const std::vector<CostLedger::Busy>& busy,
+                     std::vector<Cursor>& cursors, const char* prefix,
+                     bool op_labels) {
   const SimTime at = sim_.now();
-  for (const auto& [tenant, busy] : recorder_.ledger().tenant_busy_ps()) {
-    auto [it, inserted] = tenant_cursor_.try_emplace(tenant, 0);
-    const SimTime delta = busy - it->second;
-    it->second = busy;
-    store_
-        ->series("ghs_profile_tenant_busy_ps_total{tenant=\"" +
-                     std::to_string(tenant) + "\"}",
-                 timeseries::SeriesKind::kCounterDelta)
-        .append(at, static_cast<double>(delta));
-  }
-  for (const auto& [op, busy] : recorder_.ledger().op_busy_ps()) {
-    auto [it, inserted] = op_cursor_.try_emplace(op, 0);
-    const SimTime delta = busy - it->second;
-    it->second = busy;
-    store_
-        ->series(std::string("ghs_profile_op_busy_ps_total{op=\"") +
-                     op_name(op) + "\"}",
-                 timeseries::SeriesKind::kCounterDelta)
-        .append(at, static_cast<double>(delta));
+  cursors.resize(busy.size());
+  for (std::size_t i = 0; i < busy.size(); ++i) {
+    Cursor& cursor = cursors[i];
+    if (cursor.series == nullptr) {
+      const std::string label =
+          op_labels ? op_name(static_cast<std::uint8_t>(busy[i].id))
+                    : std::to_string(busy[i].id);
+      cursor.series = &store_->series(prefix + label + "\"}",
+                                      timeseries::SeriesKind::kCounterDelta);
+    }
+    cursor.series->append(at,
+                          static_cast<double>(busy[i].busy_ps - cursor.seen));
+    cursor.seen = busy[i].busy_ps;
   }
 }
 

@@ -71,9 +71,19 @@ class Profiler {
   std::vector<trace::ProfileTrack> tracks() const;
 
  private:
+  /// Where one tenant's or op's busy series stands: the busy time it has
+  /// written up to, and the series, resolved at its first flush.
+  struct Cursor {
+    SimTime seen = 0;
+    timeseries::Series* series = nullptr;
+  };
+
   void on_tick();
   void take_sample();
   void flush_series();
+  void flush(const std::vector<CostLedger::Busy>& busy,
+             std::vector<Cursor>& cursors, const char* prefix,
+             bool op_labels);
   std::string stack_of(const std::pair<std::int16_t, Device>& key,
                        const DeviceActivity& activity, SimTime now) const;
 
@@ -90,8 +100,10 @@ class Profiler {
   std::map<std::string, std::int64_t> folded_;
   /// Open + closed coalesced runs per device, in registration order.
   std::map<std::pair<std::int16_t, Device>, std::vector<SliceRun>> runs_;
-  std::map<std::int64_t, SimTime> tenant_cursor_;
-  std::map<std::uint8_t, SimTime> op_cursor_;
+  /// Parallel to the ledger's tenant_busy() and op_busy() lists, which
+  /// only grow; a flush extends them for the tallies that appeared since.
+  std::vector<Cursor> tenant_cursors_;
+  std::vector<Cursor> op_cursors_;
   std::int64_t samples_ = 0;
   SimTime last_sample_at_ = -1;
   bool started_ = false;

@@ -9,63 +9,56 @@ void Recorder::register_device(std::int16_t node, Device device) {
 }
 
 void Recorder::on_launch(const LaunchSample& sample,
-                         const std::vector<JobCost>& jobs) {
+                         std::span<const JobCost> jobs) {
   GHS_REQUIRE(!jobs.empty(), "launch sample without jobs");
   GHS_REQUIRE(sample.end >= sample.begin, "launch ends before it begins");
-
-  // Queue wait: per-job, device-less (waits never count toward the
-  // device-time conservation sums).
-  for (const JobCost& job : jobs) {
-    const SimTime wait = sample.begin - job.enqueued;
-    ledger_.charge_time({job.tenant, job.op, sample.node, Device::kNone,
-                         Phase::kQueueWait},
-                        wait);
-  }
 
   // Service time: the whole [begin, end) interval occupies the device
   // (the service credits device busy time unconditionally, failures
   // included), so the ledger must charge all of it to keep conservation.
-  std::vector<std::int64_t> weights;
-  weights.reserve(jobs.size());
-  for (const JobCost& job : jobs) weights.push_back(job.elements);
-
-  const auto charge_span = [&](Phase phase, SimTime total) {
-    const std::vector<std::int64_t> shares =
-        split_proportional(total, weights);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      ledger_.charge_time({jobs[i].tenant, jobs[i].op, sample.node,
-                           sample.device, phase},
-                          shares[i]);
-    }
-  };
-
+  // A successful GPU launch splits it into the migration share and the
+  // kernel; every share is split across the batch by element count.
   const SimTime service = sample.end - sample.begin;
-  if (sample.failed) {
-    charge_span(Phase::kLaunchFailed, service);
-  } else if (sample.device == Device::kCpu) {
-    charge_span(Phase::kCpuKernel, service);
-  } else {
-    const SimTime migrate = sample.kernel_begin - sample.begin;
-    GHS_REQUIRE(migrate >= 0 && migrate <= service,
-                "kernel_begin outside the launch");
-    charge_span(Phase::kUmMigrate, migrate);
-    charge_span(Phase::kGpuKernel, service - migrate);
-    if (sample.unified) {
-      for (const JobCost& job : jobs) {
-        ledger_.charge_bytes({job.tenant, job.op, sample.node, sample.device,
-                              Phase::kUmMigrate},
-                             job.bytes);
-      }
+  const bool gpu_success = !sample.failed && sample.device == Device::kGpu;
+  const SimTime migrate =
+      gpu_success ? sample.kernel_begin - sample.begin : 0;
+  GHS_REQUIRE(migrate >= 0 && migrate <= service,
+              "kernel_begin outside the launch");
+  const Phase phase = sample.failed                   ? Phase::kLaunchFailed
+                      : sample.device == Device::kCpu ? Phase::kCpuKernel
+                                                      : Phase::kGpuKernel;
+  std::int64_t weight_sum = 0;
+  for (const JobCost& job : jobs) {
+    GHS_REQUIRE(job.elements >= 0, "negative split weight " << job.elements);
+    weight_sum += job.elements;
+  }
+  ProportionalSplit migrate_split(migrate, weight_sum, jobs.size());
+  ProportionalSplit service_split(service - migrate, weight_sum,
+                                  jobs.size());
+
+  std::size_t heaviest = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobCost& job = jobs[i];
+    const CostLedger::RowId row = ledger_.row(job.tenant, job.op, sample.node);
+    // Queue wait: device-less (waits never count toward the device-time
+    // conservation sums).
+    ledger_.charge_time(row, Device::kNone, Phase::kQueueWait,
+                        sample.begin - job.enqueued);
+    if (gpu_success) {
+      ledger_.charge_time(row, sample.device, Phase::kUmMigrate,
+                          migrate_split.next(job.elements));
     }
+    ledger_.charge_time(row, sample.device, phase,
+                        service_split.next(job.elements));
+    if (gpu_success && sample.unified) {
+      ledger_.charge_bytes(row, sample.device, Phase::kUmMigrate, job.bytes);
+    }
+    // Ties keep the earliest job, so batches sample deterministically.
+    if (job.elements > jobs[heaviest].elements) heaviest = i;
   }
 
   // Activity for the sampling profiler: attribute the launch to its
-  // heaviest job (ties keep the earliest, so batches sample
-  // deterministically).
-  std::size_t heaviest = 0;
-  for (std::size_t i = 1; i < jobs.size(); ++i) {
-    if (jobs[i].elements > jobs[heaviest].elements) heaviest = i;
-  }
+  // heaviest job.
   DeviceActivity& activity = devices_[{sample.node, sample.device}];
   activity.begin = sample.begin;
   activity.kernel_begin = sample.kernel_begin;

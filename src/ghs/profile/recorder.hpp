@@ -13,8 +13,8 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "ghs/profile/cost_ledger.hpp"
 #include "ghs/util/units.hpp"
@@ -72,8 +72,10 @@ class Recorder {
   /// gpu.kernel for unified GPU launches, gpu.kernel / cpu.reduce
   /// otherwise, launch.failed for faulted launches (whose service time
   /// still occupies the device). Unified successes also charge the jobs'
-  /// buffer bytes to um.migrate.
-  void on_launch(const LaunchSample& sample, const std::vector<JobCost>& jobs);
+  /// buffer bytes to um.migrate. Each job's charges land in its one
+  /// ledger row, and the split is computed as the jobs are walked, so a
+  /// launch allocates nothing.
+  void on_launch(const LaunchSample& sample, std::span<const JobCost> jobs);
 
   /// Charges a retry's backoff delay (device kNone; wait, not busy time).
   void on_retry_backoff(std::int16_t node, const JobCost& job,

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <unordered_map>
 
 #include "ghs/util/error.hpp"
@@ -56,7 +57,13 @@ Job make_job(JobId id, const WorkloadShape& shape, double mix_total,
   job.case_id = pick_case(shape.mix, mix_total, rng);
   job.elements = pick_elements(shape, rng);
   job.arrival = arrival;
-  if (shape.deadline > 0) job.deadline = arrival + shape.deadline;
+  if (shape.deadline > 0) {
+    // Saturates: a deadline past the simulated clock's range never comes.
+    constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+    job.deadline = shape.deadline > kNever - arrival
+                       ? kNever
+                       : arrival + shape.deadline;
+  }
   // Drawing only when enabled keeps um_fraction == 0 workloads identical
   // to the pre-unified RNG stream.
   if (shape.um_fraction > 0.0) {

@@ -16,6 +16,15 @@ std::optional<std::size_t> gpu_only(const AdmissionQueue& queue,
   return std::size_t{0};
 }
 
+/// (case, elements)
+constexpr telemetry::EventType kCacheMissEvent{
+    "tuner", "cache_miss",
+    [](std::string& out, const telemetry::EventArgs& a) {
+      telemetry::append(
+          out, workload::case_spec(static_cast<workload::CaseId>(a.i(0))).name,
+          " ", a.i(1), " elements");
+    }};
+
 }  // namespace
 
 std::optional<std::size_t> FifoPolicy::select(const AdmissionQueue& queue,
@@ -72,25 +81,29 @@ core::ReduceTuning BandwidthAwarePolicy::geometry(const Job& job) {
   if (const auto it = cache_.find(key); it != cache_.end()) {
     ++cache_stats_.hits;
     if (sink.metrics != nullptr) {
-      sink.metrics
-          ->counter("ghs_tuner_cache_hits_total", {},
-                    "Geometry-cache lookups served without re-tuning")
-          .inc();
+      // Resolved at the first hit, not before: an instrument appears in
+      // the registry (and its series in a scrape) when it first counts.
+      if (m_hits_ == nullptr) {
+        m_hits_ = &sink.metrics->counter(
+            "ghs_tuner_cache_hits_total", {},
+            "Geometry-cache lookups served without re-tuning");
+      }
+      m_hits_->inc();
     }
     return it->second;
   }
   ++cache_stats_.misses;
   if (sink.metrics != nullptr) {
-    sink.metrics
-        ->counter("ghs_tuner_cache_misses_total", {},
-                  "Geometry-cache lookups that ran the hill-climb tuner")
-        .inc();
+    if (m_misses_ == nullptr) {
+      m_misses_ = &sink.metrics->counter(
+          "ghs_tuner_cache_misses_total", {},
+          "Geometry-cache lookups that ran the hill-climb tuner");
+    }
+    m_misses_->inc();
   }
   if (sink.flight != nullptr) {
-    sink.flight->record(job.arrival, "tuner", "cache_miss",
-                        std::string(workload::case_spec(job.case_id).name) +
-                            " " + std::to_string(job.elements) +
-                            " elements");
+    sink.flight->record(job.arrival, kCacheMissEvent, job.case_id,
+                        job.elements);
   }
   core::TunerOptions tuner;
   tuner.elements = job.elements;

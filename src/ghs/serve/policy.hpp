@@ -100,6 +100,9 @@ class BandwidthAwarePolicy : public SchedulerPolicy {
   ServiceModel& model_;
   std::map<Key, core::ReduceTuning> cache_;
   TunerCacheStats cache_stats_;
+  /// The model's registry's cache counters, resolved at first use.
+  telemetry::Counter* m_hits_ = nullptr;
+  telemetry::Counter* m_misses_ = nullptr;
 };
 
 /// Factory used by benches/examples: "fifo" | "sjf" | "bandwidth".

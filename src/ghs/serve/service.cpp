@@ -33,6 +33,88 @@ int device_index(Placement device) {
   return device == Placement::kGpu ? 0 : 1;
 }
 
+// Flight-recorder sites. Each records POD arguments; the formatter below
+// it builds the detail only when the recorder is read.
+
+using telemetry::append;
+using Args = telemetry::EventArgs;
+
+const char* case_name(std::int64_t case_id) {
+  return workload::case_spec(static_cast<workload::CaseId>(case_id)).name;
+}
+
+const char* placement_of(std::int64_t device) {
+  return placement_name(static_cast<Placement>(device));
+}
+
+const char* breaker_state_of(std::int64_t state) {
+  return fault::breaker_state_name(static_cast<fault::BreakerState>(state));
+}
+
+/// "node=i " for a cluster node (argument k, -1 standalone), so a fleet's
+/// post-mortem names the node; a standalone service's details carry none.
+void node_prefix(std::string& out, const Args& a, std::size_t k) {
+  if (a.i(k) >= 0) append(out, "node=", a.i(k), " ");
+}
+
+/// (stolen jobs)
+constexpr telemetry::EventType kStealEvent{
+    "serve", "steal", [](std::string& out, const Args& a) {
+      append(out, a.i(0), " queued job(s) stolen");
+    }};
+/// (node, queued jobs lost)
+constexpr telemetry::EventType kCrashEvent{
+    "serve", "crash", [](std::string& out, const Args& a) {
+      node_prefix(out, a, 0);
+      append(out, "node process died, ", a.i(1), " queued job(s) lost");
+    }};
+/// (node)
+constexpr telemetry::EventType kRestartEvent{
+    "serve", "restart", [](std::string& out, const Args& a) {
+      node_prefix(out, a, 0);
+      out += "node process restarted (cold queue)";
+    }};
+/// (case, job id)
+constexpr telemetry::EventType kRejectionEvent{
+    "serve", "rejection", [](std::string& out, const Args& a) {
+      append(out, case_name(a.i(0)), " job ", a.i(1));
+    }};
+/// (case, job id, unified)
+constexpr telemetry::EventType kAdmissionEvent{
+    "serve", "admission", [](std::string& out, const Args& a) {
+      append(out, case_name(a.i(0)), " job ", a.i(1),
+             a.i(2) != 0 ? " unified" : "");
+    }};
+/// (jobs, GPU breaker state)
+constexpr telemetry::EventType kFallbackEvent{
+    "serve", "fallback", [](std::string& out, const Args& a) {
+      append(out, a.i(0), " job(s) to cpu, gpu breaker ",
+             breaker_state_of(a.i(1)));
+    }};
+/// (case, jobs, device, unified, failed)
+constexpr telemetry::EventType kLaunchEvent{
+    "serve", "launch", [](std::string& out, const Args& a) {
+      append(out, case_name(a.i(0)), " x", a.i(1), " @", placement_of(a.i(2)),
+             a.i(3) != 0 ? " unified" : "", a.i(4) != 0 ? " FAIL" : "");
+    }};
+/// (job id, next attempt, backoff in us)
+constexpr telemetry::EventType kRetryEvent{
+    "serve", "retry", [](std::string& out, const Args& a) {
+      append(out, "job ", a.i(0), " attempt ", a.i(1), " in ", a.i(2), "us");
+    }};
+/// (job id, static reason)
+constexpr telemetry::EventType kShedEvent{
+    "serve", "shed", [](std::string& out, const Args& a) {
+      append(out, "job ", a.i(0), ": ", a.s(1));
+    }};
+/// (node, device, from, to)
+constexpr telemetry::EventType kBreakerEvent{
+    "serve", "breaker", [](std::string& out, const Args& a) {
+      node_prefix(out, a, 0);
+      append(out, placement_of(a.i(1)), " ", breaker_state_of(a.i(2)), " -> ",
+             breaker_state_of(a.i(3)));
+    }};
+
 /// Writes `"key":{...}`, the stats as one JSON member, in the fixed
 /// format of every report.
 void write_latency_json(std::ostream& os, const char* key,
@@ -139,9 +221,6 @@ ReductionService::ReductionService(std::unique_ptr<SchedulerPolicy> policy,
     if (options_.use_cpu) {
       options_.profile->register_device(cost_node(), profile::Device::kCpu);
     }
-  }
-  if (options_.node >= 0) {
-    flight_label_ = "node=" + std::to_string(options_.node) + " ";
   }
   const telemetry::Sink& sink = options_.telemetry;
   flight_ = sink.flight;
@@ -283,8 +362,7 @@ std::vector<Job> ReductionService::steal_queued(std::size_t max_jobs) {
   if (!stolen.empty()) {
     update_queue_gauge();
     if (flight_ != nullptr) {
-      flight_->record(sim_.now(), "serve", "steal",
-                      std::to_string(stolen.size()) + " queued job(s) stolen");
+      flight_->record(sim_.now(), kStealEvent, stolen.size());
     }
   }
   return stolen;
@@ -303,9 +381,7 @@ void ReductionService::crash() {
   }
   update_queue_gauge();
   if (flight_ != nullptr) {
-    flight_->record(sim_.now(), "serve", "crash",
-                    flight_label_ + "node process died, " +
-                        std::to_string(dropped) + " queued job(s) lost");
+    flight_->record(sim_.now(), kCrashEvent, options_.node, dropped);
   }
 }
 
@@ -313,8 +389,7 @@ void ReductionService::restore() {
   if (alive_) return;
   alive_ = true;
   if (flight_ != nullptr) {
-    flight_->record(sim_.now(), "serve", "restart",
-                    flight_label_ + "node process restarted (cold queue)");
+    flight_->record(sim_.now(), kRestartEvent, options_.node);
   }
   dispatch_all();
 }
@@ -339,9 +414,7 @@ void ReductionService::on_arrival(Job job) {
     outcomes_.rejected.push_back(sim_.now());
     if (m_rejected_ != nullptr) m_rejected_->inc();
     if (flight_ != nullptr) {
-      flight_->record(sim_.now(), "serve", "rejection",
-                      std::string(workload::case_spec(job.case_id).name) +
-                          " job " + std::to_string(job.id));
+      flight_->record(sim_.now(), kRejectionEvent, job.case_id, job.id);
     }
     // The reject marker and the root span.
     if (tracer_ != nullptr && tracer_->keep(job.ctx, 2)) {
@@ -356,10 +429,8 @@ void ReductionService::on_arrival(Job job) {
   }
   if (m_admitted_ != nullptr) m_admitted_->inc();
   if (flight_ != nullptr) {
-    flight_->record(sim_.now(), "serve", "admission",
-                    std::string(workload::case_spec(job.case_id).name) +
-                        " job " + std::to_string(job.id) +
-                        (job.unified ? " unified" : ""));
+    flight_->record(sim_.now(), kAdmissionEvent, job.case_id, job.id,
+                    job.unified);
   }
   if (tracer_ != nullptr && tracer_->keep(job.ctx)) {
     tracer_->mark(trace::Track::kJobs, "serve.admit", sim_.now(),
@@ -441,10 +512,8 @@ void ReductionService::dispatch(Placement device) {
         m_fallback_->inc(static_cast<std::int64_t>(batch.size()));
       }
       if (flight_ != nullptr) {
-        flight_->record(sim_.now(), "serve", "fallback",
-                        std::to_string(batch.size()) +
-                            " job(s) to cpu, gpu breaker " +
-                            fault::breaker_state_name(gpu_breaker_.state()));
+        flight_->record(sim_.now(), kFallbackEvent, batch.size(),
+                        gpu_breaker_.state());
       }
     }
     if (tracer_ != nullptr) {
@@ -504,12 +573,8 @@ void ReductionService::launch(Placement device, std::vector<Job> jobs,
     if (m_batched_jobs_ != nullptr) m_batched_jobs_->inc(batch);
   }
   if (flight_ != nullptr) {
-    flight_->record(begin, "serve", "launch",
-                    std::string(workload::case_spec(case_id).name) + " x" +
-                        std::to_string(batch) + " @" +
-                        placement_name(device) +
-                        (unified ? " unified" : "") +
-                        (failed ? " FAIL" : ""));
+    flight_->record(begin, kLaunchEvent, case_id, batch, device, unified,
+                    failed);
   }
   busy_[idx] = true;
   busy_ps_[idx] += service;
@@ -620,13 +685,13 @@ void ReductionService::launch(Placement device, std::vector<Job> jobs,
     sample.end = end;
     sample.unified = unified;
     sample.failed = failed;
-    std::vector<profile::JobCost> costs;
-    costs.reserve(jobs.size());
+    launch_costs_.clear();
     for (const auto& job : jobs) {
-      costs.push_back({job.tenant, static_cast<std::uint8_t>(job.case_id),
-                       job.elements, job.bytes(), job.enqueued});
+      launch_costs_.push_back({job.tenant,
+                               static_cast<std::uint8_t>(job.case_id),
+                               job.elements, job.bytes(), job.enqueued});
     }
-    options_.profile->on_launch(sample, costs);
+    options_.profile->on_launch(sample, launch_costs_);
   }
 
   // The completion belongs to this incarnation: if the node crashes before
@@ -732,11 +797,8 @@ void ReductionService::handle_failed_job(const Job& job) {
         backoff + jitter);
   }
   if (flight_ != nullptr) {
-    flight_->record(now, "serve", "retry",
-                    "job " + std::to_string(job.id) + " attempt " +
-                        std::to_string(job.attempt + 1) + " in " +
-                        std::to_string((backoff + jitter) / kMicrosecond) +
-                        "us");
+    flight_->record(now, kRetryEvent, job.id, job.attempt + 1,
+                    (backoff + jitter) / kMicrosecond);
   }
   Job again = job;
   ++again.attempt;
@@ -763,8 +825,7 @@ void ReductionService::shed_job(const Job& job, const char* reason) {
   outcomes_.shed.push_back(sim_.now());
   if (m_shed_ != nullptr) m_shed_->inc();
   if (flight_ != nullptr) {
-    flight_->record(sim_.now(), "serve", "shed",
-                    "job " + std::to_string(job.id) + ": " + reason);
+    flight_->record(sim_.now(), kShedEvent, job.id, reason);
   }
   // The shed marker and the root span.
   if (tracer_ != nullptr && tracer_->keep(job.ctx, 2)) {
@@ -794,13 +855,7 @@ void ReductionService::on_breaker_transition(Placement device,
     m_breaker_state_[idx]->set(static_cast<double>(to));
   }
   if (flight_ != nullptr) {
-    // The node=N prefix makes a fleet's transition attributable without a
-    // trace; standalone services have none, so their recorded bytes are
-    // unchanged.
-    flight_->record(at, "serve", "breaker",
-                    flight_label_ + placement_name(device) + " " +
-                        fault::breaker_state_name(from) + " -> " +
-                        fault::breaker_state_name(to));
+    flight_->record(at, kBreakerEvent, options_.node, device, from, to);
   }
   if (tracer_ != nullptr) {
     tracer_->mark(trace::Track::kServer,

@@ -332,6 +332,7 @@ class ReductionService {
   void complete_launch(Placement device, bool failed, std::int64_t launch_id,
                        SimTime begin, const std::vector<Job>& jobs);
   void handle_failed_job(const Job& job);
+  /// `reason` is a string literal: the flight recorder keeps the pointer.
   void shed_job(const Job& job, const char* reason);
   /// Closes the job's trace with its serve.job root span (traced runs
   /// only). `device` is empty for jobs that never served.
@@ -391,11 +392,10 @@ class ReductionService {
   /// closures capture the epoch they were scheduled under and self-
   /// discard when it no longer matches.
   std::int64_t epoch_ = 0;
-  /// "node=i " on a cluster node, prefixed to flight-recorder details so
-  /// fleet post-mortems name the node; empty standalone.
-  std::string flight_label_;
   SimTime gpu_wake_ = -1;
   SimTime cpu_wake_ = -1;
+  /// The profile recorder's per-launch input, reused across launches.
+  std::vector<profile::JobCost> launch_costs_;
   telemetry::FlightRecorder* flight_ = nullptr;
   telemetry::Counter* m_submitted_ = nullptr;
   telemetry::Counter* m_admitted_ = nullptr;

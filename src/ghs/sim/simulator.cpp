@@ -121,17 +121,33 @@ void Simulator::run() {
   }
 }
 
+namespace {
+
+/// The simulator's instruments, resolved once per registry.
+struct Instruments {
+  explicit Instruments(telemetry::Registry& r)
+      : events(r.counter("ghs_sim_events_total", {},
+                         "Discrete events executed by the simulator")),
+        advanced(r.counter(
+            "ghs_sim_advanced_ps_total", {},
+            "Simulated picoseconds the event clock has advanced")) {}
+
+  telemetry::Counter& events;
+  telemetry::Counter& advanced;
+};
+
+}  // namespace
+
 void Simulator::set_telemetry(telemetry::Registry* registry) {
   if (registry == nullptr) {
     events_counter_ = nullptr;
     advanced_counter_ = nullptr;
     return;
   }
-  events_counter_ = &registry->counter(
-      "ghs_sim_events_total", {}, "Discrete events executed by the simulator");
-  advanced_counter_ = &registry->counter(
-      "ghs_sim_advanced_ps_total", {},
-      "Simulated picoseconds the event clock has advanced");
+  // Copied out of the bundle: the event loop increments them directly.
+  const Instruments& m = registry->handles<Instruments>();
+  events_counter_ = &m.events;
+  advanced_counter_ = &m.advanced;
 }
 
 }  // namespace ghs::sim

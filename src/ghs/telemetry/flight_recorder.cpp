@@ -11,17 +11,20 @@ FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity) {
   ring_.reserve(capacity_);
 }
 
-void FlightRecorder::record(SimTime at, std::string layer, std::string kind,
-                            std::string detail) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Event event{at, std::move(layer), std::move(kind), std::move(detail)};
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(event));
-  } else {
-    ring_[next_] = std::move(event);
-    next_ = (next_ + 1) % capacity_;
-  }
+FlightRecorder::Slot& FlightRecorder::next_slot() {
   ++total_;
+  if (ring_.size() < capacity_) return ring_.emplace_back();
+  Slot& slot = ring_[next_];
+  if (++next_ == capacity_) next_ = 0;
+  return slot;
+}
+
+std::int64_t FlightRecorder::intern(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto [it, inserted] = name_ids_.try_emplace(
+      name, static_cast<std::int64_t>(names_.size()));
+  if (inserted) names_.push_back(name);
+  return it->second;
 }
 
 std::size_t FlightRecorder::size() const {
@@ -39,12 +42,20 @@ std::int64_t FlightRecorder::dropped() const {
   return total_ - static_cast<std::int64_t>(ring_.size());
 }
 
+Event FlightRecorder::read(const Slot& slot) const {
+  Event event{slot.at, slot.type->layer, slot.type->kind, {}};
+  if (slot.type->format != nullptr) {
+    slot.type->format(event.detail, EventArgs(slot.args, names_));
+  }
+  return event;
+}
+
 std::vector<Event> FlightRecorder::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Event> out;
   out.reserve(ring_.size());
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
+    out.push_back(read(ring_[(next_ + i) % ring_.size()]));
   }
   return out;
 }

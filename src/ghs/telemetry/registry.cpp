@@ -76,7 +76,7 @@ Histogram::Histogram(std::vector<double> bounds)
   }
 }
 
-void Histogram::observe(double value) {
+std::size_t Histogram::observe_at_bucket(double value) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const auto index = static_cast<std::size_t>(it - bounds_.begin());
   buckets_[index].fetch_add(1, std::memory_order_relaxed);
@@ -85,13 +85,14 @@ void Histogram::observe(double value) {
   while (!sum_.compare_exchange_weak(current, current + value,
                                      std::memory_order_relaxed)) {
   }
+  return index;
 }
 
+void Histogram::observe(double value) { observe_at_bucket(value); }
+
 void Histogram::observe_exemplar(double value, std::uint64_t trace_id) {
-  observe(value);
+  const std::size_t index = observe_at_bucket(value);
   if (trace_id == 0) return;
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const auto index = static_cast<std::size_t>(it - bounds_.begin());
   {
     std::lock_guard<std::mutex> lock(exemplar_mutex_);
     exemplars_[index] = Exemplar{trace_id, value};

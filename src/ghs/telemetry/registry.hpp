@@ -121,6 +121,8 @@ class Histogram {
  private:
   friend class Registry;
   explicit Histogram(std::vector<double> bounds);
+  /// observe() returning the bucket the value landed in.
+  std::size_t observe_at_bucket(double value);
 
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::int64_t>[]> buckets_;  // bounds_.size()+1
@@ -176,6 +178,16 @@ class Registry {
                        const Labels& labels = {},
                        const std::string& help = {});
 
+  /// A layer's instruments, resolved once per registry. The first call
+  /// constructs T from this registry (T's constructor registers and keeps
+  /// what the layer writes to); later calls return the same T. Attaching
+  /// a layer then costs one lookup by type, not one by name per
+  /// instrument, however many times the layer is rebuilt (the pricing
+  /// Platforms, one per memo miss, each attach their simulator, GPU and
+  /// UM layers).
+  template <class T>
+  const T& handles();
+
   std::size_t size() const;
 
   /// One instrument as the exporters see it. Exactly one of the three
@@ -203,10 +215,38 @@ class Registry {
                             const std::string& help, Kind kind,
                             bool volatile_instrument);
 
+  /// One address per handle type, the key of handles_.
+  template <class T>
+  struct HandleTag {
+    static constexpr char id = 0;
+  };
+
   mutable std::mutex mutex_;
   // Sorted by name + label_suffix; the sort order is the export order,
   // which makes every exporter deterministic by construction.
   std::vector<std::pair<std::string, std::unique_ptr<Instrument>>> items_;
+  std::vector<std::pair<const void*, std::shared_ptr<const void>>> handles_;
 };
+
+template <class T>
+const T& Registry::handles() {
+  const void* const tag = &HandleTag<T>::id;
+  const auto find = [&]() -> const T* {
+    for (const auto& [key, value] : handles_) {
+      if (key == tag) return static_cast<const T*>(value.get());
+    }
+    return nullptr;
+  };
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const T* found = find()) return *found;
+  }
+  // Built outside the lock: T's constructor registers instruments.
+  auto made = std::make_shared<const T>(*this);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (const T* found = find()) return *found;
+  handles_.emplace_back(tag, made);
+  return *made;
+}
 
 }  // namespace ghs::telemetry

@@ -29,7 +29,16 @@ void Scraper::start() {
   // Cursor baseline without emission: instruments that already carry
   // totals from a previous run on the same registry contribute only their
   // future increments.
-  visit_registry(/*emit=*/false);
+  sync_cursors();
+  for (Cursor& cursor : cursors_) {
+    if (cursor.view.counter != nullptr) {
+      cursor.count = cursor.view.counter->value();
+    } else if (const auto* hist = cursor.view.histogram) {
+      cursor.cumulative = hist->cumulative_counts();
+      cursor.count = hist->count();
+      cursor.sum = hist->sum();
+    }
+  }
   sim_.schedule_after(options_.interval, [this] { on_tick(); });
 }
 
@@ -54,69 +63,87 @@ void Scraper::finish() {
   sample();
 }
 
-void Scraper::sample() { visit_registry(/*emit=*/true); }
-
-void Scraper::visit_registry(bool emit) {
+void Scraper::sample() {
+  sync_cursors();
   const SimTime at = sim_.now();
+  for (Cursor& cursor : cursors_) emit(cursor, at);
+}
+
+void Scraper::sync_cursors() {
+  const std::size_t size = registry_.size();
+  if (size == synced_size_) return;
+  synced_size_ = size;
+  std::vector<Cursor> cursors;
+  cursors.reserve(size);
+  std::size_t old = 0;
   registry_.visit([&](const telemetry::Registry::View& view) {
     if (view.volatile_instrument) return;
-    const std::string key = view.name + view.labels;
-    switch (view.kind) {
-      case telemetry::Kind::kCounter: {
-        const std::int64_t total = view.counter->value();
-        auto [it, inserted] = counter_cursor_.try_emplace(key, 0);
-        const std::int64_t delta = total - it->second;
-        it->second = total;
-        if (emit) {
-          store_.series(key, SeriesKind::kCounterDelta)
-              .append(at, static_cast<double>(delta));
-        }
-        break;
-      }
-      case telemetry::Kind::kGauge: {
-        if (emit) {
-          store_.series(key, SeriesKind::kGauge)
-              .append(at, view.gauge->value());
-        }
-        break;
-      }
-      case telemetry::Kind::kHistogram: {
-        const auto& hist = *view.histogram;
-        std::vector<std::int64_t> cumulative = hist.cumulative_counts();
-        const std::int64_t count = hist.count();
-        const double sum = hist.sum();
-        auto& cursor = hist_cursor_[key];
-        if (cursor.cumulative.size() != cumulative.size()) {
-          cursor.cumulative.assign(cumulative.size(), 0);
-        }
-        const std::int64_t count_delta = count - cursor.count;
-        if (emit) {
-          store_.series(key + ":count", SeriesKind::kCounterDelta)
-              .append(at, static_cast<double>(count_delta));
-          store_.series(key + ":sum", SeriesKind::kCounterDelta)
-              .append(at, sum - cursor.sum);
-          if (count_delta > 0) {
-            // Quantiles of THIS interval's observations: the bucket deltas
-            // form a windowed histogram that stats::histogram_quantile
-            // interpolates exactly like the end-of-run exporters do.
-            std::vector<std::int64_t> delta(cumulative.size());
-            for (std::size_t i = 0; i < cumulative.size(); ++i) {
-              delta[i] = cumulative[i] - cursor.cumulative[i];
-            }
-            for (const auto& [q, suffix] : kWindowQuantiles) {
-              store_.series(key + suffix, SeriesKind::kQuantile)
-                  .append(at,
-                          stats::histogram_quantile(hist.bounds(), delta, q));
-            }
-          }
-        }
-        cursor.cumulative = std::move(cumulative);
-        cursor.count = count;
-        cursor.sum = sum;
-        break;
-      }
+    std::string key = view.name + view.labels;
+    if (old < cursors_.size() && cursors_[old].key == key) {
+      cursors.push_back(std::move(cursors_[old++]));
+      return;
+    }
+    Cursor& cursor = cursors.emplace_back();
+    cursor.key = std::move(key);
+    cursor.view = view;
+    if (view.histogram != nullptr) {
+      cursor.cumulative.assign(view.histogram->bounds().size() + 1, 0);
     }
   });
+  cursors_ = std::move(cursors);
+}
+
+void Scraper::emit(Cursor& cursor, SimTime at) {
+  const auto series = [&](Series*& slot, const char* suffix,
+                          SeriesKind kind) -> Series& {
+    if (slot == nullptr) slot = &store_.series(cursor.key + suffix, kind);
+    return *slot;
+  };
+  switch (cursor.view.kind) {
+    case telemetry::Kind::kCounter: {
+      const std::int64_t total = cursor.view.counter->value();
+      series(cursor.series, "", SeriesKind::kCounterDelta)
+          .append(at, static_cast<double>(total - cursor.count));
+      cursor.count = total;
+      break;
+    }
+    case telemetry::Kind::kGauge:
+      series(cursor.series, "", SeriesKind::kGauge)
+          .append(at, cursor.view.gauge->value());
+      break;
+    case telemetry::Kind::kHistogram: {
+      const auto& hist = *cursor.view.histogram;
+      // The bucket deltas since the last scrape form a windowed histogram
+      // whose quantiles stats::histogram_quantile interpolates exactly like
+      // the end-of-run exporters do.
+      window_.resize(cursor.cumulative.size());
+      std::int64_t running = 0;
+      for (std::size_t i = 0; i < window_.size(); ++i) {
+        running += hist.bucket_count(i);
+        window_[i] = running - cursor.cumulative[i];
+        cursor.cumulative[i] = running;
+      }
+      const std::int64_t count = hist.count();
+      const double sum = hist.sum();
+      const std::int64_t count_delta = count - cursor.count;
+      series(cursor.series, ":count", SeriesKind::kCounterDelta)
+          .append(at, static_cast<double>(count_delta));
+      series(cursor.sum_series, ":sum", SeriesKind::kCounterDelta)
+          .append(at, sum - cursor.sum);
+      if (count_delta > 0) {
+        // Quantiles of THIS interval's observations only.
+        for (std::size_t i = 0; i < std::size(kWindowQuantiles); ++i) {
+          const auto& [q, suffix] = kWindowQuantiles[i];
+          series(cursor.quantiles[i], suffix, SeriesKind::kQuantile)
+              .append(at,
+                      stats::histogram_quantile(hist.bounds(), window_, q));
+        }
+      }
+      cursor.count = count;
+      cursor.sum = sum;
+      break;
+    }
+  }
 }
 
 }  // namespace ghs::timeseries

@@ -14,6 +14,11 @@
 //    cursor. start() baselines the cursors at the current totals, so a
 //    registry shared across several runs (serve_loadgen's per-policy loop)
 //    attributes only this run's activity to this run's series.
+//  - Each instrument has one cursor holding the instrument and the
+//    series it writes, so a scrape reads and appends through pointers and
+//    looks nothing up by name. The cursors are rebuilt only when the
+//    registry has grown since the last scrape; an instrument registered
+//    between two ticks starts its series at the next one, from zero.
 //
 // The chain stops itself: when a tick finds the event queue empty, the
 // workload has drained and the tick's sample is the trailing one. A
@@ -23,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -63,21 +67,38 @@ class Scraper {
   SimTime interval() const { return options_.interval; }
 
  private:
-  void on_tick();
-  void visit_registry(bool emit);
-
-  struct HistCursor {
-    std::vector<std::int64_t> cumulative;
+  /// One instrument: its value at the last scrape and the series it
+  /// writes, each resolved when first appended to.
+  struct Cursor {
+    std::string key;  // name + labels, the series key (and its prefix)
+    telemetry::Registry::View view;
+    /// Counter total, or histogram count, at the last scrape.
     std::int64_t count = 0;
     double sum = 0.0;
+    std::vector<std::int64_t> cumulative;
+    /// Counter or gauge series, or a histogram's ":count".
+    Series* series = nullptr;
+    Series* sum_series = nullptr;
+    Series* quantiles[3] = {nullptr, nullptr, nullptr};
   };
+
+  void on_tick();
+  /// Adds cursors for instruments registered since the last call; new
+  /// cursors start from zero.
+  void sync_cursors();
+  void emit(Cursor& cursor, SimTime at);
 
   sim::Simulator& sim_;
   const telemetry::Registry& registry_;
   Tsdb& store_;
   ScraperOptions options_;
-  std::map<std::string, std::int64_t> counter_cursor_;
-  std::map<std::string, HistCursor> hist_cursor_;
+  /// In registry (key) order; instruments are never removed, so an old
+  /// cursor list is a subsequence of a new one.
+  std::vector<Cursor> cursors_;
+  /// Registry size the cursors were built from.
+  std::size_t synced_size_ = 0;
+  /// Bucket deltas of one histogram scrape, reused.
+  std::vector<std::int64_t> window_;
   std::int64_t scrapes_ = 0;
   bool started_ = false;
 };

@@ -10,6 +10,38 @@
 
 namespace ghs::um {
 
+namespace {
+
+// Flight-recorder sites: POD arguments, formatted when the recorder is
+// read. Argument 0 is the allocation's interned label.
+
+using telemetry::append;
+using Args = telemetry::EventArgs;
+
+const char* region_of(std::int64_t region) {
+  return mem::region_name(static_cast<mem::RegionId>(region));
+}
+
+/// (label, offset, end)
+constexpr telemetry::EventType kFaultMigrationEvent{
+    "um", "fault_migration", [](std::string& out, const Args& a) {
+      append(out, a.name(0), "[", a.i(1), ",", a.i(2), ")");
+    }};
+/// (label, begin, end, destination)
+constexpr telemetry::EventType kMigrationStartEvent{
+    "um", "migration_start", [](std::string& out, const Args& a) {
+      append(out, "um-migrate:", a.name(0), "[", a.i(1), ",", a.i(2), ")->",
+             region_of(a.i(3)));
+    }};
+/// (label, bytes moved, new residency)
+constexpr telemetry::EventType kPageMigrationEvent{
+    "um", "page_migration", [](std::string& out, const Args& a) {
+      append(out, a.name(0), ": ", format_bytes(a.i(1)), " -> ",
+             region_of(a.i(2)));
+    }};
+
+}  // namespace
+
 const char* accessor_name(Accessor accessor) {
   return accessor == Accessor::kGpu ? "GPU" : "CPU";
 }
@@ -42,6 +74,7 @@ AllocId UmManager::allocate(Bytes size, mem::RegionId first_touch,
   Allocation a;
   a.size = size;
   a.label = std::move(label);
+  if (flight_ != nullptr) a.flight_label = flight_->intern(a.label);
   a.live = true;
   a.n_pages = static_cast<std::size_t>(ceil_div(size, policy_.page_size));
   a.extents.push_back(Extent{0, Page{first_touch}});
@@ -54,7 +87,7 @@ AllocId UmManager::allocate(Bytes size, mem::RegionId first_touch,
 
 void UmManager::free(AllocId id) {
   Allocation& a = alloc(id);
-  if (m_resident_hbm_ != nullptr) {
+  if (m_ != nullptr) {
     for (std::size_t i = 0; i < a.extents.size(); ++i) {
       residency_gauge(a.extents[i].state.residency)
           ->add(-static_cast<double>(
@@ -65,54 +98,65 @@ void UmManager::free(AllocId id) {
   a.extents.clear();
 }
 
+struct UmManager::Instruments {
+  explicit Instruments(telemetry::Registry& r)
+      : fault_migrations(r.counter(
+            "ghs_um_fault_migrations_total", {},
+            "Fault-eager segments that flipped residency on access")),
+        background_migrations(r.counter(
+            "ghs_um_background_migrations_total", {},
+            "Background migrations started by the access counters")),
+        migrated_hbm(r.counter(
+            "ghs_um_migrated_bytes_total", {{"dest", "hbm"}},
+            "Bytes whose pages migrated, by destination tier")),
+        migrated_lpddr(r.counter(
+            "ghs_um_migrated_bytes_total", {{"dest", "lpddr"}},
+            "Bytes whose pages migrated, by destination tier")),
+        remote_gpu(r.counter(
+            "ghs_um_remote_bytes_total", {{"accessor", "gpu"}},
+            "Bytes served over NVLink-C2C instead of local memory")),
+        remote_cpu(r.counter(
+            "ghs_um_remote_bytes_total", {{"accessor", "cpu"}},
+            "Bytes served over NVLink-C2C instead of local memory")),
+        duplicated(r.counter("ghs_um_duplicated_bytes_total", {},
+                             "Read-mostly replica bytes established")),
+        resident_hbm(r.gauge("ghs_um_resident_bytes", {{"tier", "hbm"}},
+                             "Managed bytes currently resident, by tier")),
+        resident_lpddr(r.gauge("ghs_um_resident_bytes", {{"tier", "lpddr"}},
+                               "Managed bytes currently resident, by tier")) {
+  }
+
+  telemetry::Counter& fault_migrations;
+  telemetry::Counter& background_migrations;
+  telemetry::Counter& migrated_hbm;
+  telemetry::Counter& migrated_lpddr;
+  telemetry::Counter& remote_gpu;
+  telemetry::Counter& remote_cpu;
+  telemetry::Counter& duplicated;
+  telemetry::Gauge& resident_hbm;
+  telemetry::Gauge& resident_lpddr;
+};
+
 void UmManager::set_telemetry(telemetry::Sink sink) {
   flight_ = sink.flight;
-  if (sink.metrics == nullptr) {
-    m_fault_migrations_ = nullptr;
-    m_background_migrations_ = nullptr;
-    m_migrated_hbm_ = nullptr;
-    m_migrated_lpddr_ = nullptr;
-    m_remote_gpu_ = nullptr;
-    m_remote_cpu_ = nullptr;
-    m_duplicated_ = nullptr;
-    m_resident_hbm_ = nullptr;
-    m_resident_lpddr_ = nullptr;
-    return;
+  if (flight_ != nullptr) {
+    for (Allocation& a : allocations_) {
+      a.flight_label = flight_->intern(a.label);
+    }
   }
-  telemetry::Registry& r = *sink.metrics;
-  m_fault_migrations_ =
-      &r.counter("ghs_um_fault_migrations_total", {},
-                 "Fault-eager segments that flipped residency on access");
-  m_background_migrations_ =
-      &r.counter("ghs_um_background_migrations_total", {},
-                 "Background migrations started by the access counters");
-  m_migrated_hbm_ =
-      &r.counter("ghs_um_migrated_bytes_total", {{"dest", "hbm"}},
-                 "Bytes whose pages migrated, by destination tier");
-  m_migrated_lpddr_ =
-      &r.counter("ghs_um_migrated_bytes_total", {{"dest", "lpddr"}},
-                 "Bytes whose pages migrated, by destination tier");
-  m_remote_gpu_ =
-      &r.counter("ghs_um_remote_bytes_total", {{"accessor", "gpu"}},
-                 "Bytes served over NVLink-C2C instead of local memory");
-  m_remote_cpu_ =
-      &r.counter("ghs_um_remote_bytes_total", {{"accessor", "cpu"}},
-                 "Bytes served over NVLink-C2C instead of local memory");
-  m_duplicated_ = &r.counter("ghs_um_duplicated_bytes_total", {},
-                             "Read-mostly replica bytes established");
-  m_resident_hbm_ = &r.gauge("ghs_um_resident_bytes", {{"tier", "hbm"}},
-                             "Managed bytes currently resident, by tier");
-  m_resident_lpddr_ = &r.gauge("ghs_um_resident_bytes", {{"tier", "lpddr"}},
-                               "Managed bytes currently resident, by tier");
+  m_ = sink.metrics != nullptr ? &sink.metrics->handles<Instruments>()
+                               : nullptr;
 }
 
 telemetry::Gauge* UmManager::residency_gauge(mem::RegionId region) const {
-  return region == mem::RegionId::kHbm ? m_resident_hbm_ : m_resident_lpddr_;
+  if (m_ == nullptr) return nullptr;
+  return region == mem::RegionId::kHbm ? &m_->resident_hbm
+                                       : &m_->resident_lpddr;
 }
 
 void UmManager::shift_residency(mem::RegionId from, mem::RegionId to,
                                 Bytes bytes) {
-  if (m_resident_hbm_ == nullptr || from == to || bytes == 0) return;
+  if (m_ == nullptr || from == to || bytes == 0) return;
   residency_gauge(from)->add(-static_cast<double>(bytes));
   residency_gauge(to)->add(static_cast<double>(bytes));
 }
@@ -306,9 +350,10 @@ std::vector<SegmentPlan> UmManager::plan_pass(AllocId id, Accessor accessor,
       auto& remote = accessor == Accessor::kGpu ? stats_.remote_bytes_gpu
                                                 : stats_.remote_bytes_cpu;
       remote += seg_len;
-      telemetry::Counter* counter =
-          accessor == Accessor::kGpu ? m_remote_gpu_ : m_remote_cpu_;
-      if (counter != nullptr) counter->inc(seg_len);
+      if (m_ != nullptr) {
+        (accessor == Accessor::kGpu ? m_->remote_gpu : m_->remote_cpu)
+            .inc(seg_len);
+      }
     }
 
     if (!plan.empty() && plan.back().source == d.source &&
@@ -340,11 +385,11 @@ std::vector<SegmentPlan> UmManager::plan_pass(AllocId id, Accessor accessor,
     for (const auto& seg : plan) {
       if (seg.migrate_on_access) {
         ++stats_.fault_migrations;
-        if (m_fault_migrations_ != nullptr) m_fault_migrations_->inc();
+        if (m_ != nullptr) m_->fault_migrations.inc();
         if (flight_ != nullptr) {
-          flight_->record(topology_.sim().now(), "um", "fault_migration",
-                          a.label + "[" + std::to_string(seg.offset) + "," +
-                              std::to_string(seg.offset + seg.length) + ")");
+          flight_->record(topology_.sim().now(), kFaultMigrationEvent,
+                          a.flight_label, seg.offset,
+                          seg.offset + seg.length);
         }
       }
     }
@@ -364,13 +409,14 @@ void UmManager::start_background_migration(AllocId id, std::size_t first_page,
   const mem::RegionId from =
       a.extents[find_extent(a, first_page)].state.residency;
   ++stats_.counter_migrations;
-  if (m_background_migrations_ != nullptr) m_background_migrations_->inc();
+  if (m_ != nullptr) m_->background_migrations.inc();
   std::ostringstream label;
   label << "um-migrate:" << a.label << "[" << begin << "," << end << ")->"
         << mem::region_name(destination);
   const SimTime started = topology_.sim().now();
   if (flight_ != nullptr) {
-    flight_->record(started, "um", "migration_start", label.str());
+    flight_->record(started, kMigrationStartEvent, a.flight_label, begin, end,
+                    destination);
   }
   transfers_.migrate(
       bytes, from, destination,
@@ -420,7 +466,7 @@ void UmManager::complete_duplication(AllocId id, Bytes offset, Bytes length) {
   }
   merge_around(a, lo, hi);
   stats_.bytes_duplicated += fresh;
-  if (fresh > 0 && m_duplicated_ != nullptr) m_duplicated_->inc(fresh);
+  if (fresh > 0 && m_ != nullptr) m_->duplicated.inc(fresh);
 }
 
 Bytes UmManager::prefetch(AllocId id, Bytes offset, Bytes length,
@@ -511,15 +557,15 @@ void UmManager::complete_segment(AllocId id, Bytes offset, Bytes length,
     const mem::RegionId source = new_residency == mem::RegionId::kHbm
                                      ? mem::RegionId::kLpddr
                                      : mem::RegionId::kHbm;
-    telemetry::Counter* counter = new_residency == mem::RegionId::kHbm
-                                      ? m_migrated_hbm_
-                                      : m_migrated_lpddr_;
-    if (counter != nullptr) counter->inc(moved);
+    if (m_ != nullptr) {
+      (new_residency == mem::RegionId::kHbm ? m_->migrated_hbm
+                                            : m_->migrated_lpddr)
+          .inc(moved);
+    }
     shift_residency(source, new_residency, moved);
     if (flight_ != nullptr) {
-      flight_->record(topology_.sim().now(), "um", "page_migration",
-                      a.label + ": " + format_bytes(moved) + " -> " +
-                          mem::region_name(new_residency));
+      flight_->record(topology_.sim().now(), kPageMigrationEvent,
+                      a.flight_label, moved, new_residency);
     }
   }
 }

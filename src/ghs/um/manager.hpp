@@ -157,6 +157,8 @@ class UmManager {
   struct Allocation {
     Bytes size = 0;
     std::string label;
+    /// `label` interned in the attached flight recorder.
+    std::int64_t flight_label = 0;
     std::size_t n_pages = 0;
     /// Sorted by `first`, covering [0, n_pages); no two neighbours hold
     /// equal state. Empty once freed.
@@ -199,15 +201,9 @@ class UmManager {
   UmPolicy policy_;
   trace::Tracer* tracer_ = nullptr;
   telemetry::FlightRecorder* flight_ = nullptr;
-  telemetry::Counter* m_fault_migrations_ = nullptr;
-  telemetry::Counter* m_background_migrations_ = nullptr;
-  telemetry::Counter* m_migrated_hbm_ = nullptr;
-  telemetry::Counter* m_migrated_lpddr_ = nullptr;
-  telemetry::Counter* m_remote_gpu_ = nullptr;
-  telemetry::Counter* m_remote_cpu_ = nullptr;
-  telemetry::Counter* m_duplicated_ = nullptr;
-  telemetry::Gauge* m_resident_hbm_ = nullptr;
-  telemetry::Gauge* m_resident_lpddr_ = nullptr;
+  /// The UM instruments of the attached registry (Registry::handles).
+  struct Instruments;
+  const Instruments* m_ = nullptr;
   std::vector<Allocation> allocations_;
   UmStats stats_;
 };

@@ -138,6 +138,27 @@ TEST(HarnessFlagsTest, RateTooLowForTheJobsExits2) {
   parse_shared_flags({"--rate=0.001", "--jobs=200"});  // 7.3e6 s: fits
 }
 
+TEST(HarnessFlagsTest, ThinkTimeTooLongForTheJobsExits2) {
+  // The longest --think-us fits the clock alone but not summed over jobs.
+  EXPECT_EXIT(require_think_time_fits("prog", 9223372036854, 200),
+              ExitCode2(2),
+              "prog: --think-us=9223372036854 is too long for --jobs=200");
+  EXPECT_EXIT(require_think_time_fits("prog", 1000000000, 1000000),
+              ExitCode2(2), "is too long for --jobs=1000000");
+  require_think_time_fits("prog", 1000000, 1000000);  // 10^6 s: fits
+}
+
+TEST(HarnessFlagsTest, PlanErrorMidRunExits2) {
+  EXPECT_EXIT(run_or_exit("prog",
+                          []() -> int {
+                            throw fault::PlanError(
+                                "fault plan entry 'bandwidth gpu "
+                                "scale=1e-16' stretches a launch");
+                          }),
+              ExitCode2(2), "prog: fault plan entry 'bandwidth gpu");
+  EXPECT_EQ(run_or_exit("prog", [] { return 7; }), 7);
+}
+
 TEST(HarnessFlagsTest, NegativeSloLatencyExits2) {
   EXPECT_EXIT(parse_shared_flags({"--slo", "--slo-latency-ms=-1"}),
               ExitCode2(2), "--slo-latency-ms must be > 0, got -1");

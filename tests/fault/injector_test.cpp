@@ -179,6 +179,42 @@ TEST(InjectorTest, TransitionsAreSortedUniqueWindowBoundaries) {
   EXPECT_EQ(injector.transitions(), expected);
 }
 
+std::string plan_error(Injector& injector, Target target, SimTime begin,
+                       bool unified) {
+  try {
+    judge(injector, target, begin, unified);
+  } catch (const PlanError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(InjectorTest, StretchPastTheClockNamesThePlanEntry) {
+  // A 100 us launch stretched 10^16 times ends 10^12 s out, far past
+  // SimTime's 2^63 ps (about 106 days).
+  Injector slowed(parse_plan("bandwidth gpu scale=0.5\n"
+                             "bandwidth gpu scale=0.0000000000000001\n"),
+                  1);
+  EXPECT_NE(plan_error(slowed, Target::kGpu, 0, false)
+                .find("fault plan entry 'bandwidth gpu scale=1e-16'"),
+            std::string::npos);
+  EXPECT_FALSE(judge(slowed, Target::kCpu, 0).failed);  // other device
+
+  Injector stalled(parse_plan("migration-stall scale=0.0000000000000001\n"),
+                   1);
+  EXPECT_FALSE(judge(stalled, Target::kGpu, 0).failed);  // not unified
+  EXPECT_NE(plan_error(stalled, Target::kGpu, 0, true)
+                .find("fault plan entry 'migration-stall scale=1e-16'"),
+            std::string::npos);
+
+  // The launch's end counts, not just its length: a 6.7e18 ps stretch
+  // fits from time zero but not from 2^62 ps.
+  Injector late(parse_plan("bandwidth gpu scale=0.000000000015\n"), 1);
+  EXPECT_GT(judge(late, Target::kGpu, 0).service,
+            SimTime{6'000'000'000'000'000'000});
+  EXPECT_NE(plan_error(late, Target::kGpu, SimTime{1} << 62, false), "");
+}
+
 TEST(InjectorTest, RecordsEveryInjectionAsAFlightEvent) {
   telemetry::Registry registry;
   telemetry::FlightRecorder flight;

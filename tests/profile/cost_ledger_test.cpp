@@ -3,11 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <vector>
 
+#include "ghs/util/error.hpp"
+
 namespace ghs::profile {
 namespace {
+
+std::vector<std::int64_t> split_proportional(
+    std::int64_t total, const std::vector<std::int64_t>& weights) {
+  ProportionalSplit split(
+      total, std::accumulate(weights.begin(), weights.end(), std::int64_t{0}),
+      weights.size());
+  std::vector<std::int64_t> shares;
+  for (const std::int64_t w : weights) shares.push_back(split.next(w));
+  return shares;
+}
 
 TEST(SplitProportionalTest, SharesSumToTotalExactly) {
   const std::vector<std::int64_t> weights = {7, 13, 1, 29, 5};
@@ -31,6 +44,19 @@ TEST(SplitProportionalTest, ZeroWeightsSplitEvenly) {
   }
 }
 
+TEST(SplitProportionalTest, ProductsPast64BitsStayExact) {
+  // A 2^39-element job served for 0.15 s: total * weight overflows int64.
+  const std::int64_t total = 151523103637;
+  const std::int64_t big = std::int64_t{1} << 39;
+  const auto one = split_proportional(total, {big});
+  EXPECT_EQ(one, std::vector<std::int64_t>{total});
+  const auto halves = split_proportional(total, {big, big});
+  EXPECT_EQ(halves, (std::vector<std::int64_t>{total / 2, total - total / 2}));
+  const auto thirds = split_proportional(total, {big, 2 * big, 3 * big});
+  EXPECT_EQ(thirds[0] + thirds[1] + thirds[2], total);
+  EXPECT_EQ(thirds[0], total / 6);
+}
+
 TEST(SplitProportionalTest, ExhaustiveSmallTotalsNeverDrift) {
   // Property sweep: every (total, weights) pair must conserve exactly.
   const std::vector<std::vector<std::int64_t>> weight_sets = {
@@ -44,6 +70,22 @@ TEST(SplitProportionalTest, ExhaustiveSmallTotalsNeverDrift) {
           << "total=" << total;
     }
   }
+}
+
+/// The charges of `key`, or nothing when it was never charged.
+std::optional<Cost> cost_of(const CostLedger& ledger, const CostKey& key) {
+  for (const auto& [k, cost] : ledger.entries()) {
+    if (k == key) return cost;
+  }
+  return std::nullopt;
+}
+
+/// A tenant's or op's busy time from the ledger's busy list; 0 if absent.
+SimTime busy_of(const std::vector<CostLedger::Busy>& busy, std::int64_t id) {
+  for (const auto& [busy_id, busy_ps] : busy) {
+    if (busy_id == id) return busy_ps;
+  }
+  return 0;
 }
 
 CostKey gpu_kernel_key(std::int64_t tenant) {
@@ -61,11 +103,64 @@ TEST(CostLedgerTest, ChargesAccumulatePerKey) {
   ledger.charge_time(gpu_kernel_key(1), 50);
   ledger.charge_time(gpu_kernel_key(2), 25);
   ASSERT_EQ(ledger.entries().size(), 2u);
-  EXPECT_EQ(ledger.entries().at(gpu_kernel_key(1)).time_ps, 150);
-  EXPECT_EQ(ledger.entries().at(gpu_kernel_key(1)).events, 2);
-  EXPECT_EQ(ledger.tenant_busy_ps().at(1), 150);
-  EXPECT_EQ(ledger.tenant_busy_ps().at(2), 25);
-  EXPECT_EQ(ledger.op_busy_ps().at(1), 175);
+  EXPECT_EQ(cost_of(ledger, gpu_kernel_key(1))->time_ps, 150);
+  EXPECT_EQ(cost_of(ledger, gpu_kernel_key(1))->events, 2);
+  EXPECT_EQ(cost_of(ledger, gpu_kernel_key(2))->time_ps, 25);
+  EXPECT_FALSE(cost_of(ledger, gpu_kernel_key(3)).has_value());
+  EXPECT_EQ(busy_of(ledger.tenant_busy(), 1), 150);
+  EXPECT_EQ(busy_of(ledger.tenant_busy(), 2), 25);
+  EXPECT_EQ(busy_of(ledger.op_busy(), 1), 175);
+}
+
+TEST(CostLedgerTest, ChargesNameTheDeviceTheirPhaseRunsOn) {
+  CostLedger ledger;
+  CostKey key = gpu_kernel_key(1);
+  key.device = Device::kCpu;  // a CPU cannot run a GPU kernel
+  EXPECT_THROW(ledger.charge_time(key, 10), Error);
+  key.device = Device::kNone;
+  key.phase = Phase::kTransfer;
+  ledger.charge_bytes(key, 10);
+  key.phase = Phase::kLaunchFailed;  // failures name their device
+  EXPECT_THROW(ledger.charge_time(key, 10), Error);
+  EXPECT_EQ(ledger.entries().size(), 1u);
+}
+
+TEST(CostLedgerTest, ManyRowsStayFindableAndSorted) {
+  // Enough (tenant, op, node) rows to grow the row index several times;
+  // inserted in a scrambled order.
+  CostLedger ledger;
+  std::int64_t expected_bytes = 0;
+  for (std::int64_t i = 0; i < 5000; ++i) {
+    const std::int64_t scrambled = (i * 7919) % 5000;
+    CostKey key;
+    key.tenant = scrambled / 40;
+    key.op = static_cast<std::uint8_t>(scrambled % 4);
+    key.node = static_cast<std::int16_t>((scrambled / 4) % 10);
+    key.device = Device::kGpu;
+    key.phase = Phase::kUmMigrate;
+    ledger.charge_time(key, scrambled + 1);
+    ledger.charge_bytes(key, 2 * (scrambled + 1));
+    expected_bytes += 2 * (scrambled + 1);
+  }
+  const auto entries = ledger.entries();
+  ASSERT_EQ(entries.size(), 5000u);
+  std::int64_t bytes = 0;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const auto& [key, cost] = entries[i];
+    EXPECT_EQ(cost.events, 2);
+    EXPECT_EQ(cost.bytes, 2 * cost.time_ps);
+    bytes += cost.bytes;
+    if (i == 0) continue;
+    const CostKey& prev = entries[i - 1].first;
+    EXPECT_TRUE(prev.tenant != key.tenant ? prev.tenant < key.tenant
+                : prev.op != key.op       ? prev.op < key.op
+                                          : prev.node < key.node);
+  }
+  EXPECT_EQ(bytes, expected_bytes);
+  ConservationTotals telemetry;
+  telemetry.um_bytes = expected_bytes;
+  telemetry.gpu_busy_ps = expected_bytes / 2;
+  EXPECT_TRUE(ledger.check(telemetry).ok());
 }
 
 TEST(CostLedgerTest, WaitPhasesStayOutOfBusyTotals) {
@@ -74,7 +169,9 @@ TEST(CostLedgerTest, WaitPhasesStayOutOfBusyTotals) {
   wait.tenant = 3;
   wait.phase = Phase::kQueueWait;  // device kNone
   ledger.charge_time(wait, 1000);
-  EXPECT_TRUE(ledger.tenant_busy_ps().empty());
+  EXPECT_EQ(cost_of(ledger, wait)->time_ps, 1000);
+  EXPECT_TRUE(ledger.tenant_busy().empty());
+  EXPECT_TRUE(ledger.op_busy().empty());
   ConservationTotals telemetry;  // all zero
   EXPECT_TRUE(ledger.check(telemetry).ok());
 }

@@ -141,11 +141,13 @@ TEST(ProfilerTest, AttributionSeriesMatchLedgerTotals) {
   const timeseries::Series* tenant_series =
       store.find("ghs_profile_tenant_busy_ps_total{tenant=\"0\"}");
   ASSERT_NE(tenant_series, nullptr);
+  ASSERT_EQ(recorder.ledger().tenant_busy().size(), 1u);
+  EXPECT_EQ(recorder.ledger().tenant_busy()[0].id, 0);
   EXPECT_DOUBLE_EQ(
       tenant_series->total_sum(),
-      static_cast<double>(recorder.ledger().tenant_busy_ps().at(0)));
+      static_cast<double>(recorder.ledger().tenant_busy()[0].busy_ps));
   SimTime op_total = 0;
-  for (const auto& [op, busy] : recorder.ledger().op_busy_ps()) {
+  for (const auto& [op, busy] : recorder.ledger().op_busy()) {
     const std::string key = "ghs_profile_op_busy_ps_total{op=\"" +
                             std::string(workload::case_spec(
                                             static_cast<workload::CaseId>(op))
@@ -157,7 +159,7 @@ TEST(ProfilerTest, AttributionSeriesMatchLedgerTotals) {
     op_total += busy;
   }
   SimTime tenant_total = 0;
-  for (const auto& [tenant, busy] : recorder.ledger().tenant_busy_ps()) {
+  for (const auto& [tenant, busy] : recorder.ledger().tenant_busy()) {
     tenant_total += busy;
   }
   EXPECT_EQ(op_total, tenant_total);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -13,6 +14,23 @@
 
 namespace ghs::serve {
 namespace {
+
+TEST(OpenLoopTest, DeadlinesPastTheClockSaturate) {
+  // 9223372036854 us, the longest --deadline-us, overflows arrival +
+  // deadline for any arrival past 775.807 ns; such deadlines never come.
+  constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+  OpenLoopOptions options;
+  options.jobs = 200;
+  options.rate_hz = 50000.0;
+  options.shape.deadline = 9223372036854 * kMicrosecond;
+  const SimTime headroom = kNever - options.shape.deadline;
+  EXPECT_EQ(headroom, 775807);
+  for (const auto& job : open_loop_poisson(options)) {
+    EXPECT_EQ(job.deadline, job.arrival > headroom
+                                ? kNever
+                                : job.arrival + options.shape.deadline);
+  }
+}
 
 TEST(OpenLoopTest, ArrivalsAreMonotoneAndShaped) {
   OpenLoopOptions options;

@@ -140,6 +140,56 @@ TEST(ScraperTest, HistogramsYieldCountSumAndWindowedQuantiles) {
   EXPECT_NE(store.find("h:p99"), nullptr);
 }
 
+TEST(ScraperTest, InstrumentsRegisteredBetweenTicksStartAtTheNextTick) {
+  // Layers register instruments lazily (a tuner's first cache miss, a
+  // breaker's first trip), so the registry grows mid-run. A late
+  // instrument's series must start at the first tick after it appeared,
+  // counting everything it saw before that tick as one delta.
+  sim::Simulator sim;
+  telemetry::Registry registry;
+  auto& early = registry.counter("early");
+  sim.schedule_at(5 * kMicrosecond, [&] { early.inc(); });
+  sim.schedule_at(15 * kMicrosecond, [&] {
+    registry.counter("late").inc(4);
+    registry.gauge("late_gauge").set(2.5);
+    registry.histogram("late_h", {1.0, 2.0}).observe(1.5);
+  });
+  sim.schedule_at(17 * kMicrosecond, [&] { registry.counter("late").inc(); });
+  sim.schedule_at(25 * kMicrosecond, [&] { registry.counter("late").inc(2); });
+
+  Tsdb store;
+  Scraper scraper(sim, registry, store, every(10 * kMicrosecond));
+  scraper.start();
+  sim.run();
+  scraper.finish();
+
+  const Series* early_series = store.find("early");
+  ASSERT_NE(early_series, nullptr);
+  EXPECT_EQ(early_series->raw().front().at, 10 * kMicrosecond);
+
+  const Series* late = store.find("late");
+  ASSERT_NE(late, nullptr);
+  ASSERT_GE(late->raw().size(), 2u);
+  EXPECT_EQ(late->raw()[0].at, 20 * kMicrosecond);
+  EXPECT_DOUBLE_EQ(late->raw()[0].value, 5.0);
+  EXPECT_EQ(late->raw()[1].at, 30 * kMicrosecond);
+  EXPECT_DOUBLE_EQ(late->raw()[1].value, 2.0);
+  EXPECT_DOUBLE_EQ(late->total_sum(), 7.0);
+  EXPECT_EQ(late->points(), early_series->points() - 1);
+
+  const Series* gauge = store.find("late_gauge");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->raw().front().at, 20 * kMicrosecond);
+  EXPECT_DOUBLE_EQ(gauge->raw().front().value, 2.5);
+
+  for (const char* key : {"late_h:count", "late_h:sum", "late_h:p50"}) {
+    const Series* series = store.find(key);
+    ASSERT_NE(series, nullptr) << key;
+    EXPECT_EQ(series->raw().front().at, 20 * kMicrosecond) << key;
+  }
+  EXPECT_EQ(store.find("late_h:p50")->points(), 1);
+}
+
 /// One small served workload, optionally scraped, returning the per-job
 /// outcome the dispatch-order equivalence test compares.
 struct ServedRun {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -329,8 +330,24 @@ class ReferenceUm {
         label.str());
   }
 
-  void record(const char* kind, std::string detail) {
-    flight_->record(topology_.sim().now(), "um", kind, std::move(detail));
+  /// The reference formats each detail when it records, the way the
+  /// recorder did before it formatted on read, and stores it interned.
+  void record(const char* kind, const std::string& detail) {
+    static constexpr telemetry::EventType kTypes[] = {
+        {"um", "fault_migration", print_text},
+        {"um", "migration_start", print_text},
+        {"um", "page_migration", print_text}};
+    for (const auto& type : kTypes) {
+      if (std::string_view(type.kind) == kind) {
+        flight_->record(topology_.sim().now(), type, flight_->intern(detail));
+        return;
+      }
+    }
+    FAIL() << "unknown flight kind " << kind;
+  }
+
+  static void print_text(std::string& out, const telemetry::EventArgs& a) {
+    out += a.name(0);
   }
 
   mem::Topology& topology_;
