@@ -13,7 +13,7 @@
 #include "ghs/stats/table.hpp"
 #include "ghs/util/strings.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ghs;
   bench::CommonCli common(
       "ablation_reduction_strategy",
@@ -81,4 +81,6 @@ int main(int argc, char** argv) {
   }
   common.write_metrics(options);
   return 0;
+} catch (const ghs::OverflowError& error) {
+  return ghs::bench::iterations_overflow("ablation_reduction_strategy", error);
 }

@@ -9,7 +9,7 @@
 #include "ghs/core/sweep.hpp"
 #include "ghs/stats/series.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ghs;
   bench::CommonCli common(
       "ablation_thread_limit",
@@ -50,4 +50,6 @@ int main(int argc, char** argv) {
   }
   common.write_metrics(options);
   return 0;
+} catch (const ghs::OverflowError& error) {
+  return ghs::bench::iterations_overflow("ablation_thread_limit", error);
 }

@@ -24,7 +24,7 @@ struct Check {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ghs;
   bench::CommonCli common(
       "certify_reproduction",
@@ -117,4 +117,6 @@ int main(int argc, char** argv) {
   }
   common.write_metrics(options);
   return failures == 0 ? 0 : 1;
+} catch (const ghs::OverflowError& error) {
+  return ghs::bench::iterations_overflow("certify_reproduction", error);
 }

@@ -1,5 +1,7 @@
 #include "common.hpp"
 
+#include <limits>
+
 #include "flags.hpp"
 #include "ghs/core/config_io.hpp"
 #include "ghs/util/strings.hpp"
@@ -24,7 +26,9 @@ CommonCli::CommonCli(std::string program, std::string description,
 
 CommonOptions CommonCli::parse(int argc, const char* const* argv) {
   cli_.parse_or_exit(argc, argv);
-  require_positive(program_, "--iters", *iters_);
+  // Listing 6/8's N is an int everywhere below.
+  require_in_range(program_, "--iters", *iters_, 1,
+                   std::numeric_limits<int>::max());
   require_non_negative(program_, "--elements", *elements_);
   require_writable_path(program_, *metrics_out_);
   CommonOptions options;
@@ -53,6 +57,13 @@ CommonOptions CommonCli::parse(int argc, const char* const* argv) {
 void CommonCli::write_metrics(const CommonOptions& options) const {
   if (options.metrics_out.empty()) return;
   write_metrics_files(program_, options.metrics_out, *options.registry);
+}
+
+int iterations_overflow(const std::string& program,
+                        const OverflowError& error) {
+  std::cerr << program << ": --iters is too large for this run: "
+            << error.what() << "\n";
+  return 2;
 }
 
 void print_paper_reference(bool csv, const std::string& text) {

@@ -19,6 +19,7 @@
 #include "ghs/core/system_config.hpp"
 #include "ghs/telemetry/registry.hpp"
 #include "ghs/util/cli.hpp"
+#include "ghs/util/error.hpp"
 #include "ghs/workload/cases.hpp"
 
 namespace ghs::bench {
@@ -75,5 +76,12 @@ class CommonCli {
 /// Prints the "paper reports ..." reference line benches emit under each
 /// reproduced artefact (suppressed in CSV mode).
 void print_paper_reference(bool csv, const std::string& text);
+
+/// A run whose --iters repetitions do not fit: the simulated clock or a
+/// byte or event count would pass 2^63 (ghs::OverflowError, thrown once
+/// the run meets it). Prints one Cli-style line naming --iters and returns
+/// main's exit status, 2, as for a bad flag.
+int iterations_overflow(const std::string& program,
+                        const OverflowError& error);
 
 }  // namespace ghs::bench

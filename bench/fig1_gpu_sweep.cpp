@@ -8,7 +8,7 @@
 #include "ghs/core/sweep.hpp"
 #include "ghs/stats/chart.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ghs;
   bench::CommonCli common(
       "fig1_gpu_sweep",
@@ -67,4 +67,6 @@ int main(int argc, char** argv) {
   }
   common.write_metrics(options);
   return 0;
+} catch (const ghs::OverflowError& error) {
+  return ghs::bench::iterations_overflow("fig1_gpu_sweep", error);
 }

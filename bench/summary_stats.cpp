@@ -9,7 +9,7 @@
 #include "ghs/stats/table.hpp"
 #include "ghs/util/strings.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ghs;
   bench::CommonCli common(
       "summary_stats",
@@ -55,4 +55,6 @@ int main(int argc, char** argv) {
   }
   common.write_metrics(options);
   return 0;
+} catch (const ghs::OverflowError& error) {
+  return ghs::bench::iterations_overflow("summary_stats", error);
 }

@@ -8,7 +8,7 @@
 #include "ghs/stats/table.hpp"
 #include "ghs/util/strings.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ghs;
   bench::CommonCli common(
       "table1_baseline_vs_optimized",
@@ -51,4 +51,6 @@ int main(int argc, char** argv) {
   }
   common.write_metrics(options);
   return 0;
+} catch (const ghs::OverflowError& error) {
+  return ghs::bench::iterations_overflow("table1_baseline_vs_optimized", error);
 }

@@ -27,7 +27,7 @@ core::UmSweepOptions to_um_options(const CommonOptions& options,
 int run_um_figure(const std::string& program, const std::string& figure_name,
                   core::AllocSite site, bool optimized,
                   const std::string& paper_note, int argc,
-                  const char* const* argv) {
+                  const char* const* argv) try {
   CommonCli common(program,
                    figure_name + ": UM co-execution bandwidth vs CPU part",
                    /*default_iterations=*/200);
@@ -48,12 +48,14 @@ int run_um_figure(const std::string& program, const std::string& figure_name,
   }
   common.write_metrics(options);
   return 0;
+} catch (const OverflowError& error) {
+  return iterations_overflow(program, error);
 }
 
 int run_um_speedup(const std::string& program,
                    const std::string& figure_name, core::AllocSite site,
                    const std::string& paper_note, int argc,
-                   const char* const* argv) {
+                   const char* const* argv) try {
   CommonCli common(program,
                    figure_name + ": optimized-over-baseline speedup vs CPU "
                                  "part in UM mode",
@@ -74,6 +76,8 @@ int run_um_speedup(const std::string& program,
   }
   common.write_metrics(options);
   return 0;
+} catch (const OverflowError& error) {
+  return iterations_overflow(program, error);
 }
 
 }  // namespace ghs::bench

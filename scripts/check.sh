@@ -340,12 +340,16 @@ for config in "${configs[@]}"; do
                  fig1_gpu_sweep fig2a_um_a1_baseline fig2b_um_a1_optimized \
                  fig3_um_a1_speedup fig4a_um_a2_baseline \
                  fig4b_um_a2_optimized fig5_um_a2_speedup "${benches[@]}"; do
-      for bad in "--iters=0" "--elements=-5" "--cases=C9" "--cases=" \
+      for bad in "--iters=0" "--iters=2147483648" "--iters=4294967297" \
+                 "--elements=-5" "--cases=C9" "--cases=" \
                  "--config=$tmp/missing.properties" \
                  "--metrics-out=$tmp/missing/out.prom"; do
         expect_exit2 "$dir/bench/$bench" "$bad"
       done
     done
+    # An N that parses but whose skipped repetitions pass the clock's 2^63
+    # ps exits 2 naming --iters once the run meets it.
+    expect_exit2 "$dir/bench/fig2b_um_a1_optimized" "--iters=2147483647"
     rm -rf "$tmp"
     echo "==> instrument-name lint (code vs docs/OBSERVABILITY.md)"
     python3 scripts/lint_instruments.py

@@ -8,8 +8,7 @@
 #   $ diff parent-out/MANIFEST change-out/MANIFEST   # parent vs change
 #
 # BUILD_DIR is a built tree (Release is fastest); OUT_DIR must be empty or
-# absent. The runs take about ten seconds on a Release build, most of it
-# certify_reproduction.
+# absent. The runs take about ten seconds on a Release build.
 # The volatile ghs_bench_wall_seconds line is dropped from every .prom
 # file before hashing. The script fails if table1_baseline_vs_optimized with
 # --config=configs/gh200.properties (the library defaults, spelled out)
@@ -69,6 +68,14 @@ for paper in table1_baseline_vs_optimized fig1_gpu_sweep \
              ablation_reduction_strategy ablation_thread_limit \
              ablation_um_policy; do
   run "$paper" "$paper" --iters=2 --metrics-out="$paper.prom"
+done
+# The --iters=2 runs above skip at most one repetition per sweep point; at
+# 8 most repetitions are fast-forwarded, so these runs hold the skip, and
+# the stats and counters it advances, to the bytes of the full path.
+for paper in fig2a_um_a1_baseline fig2b_um_a1_optimized fig3_um_a1_speedup \
+             fig4a_um_a2_baseline fig4b_um_a2_optimized fig5_um_a2_speedup \
+             summary_stats ablation_um_policy ablation_prefetch; do
+  run "${paper}_iters8" "$paper" --iters=8 --metrics-out="${paper}_iters8.prom"
 done
 run certify_reproduction certify_reproduction
 

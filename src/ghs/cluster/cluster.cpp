@@ -414,9 +414,6 @@ void Cluster::deliver(serve::Job job, int target, int transfer_src,
                         phase, bytes);
   }
   const SimTime begin = sim_.now();
-  const std::string label = "job" + std::to_string(job.id) + " node" +
-                            std::to_string(transfer_src) + "->node" +
-                            std::to_string(target);
   interconnect_->transfer(
       transfer_src, target, bytes,
       [this, job = std::move(job), target, transfer_src, begin,
@@ -429,8 +426,7 @@ void Cluster::deliver(serve::Job job, int target, int transfer_src,
                               std::to_string(job.id));
         }
         submit_to(std::move(job), target, seq, end - begin);
-      },
-      label);
+      });
 }
 
 void Cluster::submit_to(serve::Job job, int target, std::uint64_t seq,

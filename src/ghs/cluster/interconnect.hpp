@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "ghs/sim/fluid.hpp"
@@ -46,7 +45,7 @@ class Interconnect {
   /// byte lands. Zero-byte transfers complete via a same-instant event so
   /// callback ordering stays deterministic. Requires src != dst.
   void transfer(int src, int dst, Bytes bytes,
-                std::function<void()> on_complete, std::string label = {});
+                std::function<void()> on_complete);
 
   std::int64_t transfers() const { return transfers_; }
   double bytes_moved() const { return bytes_moved_; }

@@ -1,6 +1,24 @@
 #include "ghs/core/platform.hpp"
 
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "ghs/util/error.hpp"
+
 namespace ghs::core {
+
+struct Platform::Mark {
+  std::vector<std::int64_t> digest;
+  sim::Simulator::Mark sim;
+  sim::FluidNetwork::Mark fluid;
+  um::UmStats um;
+  gpu::GpuDeviceStats gpu;
+  sim::SerialServer combine;
+  cpu::CpuDeviceStats cpu;
+  omp::RuntimeStats runtime;
+  mem::CopyStats copies;
+};
 
 Platform::Platform(const SystemConfig& config) : config_(config) {
   topology_ = std::make_unique<mem::Topology>(sim_, config_.topology);
@@ -30,6 +48,52 @@ trace::Tracer& Platform::enable_tracing() {
     runtime_->set_tracer(tracer_.get());
   }
   return *tracer_;
+}
+
+Platform::Mark Platform::mark() const {
+  Mark m{{},
+         sim_.mark(),
+         topology_->network().mark(),
+         um_->stats(),
+         gpu_->stats(),
+         gpu_->combine_unit(),
+         cpu_->stats(),
+         runtime_->stats(),
+         transfers_->stats()};
+  um_->digest(m.digest);
+  gpu_->digest(m.digest);
+  return m;
+}
+
+void Platform::repeat(std::int64_t count,
+                      const std::function<void()>& repetition) {
+  GHS_REQUIRE(count > 0, "repetitions=" << count);
+  const bool may_skip = tracer_ == nullptr && telemetry_.flight == nullptr;
+  std::optional<Mark> before;
+  if (may_skip) before = mark();
+  for (std::int64_t done = 1; done <= count; ++done) {
+    repetition();
+    ++simulated_;
+    if (!may_skip || done == count) continue;
+    Mark after = mark();
+    if (after.digest == before->digest) {
+      skip(*before, count - done);
+      return;
+    }
+    before = std::move(after);
+  }
+}
+
+void Platform::skip(const Mark& since, std::int64_t k) {
+  const SimTime dt = sim_.now() - since.sim.now;
+  sim_.fast_forward(since.sim, k);
+  topology_->network().fast_forward(since.fluid, k);
+  um_->fast_forward(since.um, k);
+  gpu_->fast_forward(since.gpu, since.combine, dt, k);
+  cpu_->fast_forward(since.cpu, k);
+  runtime_->fast_forward(since.runtime, k);
+  transfers_->fast_forward(since.copies, k);
+  skipped_ += k;
 }
 
 }  // namespace ghs::core

@@ -7,6 +7,8 @@
 // real machine.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "ghs/core/system_config.hpp"
@@ -41,6 +43,28 @@ class Platform {
   /// Drains the event queue (runs all scheduled work to completion).
   void run() { sim_.run(); }
 
+  /// Runs `repetition` `count` times. Each call issues one repetition of a
+  /// measurement protocol and drains it with run(); it must carry no state
+  /// of its own from one call to the next.
+  ///
+  /// After each repetition the platform digests what a later event can
+  /// read, with times relative to now: the UM page table, and the GPU's
+  /// busy flag and combine backlog (the event queue and the fluid network
+  /// are empty). A repetition that leaves the digest it found would be
+  /// replayed bit for bit by every later one, since time is whole
+  /// picoseconds and every rate depends only on time differences. So the
+  /// rest are not simulated: the clock moves on by their duration and
+  /// every stat, counter and telemetry counter by their increments. With
+  /// a tracer or a flight recorder attached, each of which records every
+  /// repetition, all of them are simulated. Throws OverflowError when the
+  /// skipped repetitions pass the range of the clock or of a count; the
+  /// platform is then part-way through the skip and must not be reused.
+  void repeat(std::int64_t count, const std::function<void()>& repetition);
+
+  /// Repetitions repeat() has simulated and skipped on this platform.
+  std::int64_t repetitions_simulated() const { return simulated_; }
+  std::int64_t repetitions_skipped() const { return skipped_; }
+
   /// Turns on execution tracing for this platform; all devices start
   /// recording spans into the returned tracer. Idempotent.
   trace::Tracer& enable_tracing();
@@ -57,6 +81,13 @@ class Platform {
   const telemetry::Sink& telemetry() const { return telemetry_; }
 
  private:
+  /// The digest and every count a repetition moves.
+  struct Mark;
+  Mark mark() const;
+  /// Moves the drained platform on by `k` repetitions like the one since
+  /// `since`.
+  void skip(const Mark& since, std::int64_t k);
+
   telemetry::Sink telemetry_;
   std::unique_ptr<trace::Tracer> tracer_;
   SystemConfig config_;
@@ -67,6 +98,8 @@ class Platform {
   std::unique_ptr<gpu::GpuDevice> gpu_;
   std::unique_ptr<cpu::CpuDevice> cpu_;
   std::unique_ptr<omp::Runtime> runtime_;
+  std::int64_t simulated_ = 0;
+  std::int64_t skipped_ = 0;
 };
 
 }  // namespace ghs::core

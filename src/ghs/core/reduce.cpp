@@ -79,9 +79,12 @@ GpuBenchmarkResult run_gpu_benchmark(Platform& platform,
   GpuBenchmarkResult result;
   result.iterations = bench.iterations;
   result.bytes_per_iteration = loop.elements() * spec.element_size;
+  const Bytes timed_bytes = repeated(0, bench.iterations,
+                                     result.bytes_per_iteration,
+                                     "the bytes the timed repetitions move");
 
   const SimTime t0 = sim.now();
-  for (int n = 0; n < bench.iterations; ++n) {
+  platform.repeat(bench.iterations, [&] {
     rt.target_update_scalar(nullptr);  // sum = 0; update to(sum)
     platform.run();
     rt.target_teams_reduce(loop, clauses,
@@ -91,10 +94,9 @@ GpuBenchmarkResult run_gpu_benchmark(Platform& platform,
     platform.run();
     rt.target_update_scalar(nullptr);  // update from(sum)
     platform.run();
-  }
+  });
   result.elapsed = sim.now() - t0;
-  result.bandwidth = achieved_bandwidth(
-      result.bytes_per_iteration * bench.iterations, result.elapsed);
+  result.bandwidth = achieved_bandwidth(timed_bytes, result.elapsed);
   return result;
 }
 
@@ -137,6 +139,9 @@ HeteroBenchmarkResult run_hetero_benchmark(Platform& platform,
   GHS_REQUIRE(bench.iterations > 0, "iterations=" << bench.iterations);
   const int v = bench.tuning ? bench.tuning->v : 1;
   const Bytes total_bytes = elements * spec.element_size;
+  const Bytes timed_bytes =
+      repeated(0, bench.iterations, total_bytes,
+               "the bytes the timed repetitions move");
 
   auto& rt = platform.runtime();
   auto& um = platform.um();
@@ -212,15 +217,14 @@ HeteroBenchmarkResult run_hetero_benchmark(Platform& platform,
     const Bytes cpu_remote_before = um_stats.remote_bytes_cpu;
 
     const SimTime t0 = sim.now();
-    for (int n = 0; n < bench.iterations; ++n) {
+    platform.repeat(bench.iterations, [&] {
       rt.parallel_co_execute(gpu_loop, clauses, cpu_part, nullptr);
       platform.run();
-    }
+    });
     HeteroPoint point;
     point.cpu_part = p;
     point.elapsed = sim.now() - t0;
-    point.bandwidth = achieved_bandwidth(
-        total_bytes * bench.iterations, point.elapsed);
+    point.bandwidth = achieved_bandwidth(timed_bytes, point.elapsed);
     point.gpu_remote_bytes = um_stats.remote_bytes_gpu - gpu_remote_before;
     point.cpu_remote_bytes = um_stats.remote_bytes_cpu - cpu_remote_before;
     result.points.push_back(point);

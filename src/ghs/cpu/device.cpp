@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/math.hpp"
 
 namespace ghs::cpu {
 
@@ -42,6 +43,12 @@ double CpuDevice::compute_rate_cap(int threads, bool use_simd,
   }
   return static_cast<double>(threads) * bytes_per_cycle_per_core *
          cycles_per_second;
+}
+
+void CpuDevice::fast_forward(const CpuDeviceStats& since, std::int64_t k) {
+  stats_.reductions +=
+      repeated(stats_.reductions, k, stats_.reductions - since.reductions,
+               "CPU reductions");
 }
 
 void CpuDevice::reduce(const CpuReduceRequest& request,
@@ -166,7 +173,6 @@ void CpuDevice::reduce(const CpuReduceRequest& request,
         spec.resources = topology_.cpu_read_path(slice.source);
       }
       spec.resources.push_back(socket_);
-      spec.label = request.label + ":cpu";
       const Bytes s_begin = slice.begin;
       const Bytes s_len = slice.length;
       const bool duplicate = slice.duplicate_on_access;

@@ -95,6 +95,10 @@ class CpuDevice {
 
   const CpuDeviceStats& stats() const { return stats_; }
 
+  /// Stands in for `k` more runs like the one since the stats read
+  /// `since`. Throws OverflowError when a stat would pass its range.
+  void fast_forward(const CpuDeviceStats& since, std::int64_t k);
+
   /// Installs a span recorder (null disables tracing).
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
 

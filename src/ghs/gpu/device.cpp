@@ -253,7 +253,6 @@ void GpuDevice::start_wave(const std::shared_ptr<Execution>& exec) {
     } else {
       spec.resources = topology_.gpu_read_path(slice.source);
     }
-    spec.label = exec->wave_label;
     const Bytes s_begin = slice.begin;
     const Bytes s_len = slice.end - slice.begin;
     if (slice.migrate_on_access) {
@@ -370,6 +369,36 @@ void GpuDevice::finish_kernel(const std::shared_ptr<Execution>& exec) {
     }
     if (exec->on_complete) exec->on_complete(exec->result);
   });
+}
+
+void GpuDevice::digest(std::vector<std::int64_t>& out) const {
+  out.push_back(busy_);
+  out.push_back(
+      std::max<SimTime>(0, combine_unit_.available_at() - sim_.now()));
+}
+
+void GpuDevice::fast_forward(const GpuDeviceStats& since,
+                             const sim::SerialServer& combine_since,
+                             SimTime dt, std::int64_t k) {
+  GHS_REQUIRE(!busy_, "fast-forward of a busy device");
+  const std::int64_t kernels =
+      stats_.kernels_launched - since.kernels_launched;
+  const std::int64_t waves = stats_.waves_executed - since.waves_executed;
+  stats_.kernels_launched +=
+      repeated(stats_.kernels_launched, k, kernels, "kernels launched");
+  stats_.waves_executed +=
+      repeated(stats_.waves_executed, k, waves, "waves executed");
+  stats_.combines_issued +=
+      repeated(stats_.combines_issued, k,
+               stats_.combines_issued - since.combines_issued,
+               "combines issued");
+  if (m_ != nullptr) {
+    m_->kernels.inc(
+        repeated(m_->kernels.value(), k, kernels, "ghs_gpu_kernels_total"));
+    m_->waves.inc(
+        repeated(m_->waves.value(), k, waves, "ghs_gpu_waves_total"));
+  }
+  combine_unit_.fast_forward(combine_since, dt, k);
 }
 
 void GpuDevice::set_telemetry(telemetry::Sink sink) {

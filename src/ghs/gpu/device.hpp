@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "ghs/gpu/config.hpp"
 #include "ghs/gpu/kernel.hpp"
@@ -59,6 +60,19 @@ class GpuDevice {
   const GpuDeviceStats& stats() const { return stats_; }
   /// The serial combine unit the kernels' partials fold through.
   const sim::SerialServer& combine_unit() const { return combine_unit_; }
+
+  /// Appends what the next kernel reads of an idle device to `out`: the
+  /// busy flag and the combine unit's backlog past now.
+  void digest(std::vector<std::int64_t>& out) const;
+
+  /// On an idle device, stands in for `k` more runs like the one since
+  /// `since` (its stats) and `combine_since` (the combine unit), each `dt`
+  /// long: stats, counters and the combine unit move on by k times what
+  /// that run moved them. Throws OverflowError when one would pass its
+  /// range.
+  void fast_forward(const GpuDeviceStats& since,
+                    const sim::SerialServer& combine_since, SimTime dt,
+                    std::int64_t k);
 
   /// Installs a span recorder (null disables tracing). Kernel spans go on
   /// the GPU track, per-wave spans on the wave track — enable wave tracing

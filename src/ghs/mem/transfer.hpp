@@ -6,7 +6,7 @@
 #pragma once
 
 #include <functional>
-#include <string>
+#include <vector>
 
 #include "ghs/mem/topology.hpp"
 #include "ghs/util/units.hpp"
@@ -28,18 +28,22 @@ class TransferEngine {
   /// Starts an explicit bulk copy; `on_complete` fires when the last byte
   /// lands. Zero-byte copies complete immediately (inline).
   void copy(Bytes bytes, RegionId from, RegionId to,
-            std::function<void()> on_complete, std::string label);
+            std::function<void()> on_complete);
 
   /// Starts a UM page-migration transfer (goes through the migration-engine
   /// resource as well as the memories and link).
   void migrate(Bytes bytes, RegionId from, RegionId to,
-               std::function<void()> on_complete, std::string label);
+               std::function<void()> on_complete);
 
   const CopyStats& stats() const { return stats_; }
 
+  /// Stands in for `k` more runs like the one since the stats read
+  /// `since`. Throws OverflowError when a stat would pass its range.
+  void fast_forward(const CopyStats& since, std::int64_t k);
+
  private:
   void start(Bytes bytes, std::vector<sim::ResourceId> path,
-             std::function<void()> on_complete, std::string label);
+             std::function<void()> on_complete);
 
   Topology& topology_;
   CopyStats stats_;

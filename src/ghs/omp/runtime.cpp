@@ -18,9 +18,21 @@ Runtime::Runtime(sim::Simulator& sim, mem::TransferEngine& transfers,
       cpu_(cpu),
       options_(options) {}
 
+void Runtime::fast_forward(const RuntimeStats& since, std::int64_t k) {
+  stats_.target_regions +=
+      repeated(stats_.target_regions, k,
+               stats_.target_regions - since.target_regions, "target regions");
+  stats_.scalar_updates +=
+      repeated(stats_.scalar_updates, k,
+               stats_.scalar_updates - since.scalar_updates, "scalar updates");
+  stats_.mapped_bytes +=
+      repeated(stats_.mapped_bytes, k,
+               stats_.mapped_bytes - since.mapped_bytes, "mapped bytes");
+}
+
 DeviceBufferId Runtime::target_alloc(Bytes size, std::string label) {
   GHS_REQUIRE(size > 0, "device buffer '" << label << "' has size " << size);
-  buffers_.push_back(DeviceBuffer{size, std::move(label)});
+  buffers_.push_back(DeviceBuffer{size});
   return static_cast<DeviceBufferId>(buffers_.size() - 1);
 }
 
@@ -30,7 +42,7 @@ void Runtime::map_to(DeviceBufferId buffer,
   const DeviceBuffer& b = buffers_[buffer];
   stats_.mapped_bytes += b.size;
   transfers_.copy(b.size, mem::RegionId::kLpddr, mem::RegionId::kHbm,
-                  std::move(on_complete), "map-to:" + b.label);
+                  std::move(on_complete));
 }
 
 void Runtime::target_update_scalar(std::function<void()> on_complete) {

@@ -144,6 +144,10 @@ class Runtime {
 
   const RuntimeStats& stats() const { return stats_; }
 
+  /// Stands in for `k` more runs like the one since the stats read
+  /// `since`. Throws OverflowError when a stat would pass its range.
+  void fast_forward(const RuntimeStats& since, std::int64_t k);
+
   /// Installs a span recorder for runtime-level events (co-execution
   /// regions, map copies); null disables.
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
@@ -153,7 +157,6 @@ class Runtime {
 
   struct DeviceBuffer {
     Bytes size = 0;
-    std::string label;
   };
 
   sim::Simulator& sim_;

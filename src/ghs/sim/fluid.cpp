@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/math.hpp"
 
 namespace ghs::sim {
 
@@ -22,7 +23,7 @@ ResourceId FluidNetwork::add_resource(const std::string& name,
                                       Bandwidth capacity) {
   GHS_REQUIRE(capacity.bytes_per_second > 0.0,
               "resource '" << name << "' needs positive capacity");
-  resources_.push_back(Resource{capacity.bytes_per_second, ResourceStats{}});
+  resources_.push_back(Resource{capacity.bytes_per_second});
   return static_cast<ResourceId>(resources_.size() - 1);
 }
 
@@ -40,21 +41,17 @@ Bandwidth FluidNetwork::capacity(ResourceId id) const {
   return Bandwidth{resources_[id].capacity};
 }
 
-const ResourceStats& FluidNetwork::resource_stats(ResourceId id) const {
-  GHS_REQUIRE(id < resources_.size(), "resource id " << id);
-  return resources_[id].stats;
-}
-
 FlowId FluidNetwork::start_flow(FlowSpec spec) {
-  GHS_REQUIRE(spec.bytes > 0.0, "flow '" << spec.label << "' has no bytes");
+  const FlowId id = next_flow_id_;
+  GHS_REQUIRE(spec.bytes > 0.0, "flow " << id << " has no bytes");
   GHS_REQUIRE(!spec.resources.empty(),
-              "flow '" << spec.label << "' traverses no resources");
+              "flow " << id << " traverses no resources");
   for (ResourceId r : spec.resources) {
     GHS_REQUIRE(r < resources_.size(),
-                "flow '" << spec.label << "' uses bad resource id " << r);
+                "flow " << id << " uses bad resource id " << r);
   }
   sync_to_now();
-  const FlowId id = next_flow_id_++;
+  ++next_flow_id_;
   auto flow = std::make_unique<Flow>();
   flow->id = id;
   flow->remaining = spec.bytes;
@@ -73,8 +70,7 @@ FlowId FluidNetwork::renew_flow(double bytes) {
   GHS_REQUIRE(completing_ != nullptr && *completing_ != nullptr,
               "renew_flow outside a flow's completion callback");
   Flow& flow = **completing_;
-  GHS_REQUIRE(bytes > 0.0,
-              "flow '" << flow.spec.label << "' renewed with no bytes");
+  GHS_REQUIRE(bytes > 0.0, "flow " << flow.id << " renewed with no bytes");
   flow.id = next_flow_id_++;
   flow.spec.bytes = bytes;
   flow.remaining = bytes;
@@ -83,6 +79,20 @@ FlowId FluidNetwork::renew_flow(double bytes) {
   renew_keeps_rates_ = false;
   renewed_ = true;
   return flow.id;
+}
+
+void FluidNetwork::fast_forward(const Mark& since, std::int64_t k) {
+  // With no flow in flight nothing reads last_update_: the next start_flow
+  // syncs an empty table and sets it.
+  GHS_REQUIRE(flows_.empty(), "fast-forward with flows in flight");
+  next_flow_id_ += static_cast<FlowId>(
+      repeated(static_cast<std::int64_t>(next_flow_id_), k,
+               static_cast<std::int64_t>(next_flow_id_ - since.next_id),
+               "FlowIds"));
+  wake_generation_ += static_cast<std::uint64_t>(repeated(
+      static_cast<std::int64_t>(wake_generation_), k,
+      static_cast<std::int64_t>(wake_generation_ - since.wake_generation),
+      "the wake generation"));
 }
 
 const FluidNetwork::Flow* FluidNetwork::find(FlowId id) const {
@@ -111,40 +121,12 @@ void FluidNetwork::sync_to_now() {
   GHS_CHECK(now >= last_update_, "fluid clock moved backwards");
   if (now == last_update_) return;
   const double dt_s = to_seconds(now - last_update_);
-  const double dt_ps = static_cast<double>(now - last_update_);
-  if (!utilisation_valid_) cache_utilisation();
   for (const FlowPtr& f : flows_) {
     Flow& flow = *f;
     if (flow.rate <= 0.0) continue;
-    const double moved = std::min(flow.remaining, flow.rate * dt_s);
-    flow.remaining -= moved;
-    for (ResourceId r : flow.spec.resources) {
-      resources_[r].stats.bytes_served += moved;
-    }
-  }
-  for (const BusyResource& busy : busy_resources_) {
-    resources_[busy.id].stats.busy_time_ps += busy.utilisation * dt_ps;
+    flow.remaining -= std::min(flow.remaining, flow.rate * dt_s);
   }
   last_update_ = now;
-}
-
-void FluidNetwork::cache_utilisation() {
-  std::vector<double>& resource_rate = scratch_rate_;
-  resource_rate.assign(resources_.size(), 0.0);
-  for (const FlowPtr& flow : flows_) {
-    if (flow->rate <= 0.0) continue;
-    for (ResourceId r : flow->spec.resources) resource_rate[r] += flow->rate;
-  }
-  busy_resources_.clear();
-  for (std::size_t r = 0; r < resources_.size(); ++r) {
-    // An idle resource would add 0 * dt to its busy time, which (never
-    // negative) leaves it exactly as it is.
-    if (resource_rate[r] == 0.0) continue;
-    busy_resources_.push_back(
-        {static_cast<ResourceId>(r),
-         std::min(1.0, resource_rate[r] / resources_[r].capacity)});
-  }
-  utilisation_valid_ = true;
 }
 
 void FluidNetwork::recompute_rates() {
@@ -202,7 +184,6 @@ void FluidNetwork::recompute_rates() {
   }
   rates_stale_ = false;
   renew_keeps_rates_ = false;
-  utilisation_valid_ = false;
 }
 
 SimTime FluidNetwork::next_wake_delay() const {
@@ -211,8 +192,8 @@ SimTime FluidNetwork::next_wake_delay() const {
   for (const FlowPtr& flow : flows_) {
     if (flow->rate <= 0.0) {
       GHS_CHECK(flow->remaining <= kDrainEpsilonBytes,
-                "flow '" << flow->spec.label << "' stalled at rate 0 with "
-                         << flow->remaining << " bytes left");
+                "flow " << flow->id << " stalled at rate 0 with "
+                        << flow->remaining << " bytes left");
       min_dt_s = 0.0;
       continue;
     }

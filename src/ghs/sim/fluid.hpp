@@ -49,16 +49,6 @@ struct FlowSpec {
   std::vector<ResourceId> resources;
   /// Invoked (once) when the last byte is delivered.
   std::function<void()> on_complete;
-  /// Debug label surfaced in logs and error messages.
-  std::string label;
-};
-
-struct ResourceStats {
-  /// Total bytes served by this resource so far.
-  double bytes_served = 0.0;
-  /// Integral of (utilised rate / capacity) dt, in picoseconds; dividing by
-  /// elapsed time gives average utilisation.
-  double busy_time_ps = 0.0;
 };
 
 class FluidNetwork {
@@ -76,18 +66,17 @@ class FluidNetwork {
   void set_capacity(ResourceId id, Bandwidth capacity);
 
   Bandwidth capacity(ResourceId id) const;
-  const ResourceStats& resource_stats(ResourceId id) const;
   std::size_t resource_count() const { return resources_.size(); }
 
   /// Starts a flow now; rates of all flows are re-fair-shared.
   FlowId start_flow(FlowSpec spec);
 
   /// Only from inside a flow's completion callback: starts that flow again
-  /// with `bytes` fresh bytes, keeping its rate cap, path, label and
-  /// callback. Same result as start_flow with that spec, minus building
-  /// the spec, and without a re-solve when the flow drained alone as the
-  /// newest one in flight; it also lets later wakes of this event run
-  /// inline (see the file comment).
+  /// with `bytes` fresh bytes, keeping its rate cap, path and callback.
+  /// Same result as start_flow with that spec, minus building the spec,
+  /// and without a re-solve when the flow drained alone as the newest one
+  /// in flight; it also lets later wakes of this event run inline (see the
+  /// file comment).
   FlowId renew_flow(double bytes);
 
   /// True if the flow is still in flight.
@@ -101,10 +90,22 @@ class FluidNetwork {
 
   std::size_t active_flows() const { return flows_.size(); }
 
+  /// What a run of flows moves: the next FlowId and wake generation.
+  struct Mark {
+    FlowId next_id = 0;
+    std::uint64_t wake_generation = 0;
+  };
+  Mark mark() const { return {next_flow_id_, wake_generation_}; }
+
+  /// With no flow in flight, stands in for `k` more runs like the one
+  /// since `since`: the next FlowId and wake generation move on by k times
+  /// what that run moved them. Throws OverflowError when one would pass
+  /// its range.
+  void fast_forward(const Mark& since, std::int64_t k);
+
  private:
   struct Resource {
     double capacity = 0.0;  // bytes/s
-    ResourceStats stats;
   };
 
   struct Flow {
@@ -117,8 +118,6 @@ class FluidNetwork {
 
   /// Advances all flows' progress from last_update_ to now.
   void sync_to_now();
-  /// Fills busy_resources_ from the current rates.
-  void cache_utilisation();
   /// Recomputes max-min fair rates for all active flows.
   void recompute_rates();
   /// A wake: completes the flows that have drained, invoking callbacks
@@ -141,25 +140,14 @@ class FluidNetwork {
   // deterministic. Ids only grow, so a new flow appends; each flow lives in
   // its own block, so a callback runs undisturbed while the table changes.
   std::vector<FlowPtr> flows_;
-  // Scratch reused by sync_to_now and recompute_rates, so the re-solve
-  // after every flow start or completion allocates nothing once warm.
-  // Neither function runs callbacks, so neither can re-enter itself
-  // while a buffer is in use.
-  std::vector<double> scratch_rate_;      // per resource
+  // Scratch reused by recompute_rates, so the re-solve after every flow
+  // start or completion allocates nothing once warm. It runs no
+  // callbacks, so it cannot re-enter itself while a buffer is in use.
   std::vector<double> scratch_residual_;  // per resource
   std::vector<int> scratch_count_;        // per resource
   std::vector<Flow*> scratch_unfrozen_;
   std::vector<Flow*> scratch_still_unfrozen_;
   std::vector<double> scratch_limits_;
-  // Each busy resource's utilisation (its flows' summed rate over its
-  // capacity, at most 1). It depends on the rates alone, so sync_to_now
-  // computes it once per re-solve.
-  struct BusyResource {
-    ResourceId id;
-    double utilisation;
-  };
-  std::vector<BusyResource> busy_resources_;
-  bool utilisation_valid_ = false;
   // Drained flows of the wake being settled, held (not freed) so that a
   // callback can renew its own flow; settle() never re-enters itself.
   std::vector<FlowPtr> scratch_drained_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/math.hpp"
 
 namespace ghs::sim {
 
@@ -21,6 +22,16 @@ SimTime SerialServer::submit_batch(SimTime now, SimTime service,
   busy_time_ += total;
   completed_ += count;
   return available_at_;
+}
+
+void SerialServer::fast_forward(const SerialServer& since, SimTime dt,
+                                std::int64_t k) {
+  if (completed_ == since.completed_) return;  // the run left it alone
+  available_at_ += repeated(available_at_, k, dt, "the combine unit's clock");
+  busy_time_ += repeated(busy_time_, k, busy_time_ - since.busy_time_,
+                         "the combine unit's busy time");
+  completed_ += repeated(completed_, k, completed_ - since.completed_,
+                         "combine completions");
 }
 
 void SerialServer::reset() {

@@ -32,6 +32,13 @@ class SerialServer {
   /// Forgets all history (used between benchmark repetitions).
   void reset();
 
+  /// Stands in for `k` more runs like the one since `since` (this server
+  /// as it was then), each `dt` long: busy time and completions move on by
+  /// k times what that run added and, if the run used the unit, so does
+  /// its availability, by k * dt. Throws OverflowError when one would pass
+  /// its range.
+  void fast_forward(const SerialServer& since, SimTime dt, std::int64_t k);
+
  private:
   SimTime available_at_ = 0;
   SimTime busy_time_ = 0;

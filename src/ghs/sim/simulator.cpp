@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/math.hpp"
 
 namespace ghs::sim {
 
@@ -118,6 +119,27 @@ bool Simulator::dispatch_inline(SimTime t) {
 
 void Simulator::run() {
   while (drain_batch() > 0) {
+  }
+}
+
+void Simulator::fast_forward(const Mark& since, std::int64_t k) {
+  GHS_REQUIRE(idle(), "fast-forward with " << heap_.size() << " events due");
+  const SimTime dt = now_ - since.now;
+  const auto events = static_cast<std::int64_t>(events_processed_);
+  const auto run_events = static_cast<std::int64_t>(events_processed_ -
+                                                    since.events);
+  const auto seq = static_cast<std::int64_t>(next_seq_);
+  const auto run_seq = static_cast<std::int64_t>(next_seq_ - since.next_seq);
+  now_ += repeated(now_, k, dt, "the simulated clock");
+  events_processed_ += static_cast<std::size_t>(
+      repeated(events, k, run_events, "the event count"));
+  next_seq_ += static_cast<std::uint64_t>(
+      repeated(seq, k, run_seq, "the event sequence"));
+  if (events_counter_ != nullptr) {
+    events_counter_->inc(repeated(events_counter_->value(), k, run_events,
+                                  "ghs_sim_events_total"));
+    advanced_counter_->inc(repeated(advanced_counter_->value(), k, dt,
+                                    "ghs_sim_advanced_ps_total"));
   }
 }
 

@@ -58,6 +58,21 @@ class Simulator {
   std::size_t events_processed() const { return events_processed_; }
   bool idle() const { return heap_.empty(); }
 
+  /// What a run of events moves: the clock, the sequence number of the
+  /// next event, and the events processed.
+  struct Mark {
+    SimTime now = 0;
+    std::uint64_t next_seq = 0;
+    std::size_t events = 0;
+  };
+  Mark mark() const { return {now_, next_seq_, events_processed_}; }
+
+  /// On an idle simulator, stands in for `k` more runs like the one since
+  /// `since`: the clock, the sequence number, the event count and their
+  /// counters move on by k times what that run moved them. Throws
+  /// OverflowError when one would pass its range.
+  void fast_forward(const Mark& since, std::int64_t k);
+
   /// High-water mark of the pending-event count, updated at push.
   std::size_t peak_queue_size() const { return peak_queue_size_; }
 

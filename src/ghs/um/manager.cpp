@@ -148,6 +148,43 @@ void UmManager::set_telemetry(telemetry::Sink sink) {
                                : nullptr;
 }
 
+void UmManager::digest(std::vector<std::int64_t>& out) const {
+  for (const Allocation& a : allocations_) {
+    out.push_back(a.live);
+    out.push_back(a.read_mostly);
+    out.push_back(static_cast<std::int64_t>(a.extents.size()));
+    for (const Extent& e : a.extents) {
+      out.push_back(static_cast<std::int64_t>(e.first));
+      out.push_back(static_cast<std::int64_t>(e.state.residency));
+      out.push_back(e.state.gpu_passes);
+      out.push_back(e.state.cpu_passes);
+      out.push_back(e.state.migrating);
+      out.push_back(e.state.duplicated);
+    }
+  }
+}
+
+void UmManager::fast_forward(const UmStats& since, std::int64_t k) {
+  // Each stat and the counter beside it move by the same amount.
+  const auto advance = [&](Bytes UmStats::*stat, telemetry::Counter* counter) {
+    const Bytes run = stats_.*stat - since.*stat;
+    stats_.*stat += repeated(stats_.*stat, k, run, "a UM statistic");
+    if (counter != nullptr) {
+      counter->inc(repeated(counter->value(), k, run, "a UM counter"));
+    }
+  };
+  const Instruments* m = m_;
+  advance(&UmStats::fault_migrations, m ? &m->fault_migrations : nullptr);
+  advance(&UmStats::counter_migrations,
+          m ? &m->background_migrations : nullptr);
+  advance(&UmStats::bytes_migrated_to_hbm, m ? &m->migrated_hbm : nullptr);
+  advance(&UmStats::bytes_migrated_to_lpddr,
+          m ? &m->migrated_lpddr : nullptr);
+  advance(&UmStats::remote_bytes_gpu, m ? &m->remote_gpu : nullptr);
+  advance(&UmStats::remote_bytes_cpu, m ? &m->remote_cpu : nullptr);
+  advance(&UmStats::bytes_duplicated, m ? &m->duplicated : nullptr);
+}
+
 telemetry::Gauge* UmManager::residency_gauge(mem::RegionId region) const {
   if (m_ == nullptr) return nullptr;
   return region == mem::RegionId::kHbm ? &m_->resident_hbm
@@ -255,6 +292,22 @@ Bytes UmManager::resident_bytes(AllocId id, mem::RegionId region, Bytes offset,
   return total;
 }
 
+std::uint32_t UmManager::count_pass(Page& page, Accessor accessor) const {
+  // Every read of a count is `passes >= threshold`, so stopping at the
+  // threshold changes no decision; it lets a page that is read pass after
+  // pass reach a steady state. A count no policy reads stays at 0.
+  std::uint32_t& passes =
+      accessor == Accessor::kGpu ? page.gpu_passes : page.cpu_passes;
+  int threshold = policy_.cpu_access_threshold;
+  if (accessor == Accessor::kGpu) {
+    threshold = policy_.mode == MigrationMode::kAccessCounter
+                    ? policy_.gpu_access_threshold
+                    : 0;
+  }
+  if (passes < static_cast<std::uint32_t>(threshold)) ++passes;
+  return passes;
+}
+
 std::vector<SegmentPlan> UmManager::plan_pass(AllocId id, Accessor accessor,
                                               Bytes offset, Bytes length) {
   Allocation& a = alloc(id);
@@ -288,19 +341,12 @@ std::vector<SegmentPlan> UmManager::plan_pass(AllocId id, Accessor accessor,
       // otherwise this pass establishes the replica.
       if (page.residency == local || page.duplicated) {
         d.source = local;
-      } else {
-        auto& passes =
-            accessor == Accessor::kGpu ? page.gpu_passes : page.cpu_passes;
-        ++passes;
-        if (!page.migrating) {
-          d.duplicate_on_access = true;
-          page.migrating = true;
-        }
+      } else if (!page.migrating) {
+        d.duplicate_on_access = true;
+        page.migrating = true;
       }
     } else if (page.residency != local) {
-      auto& passes =
-          accessor == Accessor::kGpu ? page.gpu_passes : page.cpu_passes;
-      ++passes;
+      const std::uint32_t passes = count_pass(page, accessor);
       if (accessor == Accessor::kGpu) {
         switch (policy_.mode) {
           case MigrationMode::kNone:
@@ -426,8 +472,7 @@ void UmManager::start_background_migration(AllocId id, std::size_t first_page,
                            started, topology_.sim().now(),
                            format_bytes(bytes));
         complete_segment(id, begin, bytes, destination);
-      },
-      label.str());
+      });
 }
 
 void UmManager::advise_read_mostly(AllocId id) {
@@ -524,8 +569,7 @@ Bytes UmManager::prefetch(AllocId id, Bytes offset, Bytes length,
           complete_segment(id, begin, bytes, destination);
           GHS_CHECK(*pending > 0, "prefetch completion underflow");
           if (--*pending == 0 && *done) (*done)();
-        },
-        label.str());
+        });
   }
   return total;
 }

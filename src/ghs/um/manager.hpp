@@ -127,6 +127,15 @@ class UmManager {
 
   const UmStats& stats() const { return stats_; }
 
+  /// Appends the page table to `out`: every allocation's liveness, advice
+  /// and extents, as words that compare equal exactly when the tables do.
+  void digest(std::vector<std::int64_t>& out) const;
+
+  /// Stands in for `k` more runs like the one since the stats read
+  /// `since`: the stats and their counters move on by k times what that
+  /// run added. Throws OverflowError when one would pass its range.
+  void fast_forward(const UmStats& since, std::int64_t k);
+
   /// Installs a span recorder for background migrations (null disables).
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
@@ -138,6 +147,8 @@ class UmManager {
  private:
   struct Page {
     mem::RegionId residency = mem::RegionId::kLpddr;
+    /// Passes over the page while it was remote, up to the threshold that
+    /// reads them (count_pass).
     std::uint32_t gpu_passes = 0;
     std::uint32_t cpu_passes = 0;
     bool migrating = false;
@@ -187,6 +198,9 @@ class UmManager {
   /// Merges equal neighbours among extents [lo - 1, hi]: the extents a
   /// call touched plus one on each side.
   static void merge_around(Allocation& a, std::size_t lo, std::size_t hi);
+  /// Counts one remote pass of `accessor` over `page`, saturating at the
+  /// threshold that reads the count; returns the count.
+  std::uint32_t count_pass(Page& page, Accessor accessor) const;
   void start_background_migration(AllocId id, std::size_t first_page,
                                   std::size_t last_page,
                                   mem::RegionId destination);

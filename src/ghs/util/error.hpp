@@ -22,6 +22,14 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// A run whose simulated clock, or one of its byte or event counts, would
+/// pass the 64-bit range, raised before any value wraps. The paper benches
+/// exit 2 on it, naming --iters, as on a bad flag.
+class OverflowError : public Error {
+ public:
+  using Error::Error;
+};
+
 namespace detail {
 
 [[noreturn]] void throw_error(const char* kind, const char* cond,

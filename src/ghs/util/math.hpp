@@ -56,6 +56,12 @@ constexpr double lerp(double a, double b, double t) {
   return a + (b - a) * t;
 }
 
+/// What `k` more steps of `delta` add to `value`: k * delta. Throws
+/// OverflowError, naming `what`, when the product or the sum leaves the
+/// int64 range.
+std::int64_t repeated(std::int64_t value, std::int64_t k, std::int64_t delta,
+                      const char* what);
+
 /// Relative difference |a-b| / max(|a|,|b|,eps); used by float verification.
 double relative_difference(double a, double b);
 

@@ -11,12 +11,10 @@
 // CPU reductions, transfer-engine copies, prefetches, capacity steps and
 // UM background migrations running beside them. The scenario runs twice:
 // with sparse no-ops, so trains stop and restart at arbitrary waves, and
-// with the dense chain. Every completion, every device, UM and resource
-// stat, the combine unit, the telemetry snapshot, the flight recorder and
-// the trace must match, and the event counts must differ by exactly the
-// no-ops.
+// with the dense chain. Every completion, every device and UM stat, the
+// combine unit, the telemetry snapshot, the flight recorder and the trace
+// must match, and the event counts must differ by exactly the no-ops.
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <initializer_list>
 #include <sstream>
@@ -176,12 +174,6 @@ mem::RegionId draw_region(Rng& rng) {
   return rng.next_below(2) == 0 ? mem::RegionId::kHbm : mem::RegionId::kLpddr;
 }
 
-std::string full(double value) {
-  char text[40];
-  std::snprintf(text, sizeof text, "%.17g", value);
-  return text;
-}
-
 struct Outcome {
   std::vector<std::pair<std::string, std::string>> sections;
   std::size_t events = 0;  // events processed, no-ops excluded
@@ -258,10 +250,9 @@ Outcome run(std::uint64_t seed, Noops noops, SimTime horizon) {
                                  ? mem::RegionId::kLpddr
                                  : mem::RegionId::kHbm;
     sim.schedule_at(when(), [&, bytes, from, to, i] {
-      platform.transfers().copy(
-          bytes, from, to,
-          [&, i] { log << "copy " << i << " at=" << sim.now() << "\n"; },
-          "copy");
+      platform.transfers().copy(bytes, from, to, [&, i] {
+        log << "copy " << i << " at=" << sim.now() << "\n";
+      });
     });
   }
   for (int i = 0, n = allocs.empty() ? 0 : static_cast<int>(rng.next_below(3));
@@ -325,11 +316,6 @@ Outcome run(std::uint64_t seed, Noops noops, SimTime horizon) {
         << " remote_gpu=" << u.remote_bytes_gpu
         << " remote_cpu=" << u.remote_bytes_cpu
         << " duplicated=" << u.bytes_duplicated << "\n";
-  for (sim::ResourceId r = 0; r < network.resource_count(); ++r) {
-    const sim::ResourceStats& s = network.resource_stats(r);
-    stats << "resource " << r << " bytes_served=" << full(s.bytes_served)
-          << " busy_time_ps=" << full(s.busy_time_ps) << "\n";
-  }
   out.sections.emplace_back("completions", log.str());
   out.sections.emplace_back("stats", stats.str());
 

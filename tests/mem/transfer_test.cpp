@@ -19,7 +19,7 @@ TEST_F(TransferTest, CopyIsLinkBound) {
   // wider, so the link binds).
   SimTime done = -1;
   engine.copy(4'500'000'000, RegionId::kLpddr, RegionId::kHbm,
-              [&] { done = sim.now(); }, "h2d");
+              [&] { done = sim.now(); });
   sim.run();
   EXPECT_NEAR(static_cast<double>(done), 10e9, 1e7);
 }
@@ -28,35 +28,33 @@ TEST_F(TransferTest, MigrationIsEngineBound) {
   // The migration engine (250 GB/s) is narrower than the link.
   SimTime done = -1;
   engine.migrate(2'500'000'000, RegionId::kLpddr, RegionId::kHbm,
-                 [&] { done = sim.now(); }, "mig");
+                 [&] { done = sim.now(); });
   sim.run();
   EXPECT_NEAR(static_cast<double>(done), 10e9, 1e7);
 }
 
 TEST_F(TransferTest, ZeroByteCopyCompletesInline) {
   bool called = false;
-  engine.copy(0, RegionId::kLpddr, RegionId::kHbm, [&] { called = true; },
-              "empty");
+  engine.copy(0, RegionId::kLpddr, RegionId::kHbm, [&] { called = true; });
   EXPECT_TRUE(called);
   EXPECT_EQ(sim.now(), 0);
 }
 
 TEST_F(TransferTest, NegativeBytesRejected) {
-  EXPECT_THROW(engine.copy(-1, RegionId::kLpddr, RegionId::kHbm, nullptr,
-                           "bad"),
+  EXPECT_THROW(engine.copy(-1, RegionId::kLpddr, RegionId::kHbm, nullptr),
                Error);
 }
 
 TEST_F(TransferTest, StatsAccumulate) {
-  engine.copy(100, RegionId::kLpddr, RegionId::kHbm, nullptr, "a");
-  engine.migrate(200, RegionId::kHbm, RegionId::kLpddr, nullptr, "b");
+  engine.copy(100, RegionId::kLpddr, RegionId::kHbm, nullptr);
+  engine.migrate(200, RegionId::kHbm, RegionId::kLpddr, nullptr);
   sim.run();
   EXPECT_EQ(engine.stats().copies, 2);
   EXPECT_EQ(engine.stats().bytes, 300);
 }
 
 TEST_F(TransferTest, ZeroByteCopyNotCounted) {
-  engine.copy(0, RegionId::kLpddr, RegionId::kHbm, nullptr, "none");
+  engine.copy(0, RegionId::kLpddr, RegionId::kHbm, nullptr);
   EXPECT_EQ(engine.stats().copies, 0);
 }
 
@@ -64,9 +62,9 @@ TEST_F(TransferTest, ConcurrentCopiesShareTheLink) {
   SimTime done_a = -1;
   SimTime done_b = -1;
   engine.copy(450'000'000, RegionId::kLpddr, RegionId::kHbm,
-              [&] { done_a = sim.now(); }, "a");
+              [&] { done_a = sim.now(); });
   engine.copy(450'000'000, RegionId::kLpddr, RegionId::kHbm,
-              [&] { done_b = sim.now(); }, "b");
+              [&] { done_b = sim.now(); });
   sim.run();
   // Two 0.45 GB copies over a 450 GB/s lane: 2 ms total when shared.
   EXPECT_NEAR(static_cast<double>(done_a), 2e9, 1e7);
@@ -77,9 +75,9 @@ TEST_F(TransferTest, OppositeDirectionsContendOnMemoriesNotLink) {
   SimTime done_up = -1;
   SimTime done_down = -1;
   engine.copy(450'000'000, RegionId::kLpddr, RegionId::kHbm,
-              [&] { done_up = sim.now(); }, "up");
+              [&] { done_up = sim.now(); });
   engine.copy(450'000'000, RegionId::kHbm, RegionId::kLpddr,
-              [&] { done_down = sim.now(); }, "down");
+              [&] { done_down = sim.now(); });
   sim.run();
   // Each direction has its own C2C lane, but both copies read and write
   // the two memories: LPDDR (500 GB/s) fair-shares at 250 GB/s per copy,

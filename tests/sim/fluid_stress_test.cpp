@@ -45,6 +45,7 @@ class FluidStressTest : public ::testing::TestWithParam<Scenario> {
 
     Outcome outcome;
     outcome.completion_times.resize(static_cast<std::size_t>(scenario.flows));
+    outcome.bytes_served.assign(resources.size(), 0.0);
     double total_bytes = 0.0;
     for (int f = 0; f < scenario.flows; ++f) {
       FlowSpec spec;
@@ -68,7 +69,13 @@ class FluidStressTest : public ::testing::TestWithParam<Scenario> {
       spec.resources = std::move(path);
       const auto index = static_cast<std::size_t>(f);
       auto& slot = outcome.completion_times[index];
-      spec.on_complete = [&sim, &slot] { slot = sim.now(); };
+      // A flow's bytes count toward each resource on its path once it
+      // completes.
+      spec.on_complete = [&sim, &slot, &served = outcome.bytes_served,
+                          bytes = spec.bytes, path = spec.resources] {
+        slot = sim.now();
+        for (ResourceId r : path) served[r] += bytes;
+      };
       // Stagger arrivals.
       const SimTime arrival =
           static_cast<SimTime>(rng.next_below(5)) * kMillisecond;
@@ -78,10 +85,6 @@ class FluidStressTest : public ::testing::TestWithParam<Scenario> {
     }
     sim.run();
     outcome.makespan = sim.now();
-    for (std::size_t r = 0; r < resources.size(); ++r) {
-      outcome.bytes_served.push_back(net.resource_stats(resources[r])
-                                         .bytes_served);
-    }
     // Conservation: the sum of per-resource service can exceed total bytes
     // (multi-resource flows are counted per resource) but each resource
     // serves at most capacity * makespan.

@@ -268,8 +268,7 @@ class ReferenceUm {
           [this, id, begin, bytes, destination, pending, done] {
             complete_segment(id, begin, bytes, destination);
             if (--*pending == 0 && *done) (*done)();
-          },
-          "ref-prefetch");
+          });
     }
     return total;
   }
@@ -326,8 +325,7 @@ class ReferenceUm {
         end - begin, a.pages[first_page].residency, destination,
         [this, id, begin, bytes = end - begin, destination] {
           complete_segment(id, begin, bytes, destination);
-        },
-        label.str());
+        });
   }
 
   /// The reference formats each detail when it records, the way the

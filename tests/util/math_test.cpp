@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "ghs/util/rng.hpp"
 
@@ -88,6 +89,17 @@ TEST(MathTest, RoundNonnegMatchesLlround) {
     const double half = std::floor(x) + 0.5;
     ASSERT_EQ(round_nonneg(half), std::llround(half)) << half;
   }
+}
+
+TEST(MathTest, RepeatedChecksTheProductAndTheSum) {
+  EXPECT_EQ(repeated(5, 3, 2, "x"), 6);
+  EXPECT_EQ(repeated(0, 0, 7, "x"), 0);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(repeated(kMax - 6, 3, 2, "x"), 6);
+  EXPECT_THROW(repeated(kMax - 5, 3, 2, "x"), OverflowError);
+  // 2^31 - 1 repetitions of an 8 GiB pass: the product alone overflows.
+  EXPECT_THROW(repeated(0, 2147483647, std::int64_t{1} << 33, "bytes"),
+               OverflowError);
 }
 
 }  // namespace
