@@ -58,6 +58,15 @@ for seed in 42 7 1234; do
     --nodes=16
   run "cluster_chaos_$seed" cluster_loadgen --seed="$seed" --plan=builtin \
     --fault-node=2
+  # Sampled traces: what the sampler keeps, drops and counts.
+  run "cluster_sampled_$seed" cluster_loadgen --seed="$seed" --nodes=4 \
+    --router=p2c --um-fraction=0.1 --remote-fraction=0.3 \
+    --trace="cluster_sampled_$seed.trace.json" --trace-sample=0.05
+  run "serve_sampled_$seed" serve_loadgen --seed="$seed" --um-fraction=0.2 \
+    --trace="serve_sampled_$seed.trace.json" --trace-sample=0.05
+  # The CSV form of the series dump.
+  run "serve_csv_$seed" serve_loadgen --seed="$seed" --um-fraction=0.2 \
+    --scrape-interval=50 --series-out="serve_csv_$seed.series.csv"
 done
 
 for paper in table1_baseline_vs_optimized fig1_gpu_sweep \

@@ -6,7 +6,7 @@
 
 #include "ghs/serve/policy.hpp"
 #include "ghs/util/error.hpp"
-#include "ghs/util/strings.hpp"
+#include "ghs/util/writer.hpp"
 
 namespace ghs::cluster {
 
@@ -86,50 +86,54 @@ constexpr telemetry::EventType kTransitionEvent{
 }  // namespace
 
 void MembershipReport::write_json(std::ostream& os) const {
-  os << "{\"crashes\":" << crashes << ",\"restarts\":" << restarts
-     << ",\"drains\":" << drains << ",\"drain_flushed\":" << drain_flushed
-     << ",\"replayed\":" << replayed << ",\"redirected\":" << redirected
-     << ",\"duplicate_suppressed\":" << duplicate_suppressed
-     << ",\"replay_gb\":" << format_fixed(replay_gb, 6)
-     << ",\"detections\":" << detections
-     << ",\"detection_mean_ms\":" << format_fixed(detection_mean_ms, 6)
-     << ",\"detection_max_ms\":" << format_fixed(detection_max_ms, 6)
-     << ",\"transitions\":" << transitions << ",\"final_states\":[";
+  Writer w(os);
+  write_json(w);
+}
+
+void MembershipReport::write_json(Writer& w) const {
+  w << "{\"crashes\":" << crashes << ",\"restarts\":" << restarts
+    << ",\"drains\":" << drains << ",\"drain_flushed\":" << drain_flushed
+    << ",\"replayed\":" << replayed << ",\"redirected\":" << redirected
+    << ",\"duplicate_suppressed\":" << duplicate_suppressed
+    << ",\"replay_gb\":" << Fixed{replay_gb, 6}
+    << ",\"detections\":" << detections
+    << ",\"detection_mean_ms\":" << Fixed{detection_mean_ms, 6}
+    << ",\"detection_max_ms\":" << Fixed{detection_max_ms, 6}
+    << ",\"transitions\":" << transitions << ",\"final_states\":[";
   for (std::size_t i = 0; i < final_states.size(); ++i) {
-    os << (i == 0 ? "" : ",") << "\"" << final_states[i] << "\"";
+    w << (i == 0 ? "" : ",") << "\"" << final_states[i] << "\"";
   }
-  os << "]}";
+  w << "]}";
 }
 
 void ClusterReport::write_json(std::ostream& os) const {
-  os << "{\"router\":\"" << router << "\",\"policy\":\"" << policy
-     << "\",\"nodes\":" << nodes << ",\"submitted\":" << submitted
-     << ",\"served\":" << served << ",\"rejected\":" << rejected
-     << ",\"shed\":" << shed << ",\"remote_jobs\":" << remote_jobs
-     << ",\"transfers\":" << transfers
-     << ",\"transfer_gb\":" << format_fixed(transfer_gb, 6)
-     << ",\"spills\":" << spills << ",\"spilled_saved\":" << spilled_saved
-     << ",\"steals\":" << steals << ",\"stolen_jobs\":" << stolen_jobs
-     << ",";
-  OutcomeStats::write_json(os);
-  os << ",\"routed\":[";
+  Writer w(os);
+  w << "{\"router\":\"" << router << "\",\"policy\":\"" << policy
+    << "\",\"nodes\":" << nodes << ",\"submitted\":" << submitted
+    << ",\"served\":" << served << ",\"rejected\":" << rejected
+    << ",\"shed\":" << shed << ",\"remote_jobs\":" << remote_jobs
+    << ",\"transfers\":" << transfers
+    << ",\"transfer_gb\":" << Fixed{transfer_gb, 6} << ",\"spills\":" << spills
+    << ",\"spilled_saved\":" << spilled_saved << ",\"steals\":" << steals
+    << ",\"stolen_jobs\":" << stolen_jobs << ",";
+  OutcomeStats::write_json(w);
+  w << ",\"routed\":[";
   for (std::size_t i = 0; i < routed.size(); ++i) {
-    os << (i == 0 ? "" : ",") << routed[i];
+    w << (i == 0 ? "" : ",") << routed[i];
   }
-  os << "],\"imbalance\":" << format_fixed(imbalance, 6)
-     << ",\"node_reports\":[";
+  w << "],\"imbalance\":" << Fixed{imbalance, 6} << ",\"node_reports\":[";
   for (std::size_t i = 0; i < node_reports.size(); ++i) {
-    if (i != 0) os << ",";
-    node_reports[i].write_json(os);
+    if (i != 0) w << ",";
+    node_reports[i].write_json(w);
   }
-  os << "]";
+  w << "]";
   // Trailing key so a membership-off report is byte-identical to the
   // pre-membership format (and strip-suffix comparable when on).
   if (membership_aware) {
-    os << ",\"membership\":";
-    membership.write_json(os);
+    w << ",\"membership\":";
+    membership.write_json(w);
   }
-  os << "}";
+  w << "}";
 }
 
 Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
@@ -419,7 +423,10 @@ void Cluster::deliver(serve::Job job, int target, int transfer_src,
       [this, job = std::move(job), target, transfer_src, begin,
        seq]() mutable {
         const SimTime end = sim_.now();
-        if (tracer_ != nullptr) {
+        // The span carries no context, but it follows the sampling
+        // decision of the trace its job will open on arrival.
+        if (tracer_ != nullptr &&
+            tracer_->keep(trace::Context{trace::derive_trace_id(job.id)})) {
           tracer_->record(trace::Track::kServer, "cluster.xfer", begin, end,
                           "node" + std::to_string(transfer_src) + "->node" +
                               std::to_string(target) + " job " +

@@ -61,6 +61,7 @@
 #include "ghs/sim/simulator.hpp"
 #include "ghs/slo/monitor.hpp"
 #include "ghs/trace/tracer.hpp"
+#include "ghs/util/writer.hpp"
 
 namespace ghs::cluster {
 
@@ -149,6 +150,7 @@ struct MembershipReport {
   std::vector<std::string> final_states;
 
   void write_json(std::ostream& os) const;
+  void write_json(Writer& w) const;
 };
 
 /// One fleet run. Its makespan runs from the earliest front-door arrival

@@ -5,15 +5,15 @@
 #include <cstdio>
 #include <string>
 
+#include "ghs/util/strings.hpp"
+
 namespace ghs::fault {
 
 namespace {
 
 /// "service xS" for a stretch of S.
 void append_stretch(std::string& out, double stretch) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "service x%.3f", stretch);
-  out += buf;
+  out += "service x" + format_fixed(stretch, 3);
 }
 
 using Args = telemetry::EventArgs;

@@ -76,7 +76,6 @@ struct GpuDevice::Execution {
   double cta_cap = 0.0;             // bytes/s per CTA
   double hbm_stream_cap = 0.0;      // bytes/s of a saturating stream
   SimTime tree_latency = 0;
-  std::string wave_label;
   /// desc.label interned in the attached flight recorder.
   std::int64_t flight_label = 0;
 
@@ -143,7 +142,6 @@ void GpuDevice::launch(const KernelDesc& desc,
   exec->tree_latency = static_cast<SimTime>(
       config_.tree_step_cycles * static_cast<double>(tree_steps) *
       config_.cycle_ps());
-  exec->wave_label = desc.label + ":wave";
 
   sim_.schedule_after(config_.kernel_launch_latency, [this, exec] {
     exec->begin_time = sim_.now();
@@ -289,8 +287,9 @@ void GpuDevice::finish_wave(const std::shared_ptr<Execution>& exec) {
   const std::int64_t cta_count = exec->wave_ctas;
   const SimTime flow_end = exec->wave_end;
   if (tracer_ != nullptr) {
-    tracer_->record(trace::Track::kGpuWaves, exec->wave_label, exec->wave_start,
-                    flow_end, std::to_string(cta_count) + " CTAs");
+    tracer_->record(trace::Track::kGpuWaves, exec->desc.label + ":wave",
+                    exec->wave_start, flow_end,
+                    std::to_string(cta_count) + " CTAs");
   }
   // Fold the wave's partials according to the kernel's combine strategy.
   switch (exec->desc.strategy) {

@@ -1,8 +1,7 @@
 #include "ghs/membership/health.hpp"
 
-#include <cstdio>
-
 #include "ghs/util/error.hpp"
+#include "ghs/util/strings.hpp"
 
 namespace ghs::membership {
 
@@ -12,11 +11,7 @@ namespace {
 // phi-accrual suspicion scale.
 constexpr double kLog10E = 0.4342944819032518;
 
-std::string phi_reason(double phi) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "phi=%.2f", phi);
-  return buf;
-}
+std::string phi_reason(double phi) { return "phi=" + format_fixed(phi, 2); }
 
 }  // namespace
 

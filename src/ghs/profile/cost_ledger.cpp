@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <ostream>
 #include <string>
 
 #include "ghs/util/error.hpp"
 #include "ghs/util/strings.hpp"
+#include "ghs/util/writer.hpp"
 #include "ghs/workload/cases.hpp"
 
 namespace ghs::profile {
@@ -302,41 +302,41 @@ void CostLedger::write_json(std::ostream& os,
                 << "B replay=" << telemetry.replay_bytes << "B");
 
   const std::vector<std::pair<CostKey, Cost>> sorted = entries();
+  const auto ms = [](SimTime t) { return Fixed{to_millis(t), 6}; };
 
-  os << "{\"entries\":[";
+  Writer w(os);
+  w << "{\"entries\":[";
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     const auto& [key, cost] = sorted[i];
-    if (i > 0) os << ",";
-    os << "{\"tenant\":" << key.tenant << ",\"op\":\"" << op_name(key.op)
-       << "\",\"node\":" << key.node << ",\"device\":\""
-       << device_name(key.device) << "\",\"phase\":\""
-       << phase_name(key.phase)
-       << "\",\"time_ms\":" << format_fixed(to_millis(cost.time_ps), 6)
-       << ",\"bytes\":" << cost.bytes << ",\"events\":" << cost.events
-       << "}";
+    if (i > 0) w << ",";
+    w << "{\"tenant\":" << key.tenant << ",\"op\":\"" << op_name(key.op)
+      << "\",\"node\":" << key.node << ",\"device\":\""
+      << device_name(key.device) << "\",\"phase\":\"" << phase_name(key.phase)
+      << "\",\"time_ms\":" << ms(cost.time_ps) << ",\"bytes\":" << cost.bytes
+      << ",\"events\":" << cost.events << "}";
   }
-  os << "],\"totals\":{\"gpu_busy_ms\":"
-     << format_fixed(to_millis(attributed_.gpu_busy_ps), 6)
-     << ",\"cpu_busy_ms\":"
-     << format_fixed(to_millis(attributed_.cpu_busy_ps), 6)
-     << ",\"um_bytes\":" << attributed_.um_bytes
-     << ",\"transfer_bytes\":" << attributed_.transfer_bytes
-     << ",\"replay_bytes\":" << attributed_.replay_bytes
-     << "},\"conservation\":{\"gpu_busy_ps\":{\"attributed\":"
-     << attributed_.gpu_busy_ps << ",\"telemetry\":" << telemetry.gpu_busy_ps
-     << "},\"cpu_busy_ps\":{\"attributed\":" << attributed_.cpu_busy_ps
-     << ",\"telemetry\":" << telemetry.cpu_busy_ps
-     << "},\"um_bytes\":{\"attributed\":" << attributed_.um_bytes
-     << ",\"telemetry\":" << telemetry.um_bytes
-     << "},\"transfer_bytes\":{\"attributed\":" << attributed_.transfer_bytes
-     << ",\"telemetry\":" << telemetry.transfer_bytes
-     << "},\"replay_bytes\":{\"attributed\":" << attributed_.replay_bytes
-     << ",\"telemetry\":" << telemetry.replay_bytes << "},\"ok\":"
-     << (conservation.ok() ? "true" : "false") << "}}";
+  const auto pair = [&](const char* name, std::int64_t attributed,
+                        std::int64_t telemetry_value) {
+    w << "\"" << name << "\":{\"attributed\":" << attributed
+      << ",\"telemetry\":" << telemetry_value << "},";
+  };
+  w << "],\"totals\":{\"gpu_busy_ms\":" << ms(attributed_.gpu_busy_ps)
+    << ",\"cpu_busy_ms\":" << ms(attributed_.cpu_busy_ps)
+    << ",\"um_bytes\":" << attributed_.um_bytes
+    << ",\"transfer_bytes\":" << attributed_.transfer_bytes
+    << ",\"replay_bytes\":" << attributed_.replay_bytes
+    << "},\"conservation\":{";
+  pair("gpu_busy_ps", attributed_.gpu_busy_ps, telemetry.gpu_busy_ps);
+  pair("cpu_busy_ps", attributed_.cpu_busy_ps, telemetry.cpu_busy_ps);
+  pair("um_bytes", attributed_.um_bytes, telemetry.um_bytes);
+  pair("transfer_bytes", attributed_.transfer_bytes, telemetry.transfer_bytes);
+  pair("replay_bytes", attributed_.replay_bytes, telemetry.replay_bytes);
+  w << "\"ok\":" << (conservation.ok() ? "true" : "false") << "}}";
 }
 
 void CostLedger::write_table(std::ostream& os, std::size_t top_k) const {
-  char buf[160];
+  Writer w(os);
+  const auto ms = [](SimTime t) { return Fixed{to_millis(t), 3}; };
   const auto print_top = [&](const char* what, std::vector<Busy> busy,
                              const auto& label_of) {
     // Biggest spenders first; ties in id order.
@@ -345,20 +345,15 @@ void CostLedger::write_table(std::ostream& os, std::size_t top_k) const {
     });
     if (busy.size() > top_k) busy.resize(top_k);
     for (const auto& [id, time_ps] : busy) {
-      std::snprintf(buf, sizeof(buf), "  %-8s %-16s busy %10.3fms\n", what,
-                    label_of(id).c_str(), to_millis(time_ps));
-      os << buf;
+      w << "  " << pad_right(what, 8) << " " << pad_right(label_of(id), 16)
+        << " busy " << pad_left(format_fixed(to_millis(time_ps), 3), 10)
+        << "ms\n";
     }
   };
-  std::snprintf(buf, sizeof(buf),
-                "cost attribution: gpu %.3fms cpu %.3fms, um %lld B, "
-                "interconnect %lld B, replay %lld B\n",
-                to_millis(attributed_.gpu_busy_ps),
-                to_millis(attributed_.cpu_busy_ps),
-                static_cast<long long>(attributed_.um_bytes),
-                static_cast<long long>(attributed_.transfer_bytes),
-                static_cast<long long>(attributed_.replay_bytes));
-  os << buf;
+  w << "cost attribution: gpu " << ms(attributed_.gpu_busy_ps) << "ms cpu "
+    << ms(attributed_.cpu_busy_ps) << "ms, um " << attributed_.um_bytes
+    << " B, interconnect " << attributed_.transfer_bytes << " B, replay "
+    << attributed_.replay_bytes << " B\n";
   print_top("tenant", tenant_busy_, [](std::int64_t tenant) {
     return "tenant " + std::to_string(tenant);
   });

@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/writer.hpp"
 #include "ghs/workload/cases.hpp"
 
 namespace ghs::profile {
@@ -137,8 +138,9 @@ void Profiler::flush(const std::vector<CostLedger::Busy>& busy,
 }
 
 void Profiler::write_collapsed(std::ostream& os) const {
+  Writer w(os);
   for (const auto& [stack, count] : folded_) {
-    os << stack << " " << count << "\n";
+    w << stack << " " << count << "\n";
   }
 }
 

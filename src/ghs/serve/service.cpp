@@ -5,7 +5,7 @@
 #include <string>
 
 #include "ghs/util/error.hpp"
-#include "ghs/util/strings.hpp"
+#include "ghs/util/writer.hpp"
 
 namespace ghs::serve {
 
@@ -117,15 +117,15 @@ constexpr telemetry::EventType kBreakerEvent{
 
 /// Writes `"key":{...}`, the stats as one JSON member, in the fixed
 /// format of every report.
-void write_latency_json(std::ostream& os, const char* key,
+void write_latency_json(Writer& w, const char* key,
                         const LatencyStats& stats) {
-  os << "\"" << key << "\":{\"count\":" << stats.count
-     << ",\"mean_ms\":" << format_fixed(stats.mean_ms, 6)
-     << ",\"p50_ms\":" << format_fixed(stats.pct.p50, 6)
-     << ",\"p95_ms\":" << format_fixed(stats.pct.p95, 6)
-     << ",\"p99_ms\":" << format_fixed(stats.pct.p99, 6)
-     << ",\"p999_ms\":" << format_fixed(stats.pct.p999, 6)
-     << ",\"max_ms\":" << format_fixed(stats.max_ms, 6) << "}";
+  w << "\"" << key << "\":{\"count\":" << stats.count
+    << ",\"mean_ms\":" << Fixed{stats.mean_ms, 6}
+    << ",\"p50_ms\":" << Fixed{stats.pct.p50, 6}
+    << ",\"p95_ms\":" << Fixed{stats.pct.p95, 6}
+    << ",\"p99_ms\":" << Fixed{stats.pct.p99, 6}
+    << ",\"p999_ms\":" << Fixed{stats.pct.p999, 6}
+    << ",\"max_ms\":" << Fixed{stats.max_ms, 6} << "}";
 }
 
 /// The distribution of one span of every served job, in milliseconds. The
@@ -164,37 +164,40 @@ void OutcomeStats::fill(const Outcomes& outcomes) {
   latency = stats_of(served, &JobTimes::latency);
 }
 
-void OutcomeStats::write_json(std::ostream& os) const {
-  os << "\"makespan_ms\":" << format_fixed(to_millis(makespan), 6)
-     << ",\"bytes_served\":" << bytes_served
-     << ",\"throughput_jobs_per_s\":"
-     << format_fixed(throughput_jobs_per_s, 6)
-     << ",\"throughput_gbps\":" << format_fixed(throughput_gbps, 6) << ",";
-  write_latency_json(os, "latency", latency);
+void OutcomeStats::write_json(Writer& w) const {
+  w << "\"makespan_ms\":" << Fixed{to_millis(makespan), 6}
+    << ",\"bytes_served\":" << bytes_served
+    << ",\"throughput_jobs_per_s\":" << Fixed{throughput_jobs_per_s, 6}
+    << ",\"throughput_gbps\":" << Fixed{throughput_gbps, 6} << ",";
+  write_latency_json(w, "latency", latency);
 }
 
 void ServiceReport::write_json(std::ostream& os) const {
-  os << "{\"policy\":\"" << policy << "\",\"submitted\":" << submitted
-     << ",\"served\":" << served << ",\"rejected\":" << rejected
-     << ",\"deadline_missed\":" << deadline_missed
-     << ",\"launches\":" << launches
-     << ",\"multi_job_launches\":" << multi_job_launches
-     << ",\"batched_jobs\":" << batched_jobs << ",\"gpu_jobs\":" << gpu_jobs
-     << ",\"cpu_jobs\":" << cpu_jobs << ",\"um_jobs\":" << um_jobs
-     << ",\"queue_high_watermark\":" << queue_high_watermark << ",";
-  OutcomeStats::write_json(os);
-  os << ",";
-  write_latency_json(os, "queue_wait", queue_wait);
-  os << ",\"tuner_hits\":" << tuner_hits
-     << ",\"tuner_misses\":" << tuner_misses;
+  Writer w(os);
+  write_json(w);
+}
+
+void ServiceReport::write_json(Writer& w) const {
+  w << "{\"policy\":\"" << policy << "\",\"submitted\":" << submitted
+    << ",\"served\":" << served << ",\"rejected\":" << rejected
+    << ",\"deadline_missed\":" << deadline_missed
+    << ",\"launches\":" << launches
+    << ",\"multi_job_launches\":" << multi_job_launches
+    << ",\"batched_jobs\":" << batched_jobs << ",\"gpu_jobs\":" << gpu_jobs
+    << ",\"cpu_jobs\":" << cpu_jobs << ",\"um_jobs\":" << um_jobs
+    << ",\"queue_high_watermark\":" << queue_high_watermark << ",";
+  OutcomeStats::write_json(w);
+  w << ",";
+  write_latency_json(w, "queue_wait", queue_wait);
+  w << ",\"tuner_hits\":" << tuner_hits << ",\"tuner_misses\":" << tuner_misses;
   // Fault keys only appear on fault-aware runs; an empty (or absent) plan
   // keeps the report byte-identical to a fault-unaware build.
   if (fault_aware) {
-    os << ",\"retries\":" << retries << ",\"gpu_failures\":" << gpu_failures
-       << ",\"breaker_opens\":" << breaker_opens << ",\"shed\":" << shed
-       << ",\"fallback_cpu_jobs\":" << fallback_cpu_jobs;
+    w << ",\"retries\":" << retries << ",\"gpu_failures\":" << gpu_failures
+      << ",\"breaker_opens\":" << breaker_opens << ",\"shed\":" << shed
+      << ",\"fallback_cpu_jobs\":" << fallback_cpu_jobs;
   }
-  os << "}";
+  w << "}";
 }
 
 ReductionService::ReductionService(std::unique_ptr<SchedulerPolicy> policy,

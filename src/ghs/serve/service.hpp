@@ -50,6 +50,7 @@
 #include "ghs/trace/tracer.hpp"
 #include "ghs/util/error.hpp"
 #include "ghs/util/rng.hpp"
+#include "ghs/util/writer.hpp"
 
 namespace ghs::serve {
 
@@ -185,7 +186,7 @@ struct OutcomeStats {
   /// origin to the last completion.
   void fill(const Outcomes& outcomes);
   /// Writes the five keys as JSON members, comma-separated.
-  void write_json(std::ostream& os) const;
+  void write_json(Writer& w) const;
 };
 
 /// One service run. Its makespan runs from the earliest arrival of a
@@ -227,6 +228,7 @@ struct ServiceReport : OutcomeStats {
 
   /// One JSON object, stable key order, deterministic formatting.
   void write_json(std::ostream& os) const;
+  void write_json(Writer& w) const;
 };
 
 class ReductionService {

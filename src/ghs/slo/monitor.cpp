@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "ghs/timeseries/query.hpp"
 #include "ghs/util/error.hpp"
-#include "ghs/util/strings.hpp"
+#include "ghs/util/writer.hpp"
 
 namespace ghs::slo {
 
@@ -43,51 +42,50 @@ std::vector<BurnRateRule> default_burn_rules() {
 }
 
 void Report::write_json(std::ostream& os) const {
-  os << "{\"objectives\":[";
+  Writer w(os);
+  const auto fixed = [](double value) { return Fixed{value, 6}; };
+  const auto ms = [](SimTime t) { return Fixed{to_millis(t), 6}; };
+  w << "{\"objectives\":[";
   for (std::size_t i = 0; i < objectives.size(); ++i) {
     const auto& obj = objectives[i];
-    if (i > 0) os << ",";
-    os << "{\"name\":\"" << obj.name << "\",\"kind\":\""
-       << objective_kind_name(obj.kind)
-       << "\",\"target\":" << format_fixed(obj.target, 6);
+    if (i > 0) w << ",";
+    w << "{\"name\":\"" << obj.name << "\",\"kind\":\""
+      << objective_kind_name(obj.kind) << "\",\"target\":" << fixed(obj.target);
     if (obj.kind == ObjectiveKind::kLatencyQuantile) {
-      os << ",\"threshold_ms\":" << format_fixed(obj.threshold_ms, 6);
+      w << ",\"threshold_ms\":" << fixed(obj.threshold_ms);
     }
-    os << ",\"samples\":" << obj.samples << ",\"good\":" << obj.good
-       << ",\"bad\":" << obj.bad
-       << ",\"compliance\":" << format_fixed(obj.compliance, 6)
-       << ",\"budget_burn\":" << format_fixed(obj.budget_burn, 6)
-       << ",\"met\":" << (obj.met ? "true" : "false") << ",\"burn\":[";
+    w << ",\"samples\":" << obj.samples << ",\"good\":" << obj.good
+      << ",\"bad\":" << obj.bad << ",\"compliance\":" << fixed(obj.compliance)
+      << ",\"budget_burn\":" << fixed(obj.budget_burn)
+      << ",\"met\":" << (obj.met ? "true" : "false") << ",\"burn\":[";
     for (std::size_t j = 0; j < obj.burn.size(); ++j) {
       const auto& rule = obj.burn[j];
-      if (j > 0) os << ",";
-      os << "{\"severity\":\"" << rule.severity << "\",\"long_window_ms\":"
-         << format_fixed(to_millis(rule.long_window), 6)
-         << ",\"short_window_ms\":"
-         << format_fixed(to_millis(rule.short_window), 6)
-         << ",\"threshold\":" << format_fixed(rule.threshold, 6)
-         << ",\"peak_burn\":" << format_fixed(rule.peak_burn, 6)
-         << ",\"alerts\":" << rule.alerts << ",\"first_alert_ms\":";
+      if (j > 0) w << ",";
+      w << "{\"severity\":\"" << rule.severity
+        << "\",\"long_window_ms\":" << ms(rule.long_window)
+        << ",\"short_window_ms\":" << ms(rule.short_window)
+        << ",\"threshold\":" << fixed(rule.threshold)
+        << ",\"peak_burn\":" << fixed(rule.peak_burn)
+        << ",\"alerts\":" << rule.alerts << ",\"first_alert_ms\":";
       if (rule.first_alert < 0) {
-        os << "null";
+        w << "null";
       } else {
-        os << format_fixed(to_millis(rule.first_alert), 6);
+        w << ms(rule.first_alert);
       }
-      os << "}";
+      w << "}";
     }
-    os << "]}";
+    w << "]}";
   }
-  os << "],\"alerts\":[";
+  w << "],\"alerts\":[";
   for (std::size_t i = 0; i < alerts.size(); ++i) {
     const auto& alert = alerts[i];
-    if (i > 0) os << ",";
-    os << "{\"objective\":\"" << alert.objective << "\",\"severity\":\""
-       << alert.severity
-       << "\",\"at_ms\":" << format_fixed(to_millis(alert.at), 6)
-       << ",\"burn_long\":" << format_fixed(alert.burn_long, 6)
-       << ",\"burn_short\":" << format_fixed(alert.burn_short, 6) << "}";
+    if (i > 0) w << ",";
+    w << "{\"objective\":\"" << alert.objective << "\",\"severity\":\""
+      << alert.severity << "\",\"at_ms\":" << ms(alert.at)
+      << ",\"burn_long\":" << fixed(alert.burn_long)
+      << ",\"burn_short\":" << fixed(alert.burn_short) << "}";
   }
-  os << "],\"total_alerts\":" << total_alerts() << "}";
+  w << "],\"total_alerts\":" << total_alerts() << "}";
 }
 
 Monitor::Monitor(std::vector<Objective> objectives, MonitorOptions options)
@@ -119,6 +117,8 @@ void Monitor::record_latency(std::size_t index, SimTime at,
 void Monitor::feed(const serve::Outcomes& outcomes) {
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
     const auto& obj = objectives_[i];
+    samples_[i].reserve(samples_[i].size() + outcomes.served.size() +
+                        outcomes.rejected.size() + outcomes.shed.size());
     if (obj.kind == ObjectiveKind::kAvailability) {
       for (const auto& times : outcomes.served) {
         record(i, times.completion, true);
@@ -136,16 +136,11 @@ void Monitor::feed(const serve::Outcomes& outcomes) {
 Report Monitor::evaluate() const {
   Report report;
   report.objectives.reserve(objectives_.size());
+  std::vector<Sample> merged;
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
     const auto& obj = objectives_[i];
-    // Completions, rejections, and sheds were fed in bookkeeping order;
-    // the sliding windows need strict time order. stable_sort keeps
-    // same-instant samples in feed order so evaluation is deterministic.
-    std::vector<Sample> samples = samples_[i];
-    std::stable_sort(samples.begin(), samples.end(),
-                     [](const Sample& a, const Sample& b) {
-                       return a.at < b.at;
-                     });
+    const std::vector<Sample>& samples = in_time_order(samples_[i], merged);
+    const double budget = budget_of(obj.target);
 
     ObjectiveReport out;
     out.name = obj.name;
@@ -164,7 +159,7 @@ Report Monitor::evaluate() const {
         samples.empty()
             ? 1.0
             : static_cast<double>(out.good) / static_cast<double>(samples.size());
-    out.budget_burn = (1.0 - out.compliance) / budget_of(obj.target);
+    out.budget_burn = (1.0 - out.compliance) / budget;
     out.met = out.compliance >= obj.target;
 
     for (const auto& rule : options_.rules) {
@@ -174,25 +169,34 @@ Report Monitor::evaluate() const {
       burn.short_window = rule.short_window;
       burn.threshold = rule.threshold;
 
-      // Each sample pushed as 0 (good) / 1 (bad) into a pair of sliding
-      // windows; after push the windows hold exactly (t - w, t], so
-      // sum()/count() is the windowed bad fraction. The 0/1 running sums
-      // are exact in doubles, so this reproduces the old two-pointer
-      // sweep's reports byte for byte.
-      timeseries::SlidingWindow long_w(rule.long_window);
-      timeseries::SlidingWindow short_w(rule.short_window);
+      // After sample k each window is the run of samples in
+      // (t_k - window, t_k]: its first index only moves forward, and its
+      // integer bad count is exactly the 0/1 sum a sliding deque held, so
+      // the burn rates are the same doubles.
+      struct Window {
+        SimTime width;
+        std::size_t first = 0;
+        std::int64_t bad = 0;
+
+        double burn(const std::vector<Sample>& samples, std::size_t k,
+                    double budget) {
+          if (!samples[k].good) ++bad;
+          while (samples[first].at <= samples[k].at - width) {
+            if (!samples[first].good) --bad;
+            ++first;
+          }
+          return (static_cast<double>(bad) /
+                  static_cast<double>(k - first + 1)) /
+                 budget;
+        }
+      };
+      Window long_w{rule.long_window};
+      Window short_w{rule.short_window};
       bool alerting = false;
       for (std::size_t k = 0; k < samples.size(); ++k) {
         const SimTime now = samples[k].at;
-        const double bad = samples[k].good ? 0.0 : 1.0;
-        long_w.push(now, bad);
-        short_w.push(now, bad);
-        const double burn_long =
-            (long_w.sum() / static_cast<double>(long_w.count())) /
-            budget_of(obj.target);
-        const double burn_short =
-            (short_w.sum() / static_cast<double>(short_w.count())) /
-            budget_of(obj.target);
+        const double burn_long = long_w.burn(samples, k, budget);
+        const double burn_short = short_w.burn(samples, k, budget);
         burn.peak_burn = std::max(burn.peak_burn, burn_long);
 
         const bool over =
@@ -214,6 +218,39 @@ Report Monitor::evaluate() const {
   std::stable_sort(report.alerts.begin(), report.alerts.end(),
                    [](const Alert& a, const Alert& b) { return a.at < b.at; });
   return report;
+}
+
+const std::vector<Monitor::Sample>& Monitor::in_time_order(
+    const std::vector<Sample>& fed, std::vector<Sample>& merged) {
+  // The feed is a few time-ordered runs (completions, then rejections,
+  // then sheds). Merging adjacent runs pairwise, the left one first on
+  // ties, is a stable sort: same-instant samples keep feed order.
+  std::vector<std::size_t> runs = {0};
+  for (std::size_t k = 1; k < fed.size(); ++k) {
+    if (fed[k].at < fed[k - 1].at) runs.push_back(k);
+  }
+  if (runs.size() == 1) return fed;
+  runs.push_back(fed.size());
+  merged = fed;
+  const auto by_time = [](const Sample& a, const Sample& b) {
+    return a.at < b.at;
+  };
+  while (runs.size() > 2) {
+    std::vector<std::size_t> next = {0};
+    for (std::size_t r = 0; r + 1 < runs.size(); r += 2) {
+      if (r + 2 < runs.size()) {
+        std::inplace_merge(merged.begin() + static_cast<std::ptrdiff_t>(runs[r]),
+                           merged.begin() +
+                               static_cast<std::ptrdiff_t>(runs[r + 1]),
+                           merged.begin() +
+                               static_cast<std::ptrdiff_t>(runs[r + 2]),
+                           by_time);
+      }
+      next.push_back(runs[std::min(r + 2, runs.size() - 1)]);
+    }
+    runs = std::move(next);
+  }
+  return merged;
 }
 
 }  // namespace ghs::slo

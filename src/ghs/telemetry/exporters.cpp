@@ -1,84 +1,75 @@
 #include "ghs/telemetry/exporters.hpp"
 
-#include <cstdio>
 #include <string>
-#include <vector>
 
 #include "ghs/util/strings.hpp"
+#include "ghs/util/writer.hpp"
 
 namespace ghs::telemetry {
 
-namespace {
-
-// Bucket bounds print compact ("0.05", "20"), matching Prometheus's
-// conventional le rendering.
-std::string compact(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  return buf;
-}
-
-// Splices an `le` label into an already-rendered label block.
-std::string with_le(const std::string& labels, const std::string& le) {
-  if (labels.empty()) return "{le=\"" + le + "\"}";
-  return labels.substr(0, labels.size() - 1) + ",le=\"" + le + "\"}";
-}
-
-}  // namespace
-
 void write_prometheus(std::ostream& os, const Registry& registry,
                       const ExportOptions& options) {
+  Writer w(os);
   std::string last_name;
   registry.visit([&](const Registry::View& view) {
     if (view.volatile_instrument && !options.include_volatile) return;
     if (view.name != last_name) {
       last_name = view.name;
       if (!view.help.empty()) {
-        os << "# HELP " << view.name << " ";
+        w << "# HELP " << view.name << " ";
         for (char c : view.help) {
           if (c == '\\') {
-            os << "\\\\";
+            w << "\\\\";
           } else if (c == '\n') {
-            os << "\\n";
+            w << "\\n";
           } else {
-            os << c;
+            w << c;
           }
         }
-        os << "\n";
+        w << "\n";
       }
-      os << "# TYPE " << view.name << " " << kind_name(view.kind) << "\n";
+      w << "# TYPE " << view.name << " " << kind_name(view.kind) << "\n";
     }
     switch (view.kind) {
       case Kind::kCounter:
-        os << view.name << view.labels << " " << view.counter->value()
-           << "\n";
+        w << view.name << view.labels << " " << view.counter->value()
+          << "\n";
         break;
       case Kind::kGauge:
-        os << view.name << view.labels << " "
-           << format_fixed(view.gauge->value(), 6) << "\n";
+        w << view.name << view.labels << " " << Fixed{view.gauge->value(), 6}
+          << "\n";
         break;
       case Kind::kHistogram: {
         const auto& bounds = view.histogram->bounds();
         const auto cumulative = view.histogram->cumulative_counts();
         const bool exemplars = view.histogram->has_exemplars();
-        const auto exemplar_suffix = [&](std::size_t index) {
-          if (!exemplars) return std::string{};
-          const Exemplar exemplar = view.histogram->exemplar(index);
-          if (exemplar.trace_id == 0) return std::string{};
-          return " # {trace_id=\"" + hex16(exemplar.trace_id) + "\"} " +
-                 format_fixed(exemplar.value, 6);
+        // The `le` label spliced into the rendered label block.
+        const std::string le_open =
+            view.labels.empty()
+                ? "{le=\""
+                : view.labels.substr(0, view.labels.size() - 1) + ",le=\"";
+        const auto bucket = [&](std::size_t index, const auto& le) {
+          w << view.name << "_bucket" << le_open << le << "\"} "
+            << cumulative[index];
+          if (exemplars) {
+            const Exemplar exemplar = view.histogram->exemplar(index);
+            if (exemplar.trace_id != 0) {
+              w << " # {trace_id=\"" << Hex16{exemplar.trace_id} << "\"} "
+                << Fixed{exemplar.value, 6};
+            }
+          }
+          w << "\n";
         };
+        // Bounds print as "%g" ("0.05", "20"), Prometheus's conventional
+        // le rendering.
         for (std::size_t i = 0; i < bounds.size(); ++i) {
-          os << view.name << "_bucket"
-             << with_le(view.labels, compact(bounds[i])) << " "
-             << cumulative[i] << exemplar_suffix(i) << "\n";
+          bucket(i, General{bounds[i]});
         }
-        os << view.name << "_bucket" << with_le(view.labels, "+Inf") << " "
-           << cumulative.back() << exemplar_suffix(bounds.size()) << "\n";
-        os << view.name << "_sum" << view.labels << " "
-           << format_fixed(view.histogram->sum(), 6) << "\n";
-        os << view.name << "_count" << view.labels << " "
-           << view.histogram->count() << "\n";
+        bucket(bounds.size(), "+Inf");
+        w << view.name << "_sum" << view.labels << " "
+          << Fixed{view.histogram->sum(), 6} << "\n";
+        w << view.name << "_count" << view.labels << " "
+          << view.histogram->count() << "\n";
         break;
       }
     }
@@ -89,68 +80,68 @@ void write_json_snapshot(std::ostream& os, const Registry& registry,
                          const ExportOptions& options) {
   // Three sections, each keyed by "name{labels}". The registry visits in
   // sorted order, so every section's key order is stable.
-  std::vector<const char*> sections = {"counters", "gauges", "histograms"};
-  os << "{";
-  for (std::size_t s = 0; s < sections.size(); ++s) {
-    const Kind kind = s == 0   ? Kind::kCounter
-                      : s == 1 ? Kind::kGauge
-                               : Kind::kHistogram;
-    if (s > 0) os << ",";
-    os << "\"" << sections[s] << "\":{";
+  Writer w(os);
+  const char* const sections[] = {"counters", "gauges", "histograms"};
+  const Kind kinds[] = {Kind::kCounter, Kind::kGauge, Kind::kHistogram};
+  w << "{";
+  for (std::size_t s = 0; s < 3; ++s) {
+    const Kind kind = kinds[s];
+    if (s > 0) w << ",";
+    w << "\"" << sections[s] << "\":{";
     bool first = true;
     registry.visit([&](const Registry::View& view) {
       if (view.kind != kind) return;
       if (view.volatile_instrument && !options.include_volatile) return;
-      if (!first) os << ",";
+      if (!first) w << ",";
       first = false;
-      os << "\"";
-      write_json_escaped(os, view.name + view.labels);
-      os << "\":";
+      w << "\"" << JsonEscaped{view.name} << JsonEscaped{view.labels}
+        << "\":";
       switch (kind) {
         case Kind::kCounter:
-          os << view.counter->value();
+          w << view.counter->value();
           break;
         case Kind::kGauge:
-          os << format_fixed(view.gauge->value(), 6);
+          w << Fixed{view.gauge->value(), 6};
           break;
         case Kind::kHistogram: {
           const auto& bounds = view.histogram->bounds();
           const auto cumulative = view.histogram->cumulative_counts();
-          os << "{\"count\":" << view.histogram->count()
-             << ",\"sum\":" << format_fixed(view.histogram->sum(), 6)
-             << ",\"buckets\":{";
+          w << "{\"count\":" << view.histogram->count()
+            << ",\"sum\":" << Fixed{view.histogram->sum(), 6}
+            << ",\"buckets\":{";
           for (std::size_t i = 0; i < bounds.size(); ++i) {
-            os << "\"" << compact(bounds[i]) << "\":" << cumulative[i]
-               << ",";
+            w << "\"" << General{bounds[i]} << "\":" << cumulative[i] << ",";
           }
-          os << "\"+Inf\":" << cumulative.back() << "}";
+          w << "\"+Inf\":" << cumulative.back() << "}";
           // Exemplars are additive: an exemplar-free histogram keeps the
           // pre-exemplar snapshot bytes.
           if (view.histogram->has_exemplars()) {
-            os << ",\"exemplars\":{";
+            w << ",\"exemplars\":{";
             bool first_exemplar = true;
             for (std::size_t i = 0; i <= bounds.size(); ++i) {
               const Exemplar exemplar = view.histogram->exemplar(i);
               if (exemplar.trace_id == 0) continue;
-              if (!first_exemplar) os << ",";
+              if (!first_exemplar) w << ",";
               first_exemplar = false;
-              os << "\""
-                 << (i < bounds.size() ? compact(bounds[i])
-                                       : std::string("+Inf"))
-                 << "\":{\"trace_id\":\"" << hex16(exemplar.trace_id)
-                 << "\",\"value\":" << format_fixed(exemplar.value, 6)
-                 << "}";
+              w << "\"";
+              if (i < bounds.size()) {
+                w << General{bounds[i]};
+              } else {
+                w << "+Inf";
+              }
+              w << "\":{\"trace_id\":\"" << Hex16{exemplar.trace_id}
+                << "\",\"value\":" << Fixed{exemplar.value, 6} << "}";
             }
-            os << "}";
+            w << "}";
           }
-          os << "}";
+          w << "}";
           break;
         }
       }
     });
-    os << "}";
+    w << "}";
   }
-  os << "}";
+  w << "}";
 }
 
 stats::Table to_table(const Registry& registry,

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "ghs/util/error.hpp"
+#include "ghs/util/writer.hpp"
 
 namespace ghs::telemetry {
 
@@ -67,14 +68,15 @@ void FlightRecorder::dump(std::ostream& os) const {
     std::lock_guard<std::mutex> lock(mutex_);
     lost = total_ - static_cast<std::int64_t>(ring_.size());
   }
-  os << "flight recorder: " << snapshot.size() << " events";
-  if (lost > 0) os << " (" << lost << " older events dropped)";
-  os << "\n";
+  Writer w(os);
+  w << "flight recorder: " << snapshot.size() << " events";
+  if (lost > 0) w << " (" << lost << " older events dropped)";
+  w << "\n";
   for (const auto& event : snapshot) {
-    os << "  [" << format_time(event.at) << "] " << event.layer << " "
-       << event.kind;
-    if (!event.detail.empty()) os << " " << event.detail;
-    os << "\n";
+    w << "  [" << format_time(event.at) << "] " << event.layer << " "
+      << event.kind;
+    if (!event.detail.empty()) w << " " << event.detail;
+    w << "\n";
   }
 }
 

@@ -2,75 +2,70 @@
 
 #include <string>
 
-#include "ghs/util/strings.hpp"
+#include "ghs/util/writer.hpp"
 
 namespace ghs::timeseries {
 
 namespace {
 
-/// A rollup's min,mean,max,last, comma-separated.
-void write_rollup_values(std::ostream& os, const Rollup& rollup) {
-  os << format_fixed(rollup.min, 6) << "," << format_fixed(rollup.mean(), 6)
-     << "," << format_fixed(rollup.max, 6) << ","
-     << format_fixed(rollup.last, 6);
-}
-
-void write_rollup_row(std::ostream& os, const Rollup& rollup) {
-  os << "[" << rollup.begin << "," << rollup.end << "," << rollup.count
-     << ",";
-  write_rollup_values(os, rollup);
-  os << "]";
+/// One row of either dump: begin,end,count,min,mean,max,last. A raw
+/// sample is the count-1 rollup of itself.
+void write_row(Writer& w, const Rollup& rollup) {
+  w << rollup.begin << "," << rollup.end << "," << rollup.count << ","
+    << Fixed{rollup.min, 6} << "," << Fixed{rollup.mean(), 6} << ","
+    << Fixed{rollup.max, 6} << "," << Fixed{rollup.last, 6};
 }
 
 }  // namespace
 
 void write_series_json(std::ostream& os, const Tsdb& store,
                        const SeriesMeta& meta) {
-  os << "{\"format\":\"ghs-series-v1\",\"interval_ps\":" << meta.interval
-     << ",\"scrapes\":" << meta.scrapes
-     << ",\"series_count\":" << store.size()
-     << ",\"points\":" << store.total_points()
-     << ",\"dropped\":" << store.total_dropped() << ",\"series\":{";
+  Writer w(os);
+  w << "{\"format\":\"ghs-series-v1\",\"interval_ps\":" << meta.interval
+    << ",\"scrapes\":" << meta.scrapes << ",\"series_count\":" << store.size()
+    << ",\"points\":" << store.total_points()
+    << ",\"dropped\":" << store.total_dropped() << ",\"series\":{";
   bool first = true;
   store.visit([&](const Series& series) {
-    if (!first) os << ",";
+    if (!first) w << ",";
     first = false;
-    os << "\"";
-    write_json_escaped(os, series.key());
-    os << "\":{\"kind\":\"" << series_kind_name(series.kind())
-       << "\",\"points\":" << series.points()
-       << ",\"dropped\":" << series.dropped()
-       << ",\"sum\":" << format_fixed(series.total_sum(), 6)
-       << ",\"dropped_sum\":" << format_fixed(series.dropped_sum(), 6)
-       << ",\"samples\":[";
+    w << "\"" << JsonEscaped{series.key()} << "\":{\"kind\":\""
+      << series_kind_name(series.kind()) << "\",\"points\":" << series.points()
+      << ",\"dropped\":" << series.dropped()
+      << ",\"sum\":" << Fixed{series.total_sum(), 6}
+      << ",\"dropped_sum\":" << Fixed{series.dropped_sum(), 6}
+      << ",\"samples\":[";
     bool first_sample = true;
     for (const Sample& sample : series.raw()) {
-      if (!first_sample) os << ",";
+      if (!first_sample) w << ",";
       first_sample = false;
-      os << "[" << sample.at << "," << format_fixed(sample.value, 6) << "]";
+      w << "[" << sample.at << "," << Fixed{sample.value, 6} << "]";
     }
-    os << "],\"rollups\":[";
+    w << "],\"rollups\":[";
     for (std::size_t tier = 0; tier < series.tiers().size(); ++tier) {
-      if (tier > 0) os << ",";
-      os << "{\"tier\":" << tier + 1 << ",\"rows\":[";
+      if (tier > 0) w << ",";
+      w << "{\"tier\":" << tier + 1 << ",\"rows\":[";
       bool first_row = true;
       for (const Rollup& rollup : series.tiers()[tier]) {
-        if (!first_row) os << ",";
+        if (!first_row) w << ",";
         first_row = false;
-        write_rollup_row(os, rollup);
+        w << "[";
+        write_row(w, rollup);
+        w << "]";
       }
-      os << "]}";
+      w << "]}";
     }
-    os << "]}";
+    w << "]}";
   });
-  os << "}}";
+  w << "}}";
 }
 
 void write_series_csv(std::ostream& os, const Tsdb& store,
                       const SeriesMeta& meta) {
-  os << "# ghs-series-v1 interval_ps=" << meta.interval
-     << " scrapes=" << meta.scrapes << "\n";
-  os << "series,kind,tier,begin_ps,end_ps,count,min,mean,max,last\n";
+  Writer w(os);
+  w << "# ghs-series-v1 interval_ps=" << meta.interval
+    << " scrapes=" << meta.scrapes << "\n";
+  w << "series,kind,tier,begin_ps,end_ps,count,min,mean,max,last\n";
   store.visit([&](const Series& series) {
     // CSV field quoting: keys carry '{', '"' and ',' in label blocks.
     std::string quoted = "\"";
@@ -78,23 +73,21 @@ void write_series_csv(std::ostream& os, const Tsdb& store,
       if (c == '"') quoted += '"';
       quoted += c;
     }
-    quoted += "\"";
-    const char* kind = series_kind_name(series.kind());
-    for (std::size_t tier = 0; tier < series.tiers().size(); ++tier) {
-      // Oldest data first: higher tiers hold older rollups.
-      const std::size_t t = series.tiers().size() - 1 - tier;
-      for (const Rollup& rollup : series.tiers()[t]) {
-        os << quoted << "," << kind << "," << t + 1 << "," << rollup.begin
-           << "," << rollup.end << "," << rollup.count << ",";
-        write_rollup_values(os, rollup);
-        os << "\n";
-      }
+    quoted += "\",";
+    quoted += series_kind_name(series.kind());
+    quoted += ",";
+    const auto row = [&](std::size_t tier, const Rollup& rollup) {
+      w << quoted << tier << ",";
+      write_row(w, rollup);
+      w << "\n";
+    };
+    // Oldest data first: higher tiers hold older rollups.
+    for (std::size_t t = series.tiers().size(); t-- > 0;) {
+      for (const Rollup& rollup : series.tiers()[t]) row(t + 1, rollup);
     }
     for (const Sample& sample : series.raw()) {
-      const std::string value = format_fixed(sample.value, 6);
-      os << quoted << "," << kind << ",0," << sample.at << "," << sample.at
-         << ",1," << value << "," << value << "," << value << "," << value
-         << "\n";
+      row(0, Rollup{sample.at, sample.at, 1, sample.value, sample.value,
+                    sample.value, sample.value});
     }
   });
 }

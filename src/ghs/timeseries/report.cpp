@@ -1,10 +1,10 @@
 #include "ghs/timeseries/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "ghs/stats/summary.hpp"
 #include "ghs/util/strings.hpp"
+#include "ghs/util/writer.hpp"
 
 namespace ghs::timeseries {
 
@@ -86,21 +86,18 @@ void find_saturation(const Series& series, double scale, double threshold,
   flush();
 }
 
-void write_stats_json(std::ostream& os,
+void write_stats_json(Writer& w,
                       const std::vector<TimelineSeriesStats>& stats) {
-  os << "[";
+  w << "[";
   for (std::size_t i = 0; i < stats.size(); ++i) {
     const auto& s = stats[i];
-    if (i > 0) os << ",";
-    os << "{\"series\":\"";
-    write_json_escaped(os, s.series);
-    os << "\",\"samples\":" << s.samples
-       << ",\"mean\":" << format_fixed(s.mean, 6)
-       << ",\"p95\":" << format_fixed(s.p95, 6)
-       << ",\"peak\":" << format_fixed(s.peak, 6)
-       << ",\"peak_at_ms\":" << format_fixed(to_millis(s.peak_at), 6) << "}";
+    if (i > 0) w << ",";
+    w << "{\"series\":\"" << JsonEscaped{s.series}
+      << "\",\"samples\":" << s.samples << ",\"mean\":" << Fixed{s.mean, 6}
+      << ",\"p95\":" << Fixed{s.p95, 6} << ",\"peak\":" << Fixed{s.peak, 6}
+      << ",\"peak_at_ms\":" << Fixed{to_millis(s.peak_at), 6} << "}";
   }
-  os << "]";
+  w << "]";
 }
 
 }  // namespace
@@ -139,57 +136,53 @@ TimelineReport build_timeline(const Tsdb& store,
 }
 
 void TimelineReport::write_json(std::ostream& os) const {
-  os << "{\"interval_us\":"
-     << format_fixed(static_cast<double>(interval) /
-                         static_cast<double>(kMicrosecond),
-                     6)
-     << ",\"utilization\":";
-  write_stats_json(os, utilization);
-  os << ",\"queue_depth\":";
-  write_stats_json(os, queue_depth);
-  os << ",\"saturation\":[";
+  Writer w(os);
+  w << "{\"interval_us\":"
+    << Fixed{static_cast<double>(interval) / static_cast<double>(kMicrosecond),
+             6}
+    << ",\"utilization\":";
+  write_stats_json(w, utilization);
+  w << ",\"queue_depth\":";
+  write_stats_json(w, queue_depth);
+  w << ",\"saturation\":[";
   for (std::size_t i = 0; i < saturation.size(); ++i) {
-    const auto& w = saturation[i];
-    if (i > 0) os << ",";
-    os << "{\"series\":\"";
-    write_json_escaped(os, w.series);
-    os << "\",\"begin_ms\":" << format_fixed(to_millis(w.begin), 6)
-       << ",\"end_ms\":" << format_fixed(to_millis(w.end), 6)
-       << ",\"points\":" << w.points
-       << ",\"peak\":" << format_fixed(w.peak, 6) << "}";
+    const auto& s = saturation[i];
+    if (i > 0) w << ",";
+    w << "{\"series\":\"" << JsonEscaped{s.series}
+      << "\",\"begin_ms\":" << Fixed{to_millis(s.begin), 6}
+      << ",\"end_ms\":" << Fixed{to_millis(s.end), 6}
+      << ",\"points\":" << s.points << ",\"peak\":" << Fixed{s.peak, 6}
+      << "}";
   }
-  os << "]}";
+  w << "]}";
 }
 
 void TimelineReport::write_table(std::ostream& os) const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "timeline (%.0fus scrapes): %zu utilization, %zu queue "
-                "series, %zu saturation window(s)\n",
-                static_cast<double>(interval) /
-                    static_cast<double>(kMicrosecond),
-                utilization.size(), queue_depth.size(), saturation.size());
-  os << buf;
+  Writer w(os);
+  const auto ms = [](SimTime t) { return Fixed{to_millis(t), 3}; };
+  w << "timeline ("
+    << Fixed{static_cast<double>(interval) / static_cast<double>(kMicrosecond),
+             0}
+    << "us scrapes): " << utilization.size() << " utilization, "
+    << queue_depth.size() << " queue series, " << saturation.size()
+    << " saturation window(s)\n";
   const auto print_stats = [&](const char* what,
                                const std::vector<TimelineSeriesStats>& rows) {
     for (const auto& s : rows) {
-      std::snprintf(buf, sizeof(buf),
-                    "  %-6s %-28s mean %8.3f  p95 %8.3f  peak %8.3f @%.3fms\n",
-                    what, display_name(s.series).c_str(), s.mean, s.p95,
-                    s.peak, to_millis(s.peak_at));
-      os << buf;
+      w << "  " << pad_right(what, 6) << " "
+        << pad_right(display_name(s.series), 28) << " mean "
+        << pad_left(format_fixed(s.mean, 3), 8) << "  p95 "
+        << pad_left(format_fixed(s.p95, 3), 8) << "  peak "
+        << pad_left(format_fixed(s.peak, 3), 8) << " @" << ms(s.peak_at)
+        << "ms\n";
     }
   };
   print_stats("util", utilization);
   print_stats("queue", queue_depth);
-  for (const auto& w : saturation) {
-    std::snprintf(buf, sizeof(buf),
-                  "  SATURATED %-28s [%.3fms, %.3fms] %lld scrape(s) peak "
-                  "%.3f\n",
-                  display_name(w.series).c_str(), to_millis(w.begin),
-                  to_millis(w.end), static_cast<long long>(w.points),
-                  w.peak);
-    os << buf;
+  for (const auto& s : saturation) {
+    w << "  SATURATED " << pad_right(display_name(s.series), 28) << " ["
+      << ms(s.begin) << "ms, " << ms(s.end) << "ms] " << s.points
+      << " scrape(s) peak " << Fixed{s.peak, 3} << "\n";
   }
 }
 

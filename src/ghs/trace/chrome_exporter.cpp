@@ -4,27 +4,9 @@
 #include <map>
 #include <vector>
 
-#include "ghs/util/strings.hpp"
+#include "ghs/util/writer.hpp"
 
 namespace ghs::trace {
-
-namespace {
-
-/// Chrome trace timestamps are microseconds. Simulated picoseconds are
-/// written exactly, as whole microseconds, a dot and six digits, with no
-/// floating point in between. `ps` is never negative: spans, instants,
-/// samples and slices all lie in simulated time.
-void write_us(std::ostream& os, SimTime ps) {
-  char frac[7] = "000000";
-  SimTime rest = ps % kMicrosecond;
-  for (int i = 5; i >= 0; --i) {
-    frac[i] = static_cast<char>('0' + rest % 10);
-    rest /= 10;
-  }
-  os << ps / kMicrosecond << '.' << frac;
-}
-
-}  // namespace
 
 ChromeTraceExporter::ChromeTraceExporter(const Tracer& tracer)
     : tracer_(tracer) {}
@@ -73,114 +55,94 @@ void ChromeTraceExporter::write(std::ostream& os) const {
   const auto spans = tracer_.spans();
   const auto instants = tracer_.instants();
 
-  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+  Writer w(os);
+  w << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   bool first = true;
   const auto sep = [&]() {
-    if (!first) os << ",";
+    if (!first) w << ",";
     first = false;
+  };
+  const auto thread_meta = [&](int pid, std::size_t tid,
+                               std::string_view name) {
+    sep();
+    w << "{\"pid\":" << pid << ",\"tid\":" << tid
+      << ",\"ph\":\"M\",\"name\":\"thread_name\",\"args\":{\"name\":\""
+      << JsonEscaped{name} << "\"}}";
+  };
+  const auto process_meta = [&](int pid) {
+    sep();
+    w << "{\"pid\":" << pid
+      << ",\"tid\":0,\"ph\":\"M\",\"name\":\"process_name\",\"args\":"
+      << "{\"name\":\"" << process_name(pid) << "\"}}";
   };
 
   // Process and thread metadata: every track gets its (pid, tid) label so
   // the viewer groups devices even before their first event.
-  for (int pid = 1; pid <= 3; ++pid) {
-    sep();
-    os << "{\"pid\":" << pid
-       << ",\"tid\":0,\"ph\":\"M\",\"name\":\"process_name\",\"args\":"
-       << "{\"name\":\"" << process_name(pid) << "\"}}";
-  }
+  for (int pid = 1; pid <= 3; ++pid) process_meta(pid);
   for (int t = 0; t <= static_cast<int>(kLastTrack); ++t) {
     const Track track = static_cast<Track>(t);
-    sep();
-    os << "{\"pid\":" << process_of(track) << ",\"tid\":" << t
-       << ",\"ph\":\"M\",\"name\":\"thread_name\",\"args\":{\"name\":\""
-       << track_name(track) << "\"}}";
+    thread_meta(process_of(track), static_cast<std::size_t>(t),
+                track_name(track));
   }
   // Counter metadata exists only when tracks were added, so counter-free
   // exports stay byte-identical to pre-counter builds.
   if (!counters_.empty()) {
-    sep();
-    os << "{\"pid\":" << kTelemetryPid
-       << ",\"tid\":0,\"ph\":\"M\",\"name\":\"process_name\",\"args\":"
-       << "{\"name\":\"" << process_name(kTelemetryPid) << "\"}}";
+    process_meta(kTelemetryPid);
     for (std::size_t i = 0; i < counters_.size(); ++i) {
-      sep();
-      os << "{\"pid\":" << kTelemetryPid << ",\"tid\":" << i
-         << ",\"ph\":\"M\",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-      write_json_escaped(os, counters_[i].name);
-      os << "\"}}";
+      thread_meta(kTelemetryPid, i, counters_[i].name);
     }
   }
   // Profiler metadata under the same gate, so profiler-free exports stay
   // byte-identical to pre-profiler builds.
   if (!profiles_.empty()) {
-    sep();
-    os << "{\"pid\":" << kProfilePid
-       << ",\"tid\":0,\"ph\":\"M\",\"name\":\"process_name\",\"args\":"
-       << "{\"name\":\"" << process_name(kProfilePid) << "\"}}";
+    process_meta(kProfilePid);
     for (std::size_t i = 0; i < profiles_.size(); ++i) {
-      sep();
-      os << "{\"pid\":" << kProfilePid << ",\"tid\":" << i
-         << ",\"ph\":\"M\",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-      write_json_escaped(os, profiles_[i].name);
-      os << "\"}}";
+      thread_meta(kProfilePid, i, profiles_[i].name);
     }
   }
 
   const auto write_ctx_args = [&](const Context& ctx,
                                   const std::string& detail) {
-    os << ",\"args\":{";
-    bool inner_first = true;
-    const auto key = [&](const char* name) {
-      if (!inner_first) os << ",";
-      inner_first = false;
-      os << "\"" << name << "\":";
-    };
+    w << ",\"args\":{";
     if (!detail.empty()) {
-      key("detail");
-      os << "\"";
-      write_json_escaped(os, detail);
-      os << "\"";
+      w << "\"detail\":\"" << JsonEscaped{detail} << "\"";
+      if (ctx.valid()) w << ",";
     }
     if (ctx.valid()) {
-      key("trace_id");
-      os << "\"" << hex16(ctx.trace_id) << "\"";
-      key("span_id");
-      os << ctx.span_id;
-      key("parent_id");
-      os << ctx.parent_id;
+      w << "\"trace_id\":\"" << Hex16{ctx.trace_id}
+        << "\",\"span_id\":" << ctx.span_id
+        << ",\"parent_id\":" << ctx.parent_id;
     }
-    os << "}";
+    w << "}";
+  };
+  // A slice on (pid, tid) from `begin` to `end`, args not yet closed.
+  const auto open_slice = [&](int pid, int tid, SimTime begin, SimTime end,
+                              const std::string& name) {
+    sep();
+    w << "{\"pid\":" << pid << ",\"tid\":" << tid
+      << ",\"ph\":\"X\",\"ts\":" << Micros{begin}
+      << ",\"dur\":" << Micros{end - begin} << ",\"name\":\""
+      << JsonEscaped{name} << "\"";
   };
 
   for (const auto& span : spans) {
-    sep();
-    os << "{\"pid\":" << process_of(span.track)
-       << ",\"tid\":" << static_cast<int>(span.track)
-       << ",\"ph\":\"X\",\"ts\":";
-    write_us(os, span.begin);
-    os << ",\"dur\":";
-    write_us(os, span.end - span.begin);
-    os << ",\"name\":\"";
-    write_json_escaped(os, span.name);
-    os << "\"";
+    open_slice(process_of(span.track), static_cast<int>(span.track),
+               span.begin, span.end, span.name);
     if (!span.detail.empty() || span.ctx.valid()) {
       write_ctx_args(span.ctx, span.detail);
     }
-    os << "}";
+    w << "}";
   }
   for (const auto& instant : instants) {
     sep();
-    os << "{\"pid\":" << process_of(instant.track)
-       << ",\"tid\":" << static_cast<int>(instant.track)
-       << ",\"ph\":\"i\",\"ts\":";
-    write_us(os, instant.at);
-    os << ",\"s\":\"t\",\"name\":\"";
-    write_json_escaped(os, instant.name);
-    os << "\"";
+    w << "{\"pid\":" << process_of(instant.track)
+      << ",\"tid\":" << static_cast<int>(instant.track)
+      << ",\"ph\":\"i\",\"ts\":" << Micros{instant.at}
+      << ",\"s\":\"t\",\"name\":\"" << JsonEscaped{instant.name} << "\"";
     if (instant.ctx.valid()) {
       write_ctx_args(instant.ctx, {});
     }
-    os << "}";
+    w << "}";
   }
 
   // One flow per trace id, stepping through its spans in begin order
@@ -190,30 +152,24 @@ void ChromeTraceExporter::write(std::ostream& os) const {
   for (const auto& span : spans) {
     if (span.ctx.valid()) flows[span.ctx.trace_id].push_back(&span);
   }
-  for (const auto& [trace_id, members] : flows) {
+  const auto flow_step = [&](const Span* span, std::uint64_t trace_id,
+                             const char* phase) {
+    sep();
+    w << "{\"pid\":" << process_of(span->track)
+      << ",\"tid\":" << static_cast<int>(span->track) << ",\"ph\":" << phase
+      << ",\"id\":\"" << Hex16{trace_id}
+      << "\",\"cat\":\"job\",\"name\":\"job flow\",\"ts\":"
+      << Micros{span->begin} << "}";
+  };
+  for (auto& [trace_id, members] : flows) {
     if (members.size() < 2) continue;
-    std::vector<const Span*> ordered = members;
-    std::stable_sort(ordered.begin(), ordered.end(),
+    std::stable_sort(members.begin(), members.end(),
                      [](const Span* a, const Span* b) {
                        return a->begin < b->begin;
                      });
-    for (std::size_t i = 0; i + 1 < ordered.size(); ++i) {
-      const Span* from = ordered[i];
-      const Span* to = ordered[i + 1];
-      sep();
-      os << "{\"pid\":" << process_of(from->track)
-         << ",\"tid\":" << static_cast<int>(from->track)
-         << ",\"ph\":\"s\",\"id\":\"" << hex16(trace_id)
-         << "\",\"cat\":\"job\",\"name\":\"job flow\",\"ts\":";
-      write_us(os, from->begin);
-      os << "}";
-      sep();
-      os << "{\"pid\":" << process_of(to->track)
-         << ",\"tid\":" << static_cast<int>(to->track)
-         << ",\"ph\":\"f\",\"bp\":\"e\",\"id\":\"" << hex16(trace_id)
-         << "\",\"cat\":\"job\",\"name\":\"job flow\",\"ts\":";
-      write_us(os, to->begin);
-      os << "}";
+    for (std::size_t i = 0; i + 1 < members.size(); ++i) {
+      flow_step(members[i], trace_id, "\"s\"");
+      flow_step(members[i + 1], trace_id, "\"f\",\"bp\":\"e\"");
     }
   }
 
@@ -222,13 +178,10 @@ void ChromeTraceExporter::write(std::ostream& os) const {
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     for (const auto& sample : counters_[i].samples) {
       sep();
-      os << "{\"pid\":" << kTelemetryPid << ",\"tid\":" << i
-         << ",\"ph\":\"C\",\"ts\":";
-      write_us(os, sample.at);
-      os << ",\"name\":\"";
-      write_json_escaped(os, counters_[i].name);
-      os << "\",\"args\":{\"value\":" << format_fixed(sample.value, 6)
-         << "}}";
+      w << "{\"pid\":" << kTelemetryPid << ",\"tid\":" << i
+        << ",\"ph\":\"C\",\"ts\":" << Micros{sample.at} << ",\"name\":\""
+        << JsonEscaped{counters_[i].name}
+        << "\",\"args\":{\"value\":" << Fixed{sample.value, 6} << "}}";
     }
   }
 
@@ -236,27 +189,21 @@ void ChromeTraceExporter::write(std::ostream& os) const {
   // thread, one slice per coalesced sample run.
   for (std::size_t i = 0; i < profiles_.size(); ++i) {
     for (const auto& slice : profiles_[i].slices) {
-      sep();
-      os << "{\"pid\":" << kProfilePid << ",\"tid\":" << i
-         << ",\"ph\":\"X\",\"ts\":";
-      write_us(os, slice.begin);
-      os << ",\"dur\":";
-      write_us(os, slice.end - slice.begin);
-      os << ",\"name\":\"";
-      write_json_escaped(os, slice.name);
-      os << "\"}";
+      open_slice(kProfilePid, static_cast<int>(i), slice.begin, slice.end,
+                 slice.name);
+      w << "}";
     }
   }
 
-  os << "]";
+  w << "]";
   // Sampling metadata appears only when a sampler is active, so rate-1.0
   // output stays byte-identical to unsampled output.
   if (tracer_.sampler_active()) {
-    os << ",\"sampling\":{\"rate\":" << format_fixed(tracer_.sample_rate(), 6)
-       << ",\"seed\":" << tracer_.sampler_seed()
-       << ",\"dropped_by_sampler\":" << tracer_.dropped_by_sampler() << "}";
+    w << ",\"sampling\":{\"rate\":" << Fixed{tracer_.sample_rate(), 6}
+      << ",\"seed\":" << tracer_.sampler_seed()
+      << ",\"dropped_by_sampler\":" << tracer_.dropped_by_sampler() << "}";
   }
-  os << "}";
+  w << "}";
 }
 
 }  // namespace ghs::trace

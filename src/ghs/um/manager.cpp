@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "ghs/util/error.hpp"
@@ -456,9 +455,6 @@ void UmManager::start_background_migration(AllocId id, std::size_t first_page,
       a.extents[find_extent(a, first_page)].state.residency;
   ++stats_.counter_migrations;
   if (m_ != nullptr) m_->background_migrations.inc();
-  std::ostringstream label;
-  label << "um-migrate:" << a.label << "[" << begin << "," << end << ")->"
-        << mem::region_name(destination);
   const SimTime started = topology_.sim().now();
   if (flight_ != nullptr) {
     flight_->record(started, kMigrationStartEvent, a.flight_label, begin, end,
@@ -466,11 +462,9 @@ void UmManager::start_background_migration(AllocId id, std::size_t first_page,
   }
   transfers_.migrate(
       bytes, from, destination,
-      [this, id, begin, bytes, destination, started,
-       name = label.str()] {
-        trace::record_span(tracer_, trace::Track::kUmMigration, name,
-                           started, topology_.sim().now(),
-                           format_bytes(bytes));
+      [this, id, begin, bytes, destination, started] {
+        record_migration_span("um-migrate", id, begin, bytes, destination,
+                              started);
         complete_segment(id, begin, bytes, destination);
       });
 }
@@ -556,22 +550,32 @@ Bytes UmManager::prefetch(AllocId id, Bytes offset, Bytes length,
         std::min(static_cast<Bytes>(run.last) * policy_.page_size, a.size);
     const Bytes bytes = end - begin;
     total += bytes;
-    std::ostringstream label;
-    label << "um-prefetch:" << a.label << "[" << begin << "," << end << ")->"
-          << mem::region_name(destination);
     transfers_.migrate(
         bytes, run.from, destination,
-        [this, id, begin, bytes, destination, pending, done, started,
-         name = label.str()] {
-          trace::record_span(tracer_, trace::Track::kUmMigration, name,
-                             started, topology_.sim().now(),
-                             format_bytes(bytes));
+        [this, id, begin, bytes, destination, pending, done, started] {
+          record_migration_span("um-prefetch", id, begin, bytes, destination,
+                                started);
           complete_segment(id, begin, bytes, destination);
           GHS_CHECK(*pending > 0, "prefetch completion underflow");
           if (--*pending == 0 && *done) (*done)();
         });
   }
   return total;
+}
+
+void UmManager::record_migration_span(const char* kind, AllocId id,
+                                      Bytes begin, Bytes bytes,
+                                      mem::RegionId destination,
+                                      SimTime started) {
+  if (tracer_ == nullptr) return;
+  // The label outlives a free, so a migration that lands after one still
+  // names its allocation.
+  tracer_->record(trace::Track::kUmMigration,
+                  std::string(kind) + ":" + allocations_[id].label + "[" +
+                      std::to_string(begin) + "," +
+                      std::to_string(begin + bytes) + ")->" +
+                      mem::region_name(destination),
+                  started, topology_.sim().now(), format_bytes(bytes));
 }
 
 void UmManager::complete_segment(AllocId id, Bytes offset, Bytes length,

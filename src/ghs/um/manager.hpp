@@ -145,6 +145,12 @@ class UmManager {
   void set_telemetry(telemetry::Sink sink);
 
  private:
+  /// Records the tracer span of a finished migration of [begin,
+  /// begin + bytes); `kind` names it ("um-migrate", "um-prefetch").
+  void record_migration_span(const char* kind, AllocId id, Bytes begin,
+                             Bytes bytes, mem::RegionId destination,
+                             SimTime started);
+
   struct Page {
     mem::RegionId residency = mem::RegionId::kLpddr;
     /// Passes over the page while it was remote, up to the threshold that

@@ -1,9 +1,7 @@
-// String helpers shared by table rendering, CLI handling and the JSON
-// exporters.
+// String helpers shared by table rendering and CLI handling. The exports
+// format through ghs::Writer (writer.hpp).
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -12,17 +10,9 @@ namespace ghs {
 /// Splits on a delimiter; empty tokens are preserved.
 std::vector<std::string> split(const std::string& text, char delim);
 
-/// Fixed-precision decimal rendering, e.g. format_fixed(3.14159, 2) == "3.14".
+/// Fixed-precision decimal rendering, e.g. format_fixed(3.14159, 2) == "3.14";
+/// the text ghs::Fixed writes, in full for any finite double.
 std::string format_fixed(double value, int decimals);
-
-/// Fixed-width lowercase hex, e.g. hex16(0xc0ffee) == "0000000000c0ffee";
-/// the form trace ids take in every export.
-std::string hex16(std::uint64_t value);
-
-/// Writes `text` as the body of a JSON string: `"` and `\` are
-/// backslash-escaped, and control characters get their short escape or
-/// \u00XX, so no byte is dropped or replaced.
-void write_json_escaped(std::ostream& os, const std::string& text);
 
 /// Pads with spaces on the left (right-aligns) to at least `width`.
 std::string pad_left(const std::string& text, std::size_t width);

@@ -1,16 +1,13 @@
 #include "ghs/util/units.hpp"
 
-#include <array>
-#include <cstdio>
+#include "ghs/util/strings.hpp"
 
 namespace ghs {
 
 namespace {
 
 std::string format_with(double value, const char* unit) {
-  std::array<char, 64> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.3f %s", value, unit);
-  return std::string(buf.data());
+  return format_fixed(value, 3) + " " + unit;
 }
 
 }  // namespace
@@ -33,9 +30,7 @@ std::string format_bytes(Bytes b) {
 }
 
 std::string format_bandwidth(Bandwidth bw) {
-  std::array<char, 64> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.1f GB/s", bw.gbps());
-  return std::string(buf.data());
+  return format_fixed(bw.gbps(), 1) + " GB/s";
 }
 
 }  // namespace ghs

@@ -14,7 +14,9 @@
 #include "ghs/fault/plan.hpp"
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/telemetry/flight_recorder.hpp"
+#include "ghs/trace/context.hpp"
 #include "ghs/trace/tracer.hpp"
+#include "ghs/util/rng.hpp"
 #include "ghs/util/units.hpp"
 
 namespace ghs::cluster {
@@ -169,17 +171,28 @@ TEST(Membership, RefusalAfterReplayIsADuplicateOnFourNodes) {
 TEST(Membership, SamplerCountsEverySpanItSkipsAcrossACrash) {
   // Kept + ring drops + sampler drops at rate 0.05 must add up to what the
   // unsampled fleet keeps: every skipped span or instant is counted once.
-  const auto accounted = [](double rate) {
+  // In the remote-data case the p2c router sends jobs away from the node
+  // holding their data, so transfers are traced; a transfer span follows
+  // its job's sampling decision.
+  const auto accounted = [](double rate, bool remote) {
     trace::Tracer tracer;
     tracer.set_sampler(trace::SamplerOptions{rate, 11});
     ClusterOptions options;
     options.nodes = 4;
-    options.router = RouterPolicy::kLeast;
+    options.router = remote ? RouterPolicy::kP2c : RouterPolicy::kLeast;
     options.crash_plan = fault::parse_crash_plan("1@300us:2ms");
     serve::ServiceModel model;
     Cluster fleet(model, options, &tracer);
     auto jobs = fleet_workload(42, 600, 400000.0);
     for (std::size_t i = 0; i < jobs.size(); i += 5) jobs[i].unified = true;
+    if (remote) {
+      Rng rng(3);
+      for (auto& job : jobs) {
+        job.source_node = rng.next_double() < 0.3
+                              ? static_cast<int>(rng.next_below(4))
+                              : -1;
+      }
+    }
     fleet.submit_all(std::move(jobs));
     fleet.run();
     const ClusterReport report = fleet.report();
@@ -189,10 +202,23 @@ TEST(Membership, SamplerCountsEverySpanItSkipsAcrossACrash) {
     if (rate < 1.0) {
       EXPECT_GT(tracer.dropped_by_sampler(), 0);
     }
+    std::int64_t transfers = 0;
+    for (const trace::Span& span : tracer.spans()) {
+      if (span.name != "cluster.xfer") continue;
+      ++transfers;
+      // The detail ends "job <id>".
+      const std::int64_t job =
+          std::stoll(span.detail.substr(span.detail.rfind(' ') + 1));
+      EXPECT_TRUE(tracer.sampled(trace::derive_trace_id(job))) << span.detail;
+    }
+    if (remote && rate == 1.0) {
+      EXPECT_GT(transfers, 0);
+    }
     return static_cast<std::int64_t>(tracer.size()) +
            tracer.dropped_total() + tracer.dropped_by_sampler();
   };
-  EXPECT_EQ(accounted(0.05), accounted(1.0));
+  EXPECT_EQ(accounted(0.05, false), accounted(1.0, false));
+  EXPECT_EQ(accounted(0.05, true), accounted(1.0, true));
 }
 
 TEST(Membership, CrashWithRestartRejoinsThroughTheDetector) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ghs/fault/injector.hpp"
 #include "ghs/fault/plan.hpp"
@@ -11,6 +15,7 @@
 #include "ghs/serve/policy.hpp"
 #include "ghs/serve/service.hpp"
 #include "ghs/util/error.hpp"
+#include "ghs/util/rng.hpp"
 
 namespace ghs::slo {
 namespace {
@@ -224,6 +229,152 @@ TEST(MonitorTest, ReportJsonGolden) {
       "\"short_window_ms\":0.250000,\"threshold\":2.000000,"
       "\"peak_burn\":1.000000,\"alerts\":0,\"first_alert_ms\":null}]}],"
       "\"alerts\":[],\"total_alerts\":0}");
+}
+
+/// The evaluation as it was before the linear sweep: each objective's
+/// samples stable-sorted by time, then pushed through two sliding windows
+/// per rule whose deques hold exactly (t - w, t]. The reference the sweep
+/// must match bit for bit.
+Report reference_evaluate(
+    const std::vector<Objective>& objectives, const MonitorOptions& options,
+    std::vector<std::vector<std::pair<SimTime, bool>>> fed) {
+  struct Window {
+    SimTime width;
+    std::deque<std::pair<SimTime, double>> samples;
+    double sum = 0.0;
+
+    double push(SimTime at, double value) {
+      samples.emplace_back(at, value);
+      sum += value;
+      while (samples.front().first <= at - width) {
+        sum -= samples.front().second;
+        samples.pop_front();
+      }
+      return sum / static_cast<double>(samples.size());
+    }
+  };
+  Report report;
+  for (std::size_t i = 0; i < objectives.size(); ++i) {
+    const Objective& obj = objectives[i];
+    auto& samples = fed[i];
+    std::stable_sort(samples.begin(), samples.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    const double budget = std::max(1.0 - obj.target, 1e-9);
+    ObjectiveReport out;
+    out.name = obj.name;
+    out.kind = obj.kind;
+    out.target = obj.target;
+    out.threshold_ms = obj.threshold_ms;
+    out.samples = static_cast<std::int64_t>(samples.size());
+    for (const auto& [at, good] : samples) ++(good ? out.good : out.bad);
+    out.compliance = samples.empty() ? 1.0
+                                     : static_cast<double>(out.good) /
+                                           static_cast<double>(samples.size());
+    out.budget_burn = (1.0 - out.compliance) / budget;
+    out.met = out.compliance >= obj.target;
+    for (const BurnRateRule& rule : options.rules) {
+      BurnReport burn;
+      burn.severity = rule.severity;
+      burn.long_window = rule.long_window;
+      burn.short_window = rule.short_window;
+      burn.threshold = rule.threshold;
+      Window long_w{rule.long_window, {}};
+      Window short_w{rule.short_window, {}};
+      bool alerting = false;
+      for (const auto& [at, good] : samples) {
+        const double bad = good ? 0.0 : 1.0;
+        const double burn_long = long_w.push(at, bad) / budget;
+        const double burn_short = short_w.push(at, bad) / budget;
+        burn.peak_burn = std::max(burn.peak_burn, burn_long);
+        const bool over =
+            burn_long > rule.threshold && burn_short > rule.threshold;
+        if (over && !alerting) {
+          ++burn.alerts;
+          if (burn.first_alert < 0) burn.first_alert = at;
+          report.alerts.push_back(
+              Alert{obj.name, rule.severity, at, burn_long, burn_short});
+        }
+        alerting = over;
+      }
+      out.burn.push_back(std::move(burn));
+    }
+    report.objectives.push_back(std::move(out));
+  }
+  std::stable_sort(report.alerts.begin(), report.alerts.end(),
+                   [](const Alert& a, const Alert& b) { return a.at < b.at; });
+  return report;
+}
+
+TEST(MonitorPropertyTest, SweepMatchesSortAndSlidingWindows) {
+  Rng rng(2718);
+  const double targets[] = {0.5, 0.9, 0.99, 0.999};
+  const double thresholds[] = {0.5, 1.0, 2.0, 14.4};
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Objective> objectives;
+    const int n_objectives = 1 + static_cast<int>(rng.next_below(3));
+    for (int i = 0; i < n_objectives; ++i) {
+      objectives.push_back(Objective{"o" + std::to_string(i),
+                                     ObjectiveKind::kAvailability,
+                                     targets[rng.next_below(4)], 0.0});
+    }
+    MonitorOptions options;
+    options.rules.clear();
+    const int n_rules = 1 + static_cast<int>(rng.next_below(3));
+    for (int r = 0; r < n_rules; ++r) {
+      const SimTime long_window =
+          static_cast<SimTime>(1 + rng.next_below(400)) * kMicrosecond;
+      const SimTime short_window =
+          1 + static_cast<SimTime>(rng.next_below(
+                  static_cast<std::uint64_t>(long_window)));
+      options.rules.push_back(BurnRateRule{"r" + std::to_string(r),
+                                           long_window, short_window,
+                                           thresholds[rng.next_below(4)]});
+    }
+    Monitor monitor(objectives, options);
+    std::vector<std::vector<std::pair<SimTime, bool>>> fed(objectives.size());
+    for (std::size_t i = 0; i < objectives.size(); ++i) {
+      // A few time-ordered runs, as a feed makes (completions, then
+      // rejections, then sheds), or, one trial in five, many short ones.
+      const bool shuffled = rng.next_below(5) == 0;
+      const int runs = shuffled ? 40 : 1 + static_cast<int>(rng.next_below(4));
+      const double bad_share = rng.next_double();
+      for (int run = 0; run < runs; ++run) {
+        SimTime at = static_cast<SimTime>(rng.next_below(50)) * kMicrosecond;
+        const int length = static_cast<int>(rng.next_below(shuffled ? 8 : 300));
+        for (int k = 0; k < length; ++k) {
+          // Same-instant ties are common: half the steps do not advance.
+          if (rng.next_below(2) == 0) {
+            at += static_cast<SimTime>(rng.next_below(20)) * kMicrosecond;
+          }
+          const bool good = rng.next_double() >= bad_share;
+          monitor.record(i, at, good);
+          fed[i].emplace_back(at, good);
+        }
+      }
+    }
+    const Report got = monitor.evaluate();
+    const Report want = reference_evaluate(objectives, options, fed);
+    std::ostringstream got_json;
+    std::ostringstream want_json;
+    got.write_json(got_json);
+    want.write_json(want_json);
+    ASSERT_EQ(got_json.str(), want_json.str()) << "trial " << trial;
+    ASSERT_EQ(got.alerts.size(), want.alerts.size()) << "trial " << trial;
+    for (std::size_t a = 0; a < got.alerts.size(); ++a) {
+      EXPECT_EQ(got.alerts[a].objective, want.alerts[a].objective);
+      EXPECT_EQ(got.alerts[a].at, want.alerts[a].at);
+      EXPECT_EQ(got.alerts[a].burn_long, want.alerts[a].burn_long);
+      EXPECT_EQ(got.alerts[a].burn_short, want.alerts[a].burn_short);
+    }
+    for (std::size_t o = 0; o < got.objectives.size(); ++o) {
+      for (std::size_t r = 0; r < options.rules.size(); ++r) {
+        EXPECT_EQ(got.objectives[o].burn[r].peak_burn,
+                  want.objectives[o].burn[r].peak_burn);
+      }
+    }
+  }
 }
 
 }  // namespace

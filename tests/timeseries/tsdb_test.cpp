@@ -3,12 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <deque>
 #include <sstream>
 #include <vector>
 
 #include "ghs/timeseries/export.hpp"
-#include "ghs/timeseries/query.hpp"
 #include "ghs/util/error.hpp"
 #include "ghs/util/rng.hpp"
 
@@ -143,36 +141,6 @@ TEST(TsdbTest, VisitsInKeyOrder) {
   std::vector<std::string> keys;
   store.visit([&](const Series& series) { keys.push_back(series.key()); });
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(SlidingWindowTest, MatchesBruteForce) {
-  SlidingWindow window(10 * kMicrosecond);
-  std::deque<Sample> brute;
-  Rng rng(11);
-  SimTime at = 0;
-  for (int i = 0; i < 500; ++i) {
-    at += static_cast<SimTime>(rng.next_double() * 3.0 *
-                               static_cast<double>(kMicrosecond));
-    const double value = std::floor(rng.next_double() * 10.0);
-    window.push(at, value);
-    brute.push_back(Sample{at, value});
-    while (brute.front().at <= at - 10 * kMicrosecond) brute.pop_front();
-    double brute_sum = 0.0;
-    for (const Sample& sample : brute) brute_sum += sample.value;
-    ASSERT_EQ(window.count(), static_cast<std::int64_t>(brute.size()));
-    ASSERT_DOUBLE_EQ(window.sum(), brute_sum);
-  }
-}
-
-TEST(SlidingWindowTest, MeanOfWindowedValues) {
-  SlidingWindow window(5 * kMicrosecond);
-  window.push(1 * kMicrosecond, 2.0);
-  window.push(2 * kMicrosecond, 4.0);
-  EXPECT_DOUBLE_EQ(window.mean(), 3.0);
-  // Push far enough that both earlier samples leave the window.
-  window.push(20 * kMicrosecond, 6.0);
-  EXPECT_EQ(window.count(), 1);
-  EXPECT_DOUBLE_EQ(window.mean(), 6.0);
 }
 
 TEST(ExportTest, JsonIsByteStableAndRoundTripsCounts) {

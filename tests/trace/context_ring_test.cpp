@@ -2,7 +2,6 @@
 
 #include "ghs/trace/context.hpp"
 #include "ghs/trace/tracer.hpp"
-#include "ghs/util/strings.hpp"
 
 namespace ghs::trace {
 namespace {
@@ -30,11 +29,6 @@ TEST(ContextTest, DerivedTraceIdsAreDeterministicAndNonZero) {
   for (std::int64_t key = 0; key < 1000; ++key) {
     EXPECT_NE(derive_trace_id(key), 0u);
   }
-}
-
-TEST(ContextTest, IdHexIsSixteenLowercaseDigits) {
-  EXPECT_EQ(hex16(0x1), "0000000000000001");
-  EXPECT_EQ(hex16(0xdeadbeefcafef00dULL), "deadbeefcafef00d");
 }
 
 TEST(TracerRingTest, DropsOldestBeyondCapacity) {

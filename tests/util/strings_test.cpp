@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "ghs/util/error.hpp"
 
 namespace ghs {
@@ -38,50 +36,15 @@ TEST(StringsTest, FormatFixed) {
   EXPECT_EQ(format_fixed(0.9995, 3), "1.000");
 }
 
+TEST(StringsTest, FormatFixedPrintsLargeValuesInFull) {
+  EXPECT_EQ(format_fixed(1e60, 6),
+            "999999999999999949387135297074018866963645011013410073083904."
+            "000000");
+}
+
 TEST(StringsTest, FormatFixedRejectsBadDecimals) {
   EXPECT_THROW(format_fixed(1.0, -1), Error);
   EXPECT_THROW(format_fixed(1.0, 13), Error);
-}
-
-std::string json_escaped(const std::string& text) {
-  std::ostringstream os;
-  write_json_escaped(os, text);
-  return os.str();
-}
-
-TEST(StringsTest, JsonEscapesQuoteAndBackslash) {
-  EXPECT_EQ(json_escaped("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(json_escaped("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escaped("plain text {}[]:,"), "plain text {}[]:,");
-}
-
-TEST(StringsTest, JsonEscapesEveryControlByte) {
-  const char* hex = "0123456789abcdef";
-  for (int c = 0; c < 0x20; ++c) {
-    std::string expected;
-    switch (c) {
-      case '\b':
-        expected = "\\b";
-        break;
-      case '\t':
-        expected = "\\t";
-        break;
-      case '\n':
-        expected = "\\n";
-        break;
-      case '\f':
-        expected = "\\f";
-        break;
-      case '\r':
-        expected = "\\r";
-        break;
-      default:
-        expected = std::string("\\u00") + hex[c >> 4] + hex[c & 0xf];
-    }
-    EXPECT_EQ(json_escaped(std::string(1, static_cast<char>(c))), expected)
-        << "byte " << c;
-  }
-  EXPECT_EQ(json_escaped(std::string(1, '\x20')), " ");
 }
 
 TEST(StringsTest, PadLeft) {
