@@ -136,10 +136,21 @@ void Monitor::feed(const serve::Outcomes& outcomes) {
 Report Monitor::evaluate() const {
   Report report;
   report.objectives.reserve(objectives_.size());
-  std::vector<Sample> merged;
+  const auto by_time = [](const Sample& a, const Sample& b) {
+    return a.at < b.at;
+  };
+  std::vector<Sample> sorted;
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
     const auto& obj = objectives_[i];
-    const std::vector<Sample>& samples = in_time_order(samples_[i], merged);
+    // The feed is a few time-ordered runs (completions, then rejections,
+    // then sheds); a stable sort keeps same-instant samples in feed order,
+    // and a feed already in order needs no copy.
+    const bool in_order = std::ranges::is_sorted(samples_[i], by_time);
+    if (!in_order) {
+      sorted = samples_[i];
+      std::ranges::stable_sort(sorted, by_time);
+    }
+    const std::vector<Sample>& samples = in_order ? samples_[i] : sorted;
     const double budget = budget_of(obj.target);
 
     ObjectiveReport out;
@@ -218,39 +229,6 @@ Report Monitor::evaluate() const {
   std::stable_sort(report.alerts.begin(), report.alerts.end(),
                    [](const Alert& a, const Alert& b) { return a.at < b.at; });
   return report;
-}
-
-const std::vector<Monitor::Sample>& Monitor::in_time_order(
-    const std::vector<Sample>& fed, std::vector<Sample>& merged) {
-  // The feed is a few time-ordered runs (completions, then rejections,
-  // then sheds). Merging adjacent runs pairwise, the left one first on
-  // ties, is a stable sort: same-instant samples keep feed order.
-  std::vector<std::size_t> runs = {0};
-  for (std::size_t k = 1; k < fed.size(); ++k) {
-    if (fed[k].at < fed[k - 1].at) runs.push_back(k);
-  }
-  if (runs.size() == 1) return fed;
-  runs.push_back(fed.size());
-  merged = fed;
-  const auto by_time = [](const Sample& a, const Sample& b) {
-    return a.at < b.at;
-  };
-  while (runs.size() > 2) {
-    std::vector<std::size_t> next = {0};
-    for (std::size_t r = 0; r + 1 < runs.size(); r += 2) {
-      if (r + 2 < runs.size()) {
-        std::inplace_merge(merged.begin() + static_cast<std::ptrdiff_t>(runs[r]),
-                           merged.begin() +
-                               static_cast<std::ptrdiff_t>(runs[r + 1]),
-                           merged.begin() +
-                               static_cast<std::ptrdiff_t>(runs[r + 2]),
-                           by_time);
-      }
-      next.push_back(runs[std::min(r + 2, runs.size() - 1)]);
-    }
-    runs = std::move(next);
-  }
-  return merged;
 }
 
 }  // namespace ghs::slo

@@ -140,11 +140,6 @@ class Monitor {
     bool good = true;
   };
 
-  /// `fed` stably sorted by time: `fed` itself when already in order,
-  /// else `merged`, filled by merging its time-ordered runs.
-  static const std::vector<Sample>& in_time_order(
-      const std::vector<Sample>& fed, std::vector<Sample>& merged);
-
   std::vector<Objective> objectives_;
   MonitorOptions options_;
   std::vector<std::vector<Sample>> samples_;  // per objective

@@ -19,7 +19,7 @@ std::vector<std::string> split(const std::string& text, char delim) {
 }
 
 std::string format_fixed(double value, int decimals) {
-  char buf[kMaxFixedChars] = {};
+  char buf[kMaxFixedChars];
   return std::string(buf, write_fixed(buf, value, decimals));
 }
 

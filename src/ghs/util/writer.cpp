@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstring>
 #include <ostream>
 
@@ -28,19 +27,6 @@ bool needs_escape(char c) {
 
 char* write_fixed(char* first, double value, int decimals) {
   GHS_REQUIRE(decimals >= 0 && decimals <= 12, "decimals=" << decimals);
-  // A whole number, the commonest value in the exports, is its integer and
-  // zeros; that is ten times faster than the general path. -0 keeps its
-  // sign on the general path.
-  if (std::abs(value) < 0x1p63 && value == std::trunc(value) &&
-      (value != 0.0 || !std::signbit(value))) {
-    char* end = std::to_chars(first, first + kMaxFixedChars,
-                              static_cast<std::int64_t>(value))
-                    .ptr;
-    if (decimals == 0) return end;
-    *end++ = '.';
-    std::memset(end, '0', static_cast<std::size_t>(decimals));
-    return end + decimals;
-  }
   const auto [end, ec] =
       std::to_chars(first, first + kMaxFixedChars, value,
                     std::chars_format::fixed, decimals);

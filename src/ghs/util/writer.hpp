@@ -110,7 +110,7 @@ class Writer {
 
   std::ostream& os_;
   std::size_t used_ = 0;
-  char buf_[kChunk] = {};
+  char buf_[kChunk];
 };
 
 }  // namespace ghs
