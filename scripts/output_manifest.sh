@@ -8,7 +8,7 @@
 #   $ diff parent-out/MANIFEST change-out/MANIFEST   # parent vs change
 #
 # BUILD_DIR is a built tree (Release is fastest); OUT_DIR must be empty or
-# absent. The runs take about ten seconds on a Release build.
+# absent. The runs take a few seconds on a Release build.
 # The volatile ghs_bench_wall_seconds line is dropped from every .prom
 # file before hashing. The script fails if table1_baseline_vs_optimized with
 # --config=configs/gh200.properties (the library defaults, spelled out)
@@ -85,6 +85,11 @@ for paper in fig2a_um_a1_baseline fig2b_um_a1_optimized fig3_um_a1_speedup \
              fig4a_um_a2_baseline fig4b_um_a2_optimized fig5_um_a2_speedup \
              summary_stats ablation_um_policy ablation_prefetch; do
   run "${paper}_iters8" "$paper" --iters=8 --metrics-out="${paper}_iters8.prom"
+done
+# The CSV form of the paper tables and figure series (--csv).
+for paper in table1_baseline_vs_optimized fig1_gpu_sweep \
+             fig2a_um_a1_baseline ablation_grid_heuristic; do
+  run "${paper}_csv" "$paper" --csv --iters=2
 done
 run certify_reproduction certify_reproduction
 

@@ -15,9 +15,6 @@ struct Platform::Mark {
   um::UmStats um;
   gpu::GpuDeviceStats gpu;
   sim::SerialServer combine;
-  cpu::CpuDeviceStats cpu;
-  omp::RuntimeStats runtime;
-  mem::CopyStats copies;
 };
 
 Platform::Platform(const SystemConfig& config) : config_(config) {
@@ -56,10 +53,7 @@ Platform::Mark Platform::mark() const {
          topology_->network().mark(),
          um_->stats(),
          gpu_->stats(),
-         gpu_->combine_unit(),
-         cpu_->stats(),
-         runtime_->stats(),
-         transfers_->stats()};
+         gpu_->combine_unit()};
   um_->digest(m.digest);
   gpu_->digest(m.digest);
   return m;
@@ -90,9 +84,6 @@ void Platform::skip(const Mark& since, std::int64_t k) {
   topology_->network().fast_forward(since.fluid, k);
   um_->fast_forward(since.um, k);
   gpu_->fast_forward(since.gpu, since.combine, dt, k);
-  cpu_->fast_forward(since.cpu, k);
-  runtime_->fast_forward(since.runtime, k);
-  transfers_->fast_forward(since.copies, k);
   skipped_ += k;
 }
 

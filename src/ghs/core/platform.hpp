@@ -53,12 +53,17 @@ class Platform {
   /// are empty). A repetition that leaves the digest it found would be
   /// replayed bit for bit by every later one, since time is whole
   /// picoseconds and every rate depends only on time differences. So the
-  /// rest are not simulated: the clock moves on by their duration and
-  /// every stat, counter and telemetry counter by their increments. With
-  /// a tracer or a flight recorder attached, each of which records every
-  /// repetition, all of them are simulated. Throws OverflowError when the
-  /// skipped repetitions pass the range of the clock or of a count; the
-  /// platform is then part-way through the skip and must not be reused.
+  /// rest are not simulated. The clock moves on by their duration, and by
+  /// their increments so do the simulator's event count and sequence
+  /// number, the fluid network's next FlowId and wake generation, the UM
+  /// and GPU stats, the telemetry counters beside them (ghs_sim_*,
+  /// ghs_um_*, ghs_gpu_*), and the combine unit's busy time and
+  /// completions (its availability by their duration, if they used it).
+  /// With a tracer or a flight recorder attached, each of which records
+  /// every repetition, all of them are simulated. Throws OverflowError
+  /// when the skipped repetitions pass the range of the clock or of a
+  /// count; the platform is then part-way through the skip and must not be
+  /// reused.
   void repeat(std::int64_t count, const std::function<void()>& repetition);
 
   /// Repetitions repeat() has simulated and skipped on this platform.
@@ -81,7 +86,7 @@ class Platform {
   const telemetry::Sink& telemetry() const { return telemetry_; }
 
  private:
-  /// The digest and every count a repetition moves.
+  /// The digest and every count a skip advances.
   struct Mark;
   Mark mark() const;
   /// Moves the drained platform on by `k` repetitions like the one since

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "ghs/util/error.hpp"
-#include "ghs/util/math.hpp"
 
 namespace ghs::cpu {
 
@@ -45,12 +44,6 @@ double CpuDevice::compute_rate_cap(int threads, bool use_simd,
          cycles_per_second;
 }
 
-void CpuDevice::fast_forward(const CpuDeviceStats& since, std::int64_t k) {
-  stats_.reductions +=
-      repeated(stats_.reductions, k, stats_.reductions - since.reductions,
-               "CPU reductions");
-}
-
 void CpuDevice::reduce(const CpuReduceRequest& request,
                        std::function<void(const CpuReduceResult&)> on_complete) {
   GHS_REQUIRE(request.elements > 0, "reduction '" << request.label
@@ -62,7 +55,6 @@ void CpuDevice::reduce(const CpuReduceRequest& request,
               "multi-stream reductions are modelled for explicit inputs "
               "only (input_streams="
                   << request.input_streams << ")");
-  ++stats_.reductions;
 
   auto result = std::make_shared<CpuReduceResult>();
   result->start = sim_.now();

@@ -70,10 +70,6 @@ struct CpuReduceResult {
   Bandwidth bandwidth() const { return achieved_bandwidth(bytes, duration()); }
 };
 
-struct CpuDeviceStats {
-  std::int64_t reductions = 0;
-};
-
 class CpuDevice {
  public:
   CpuDevice(sim::Simulator& sim, mem::Topology& topology, um::UmManager& um,
@@ -93,12 +89,6 @@ class CpuDevice {
   double compute_rate_cap(int threads, bool use_simd,
                           Bytes element_size) const;
 
-  const CpuDeviceStats& stats() const { return stats_; }
-
-  /// Stands in for `k` more runs like the one since the stats read
-  /// `since`. Throws OverflowError when a stat would pass its range.
-  void fast_forward(const CpuDeviceStats& since, std::int64_t k);
-
   /// Installs a span recorder (null disables tracing).
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
@@ -111,7 +101,6 @@ class CpuDevice {
   /// Socket-mesh resource every CPU stream traverses, so concurrent local
   /// and remote streams share the socket's aggregate limit.
   sim::ResourceId socket_;
-  CpuDeviceStats stats_;
 };
 
 }  // namespace ghs::cpu

@@ -300,7 +300,6 @@ void GpuDevice::finish_wave(const std::shared_ptr<Execution>& exec) {
           combine_arrival,
           config_.combine_cost(exec->desc.combine, exec->desc.element_size),
           cta_count);
-      stats_.combines_issued += cta_count;
       exec->last_combine_done = std::max(exec->last_combine_done, combine_done);
       break;
     }
@@ -316,7 +315,6 @@ void GpuDevice::finish_wave(const std::shared_ptr<Execution>& exec) {
           flow_end + shuffle_latency,
           config_.combine_cost(exec->desc.combine, exec->desc.element_size),
           combines);
-      stats_.combines_issued += combines;
       exec->last_combine_done = std::max(exec->last_combine_done, combine_done);
       break;
     }
@@ -387,10 +385,6 @@ void GpuDevice::fast_forward(const GpuDeviceStats& since,
       repeated(stats_.kernels_launched, k, kernels, "kernels launched");
   stats_.waves_executed +=
       repeated(stats_.waves_executed, k, waves, "waves executed");
-  stats_.combines_issued +=
-      repeated(stats_.combines_issued, k,
-               stats_.combines_issued - since.combines_issued,
-               "combines issued");
   if (m_ != nullptr) {
     m_->kernels.inc(
         repeated(m_->kernels.value(), k, kernels, "ghs_gpu_kernels_total"));

@@ -36,7 +36,6 @@ namespace ghs::gpu {
 struct GpuDeviceStats {
   std::int64_t kernels_launched = 0;
   std::int64_t waves_executed = 0;
-  std::int64_t combines_issued = 0;
 };
 
 class GpuDevice {

@@ -3,16 +3,8 @@
 #include <utility>
 
 #include "ghs/util/error.hpp"
-#include "ghs/util/math.hpp"
 
 namespace ghs::mem {
-
-void TransferEngine::fast_forward(const CopyStats& since, std::int64_t k) {
-  stats_.copies += repeated(stats_.copies, k, stats_.copies - since.copies,
-                            "transfer-engine copies");
-  stats_.bytes += repeated(stats_.bytes, k, stats_.bytes - since.bytes,
-                           "transfer-engine bytes");
-}
 
 void TransferEngine::copy(Bytes bytes, RegionId from, RegionId to,
                           std::function<void()> on_complete) {
@@ -31,8 +23,6 @@ void TransferEngine::start(Bytes bytes, std::vector<sim::ResourceId> path,
     if (on_complete) on_complete();
     return;
   }
-  ++stats_.copies;
-  stats_.bytes += bytes;
   sim::FlowSpec spec;
   spec.bytes = static_cast<double>(bytes);
   spec.resources = std::move(path);

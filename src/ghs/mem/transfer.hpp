@@ -13,11 +13,6 @@
 
 namespace ghs::mem {
 
-struct CopyStats {
-  std::int64_t copies = 0;
-  Bytes bytes = 0;
-};
-
 class TransferEngine {
  public:
   explicit TransferEngine(Topology& topology) : topology_(topology) {}
@@ -35,18 +30,11 @@ class TransferEngine {
   void migrate(Bytes bytes, RegionId from, RegionId to,
                std::function<void()> on_complete);
 
-  const CopyStats& stats() const { return stats_; }
-
-  /// Stands in for `k` more runs like the one since the stats read
-  /// `since`. Throws OverflowError when a stat would pass its range.
-  void fast_forward(const CopyStats& since, std::int64_t k);
-
  private:
   void start(Bytes bytes, std::vector<sim::ResourceId> path,
              std::function<void()> on_complete);
 
   Topology& topology_;
-  CopyStats stats_;
 };
 
 }  // namespace ghs::mem

@@ -18,18 +18,6 @@ Runtime::Runtime(sim::Simulator& sim, mem::TransferEngine& transfers,
       cpu_(cpu),
       options_(options) {}
 
-void Runtime::fast_forward(const RuntimeStats& since, std::int64_t k) {
-  stats_.target_regions +=
-      repeated(stats_.target_regions, k,
-               stats_.target_regions - since.target_regions, "target regions");
-  stats_.scalar_updates +=
-      repeated(stats_.scalar_updates, k,
-               stats_.scalar_updates - since.scalar_updates, "scalar updates");
-  stats_.mapped_bytes +=
-      repeated(stats_.mapped_bytes, k,
-               stats_.mapped_bytes - since.mapped_bytes, "mapped bytes");
-}
-
 DeviceBufferId Runtime::target_alloc(Bytes size, std::string label) {
   GHS_REQUIRE(size > 0, "device buffer '" << label << "' has size " << size);
   buffers_.push_back(DeviceBuffer{size});
@@ -39,14 +27,11 @@ DeviceBufferId Runtime::target_alloc(Bytes size, std::string label) {
 void Runtime::map_to(DeviceBufferId buffer,
                      std::function<void()> on_complete) {
   GHS_REQUIRE(buffer < buffers_.size(), "device buffer id " << buffer);
-  const DeviceBuffer& b = buffers_[buffer];
-  stats_.mapped_bytes += b.size;
-  transfers_.copy(b.size, mem::RegionId::kLpddr, mem::RegionId::kHbm,
+  transfers_.copy(buffers_[buffer].size, mem::RegionId::kLpddr, mem::RegionId::kHbm,
                   std::move(on_complete));
 }
 
 void Runtime::target_update_scalar(std::function<void()> on_complete) {
-  ++stats_.scalar_updates;
   sim_.schedule_after(options_.scalar_update_latency,
                       [on_complete = std::move(on_complete)] {
                         if (on_complete) on_complete();
@@ -95,7 +80,6 @@ gpu::KernelDesc Runtime::lower(const OffloadLoop& loop,
 void Runtime::target_teams_reduce(
     const OffloadLoop& loop, const TeamsClauses& clauses,
     std::function<void(const gpu::KernelResult&)> on_complete) {
-  ++stats_.target_regions;
   gpu_.launch(lower(loop, clauses), std::move(on_complete));
 }
 
@@ -132,7 +116,6 @@ void Runtime::parallel_co_execute(
                              one_done] {
     if (gpu_loop) {
       // Master thread: target region with nowait.
-      ++stats_.target_regions;
       gpu_.launch(lower(*gpu_loop, gpu_clauses),
                   [result, one_done](const gpu::KernelResult& r) {
                     result->gpu = r;

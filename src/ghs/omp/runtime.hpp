@@ -70,12 +70,6 @@ struct RuntimeOptions {
   SimTime scalar_update_latency = from_nanoseconds(3000.0);
 };
 
-struct RuntimeStats {
-  std::int64_t target_regions = 0;
-  std::int64_t scalar_updates = 0;
-  Bytes mapped_bytes = 0;
-};
-
 /// Result of a co-executed parallel region (paper Listing 7).
 struct CoExecResult {
   SimTime start = 0;
@@ -142,12 +136,6 @@ class Runtime {
   gpu::KernelDesc lower(const OffloadLoop& loop,
                         const TeamsClauses& clauses) const;
 
-  const RuntimeStats& stats() const { return stats_; }
-
-  /// Stands in for `k` more runs like the one since the stats read
-  /// `since`. Throws OverflowError when a stat would pass its range.
-  void fast_forward(const RuntimeStats& since, std::int64_t k);
-
   /// Installs a span recorder for runtime-level events (co-execution
   /// regions, map copies); null disables.
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
@@ -166,7 +154,6 @@ class Runtime {
   cpu::CpuDevice& cpu_;
   RuntimeOptions options_;
   std::vector<DeviceBuffer> buffers_;
-  RuntimeStats stats_;
 };
 
 }  // namespace ghs::omp

@@ -322,11 +322,7 @@ void ReductionService::submit(const Job& job) {
   sim_.schedule_at(job.arrival, [this, job]() { on_arrival(job); });
 }
 
-void ReductionService::submit_all(const std::vector<Job>& jobs) {
-  submit_all(std::vector<Job>(jobs));
-}
-
-void ReductionService::submit_all(std::vector<Job>&& jobs) {
+void ReductionService::submit_all(std::vector<Job> jobs) {
   outcomes_.served.reserve(outcomes_.served.size() + jobs.size());
   chain_arrivals(sim_, std::move(jobs),
                  [this](const Job& job) { on_arrival(job); });

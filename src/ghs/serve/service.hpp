@@ -245,10 +245,7 @@ class ReductionService {
   /// simulator at a time instead of one event per job, so the event queue
   /// stays shallow at 10^6-job scale. An out-of-order batch is sorted by
   /// arrival first.
-  void submit_all(const std::vector<Job>& jobs);
-  /// Rvalue batches (e.g. a generator's return value) are adopted without
-  /// copying the job vector.
-  void submit_all(std::vector<Job>&& jobs);
+  void submit_all(std::vector<Job> jobs);
 
   /// Fires once per job at its completion (closed-loop generators submit
   /// the tenant's next job from here). The service keeps no JobRecord:

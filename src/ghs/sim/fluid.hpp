@@ -61,8 +61,8 @@ class FluidNetwork {
   /// `name` only labels the error when the capacity is not positive.
   ResourceId add_resource(const std::string& name, Bandwidth capacity);
 
-  /// Adjusts a resource's capacity (used by tests and ablations); takes
-  /// effect from the current instant.
+  /// Adjusts a resource's capacity from the current instant (fluid_test and
+  /// the wave-train property test's perturbations are the only callers).
   void set_capacity(ResourceId id, Bandwidth capacity);
 
   Bandwidth capacity(ResourceId id) const;

@@ -7,10 +7,6 @@
 
 namespace ghs::sim {
 
-SimTime SerialServer::submit(SimTime now, SimTime service) {
-  return submit_batch(now, service, 1);
-}
-
 SimTime SerialServer::submit_batch(SimTime now, SimTime service,
                                    std::int64_t count) {
   GHS_REQUIRE(now >= 0 && service >= 0 && count >= 0,
@@ -32,12 +28,6 @@ void SerialServer::fast_forward(const SerialServer& since, SimTime dt,
                          "the combine unit's busy time");
   completed_ += repeated(completed_, k, completed_ - since.completed_,
                          "combine completions");
-}
-
-void SerialServer::reset() {
-  available_at_ = 0;
-  busy_time_ = 0;
-  completed_ = 0;
 }
 
 }  // namespace ghs::sim

@@ -1,8 +1,8 @@
-// Serial FIFO server: models strictly serializing hardware units — the
-// GPU's atomic/reduction combine path to a single address and the kernel
-// launch queue. Submissions are served one at a time in arrival order;
-// submit() is purely arithmetic (no event needed) and returns the
-// completion time, which callers fold into their own event scheduling.
+// Serial FIFO server: models a strictly serializing hardware unit, the
+// GPU's atomic/reduction combine path to a single address. Submissions are
+// served one at a time in arrival order; submit_batch() is purely
+// arithmetic (no event needed) and returns the completion time, which
+// callers fold into their own event scheduling.
 #pragma once
 
 #include <cstdint>
@@ -13,12 +13,9 @@ namespace ghs::sim {
 
 class SerialServer {
  public:
-  /// Enqueues one unit of work arriving at `now` that needs `service` time.
-  /// Returns the absolute time the work completes.
-  SimTime submit(SimTime now, SimTime service);
-
-  /// Enqueues `count` back-to-back units of `service` each (used when a
-  /// whole wave of CTAs issues its combine atomics together).
+  /// Enqueues `count` back-to-back units of `service` each, arriving at
+  /// `now` (a whole wave of CTAs issues its combine atomics together).
+  /// Returns the absolute time the last one completes.
   SimTime submit_batch(SimTime now, SimTime service, std::int64_t count);
 
   /// Earliest time a new arrival would start service.
@@ -28,9 +25,6 @@ class SerialServer {
   SimTime busy_time() const { return busy_time_; }
 
   std::int64_t completed() const { return completed_; }
-
-  /// Forgets all history (used between benchmark repetitions).
-  void reset();
 
   /// Stands in for `k` more runs like the one since `since` (this server
   /// as it was then), each `dt` long: busy time and completions move on by

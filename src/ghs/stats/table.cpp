@@ -4,6 +4,7 @@
 
 #include "ghs/util/error.hpp"
 #include "ghs/util/strings.hpp"
+#include "ghs/util/writer.hpp"
 
 namespace ghs::stats {
 
@@ -26,39 +27,41 @@ void Table::render(std::ostream& os) const {
       widths[c] = std::max(widths[c], row[c].size());
     }
   }
+  Writer w(os);
   const auto emit = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      os << (c == 0 ? "| " : " | ") << pad_left(cells[c], widths[c]);
+      w << (c == 0 ? "| " : " | ") << pad_left(cells[c], widths[c]);
     }
-    os << " |\n";
+    w << " |\n";
   };
   emit(headers_);
   for (std::size_t c = 0; c < headers_.size(); ++c) {
-    os << (c == 0 ? "|-" : "-|-") << std::string(widths[c], '-');
+    w << (c == 0 ? "|-" : "-|-") << std::string(widths[c], '-');
   }
-  os << "-|\n";
+  w << "-|\n";
   for (const auto& row : rows_) {
     emit(row);
   }
 }
 
 void Table::render_csv(std::ostream& os) const {
+  Writer w(os);
   const auto emit = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) os << ',';
+      if (c > 0) w << ',';
       const std::string& cell = cells[c];
       if (cell.find_first_of(",\"\n") != std::string::npos) {
-        os << '"';
+        w << '"';
         for (char ch : cell) {
-          if (ch == '"') os << '"';
-          os << ch;
+          if (ch == '"') w << '"';
+          w << ch;
         }
-        os << '"';
+        w << '"';
       } else {
-        os << cell;
+        w << cell;
       }
     }
-    os << '\n';
+    w << '\n';
   };
   emit(headers_);
   for (const auto& row : rows_) {

@@ -7,17 +7,9 @@
 
 namespace ghs::telemetry {
 
-FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity) {
-  GHS_REQUIRE(capacity_ > 0, "flight recorder needs capacity >= 1");
-  ring_.reserve(capacity_);
-}
-
-FlightRecorder::Slot& FlightRecorder::next_slot() {
-  ++total_;
-  if (ring_.size() < capacity_) return ring_.emplace_back();
-  Slot& slot = ring_[next_];
-  if (++next_ == capacity_) next_ = 0;
-  return slot;
+FlightRecorder::FlightRecorder(std::size_t capacity) : ring_(capacity) {
+  GHS_REQUIRE(capacity > 0, "flight recorder needs capacity >= 1");
+  ring_.reserve();
 }
 
 std::int64_t FlightRecorder::intern(const std::string& name) {
@@ -35,12 +27,12 @@ std::size_t FlightRecorder::size() const {
 
 std::int64_t FlightRecorder::total_recorded() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
+  return ring_.total();
 }
 
 std::int64_t FlightRecorder::dropped() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return total_ - static_cast<std::int64_t>(ring_.size());
+  return ring_.dropped();
 }
 
 Event FlightRecorder::read(const Slot& slot) const {
@@ -55,19 +47,13 @@ std::vector<Event> FlightRecorder::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Event> out;
   out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(read(ring_[(next_ + i) % ring_.size()]));
-  }
+  ring_.for_each([&](const Slot& slot) { out.push_back(read(slot)); });
   return out;
 }
 
 void FlightRecorder::dump(std::ostream& os) const {
   const auto snapshot = events();
-  std::int64_t lost = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    lost = total_ - static_cast<std::int64_t>(ring_.size());
-  }
+  const std::int64_t lost = dropped();
   Writer w(os);
   w << "flight recorder: " << snapshot.size() << " events";
   if (lost > 0) w << " (" << lost << " older events dropped)";
@@ -83,8 +69,6 @@ void FlightRecorder::dump(std::ostream& os) const {
 void FlightRecorder::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   ring_.clear();
-  next_ = 0;
-  total_ = 0;
 }
 
 }  // namespace ghs::telemetry

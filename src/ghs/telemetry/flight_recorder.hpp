@@ -1,9 +1,9 @@
-// Flight recorder: a bounded ring buffer of structured events (admissions,
-// rejections, device launches, page migrations, tuner cache hits/misses)
-// that the layers append to as they run. Unlike the tracer — which keeps
-// every span for offline visualisation — the recorder keeps only the last
-// `capacity` events, so it can stay enabled for arbitrarily long runs and
-// be dumped on error or on demand, black-box style.
+// Flight recorder: a bounded ring buffer (util/bounded_ring.hpp) of
+// structured events (admissions, rejections, device launches, page
+// migrations, tuner cache hits/misses) that the layers append to as they
+// run. It keeps only the last `capacity` events, so it can stay enabled
+// for arbitrarily long runs and be dumped on error or on demand, black-box
+// style.
 //
 // Recording formats nothing. A slot keeps the time, a pointer to the
 // site's static EventType (layer, kind, formatter) and up to
@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ghs/util/bounded_ring.hpp"
 #include "ghs/util/units.hpp"
 
 namespace ghs::telemetry {
@@ -107,7 +108,7 @@ class FlightRecorder {
   void record(SimTime at, const EventType& type, Args... args) {
     static_assert(sizeof...(Args) <= kMaxEventArgs, "too many arguments");
     std::lock_guard<std::mutex> lock(mutex_);
-    Slot& slot = next_slot();
+    Slot& slot = ring_.append();
     slot.at = at;
     slot.type = &type;
     std::size_t k = 0;
@@ -117,7 +118,7 @@ class FlightRecorder {
   /// A stable id for `name`, the same id for the same text.
   std::int64_t intern(const std::string& name);
 
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
   /// Events currently held (<= capacity).
   std::size_t size() const;
   /// Events ever recorded, including overwritten ones.
@@ -158,15 +159,10 @@ class FlightRecorder {
     return arg;
   }
 
-  /// The slot the next event overwrites (caller holds the lock).
-  Slot& next_slot();
   Event read(const Slot& slot) const;
 
-  const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::vector<Slot> ring_;     // grows to capacity_, then wraps
-  std::size_t next_ = 0;       // ring_[next_] is the oldest once wrapped
-  std::int64_t total_ = 0;
+  BoundedRing<Slot> ring_;
   std::vector<std::string> names_;
   std::unordered_map<std::string, std::int64_t> name_ids_;
 };

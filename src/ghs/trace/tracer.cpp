@@ -5,6 +5,18 @@
 
 namespace ghs::trace {
 
+namespace {
+
+template <class T>
+std::vector<T> oldest_first(const BoundedRing<T>& ring) {
+  std::vector<T> out;
+  out.reserve(ring.size());
+  ring.for_each([&out](const T& entry) { out.push_back(entry); });
+  return out;
+}
+
+}  // namespace
+
 std::uint64_t derive_trace_id(std::int64_t key) {
   std::uint64_t state = static_cast<std::uint64_t>(key) + 1;
   const std::uint64_t id = splitmix64(state);
@@ -31,8 +43,8 @@ const char* track_name(Track track) {
   return "?";
 }
 
-Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {
-  GHS_REQUIRE(capacity_ > 0, "tracer capacity must be positive");
+Tracer::Tracer(std::size_t capacity) : spans_(capacity), instants_(capacity) {
+  GHS_REQUIRE(capacity > 0, "tracer capacity must be positive");
 }
 
 void Tracer::set_sampler(SamplerOptions options) {
@@ -59,14 +71,8 @@ void Tracer::record(Track track, std::string name, SimTime begin, SimTime end,
     ++dropped_by_sampler_;
     return;
   }
-  Span span{track, std::move(name), begin, end, std::move(detail), ctx};
-  if (span_ring_.size() < capacity_) {
-    span_ring_.push_back(std::move(span));
-  } else {
-    span_ring_[span_next_] = std::move(span);
-    span_next_ = (span_next_ + 1) % capacity_;
-    ++dropped_spans_;
-  }
+  spans_.append() =
+      Span{track, std::move(name), begin, end, std::move(detail), ctx};
 }
 
 void Tracer::mark(Track track, std::string name, SimTime at, Context ctx) {
@@ -75,41 +81,18 @@ void Tracer::mark(Track track, std::string name, SimTime at, Context ctx) {
     ++dropped_by_sampler_;
     return;
   }
-  Instant instant{track, std::move(name), at, ctx};
-  if (instant_ring_.size() < capacity_) {
-    instant_ring_.push_back(std::move(instant));
-  } else {
-    instant_ring_[instant_next_] = std::move(instant);
-    instant_next_ = (instant_next_ + 1) % capacity_;
-    ++dropped_instants_;
-  }
+  instants_.append() = Instant{track, std::move(name), at, ctx};
 }
 
-std::vector<Span> Tracer::spans() const {
-  std::vector<Span> out;
-  out.reserve(span_ring_.size());
-  for (std::size_t i = 0; i < span_ring_.size(); ++i) {
-    out.push_back(span_ring_[(span_next_ + i) % span_ring_.size()]);
-  }
-  return out;
-}
+std::vector<Span> Tracer::spans() const { return oldest_first(spans_); }
 
 std::vector<Instant> Tracer::instants() const {
-  std::vector<Instant> out;
-  out.reserve(instant_ring_.size());
-  for (std::size_t i = 0; i < instant_ring_.size(); ++i) {
-    out.push_back(instant_ring_[(instant_next_ + i) % instant_ring_.size()]);
-  }
-  return out;
+  return oldest_first(instants_);
 }
 
 void Tracer::clear() {
-  span_ring_.clear();
-  instant_ring_.clear();
-  span_next_ = 0;
-  instant_next_ = 0;
-  dropped_spans_ = 0;
-  dropped_instants_ = 0;
+  spans_.clear();
+  instants_.clear();
 }
 
 }  // namespace ghs::trace

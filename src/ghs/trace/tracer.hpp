@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "ghs/trace/context.hpp"
+#include "ghs/util/bounded_ring.hpp"
 #include "ghs/util/units.hpp"
 
 namespace ghs::trace {
@@ -130,22 +131,19 @@ class Tracer {
   /// ring, so older entries may already have been dropped).
   std::vector<Span> spans() const;
   std::vector<Instant> instants() const;
-  std::size_t size() const { return span_ring_.size() + instant_ring_.size(); }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const { return spans_.size() + instants_.size(); }
+  std::size_t capacity() const { return spans_.capacity(); }
   /// Entries lost to the ring bound, spans + instants.
-  std::int64_t dropped_total() const { return dropped_spans_ + dropped_instants_; }
+  std::int64_t dropped_total() const {
+    return spans_.dropped() + instants_.dropped();
+  }
   void clear();
 
  private:
   bool decide(std::uint64_t trace_id) const;
 
-  const std::size_t capacity_;
-  std::vector<Span> span_ring_;       // grows to capacity_, then wraps
-  std::vector<Instant> instant_ring_;
-  std::size_t span_next_ = 0;         // oldest entry once wrapped
-  std::size_t instant_next_ = 0;
-  std::int64_t dropped_spans_ = 0;
-  std::int64_t dropped_instants_ = 0;
+  BoundedRing<Span> spans_;
+  BoundedRing<Instant> instants_;
   std::uint64_t last_span_id_ = 0;
   SamplerOptions sampler_;
   std::uint64_t keep_threshold_ = 0;  // derived from sampler_.rate

@@ -6,8 +6,9 @@
 // runs under every migration policy, threshold, site, advice and combine
 // strategy, N from 1 to 64) and runs each twice: bare, which may skip, and
 // with a flight recorder attached, which simulates every repetition. Every
-// result field, the clock, the event count, every stats struct and the
-// telemetry snapshot must match bit for bit.
+// result field, the clock, the event count, the next FlowId, the UM and
+// GPU stats, the combine unit and the telemetry snapshot must match bit
+// for bit.
 //
 // The engagement test pins how many repetitions the paper's protocols
 // simulate and skip, so a change that breaks the fixed point fails here
@@ -87,7 +88,8 @@ std::string snapshot(Platform& p, const telemetry::Registry& registry) {
   const sim::SerialServer& combine = p.gpu().combine_unit();
   os << "now=" << p.sim().now() << " events=" << p.sim().events_processed()
      << " peak_queue=" << p.sim().peak_queue_size()
-     << " flows=" << p.topology().network().active_flows() << "\n"
+     << " flows=" << p.topology().network().active_flows()
+     << " next_flow=" << p.topology().network().mark().next_id << "\n"
      << "um fault=" << u.fault_migrations << " counter="
      << u.counter_migrations << " to_hbm=" << u.bytes_migrated_to_hbm
      << " to_lpddr=" << u.bytes_migrated_to_lpddr
@@ -95,16 +97,10 @@ std::string snapshot(Platform& p, const telemetry::Registry& registry) {
      << " remote_cpu=" << u.remote_bytes_cpu
      << " duplicated=" << u.bytes_duplicated << "\n"
      << "gpu kernels=" << g.kernels_launched << " waves=" << g.waves_executed
-     << " combines=" << g.combines_issued << " busy=" << p.gpu().busy()
+     << " busy=" << p.gpu().busy()
      << " combine_available_at=" << combine.available_at()
      << " combine_busy=" << combine.busy_time()
-     << " combine_completed=" << combine.completed() << "\n"
-     << "cpu reductions=" << p.cpu().stats().reductions << "\n"
-     << "runtime regions=" << p.runtime().stats().target_regions
-     << " updates=" << p.runtime().stats().scalar_updates
-     << " mapped=" << p.runtime().stats().mapped_bytes << "\n"
-     << "copies=" << p.transfers().stats().copies
-     << " bytes=" << p.transfers().stats().bytes << "\n";
+     << " combine_completed=" << combine.completed() << "\n";
   telemetry::write_json_snapshot(os, registry);
   return os.str();
 }

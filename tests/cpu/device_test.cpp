@@ -201,11 +201,5 @@ TEST_F(CpuDeviceTest, ComputeRateCapFormula) {
               10 * 1.5 * 8.0 * 3.3e9, 1e6);
 }
 
-TEST_F(CpuDeviceTest, StatsCountReductions) {
-  const auto before = device_.stats().reductions;
-  run(request(1000, 4, 8));
-  EXPECT_EQ(device_.stats().reductions, before + 1);
-}
-
 }  // namespace
 }  // namespace ghs::cpu

@@ -150,12 +150,13 @@ TEST_F(GpuDeviceTest, ManagedWarmSlowerThanExplicit) {
 
 TEST_F(GpuDeviceTest, StatsCountKernelsWavesCombines) {
   const auto before = device_.stats();
+  const auto combines_before = device_.combine_unit().completed();
   run(explicit_kernel(1 << 22, 4224, 256, 1, 4));
   const auto& after = device_.stats();
   EXPECT_EQ(after.kernels_launched, before.kernels_launched + 1);
   // 4224 CTAs / 1056 resident = 4 waves.
   EXPECT_EQ(after.waves_executed, before.waves_executed + 4);
-  EXPECT_EQ(after.combines_issued, before.combines_issued + 4224);
+  EXPECT_EQ(device_.combine_unit().completed(), combines_before + 4224);
 }
 
 TEST_F(GpuDeviceTest, DeterministicAcrossIdenticalRuns) {
@@ -198,9 +199,9 @@ TEST_F(GpuDeviceTest, CombineStrategiesTieAtTunedGrids) {
 TEST_F(GpuDeviceTest, TwoKernelIssuesNoSerializedCombines) {
   auto desc = explicit_kernel(1 << 22, 4096, 256, 4, 4);
   desc.strategy = CombineStrategy::kTwoKernel;
-  const auto before = device_.stats().combines_issued;
+  const auto before = device_.combine_unit().completed();
   run(desc);
-  EXPECT_EQ(device_.stats().combines_issued, before);
+  EXPECT_EQ(device_.combine_unit().completed(), before);
 }
 
 TEST_F(GpuDeviceTest, StrategyNames) {

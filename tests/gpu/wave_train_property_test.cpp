@@ -11,7 +11,7 @@
 // CPU reductions, transfer-engine copies, prefetches, capacity steps and
 // UM background migrations running beside them. The scenario runs twice:
 // with sparse no-ops, so trains stop and restart at arbitrary waves, and
-// with the dense chain. Every completion, every device and UM stat, the
+// with the dense chain. Every completion, the GPU and UM stats, the
 // combine unit, the telemetry snapshot, the flight recorder and the trace
 // must match, and the event counts must differ by exactly the no-ops.
 #include <algorithm>
@@ -300,13 +300,9 @@ Outcome run(std::uint64_t seed, Noops noops, SimTime horizon) {
   stats << "end=" << sim.now() << " gpu_busy=" << gpu.busy()
         << " kernels=" << gpu.stats().kernels_launched
         << " waves=" << gpu.stats().waves_executed
-        << " combines=" << gpu.stats().combines_issued
         << " combine_available_at=" << gpu.combine_unit().available_at()
         << " combine_busy=" << gpu.combine_unit().busy_time()
         << " combine_completed=" << gpu.combine_unit().completed()
-        << " cpu_reductions=" << platform.cpu().stats().reductions
-        << " copies=" << platform.transfers().stats().copies
-        << " copy_bytes=" << platform.transfers().stats().bytes
         << " flows_left=" << network.active_flows() << "\n";
   const um::UmStats& u = platform.um().stats();
   stats << "um fault=" << u.fault_migrations

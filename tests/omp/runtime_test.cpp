@@ -71,7 +71,6 @@ TEST_F(RuntimeTest, ScalarUpdateTakesLatency) {
   EXPECT_TRUE(fired);
   EXPECT_EQ(platform.sim().now(),
             platform.config().omp.scalar_update_latency);
-  EXPECT_EQ(rt.stats().scalar_updates, 1);
 }
 
 TEST_F(RuntimeTest, MapToCopiesOverTheLink) {
@@ -82,7 +81,6 @@ TEST_F(RuntimeTest, MapToCopiesOverTheLink) {
   EXPECT_TRUE(done);
   // 0.45 GB over 450 GB/s C2C = 1 ms.
   EXPECT_NEAR(static_cast<double>(platform.sim().now()), 1e9, 1e7);
-  EXPECT_EQ(rt.stats().mapped_bytes, 450'000'000);
 }
 
 TEST_F(RuntimeTest, TargetReduceDeliversKernelResult) {
@@ -92,7 +90,6 @@ TEST_F(RuntimeTest, TargetReduceDeliversKernelResult) {
   platform.run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->bytes, (1LL << 22) * 4);
-  EXPECT_EQ(rt.stats().target_regions, 1);
 }
 
 TEST_F(RuntimeTest, CoExecuteRunsBothSides) {

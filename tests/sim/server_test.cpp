@@ -9,21 +9,21 @@ namespace {
 
 TEST(SerialServerTest, IdleServerServesImmediately) {
   SerialServer server;
-  EXPECT_EQ(server.submit(100, 10), 110);
+  EXPECT_EQ(server.submit_batch(100, 10, 1), 110);
   EXPECT_EQ(server.available_at(), 110);
 }
 
 TEST(SerialServerTest, BackToBackSubmissionsQueue) {
   SerialServer server;
-  server.submit(0, 10);
-  EXPECT_EQ(server.submit(0, 10), 20);
-  EXPECT_EQ(server.submit(5, 10), 30);
+  server.submit_batch(0, 10, 1);
+  EXPECT_EQ(server.submit_batch(0, 10, 1), 20);
+  EXPECT_EQ(server.submit_batch(5, 10, 1), 30);
 }
 
 TEST(SerialServerTest, LateArrivalAfterIdleGap) {
   SerialServer server;
-  server.submit(0, 10);  // done at 10
-  EXPECT_EQ(server.submit(100, 5), 105);
+  server.submit_batch(0, 10, 1);  // done at 10
+  EXPECT_EQ(server.submit_batch(100, 5, 1), 105);
 }
 
 TEST(SerialServerTest, BatchEqualsRepeatedSubmit) {
@@ -31,14 +31,14 @@ TEST(SerialServerTest, BatchEqualsRepeatedSubmit) {
   SerialServer b;
   const SimTime batch_done = a.submit_batch(7, 3, 5);
   SimTime single_done = 0;
-  for (int i = 0; i < 5; ++i) single_done = b.submit(7, 3);
+  for (int i = 0; i < 5; ++i) single_done = b.submit_batch(7, 3, 1);
   EXPECT_EQ(batch_done, single_done);
   EXPECT_EQ(a.busy_time(), b.busy_time());
 }
 
 TEST(SerialServerTest, EmptyBatchIsNoOp) {
   SerialServer server;
-  server.submit(0, 10);
+  server.submit_batch(0, 10, 1);
   EXPECT_EQ(server.submit_batch(0, 10, 0), 10);
   EXPECT_EQ(server.completed(), 1);
 }
@@ -50,19 +50,10 @@ TEST(SerialServerTest, BusyTimeAccumulates) {
   EXPECT_EQ(server.completed(), 100);
 }
 
-TEST(SerialServerTest, ResetClearsHistory) {
-  SerialServer server;
-  server.submit_batch(0, 2, 10);
-  server.reset();
-  EXPECT_EQ(server.available_at(), 0);
-  EXPECT_EQ(server.busy_time(), 0);
-  EXPECT_EQ(server.completed(), 0);
-}
-
 TEST(SerialServerTest, RejectsNegativeArguments) {
   SerialServer server;
-  EXPECT_THROW(server.submit(-1, 1), Error);
-  EXPECT_THROW(server.submit(0, -1), Error);
+  EXPECT_THROW(server.submit_batch(-1, 1, 1), Error);
+  EXPECT_THROW(server.submit_batch(0, -1, 1), Error);
   EXPECT_THROW(server.submit_batch(0, 1, -1), Error);
 }
 

@@ -476,10 +476,10 @@ bool run_seed(const Case& c, std::uint64_t seed, int steps) {
     EXPECT_EQ(events_text(real_machine.flight),
               events_text(ref_machine.flight));
     EXPECT_EQ(real_machine.sim.now(), ref_machine.sim.now());
-    EXPECT_EQ(real_machine.engine.stats().copies,
-              ref_machine.engine.stats().copies);
-    EXPECT_EQ(real_machine.engine.stats().bytes,
-              ref_machine.engine.stats().bytes);
+    EXPECT_EQ(real_machine.topo.network().mark().next_id,
+              ref_machine.topo.network().mark().next_id);
+    EXPECT_EQ(real_machine.topo.network().active_flows(),
+              ref_machine.topo.network().active_flows());
     EXPECT_EQ(real_callbacks, ref_callbacks);
     Bytes hbm_total = 0;
     Bytes lpddr_total = 0;
