@@ -28,13 +28,13 @@ int main(int argc, char** argv) try {
   std::vector<Variant> variants;
   variants.push_back({"calibrated vendor combine", options.config});
   {
-    core::SystemConfig all_cas = core::gh200_config();
+    core::SystemConfig all_cas = options.config;
     all_cas.gpu.combine_native_int = all_cas.gpu.combine_float64_cas;
     all_cas.gpu.combine_widening_int = all_cas.gpu.combine_float64_cas;
     variants.push_back({"all-CAS combine", all_cas});
   }
   {
-    core::SystemConfig tree = core::gh200_config();
+    core::SystemConfig tree = options.config;
     tree.gpu.combine_native_int = from_nanoseconds(0.05);
     tree.gpu.combine_widening_int = from_nanoseconds(0.05);
     tree.gpu.combine_float32_cas = from_nanoseconds(0.05);
@@ -45,8 +45,7 @@ int main(int argc, char** argv) try {
   stats::Table table({"Case", "Combine model", "Baseline GB/s"});
   for (workload::CaseId case_id : options.cases) {
     for (const auto& variant : variants) {
-      core::Platform platform(variant.config);
-      platform.set_telemetry(options.telemetry());
+      core::Platform platform(variant.config, options.telemetry());
       core::GpuBenchmark bench;
       bench.case_id = case_id;
       bench.tuning = std::nullopt;  // the Listing 2 baseline

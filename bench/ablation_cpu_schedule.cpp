@@ -33,8 +33,7 @@ int main(int argc, char** argv) try {
                           cpu::ScheduleKind::kDynamic,
                           cpu::ScheduleKind::kGuided}) {
       const auto run_cpu = [&](bool mixed) {
-        core::Platform platform(options.config);
-        platform.set_telemetry(options.telemetry());
+        core::Platform platform(options.config, options.telemetry());
         auto alloc = platform.um().allocate(bytes, mem::RegionId::kLpddr,
                                             spec.name);
         if (mixed) {

@@ -44,8 +44,7 @@ int main(int argc, char** argv) try {
     policies.push_back({"fixed 1048576", 1 << 20});
 
     for (const auto& policy : policies) {
-      core::Platform platform(config);
-      platform.set_telemetry(options.telemetry());
+      core::Platform platform(config, options.telemetry());
       core::GpuBenchmark bench;
       bench.case_id = case_id;
       // v = 1 with teams == grid reproduces the baseline loop body under a

@@ -40,8 +40,7 @@ int main(int argc, char** argv) try {
                       "Best p", "CPU-only GB/s"});
   for (workload::CaseId case_id : options.cases) {
     for (const auto& variant : variants) {
-      core::Platform platform(options.config);
-      platform.set_telemetry(options.telemetry());
+      core::Platform platform(options.config, options.telemetry());
       core::HeteroBenchmark bench;
       bench.case_id = case_id;
       bench.tuning = core::paper_best_tuning(case_id);

@@ -38,8 +38,7 @@ int main(int argc, char** argv) try {
       // the strategy swapped in.
       double heuristic_gbps;
       {
-        core::Platform platform;
-        platform.set_telemetry(options.telemetry());
+        core::Platform platform(options.config, options.telemetry());
         const std::int64_t grid = platform.runtime().default_grid(elements);
         core::GpuBenchmark bench;
         bench.case_id = case_id;
@@ -51,8 +50,7 @@ int main(int argc, char** argv) try {
       }
       double tuned_gbps;
       {
-        core::Platform platform;
-        platform.set_telemetry(options.telemetry());
+        core::Platform platform(options.config, options.telemetry());
         core::ReduceTuning tuning = core::paper_best_tuning(case_id);
         tuning.strategy = strategy;
         core::GpuBenchmark bench;

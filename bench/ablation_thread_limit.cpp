@@ -26,8 +26,7 @@ int main(int argc, char** argv) try {
       auto& series =
           figure.add_series("T" + std::to_string(thread_limit));
       for (std::int64_t teams : {1024LL, 4096LL, 16384LL, 65536LL}) {
-        core::Platform platform(options.config);
-        platform.set_telemetry(options.telemetry());
+        core::Platform platform(options.config, options.telemetry());
         core::GpuBenchmark bench;
         bench.case_id = case_id;
         bench.tuning = core::ReduceTuning{teams, thread_limit,

@@ -8,7 +8,6 @@
 #include "ghs/core/reduce.hpp"
 #include "ghs/core/verify.hpp"
 #include "ghs/mem/topology.hpp"
-#include "ghs/mem/transfer.hpp"
 #include "ghs/sim/fluid.hpp"
 #include "ghs/sim/simulator.hpp"
 #include "ghs/um/manager.hpp"
@@ -63,8 +62,7 @@ void BM_UmPlanPass(benchmark::State& state) {
   const auto pages = state.range(0);
   sim::Simulator sim;
   mem::Topology topology(sim, mem::TopologyConfig{});
-  mem::TransferEngine transfers(topology);
-  um::UmManager um(topology, transfers, um::UmPolicy{});
+  um::UmManager um(topology, um::UmPolicy{});
   const Bytes size = pages * um.policy().page_size;
   const Bytes split = size / 10 * 3 + 12;
   const auto id = um.allocate(size, mem::RegionId::kLpddr, "bench");

@@ -28,7 +28,6 @@
 // that each submitted job is served, rejected at admission, or shed; two
 // runs from the same (plan, seed) emit byte-identical reports.
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +35,7 @@
 #include "ghs/serve/loadgen.hpp"
 #include "ghs/serve/policy.hpp"
 #include "ghs/serve/service.hpp"
+#include "ghs/util/strings.hpp"
 #include "alloc_counter.hpp"
 #include "harness.hpp"
 #include "serve_perf.hpp"
@@ -184,13 +184,13 @@ int main(int argc, char** argv) {
   harness.write_sections(out, sections);
   if (have_fifo && have_bandwidth &&
       fifo_report.throughput_gbps > 0.0) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.4f",
-                  bandwidth_report.throughput_gbps /
-                      fifo_report.throughput_gbps);
     out << ",\"comparison\":{\"fifo_gbps\":" << fifo_report.throughput_gbps
         << ",\"bandwidth_gbps\":" << bandwidth_report.throughput_gbps
-        << ",\"bandwidth_over_fifo\":" << buf << "}";
+        << ",\"bandwidth_over_fifo\":"
+        << format_fixed(bandwidth_report.throughput_gbps /
+                            fifo_report.throughput_gbps,
+                        4)
+        << "}";
   }
   if (*perf) {
     // Wall-clock section: machine-dependent by design, so it only exists

@@ -10,10 +10,11 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <ostream>
 #include <string>
 #include <vector>
+
+#include "ghs/util/writer.hpp"
 
 namespace ghs::bench {
 
@@ -70,30 +71,20 @@ class WallTimer {
 /// run, stable key order.
 inline void write_perf_json(std::ostream& os,
                             const std::vector<PerfSample>& samples) {
-  const auto fixed = [&os](double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", value);
-    os << buf;
-  };
-  os << "[";
+  Writer w(os);
+  w << "[";
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const PerfSample& s = samples[i];
-    if (i > 0) os << ",";
-    os << "{\"policy\":\"" << s.policy << "\",\"wall_seconds\":";
-    fixed(s.wall_seconds);
-    os << ",\"sim_events\":" << s.sim_events
-       << ",\"events_per_sec\":";
-    fixed(s.events_per_sec());
-    os << ",\"jobs_per_sec\":";
-    fixed(s.jobs_per_sec());
-    os << ",\"peak_queue_size\":" << s.peak_queue_size
-       << ",\"peak_rss_mb\":";
-    fixed(s.peak_rss_mb);
-    os << ",\"allocs_per_job\":";
-    fixed(s.allocs_per_job());
-    os << "}";
+    if (i > 0) w << ",";
+    w << "{\"policy\":\"" << s.policy << "\",\"wall_seconds\":"
+      << Fixed{s.wall_seconds, 3} << ",\"sim_events\":" << s.sim_events
+      << ",\"events_per_sec\":" << Fixed{s.events_per_sec(), 3}
+      << ",\"jobs_per_sec\":" << Fixed{s.jobs_per_sec(), 3}
+      << ",\"peak_queue_size\":" << s.peak_queue_size
+      << ",\"peak_rss_mb\":" << Fixed{s.peak_rss_mb, 3}
+      << ",\"allocs_per_job\":" << Fixed{s.allocs_per_job(), 3} << "}";
   }
-  os << "]";
+  w << "]";
 }
 
 }  // namespace ghs::bench

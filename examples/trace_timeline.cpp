@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   const auto* p = cli.add_double("p", 0.3, "CPU fraction of the reduction");
   cli.parse_or_exit(argc, argv);
 
-  core::Platform platform;
-  auto& tracer = platform.enable_tracing();
+  trace::Tracer tracer;
+  core::Platform platform(core::gh200_config(), {}, &tracer);
 
   core::HeteroBenchmark bench;
   bench.case_id = workload::CaseId::kC1;

@@ -141,6 +141,7 @@ Cluster::Cluster(serve::ServiceModel& model, ClusterOptions options,
     : model_(model),
       options_(std::move(options)),
       tracer_(tracer),
+      sim_(options_.node.telemetry.metrics),
       router_(options_.router, options_.router_seed),
       table_(options_.nodes) {
   GHS_REQUIRE(options_.fault_node >= 0 && options_.fault_node < options_.nodes,

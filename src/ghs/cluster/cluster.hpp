@@ -291,7 +291,7 @@ class Cluster {
   /// cluster charges its interconnect/journal bytes here, the nodes their
   /// launch time.
   profile::Recorder* recorder_ = nullptr;
-  /// Shared fleet clock.
+  /// Shared fleet clock, counted in the nodes' registry.
   sim::Simulator sim_;
   std::unique_ptr<Interconnect> interconnect_;
   Router router_;

@@ -17,58 +17,38 @@ struct Platform::Mark {
   sim::SerialServer combine;
 };
 
-Platform::Platform(const SystemConfig& config) : config_(config) {
-  topology_ = std::make_unique<mem::Topology>(sim_, config_.topology);
-  transfers_ = std::make_unique<mem::TransferEngine>(*topology_);
-  um_ = std::make_unique<um::UmManager>(*topology_, *transfers_, config_.um);
-  gpu_ = std::make_unique<gpu::GpuDevice>(sim_, *topology_, *um_,
-                                          config_.gpu);
-  cpu_ = std::make_unique<cpu::CpuDevice>(sim_, *topology_, *um_,
-                                          config_.cpu);
-  runtime_ = std::make_unique<omp::Runtime>(sim_, *transfers_, *um_, *gpu_,
-                                            *cpu_, config_.omp);
-}
-
-void Platform::set_telemetry(telemetry::Sink sink) {
-  telemetry_ = sink;
-  sim_.set_telemetry(sink.metrics);
-  gpu_->set_telemetry(sink);
-  um_->set_telemetry(sink);
-}
-
-trace::Tracer& Platform::enable_tracing() {
-  if (!tracer_) {
-    tracer_ = std::make_unique<trace::Tracer>();
-    gpu_->set_tracer(tracer_.get());
-    cpu_->set_tracer(tracer_.get());
-    um_->set_tracer(tracer_.get());
-    runtime_->set_tracer(tracer_.get());
-  }
-  return *tracer_;
-}
+Platform::Platform(const SystemConfig& config, telemetry::Sink sink,
+                   trace::Tracer* tracer)
+    : config_(config),
+      records_every_repetition_(tracer != nullptr || sink.flight != nullptr),
+      sim_(sink.metrics),
+      topology_(sim_, config_.topology),
+      um_(topology_, config_.um, sink, tracer),
+      gpu_(sim_, topology_, um_, config_.gpu, sink, tracer),
+      cpu_(sim_, topology_, um_, config_.cpu, tracer),
+      runtime_(sim_, topology_, um_, gpu_, cpu_, config_.omp, tracer) {}
 
 Platform::Mark Platform::mark() const {
   Mark m{{},
          sim_.mark(),
-         topology_->network().mark(),
-         um_->stats(),
-         gpu_->stats(),
-         gpu_->combine_unit()};
-  um_->digest(m.digest);
-  gpu_->digest(m.digest);
+         topology_.network().mark(),
+         um_.stats(),
+         gpu_.stats(),
+         gpu_.combine_unit()};
+  um_.digest(m.digest);
+  gpu_.digest(m.digest);
   return m;
 }
 
 void Platform::repeat(std::int64_t count,
                       const std::function<void()>& repetition) {
   GHS_REQUIRE(count > 0, "repetitions=" << count);
-  const bool may_skip = tracer_ == nullptr && telemetry_.flight == nullptr;
   std::optional<Mark> before;
-  if (may_skip) before = mark();
+  if (!records_every_repetition_) before = mark();
   for (std::int64_t done = 1; done <= count; ++done) {
     repetition();
     ++simulated_;
-    if (!may_skip || done == count) continue;
+    if (records_every_repetition_ || done == count) continue;
     Mark after = mark();
     if (after.digest == before->digest) {
       skip(*before, count - done);
@@ -81,9 +61,9 @@ void Platform::repeat(std::int64_t count,
 void Platform::skip(const Mark& since, std::int64_t k) {
   const SimTime dt = sim_.now() - since.sim.now;
   sim_.fast_forward(since.sim, k);
-  topology_->network().fast_forward(since.fluid, k);
-  um_->fast_forward(since.um, k);
-  gpu_->fast_forward(since.gpu, since.combine, dt, k);
+  topology_.network().fast_forward(since.fluid, k);
+  um_.fast_forward(since.um, k);
+  gpu_.fast_forward(since.gpu, since.combine, dt, k);
   skipped_ += k;
 }
 

@@ -9,13 +9,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "ghs/core/system_config.hpp"
 #include "ghs/cpu/device.hpp"
 #include "ghs/gpu/device.hpp"
 #include "ghs/mem/topology.hpp"
-#include "ghs/mem/transfer.hpp"
 #include "ghs/omp/runtime.hpp"
 #include "ghs/sim/simulator.hpp"
 #include "ghs/telemetry/registry.hpp"
@@ -26,19 +24,25 @@ namespace ghs::core {
 
 class Platform {
  public:
-  explicit Platform(const SystemConfig& config = gh200_config());
+  /// `sink` wires metric instruments and the flight recorder into the
+  /// simulator, the GPU and the UM manager; `tracer` records the spans of
+  /// every device and the runtime. Both are externally owned (one registry
+  /// typically outlives many platforms, so their counts accumulate), and
+  /// null members disable the corresponding channel.
+  explicit Platform(const SystemConfig& config = gh200_config(),
+                    telemetry::Sink sink = {},
+                    trace::Tracer* tracer = nullptr);
 
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
 
   const SystemConfig& config() const { return config_; }
   sim::Simulator& sim() { return sim_; }
-  mem::Topology& topology() { return *topology_; }
-  mem::TransferEngine& transfers() { return *transfers_; }
-  um::UmManager& um() { return *um_; }
-  gpu::GpuDevice& gpu() { return *gpu_; }
-  cpu::CpuDevice& cpu() { return *cpu_; }
-  omp::Runtime& runtime() { return *runtime_; }
+  mem::Topology& topology() { return topology_; }
+  um::UmManager& um() { return um_; }
+  gpu::GpuDevice& gpu() { return gpu_; }
+  cpu::CpuDevice& cpu() { return cpu_; }
+  omp::Runtime& runtime() { return runtime_; }
 
   /// Drains the event queue (runs all scheduled work to completion).
   void run() { sim_.run(); }
@@ -70,21 +74,6 @@ class Platform {
   std::int64_t repetitions_simulated() const { return simulated_; }
   std::int64_t repetitions_skipped() const { return skipped_; }
 
-  /// Turns on execution tracing for this platform; all devices start
-  /// recording spans into the returned tracer. Idempotent.
-  trace::Tracer& enable_tracing();
-
-  /// The installed tracer, or nullptr when tracing is off.
-  trace::Tracer* tracer() { return tracer_.get(); }
-
-  /// Wires metric instruments and the flight recorder into the simulator,
-  /// the GPU, and the UM manager. The sink is externally owned (one
-  /// registry typically outlives many platforms, so their counts
-  /// accumulate). Null members disable the corresponding channel.
-  void set_telemetry(telemetry::Sink sink);
-
-  const telemetry::Sink& telemetry() const { return telemetry_; }
-
  private:
   /// The digest and every count a skip advances.
   struct Mark;
@@ -93,16 +82,16 @@ class Platform {
   /// `since`.
   void skip(const Mark& since, std::int64_t k);
 
-  telemetry::Sink telemetry_;
-  std::unique_ptr<trace::Tracer> tracer_;
   SystemConfig config_;
+  /// A tracer or a flight recorder is attached: each records every
+  /// repetition, so repeat() skips none.
+  bool records_every_repetition_;
   sim::Simulator sim_;
-  std::unique_ptr<mem::Topology> topology_;
-  std::unique_ptr<mem::TransferEngine> transfers_;
-  std::unique_ptr<um::UmManager> um_;
-  std::unique_ptr<gpu::GpuDevice> gpu_;
-  std::unique_ptr<cpu::CpuDevice> cpu_;
-  std::unique_ptr<omp::Runtime> runtime_;
+  mem::Topology topology_;
+  um::UmManager um_;
+  gpu::GpuDevice gpu_;
+  cpu::CpuDevice cpu_;
+  omp::Runtime runtime_;
   std::int64_t simulated_ = 0;
   std::int64_t skipped_ = 0;
 };

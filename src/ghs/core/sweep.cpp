@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "ghs/stats/summary.hpp"
@@ -25,15 +26,27 @@ struct Instruments {
   telemetry::Counter& evaluations;
 };
 
-// Wires one sweep point's fresh platform into the shared sink and counts
-// the evaluation against the tuner/sweep budget metric.
-void instrument_sweep_point(Platform& platform,
-                            const telemetry::Sink& sink) {
-  if (!sink) return;
-  platform.set_telemetry(sink);
+// Counts one sweep point's fresh platform against the tuner/sweep budget
+// metric.
+void count_evaluation(const telemetry::Sink& sink) {
   if (sink.metrics != nullptr) {
     sink.metrics->handles<Instruments>().evaluations.inc();
   }
+}
+
+// Runs one Listing 6 point on a fresh platform wired into the sweep's
+// sink: `tuning` gives the clauses, nullopt is the Listing 2 baseline.
+// Returns GB/s.
+double listing6_gbps(CaseId case_id, std::optional<ReduceTuning> tuning,
+                     const SweepOptions& opts) {
+  Platform platform(opts.config, opts.telemetry);
+  count_evaluation(opts.telemetry);
+  GpuBenchmark bench;
+  bench.case_id = case_id;
+  bench.tuning = tuning;
+  bench.elements = opts.elements;
+  bench.iterations = opts.iterations;
+  return run_gpu_benchmark(platform, bench).bandwidth.gbps();
 }
 
 }  // namespace
@@ -50,15 +63,10 @@ stats::Figure fig1_sweep(CaseId case_id, const SweepOptions& opts) {
     auto& series = figure.add_series(series_name);
     for (std::int64_t teams : opts.teams) {
       if (teams % v != 0) continue;
-      Platform platform(opts.config);
-      instrument_sweep_point(platform, opts.telemetry);
-      GpuBenchmark bench;
-      bench.case_id = case_id;
-      bench.tuning = ReduceTuning{teams, opts.thread_limit, v};
-      bench.elements = opts.elements;
-      bench.iterations = opts.iterations;
-      const auto result = run_gpu_benchmark(platform, bench);
-      series.add(static_cast<double>(teams), result.bandwidth.gbps());
+      series.add(static_cast<double>(teams),
+                 listing6_gbps(case_id,
+                               ReduceTuning{teams, opts.thread_limit, v},
+                               opts));
     }
   }
   return figure;
@@ -71,32 +79,16 @@ std::vector<Table1Row> table1(const std::vector<CaseId>& cases,
   for (CaseId case_id : cases) {
     Table1Row row;
     row.case_id = case_id;
-    {
-      Platform platform(opts.config);
-      instrument_sweep_point(platform, opts.telemetry);
-      GpuBenchmark bench;
-      bench.case_id = case_id;
-      bench.tuning = std::nullopt;  // Listing 2 baseline
-      bench.elements = opts.elements;
-      bench.iterations = opts.iterations;
-      row.baseline_gbps = run_gpu_benchmark(platform, bench).bandwidth.gbps();
-    }
+    row.baseline_gbps = listing6_gbps(case_id, std::nullopt, opts);
     row.optimized_gbps = 0.0;
     for (int v : opts.vs) {
       for (std::int64_t teams : opts.teams) {
         if (teams % v != 0) continue;
-        Platform platform(opts.config);
-        instrument_sweep_point(platform, opts.telemetry);
-        GpuBenchmark bench;
-        bench.case_id = case_id;
-        bench.tuning = ReduceTuning{teams, opts.thread_limit, v};
-        bench.elements = opts.elements;
-        bench.iterations = opts.iterations;
-        const double gbps =
-            run_gpu_benchmark(platform, bench).bandwidth.gbps();
+        const ReduceTuning tuning{teams, opts.thread_limit, v};
+        const double gbps = listing6_gbps(case_id, tuning, opts);
         if (gbps > row.optimized_gbps) {
           row.optimized_gbps = gbps;
-          row.best = *bench.tuning;
+          row.best = tuning;
         }
       }
     }
@@ -110,8 +102,8 @@ std::vector<Table1Row> table1(const std::vector<CaseId>& cases,
 
 HeteroBenchmarkResult um_sweep_case(CaseId case_id,
                                     const UmSweepOptions& opts) {
-  Platform platform(opts.config);
-  instrument_sweep_point(platform, opts.telemetry);
+  Platform platform(opts.config, opts.telemetry);
+  count_evaluation(opts.telemetry);
   HeteroBenchmark bench;
   bench.case_id = case_id;
   bench.tuning = opts.optimized

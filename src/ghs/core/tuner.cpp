@@ -31,8 +31,7 @@ struct Instruments {
 /// Evaluates one configuration on a fresh platform; returns GB/s.
 double probe(workload::CaseId case_id, const ReduceTuning& tuning,
              const TunerOptions& options, const Instruments* m) {
-  Platform platform(options.config);
-  if (options.telemetry) platform.set_telemetry(options.telemetry);
+  Platform platform(options.config, options.telemetry);
   if (m != nullptr) m->probes.inc();
   GpuBenchmark bench;
   bench.case_id = case_id;

@@ -22,8 +22,10 @@ const char* schedule_name(ScheduleKind schedule) {
 }
 
 CpuDevice::CpuDevice(sim::Simulator& sim, mem::Topology& topology,
-                     um::UmManager& um, CpuConfig config)
-    : sim_(sim),
+                     um::UmManager& um, CpuConfig config,
+                     trace::Tracer* tracer)
+    : tracer_(tracer),
+      sim_(sim),
       topology_(topology),
       um_(um),
       config_(config),

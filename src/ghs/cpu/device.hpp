@@ -72,8 +72,9 @@ struct CpuReduceResult {
 
 class CpuDevice {
  public:
+  /// `tracer` records each reduction's span (null disables tracing).
   CpuDevice(sim::Simulator& sim, mem::Topology& topology, um::UmManager& um,
-            CpuConfig config);
+            CpuConfig config, trace::Tracer* tracer = nullptr);
 
   CpuDevice(const CpuDevice&) = delete;
   CpuDevice& operator=(const CpuDevice&) = delete;
@@ -89,11 +90,8 @@ class CpuDevice {
   double compute_rate_cap(int threads, bool use_simd,
                           Bytes element_size) const;
 
-  /// Installs a span recorder (null disables tracing).
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
-
  private:
-  trace::Tracer* tracer_ = nullptr;
+  trace::Tracer* tracer_;
   sim::Simulator& sim_;
   mem::Topology& topology_;
   um::UmManager& um_;

@@ -104,8 +104,16 @@ struct GpuDevice::Execution {
 };
 
 GpuDevice::GpuDevice(sim::Simulator& sim, mem::Topology& topology,
-                     um::UmManager& um, GpuConfig config)
-    : sim_(sim), topology_(topology), um_(um), config_(config) {}
+                     um::UmManager& um, GpuConfig config,
+                     telemetry::Sink sink, trace::Tracer* tracer)
+    : sim_(sim),
+      topology_(topology),
+      um_(um),
+      config_(config),
+      tracer_(tracer),
+      flight_(sink.flight),
+      m_(sink.metrics != nullptr ? &sink.metrics->handles<Instruments>()
+                                 : nullptr) {}
 
 void GpuDevice::launch(const KernelDesc& desc,
                        std::function<void(const KernelResult&)> on_complete) {
@@ -392,12 +400,6 @@ void GpuDevice::fast_forward(const GpuDeviceStats& since,
         repeated(m_->waves.value(), k, waves, "ghs_gpu_waves_total"));
   }
   combine_unit_.fast_forward(combine_since, dt, k);
-}
-
-void GpuDevice::set_telemetry(telemetry::Sink sink) {
-  flight_ = sink.flight;
-  m_ = sink.metrics != nullptr ? &sink.metrics->handles<Instruments>()
-                               : nullptr;
 }
 
 }  // namespace ghs::gpu

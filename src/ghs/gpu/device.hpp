@@ -40,8 +40,13 @@ struct GpuDeviceStats {
 
 class GpuDevice {
  public:
+  /// `sink` takes the kernel/wave counters and the flight recorder (null
+  /// members disable the corresponding channel). `tracer` records kernel
+  /// spans on the GPU track and per-wave spans on the wave track, so attach
+  /// one only to runs with modest grids; null disables tracing.
   GpuDevice(sim::Simulator& sim, mem::Topology& topology, um::UmManager& um,
-            GpuConfig config);
+            GpuConfig config, telemetry::Sink sink = {},
+            trace::Tracer* tracer = nullptr);
 
   GpuDevice(const GpuDevice&) = delete;
   GpuDevice& operator=(const GpuDevice&) = delete;
@@ -73,15 +78,6 @@ class GpuDevice {
                     const sim::SerialServer& combine_since, SimTime dt,
                     std::int64_t k);
 
-  /// Installs a span recorder (null disables tracing). Kernel spans go on
-  /// the GPU track, per-wave spans on the wave track — enable wave tracing
-  /// only for runs with modest grids.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
-
-  /// Registers kernel/wave counters and the flight recorder (null members
-  /// disable the corresponding channel).
-  void set_telemetry(telemetry::Sink sink);
-
  private:
   struct Execution;
 
@@ -100,11 +96,11 @@ class GpuDevice {
   GpuConfig config_;
   sim::SerialServer combine_unit_;
   GpuDeviceStats stats_;
-  trace::Tracer* tracer_ = nullptr;
-  telemetry::FlightRecorder* flight_ = nullptr;
+  trace::Tracer* tracer_;
+  telemetry::FlightRecorder* flight_;
   /// The GPU instruments of the attached registry (Registry::handles).
   struct Instruments;
-  const Instruments* m_ = nullptr;
+  const Instruments* m_;
   bool busy_ = false;
 };
 

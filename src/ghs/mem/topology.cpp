@@ -1,5 +1,7 @@
 #include "ghs/mem/topology.hpp"
 
+#include <utility>
+
 #include "ghs/util/error.hpp"
 
 namespace ghs::mem {
@@ -51,6 +53,30 @@ std::vector<sim::ResourceId> Topology::copy_path(RegionId from,
   GHS_REQUIRE(from != to, "copy within " << region_name(from));
   if (from == RegionId::kLpddr) return {lpddr_, c2c_to_gpu_, hbm_};
   return {hbm_, c2c_to_cpu_, lpddr_};
+}
+
+void Topology::copy(Bytes bytes, RegionId from, RegionId to,
+                    std::function<void()> on_complete) {
+  start(bytes, copy_path(from, to), std::move(on_complete));
+}
+
+void Topology::migrate(Bytes bytes, RegionId from, RegionId to,
+                       std::function<void()> on_complete) {
+  start(bytes, migration_path(from, to), std::move(on_complete));
+}
+
+void Topology::start(Bytes bytes, std::vector<sim::ResourceId> path,
+                     std::function<void()> on_complete) {
+  GHS_REQUIRE(bytes >= 0, "bytes=" << bytes);
+  if (bytes == 0) {
+    if (on_complete) on_complete();
+    return;
+  }
+  sim::FlowSpec spec;
+  spec.bytes = static_cast<double>(bytes);
+  spec.resources = std::move(path);
+  spec.on_complete = std::move(on_complete);
+  network_.start_flow(std::move(spec));
 }
 
 }  // namespace ghs::mem

@@ -7,9 +7,12 @@
 // Every data movement in the repository is expressed as a fluid flow over a
 // *path* (a set of these resources); the paths for the common cases are
 // provided here so device models cannot accidentally disagree about what a
-// remote access traverses.
+// remote access traverses. Bulk transfers (explicit host<->device copies,
+// and the raw mover underneath UM page migration) start here too, each as
+// one flow along its path.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "ghs/sim/fluid.hpp"
@@ -70,7 +73,20 @@ class Topology {
   /// Resources an explicit map(to:)/map(from:) bulk copy traverses.
   std::vector<sim::ResourceId> copy_path(RegionId from, RegionId to) const;
 
+  /// Starts an explicit bulk copy along copy_path; `on_complete` fires when
+  /// the last byte lands. Zero-byte copies complete immediately (inline).
+  void copy(Bytes bytes, RegionId from, RegionId to,
+            std::function<void()> on_complete);
+
+  /// Starts a UM page-migration transfer along migration_path, which goes
+  /// through the migration engine as well as the memories and link.
+  void migrate(Bytes bytes, RegionId from, RegionId to,
+               std::function<void()> on_complete);
+
  private:
+  void start(Bytes bytes, std::vector<sim::ResourceId> path,
+             std::function<void()> on_complete);
+
   TopologyConfig config_;
   sim::Simulator& sim_;
   sim::FluidNetwork network_;

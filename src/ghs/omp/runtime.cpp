@@ -8,11 +8,12 @@
 
 namespace ghs::omp {
 
-Runtime::Runtime(sim::Simulator& sim, mem::TransferEngine& transfers,
+Runtime::Runtime(sim::Simulator& sim, mem::Topology& topology,
                  um::UmManager& um, gpu::GpuDevice& gpu, cpu::CpuDevice& cpu,
-                 RuntimeOptions options)
-    : sim_(sim),
-      transfers_(transfers),
+                 RuntimeOptions options, trace::Tracer* tracer)
+    : tracer_(tracer),
+      sim_(sim),
+      topology_(topology),
       um_(um),
       gpu_(gpu),
       cpu_(cpu),
@@ -27,8 +28,8 @@ DeviceBufferId Runtime::target_alloc(Bytes size, std::string label) {
 void Runtime::map_to(DeviceBufferId buffer,
                      std::function<void()> on_complete) {
   GHS_REQUIRE(buffer < buffers_.size(), "device buffer id " << buffer);
-  transfers_.copy(buffers_[buffer].size, mem::RegionId::kLpddr, mem::RegionId::kHbm,
-                  std::move(on_complete));
+  topology_.copy(buffers_[buffer].size, mem::RegionId::kLpddr,
+                 mem::RegionId::kHbm, std::move(on_complete));
 }
 
 void Runtime::target_update_scalar(std::function<void()> on_complete) {

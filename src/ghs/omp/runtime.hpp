@@ -9,7 +9,7 @@
 //   omp parallel { omp master { target ... nowait } for simd }-> parallel_co_execute
 //
 // Outside UM mode the input array must be explicitly mapped; the runtime
-// tracks device buffers and copies through the transfer engine. In UM mode
+// tracks device buffers and copies them over the memory topology. In UM mode
 // (`unified = true` on the loop) the map clause is a no-op placement hint
 // and kernels read managed pages wherever they live — matching the
 // `-gpu=mem:unified` semantics the paper describes.
@@ -23,7 +23,7 @@
 
 #include "ghs/cpu/device.hpp"
 #include "ghs/gpu/device.hpp"
-#include "ghs/mem/transfer.hpp"
+#include "ghs/mem/topology.hpp"
 #include "ghs/omp/heuristics.hpp"
 #include "ghs/sim/simulator.hpp"
 #include "ghs/trace/tracer.hpp"
@@ -83,9 +83,11 @@ struct CoExecResult {
 
 class Runtime {
  public:
-  Runtime(sim::Simulator& sim, mem::TransferEngine& transfers,
-          um::UmManager& um, gpu::GpuDevice& gpu, cpu::CpuDevice& cpu,
-          RuntimeOptions options);
+  /// `tracer` records runtime-level spans (co-execution regions, map
+  /// copies); null disables.
+  Runtime(sim::Simulator& sim, mem::Topology& topology, um::UmManager& um,
+          gpu::GpuDevice& gpu, cpu::CpuDevice& cpu, RuntimeOptions options,
+          trace::Tracer* tracer = nullptr);
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -136,19 +138,15 @@ class Runtime {
   gpu::KernelDesc lower(const OffloadLoop& loop,
                         const TeamsClauses& clauses) const;
 
-  /// Installs a span recorder for runtime-level events (co-execution
-  /// regions, map copies); null disables.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
-
  private:
-  trace::Tracer* tracer_ = nullptr;
+  trace::Tracer* tracer_;
 
   struct DeviceBuffer {
     Bytes size = 0;
   };
 
   sim::Simulator& sim_;
-  mem::TransferEngine& transfers_;
+  mem::Topology& topology_;
   um::UmManager& um_;
   gpu::GpuDevice& gpu_;
   cpu::CpuDevice& cpu_;

@@ -209,7 +209,8 @@ ReductionService::ReductionService(std::unique_ptr<SchedulerPolicy> policy,
       options_(options),
       tracer_(tracer),
       owned_sim_(options.external_sim == nullptr
-                     ? std::make_unique<sim::Simulator>()
+                     ? std::make_unique<sim::Simulator>(
+                           options.telemetry.metrics)
                      : nullptr),
       sim_(options.external_sim != nullptr ? *options.external_sim
                                            : *owned_sim_),
@@ -257,7 +258,6 @@ ReductionService::ReductionService(std::unique_ptr<SchedulerPolicy> policy,
           "ghs_serve_device_busy_ps_total", with_inst({{"device", "cpu"}}),
           "Simulated picoseconds of device service, credited at launch");
     }
-    sim_.set_telemetry(&r);
     m_submitted_ = &r.counter("ghs_serve_jobs_submitted_total", with_inst({}),
                               "Jobs whose arrival reached the service");
     m_admitted_ = &r.counter("ghs_serve_jobs_admitted_total", with_inst({}),
@@ -728,12 +728,16 @@ void ReductionService::complete_launch(Placement device, bool failed,
     if (m_completed_ != nullptr) m_completed_->inc();
     if (m_latency_ms_ != nullptr) {
       // A traced job's trace id rides along as the bucket's exemplar, so a
-      // fat latency bucket names the span tree that filled it; an untraced
-      // job's id is 0, which observes without one.
-      m_latency_ms_->observe_exemplar(to_millis(times.latency()),
-                                      job.ctx.trace_id);
+      // fat latency bucket names the span tree that filled it. An untraced
+      // job, or one whose trace the sampler drops, observes with id 0,
+      // which records no exemplar.
+      const std::uint64_t exemplar =
+          tracer_ != nullptr && tracer_->sampled(job.ctx.trace_id)
+              ? job.ctx.trace_id
+              : 0;
+      m_latency_ms_->observe_exemplar(to_millis(times.latency()), exemplar);
       m_queue_wait_ms_->observe_exemplar(to_millis(times.queue_wait()),
-                                         job.ctx.trace_id);
+                                         exemplar);
     }
     if (tracer_ != nullptr) {
       record_root_span(job, now, "served", placement_name(device));

@@ -133,8 +133,8 @@ struct ServiceOptions {
   /// never place there are unaffected).
   bool use_cpu = true;
   BatchOptions batching;
-  /// Metric instruments + flight recorder for the service and its
-  /// simulator (null members disable).
+  /// Metric instruments + flight recorder for the service and the
+  /// simulator it owns (null members disable).
   telemetry::Sink telemetry;
   /// Fault injector driving chaos for this run. Null — or an injector with
   /// an empty plan — leaves every code path and report byte-identical to a
@@ -143,9 +143,9 @@ struct ServiceOptions {
   /// Embeddability hook: when set, the service schedules onto this
   /// simulator instead of owning one, so several services (the nodes of a
   /// ghs::cluster fleet) share a single clock and event queue. The caller
-  /// then drives the run: Service::run() still drains the shared queue,
-  /// which in a cluster means running every node. Null (the default)
-  /// preserves the standalone self-contained service.
+  /// builds it with its counters and drives the run: Service::run() still
+  /// drains the shared queue, which in a cluster means running every node.
+  /// Null (the default) preserves the standalone self-contained service.
   sim::Simulator* external_sim = nullptr;
   /// Cost-attribution recorder (ghs::profile). When set, the service
   /// charges every launch interval, queue wait, and retry backoff to the

@@ -27,8 +27,7 @@ SimTime ServiceModel::memo(const Key& key, Price price) {
     return it->second;
   }
   ++misses_;
-  core::Platform platform(options_.config);
-  if (options_.telemetry) platform.set_telemetry(options_.telemetry);
+  core::Platform platform(options_.config, options_.telemetry);
   const SimTime duration = price(platform);
   cache_.emplace(key, duration);
   return duration;

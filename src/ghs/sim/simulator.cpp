@@ -8,6 +8,31 @@
 
 namespace ghs::sim {
 
+namespace {
+
+/// The simulator's instruments, resolved once per registry.
+struct Instruments {
+  explicit Instruments(telemetry::Registry& r)
+      : events(r.counter("ghs_sim_events_total", {},
+                         "Discrete events executed by the simulator")),
+        advanced(r.counter(
+            "ghs_sim_advanced_ps_total", {},
+            "Simulated picoseconds the event clock has advanced")) {}
+
+  telemetry::Counter& events;
+  telemetry::Counter& advanced;
+};
+
+}  // namespace
+
+Simulator::Simulator(telemetry::Registry* registry) {
+  if (registry == nullptr) return;
+  // Copied out of the bundle: the event loop increments them directly.
+  const Instruments& m = registry->handles<Instruments>();
+  events_counter_ = &m.events;
+  advanced_counter_ = &m.advanced;
+}
+
 void Simulator::schedule_at(SimTime t, Event fn) {
   GHS_REQUIRE(t >= now_, "cannot schedule into the past: t=" << t
                                                              << " now=" << now_);
@@ -141,35 +166,6 @@ void Simulator::fast_forward(const Mark& since, std::int64_t k) {
     advanced_counter_->inc(repeated(advanced_counter_->value(), k, dt,
                                     "ghs_sim_advanced_ps_total"));
   }
-}
-
-namespace {
-
-/// The simulator's instruments, resolved once per registry.
-struct Instruments {
-  explicit Instruments(telemetry::Registry& r)
-      : events(r.counter("ghs_sim_events_total", {},
-                         "Discrete events executed by the simulator")),
-        advanced(r.counter(
-            "ghs_sim_advanced_ps_total", {},
-            "Simulated picoseconds the event clock has advanced")) {}
-
-  telemetry::Counter& events;
-  telemetry::Counter& advanced;
-};
-
-}  // namespace
-
-void Simulator::set_telemetry(telemetry::Registry* registry) {
-  if (registry == nullptr) {
-    events_counter_ = nullptr;
-    advanced_counter_ = nullptr;
-    return;
-  }
-  // Copied out of the bundle: the event loop increments them directly.
-  const Instruments& m = registry->handles<Instruments>();
-  events_counter_ = &m.events;
-  advanced_counter_ = &m.advanced;
 }
 
 }  // namespace ghs::sim

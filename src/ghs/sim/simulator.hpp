@@ -22,7 +22,10 @@ namespace ghs::sim {
 
 class Simulator {
  public:
-  Simulator() = default;
+  /// Registers the event/clock counters in `registry` (null disables).
+  /// Counters are shared by identity, so simulators built on one registry
+  /// accumulate.
+  explicit Simulator(telemetry::Registry* registry = nullptr);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -75,10 +78,6 @@ class Simulator {
 
   /// High-water mark of the pending-event count, updated at push.
   std::size_t peak_queue_size() const { return peak_queue_size_; }
-
-  /// Registers the event/clock counters (null disables). Counters are
-  /// shared by identity, so platforms wired to one registry accumulate.
-  void set_telemetry(telemetry::Registry* registry);
 
  private:
   struct Slot {

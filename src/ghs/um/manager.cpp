@@ -57,46 +57,6 @@ const char* migration_mode_name(MigrationMode mode) {
   return "?";
 }
 
-UmManager::UmManager(mem::Topology& topology, mem::TransferEngine& transfers,
-                     UmPolicy policy)
-    : topology_(topology), transfers_(transfers), policy_(policy) {
-  GHS_REQUIRE(policy_.page_size > 0, "page_size=" << policy_.page_size);
-  GHS_REQUIRE(policy_.fault_migration_bw.bytes_per_second > 0.0,
-              "fault migration bandwidth must be positive");
-  GHS_REQUIRE(policy_.gpu_access_threshold > 0, "gpu_access_threshold");
-  GHS_REQUIRE(policy_.cpu_access_threshold >= 0, "cpu_access_threshold");
-}
-
-AllocId UmManager::allocate(Bytes size, mem::RegionId first_touch,
-                            std::string label) {
-  GHS_REQUIRE(size > 0, "allocation '" << label << "' has size " << size);
-  Allocation a;
-  a.size = size;
-  a.label = std::move(label);
-  if (flight_ != nullptr) a.flight_label = flight_->intern(a.label);
-  a.live = true;
-  a.n_pages = static_cast<std::size_t>(ceil_div(size, policy_.page_size));
-  a.extents.push_back(Extent{0, Page{first_touch}});
-  allocations_.push_back(std::move(a));
-  if (telemetry::Gauge* g = residency_gauge(first_touch)) {
-    g->add(static_cast<double>(size));
-  }
-  return static_cast<AllocId>(allocations_.size() - 1);
-}
-
-void UmManager::free(AllocId id) {
-  Allocation& a = alloc(id);
-  if (m_ != nullptr) {
-    for (std::size_t i = 0; i < a.extents.size(); ++i) {
-      residency_gauge(a.extents[i].state.residency)
-          ->add(-static_cast<double>(
-              span_bytes(a, a.extents[i].first, extent_end(a, i))));
-    }
-  }
-  a.live = false;
-  a.extents.clear();
-}
-
 struct UmManager::Instruments {
   explicit Instruments(telemetry::Registry& r)
       : fault_migrations(r.counter(
@@ -136,15 +96,49 @@ struct UmManager::Instruments {
   telemetry::Gauge& resident_lpddr;
 };
 
-void UmManager::set_telemetry(telemetry::Sink sink) {
-  flight_ = sink.flight;
-  if (flight_ != nullptr) {
-    for (Allocation& a : allocations_) {
-      a.flight_label = flight_->intern(a.label);
+UmManager::UmManager(mem::Topology& topology, UmPolicy policy,
+                     telemetry::Sink sink, trace::Tracer* tracer)
+    : topology_(topology),
+      policy_(policy),
+      tracer_(tracer),
+      flight_(sink.flight),
+      m_(sink.metrics != nullptr ? &sink.metrics->handles<Instruments>()
+                                 : nullptr) {
+  GHS_REQUIRE(policy_.page_size > 0, "page_size=" << policy_.page_size);
+  GHS_REQUIRE(policy_.fault_migration_bw.bytes_per_second > 0.0,
+              "fault migration bandwidth must be positive");
+  GHS_REQUIRE(policy_.gpu_access_threshold > 0, "gpu_access_threshold");
+  GHS_REQUIRE(policy_.cpu_access_threshold >= 0, "cpu_access_threshold");
+}
+
+AllocId UmManager::allocate(Bytes size, mem::RegionId first_touch,
+                            std::string label) {
+  GHS_REQUIRE(size > 0, "allocation '" << label << "' has size " << size);
+  Allocation a;
+  a.size = size;
+  a.label = std::move(label);
+  if (flight_ != nullptr) a.flight_label = flight_->intern(a.label);
+  a.live = true;
+  a.n_pages = static_cast<std::size_t>(ceil_div(size, policy_.page_size));
+  a.extents.push_back(Extent{0, Page{first_touch}});
+  allocations_.push_back(std::move(a));
+  if (telemetry::Gauge* g = residency_gauge(first_touch)) {
+    g->add(static_cast<double>(size));
+  }
+  return static_cast<AllocId>(allocations_.size() - 1);
+}
+
+void UmManager::free(AllocId id) {
+  Allocation& a = alloc(id);
+  if (m_ != nullptr) {
+    for (std::size_t i = 0; i < a.extents.size(); ++i) {
+      residency_gauge(a.extents[i].state.residency)
+          ->add(-static_cast<double>(
+              span_bytes(a, a.extents[i].first, extent_end(a, i))));
     }
   }
-  m_ = sink.metrics != nullptr ? &sink.metrics->handles<Instruments>()
-                               : nullptr;
+  a.live = false;
+  a.extents.clear();
 }
 
 void UmManager::digest(std::vector<std::int64_t>& out) const {
@@ -460,7 +454,7 @@ void UmManager::start_background_migration(AllocId id, std::size_t first_page,
     flight_->record(started, kMigrationStartEvent, a.flight_label, begin, end,
                     destination);
   }
-  transfers_.migrate(
+  topology_.migrate(
       bytes, from, destination,
       [this, id, begin, bytes, destination, started] {
         record_migration_span("um-migrate", id, begin, bytes, destination,
@@ -550,7 +544,7 @@ Bytes UmManager::prefetch(AllocId id, Bytes offset, Bytes length,
         std::min(static_cast<Bytes>(run.last) * policy_.page_size, a.size);
     const Bytes bytes = end - begin;
     total += bytes;
-    transfers_.migrate(
+    topology_.migrate(
         bytes, run.from, destination,
         [this, id, begin, bytes, destination, pending, done, started] {
           record_migration_span("um-prefetch", id, begin, bytes, destination,

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "ghs/mem/topology.hpp"
-#include "ghs/mem/transfer.hpp"
 #include "ghs/telemetry/flight_recorder.hpp"
 #include "ghs/telemetry/registry.hpp"
 #include "ghs/trace/tracer.hpp"
@@ -67,8 +66,11 @@ struct UmStats {
 
 class UmManager {
  public:
-  UmManager(mem::Topology& topology, mem::TransferEngine& transfers,
-            UmPolicy policy);
+  /// `sink` takes the migration/residency instruments and the flight
+  /// recorder, `tracer` the spans of background migrations (null members
+  /// and a null tracer disable them).
+  UmManager(mem::Topology& topology, UmPolicy policy,
+            telemetry::Sink sink = {}, trace::Tracer* tracer = nullptr);
 
   UmManager(const UmManager&) = delete;
   UmManager& operator=(const UmManager&) = delete;
@@ -135,14 +137,6 @@ class UmManager {
   /// `since`: the stats and their counters move on by k times what that
   /// run added. Throws OverflowError when one would pass its range.
   void fast_forward(const UmStats& since, std::int64_t k);
-
-  /// Installs a span recorder for background migrations (null disables).
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
-
-  /// Registers migration/residency instruments and the flight recorder
-  /// (null members disable). Residency gauges only track allocations made
-  /// after the call.
-  void set_telemetry(telemetry::Sink sink);
 
  private:
   /// Records the tracer span of a finished migration of [begin,
@@ -217,13 +211,12 @@ class UmManager {
   telemetry::Gauge* residency_gauge(mem::RegionId region) const;
 
   mem::Topology& topology_;
-  mem::TransferEngine& transfers_;
   UmPolicy policy_;
-  trace::Tracer* tracer_ = nullptr;
-  telemetry::FlightRecorder* flight_ = nullptr;
+  trace::Tracer* tracer_;
+  telemetry::FlightRecorder* flight_;
   /// The UM instruments of the attached registry (Registry::handles).
   struct Instruments;
-  const Instruments* m_ = nullptr;
+  const Instruments* m_;
   std::vector<Allocation> allocations_;
   UmStats stats_;
 };

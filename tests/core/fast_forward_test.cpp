@@ -110,10 +110,9 @@ std::string snapshot(Platform& p, const telemetry::Registry& registry) {
 Outcome run_draw(std::uint64_t seed, bool full) {
   Rng rng(seed);
   const SystemConfig config = draw_config(rng);
-  Platform platform(config);
   telemetry::Registry registry;
   telemetry::FlightRecorder flight(64);
-  platform.set_telemetry({&registry, full ? &flight : nullptr});
+  Platform platform(config, {&registry, full ? &flight : nullptr});
   const CaseId case_id = draw_case(rng);
   const auto elements =
       static_cast<std::int64_t>(1 + rng.next_below(std::int64_t{1} << 22));
@@ -271,8 +270,8 @@ TEST(FastForwardEngagementTest, AccessCountersSaturateBeforeTheJump) {
 }
 
 TEST(FastForwardEngagementTest, HookedPlatformsSimulateEveryRepetition) {
-  Platform traced;
-  traced.enable_tracing();
+  trace::Tracer tracer;
+  Platform traced(gh200_config(), {}, &tracer);
   GpuBenchmark bench;
   bench.case_id = CaseId::kC1;
   bench.tuning = paper_best_tuning(CaseId::kC1);

@@ -17,7 +17,6 @@ TEST(PlatformTest, BootsWithGh200Defaults) {
   EXPECT_EQ(platform.gpu().config().num_sms, 132);
   EXPECT_EQ(platform.cpu().config().cores, 72);
   EXPECT_EQ(platform.config().omp.heuristic.grid_clamp, 0xFFFFFF);
-  EXPECT_EQ(platform.tracer(), nullptr);
 }
 
 TEST(PlatformTest, ConfigPropagatesToSubsystems) {
@@ -47,14 +46,6 @@ TEST(PlatformTest, RunDrainsScheduledWork) {
   platform.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(platform.sim().now(), kMillisecond);
-}
-
-TEST(PlatformTest, TracingIsOffByDefaultAndSticky) {
-  Platform platform;
-  EXPECT_EQ(platform.tracer(), nullptr);
-  auto& tracer = platform.enable_tracing();
-  EXPECT_EQ(platform.tracer(), &tracer);
-  EXPECT_EQ(&platform.enable_tracing(), &tracer);
 }
 
 TEST(PlatformTest, IndependentPlatformsShareNothing) {

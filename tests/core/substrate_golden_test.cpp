@@ -139,8 +139,7 @@ void expect_hashes(
 HeteroBenchmarkResult run_point_set(const SystemConfig& config,
                                     const telemetry::Sink& sink,
                                     const HeteroBenchmark& bench) {
-  Platform platform(config);
-  platform.set_telemetry(sink);
+  Platform platform(config, sink);
   return run_hetero_benchmark(platform, bench);
 }
 
@@ -234,9 +233,8 @@ std::string table1_text(const SystemConfig& config,
     for (const auto strategy : {gpu::CombineStrategy::kAtomicPerCta,
                                 gpu::CombineStrategy::kAtomicPerWarp,
                                 gpu::CombineStrategy::kTwoKernel}) {
-      Platform platform(config);
-      platform.set_telemetry(sink);
-      const trace::Tracer& tracer = platform.enable_tracing();
+      trace::Tracer tracer;
+      Platform platform(config, sink, &tracer);
       GpuBenchmark bench;
       bench.case_id = row.case_id;
       bench.tuning = row.best;

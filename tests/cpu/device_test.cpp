@@ -13,8 +13,7 @@ class CpuDeviceTest : public ::testing::Test {
  protected:
   CpuDeviceTest()
       : topo_(sim_, mem::TopologyConfig{}),
-        engine_(topo_),
-        um_(topo_, engine_, um::UmPolicy{}),
+        um_(topo_, um::UmPolicy{}),
         device_(sim_, topo_, um_, CpuConfig{}) {}
 
   CpuReduceRequest request(std::int64_t elements, Bytes elem_size,
@@ -37,7 +36,6 @@ class CpuDeviceTest : public ::testing::Test {
 
   sim::Simulator sim_;
   mem::Topology topo_;
-  mem::TransferEngine engine_;
   um::UmManager um_;
   CpuDevice device_;
 };

@@ -14,8 +14,7 @@ class GpuDeviceTest : public ::testing::Test {
  protected:
   GpuDeviceTest()
       : topo_(sim_, mem::TopologyConfig{}),
-        engine_(topo_),
-        um_(topo_, engine_, um::UmPolicy{}),
+        um_(topo_, um::UmPolicy{}),
         device_(sim_, topo_, um_, GpuConfig{}) {}
 
   KernelDesc explicit_kernel(std::int64_t elements, std::int64_t grid,
@@ -42,7 +41,6 @@ class GpuDeviceTest : public ::testing::Test {
 
   sim::Simulator sim_;
   mem::Topology topo_;
-  mem::TransferEngine engine_;
   um::UmManager um_;
   GpuDevice device_;
 };

@@ -8,7 +8,7 @@
 //
 // Each seed draws a small machine and a mix of work: kernels (explicit and
 // managed, 1-5,000 CTAs, any V, every combine strategy, back to back) with
-// CPU reductions, transfer-engine copies, prefetches, capacity steps and
+// CPU reductions, bulk copies, prefetches, capacity steps and
 // UM background migrations running beside them. The scenario runs twice:
 // with sparse no-ops, so trains stop and restart at arbitrary waves, and
 // with the dense chain. Every completion, the GPU and UM stats, the
@@ -189,11 +189,10 @@ enum class Noops { kSparse, kEveryPicosecond };
 Outcome run(std::uint64_t seed, Noops noops, SimTime horizon) {
   Rng rng(seed);
   const core::SystemConfig config = draw_config(rng);
-  core::Platform platform(config);
   telemetry::Registry registry;
   telemetry::FlightRecorder flight(1 << 16);
-  platform.set_telemetry({&registry, &flight});
-  const trace::Tracer& tracer = platform.enable_tracing();
+  trace::Tracer tracer;
+  core::Platform platform(config, {&registry, &flight}, &tracer);
   sim::Simulator& sim = platform.sim();
   std::ostringstream log;
 
@@ -250,7 +249,7 @@ Outcome run(std::uint64_t seed, Noops noops, SimTime horizon) {
                                  ? mem::RegionId::kLpddr
                                  : mem::RegionId::kHbm;
     sim.schedule_at(when(), [&, bytes, from, to, i] {
-      platform.transfers().copy(bytes, from, to, [&, i] {
+      platform.topology().copy(bytes, from, to, [&, i] {
         log << "copy " << i << " at=" << sim.now() << "\n";
       });
     });

@@ -1,4 +1,4 @@
-#include "ghs/mem/transfer.hpp"
+#include "ghs/mem/topology.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,14 +11,13 @@ class TransferTest : public ::testing::Test {
  protected:
   sim::Simulator sim;
   Topology topo{sim, TopologyConfig{}};
-  TransferEngine engine{topo};
 };
 
 TEST_F(TransferTest, CopyIsLinkBound) {
   // 4.5 GB over the 450 GB/s C2C lane takes 10 ms (HBM and LPDDR are
   // wider, so the link binds).
   SimTime done = -1;
-  engine.copy(4'500'000'000, RegionId::kLpddr, RegionId::kHbm,
+  topo.copy(4'500'000'000, RegionId::kLpddr, RegionId::kHbm,
               [&] { done = sim.now(); });
   sim.run();
   EXPECT_NEAR(static_cast<double>(done), 10e9, 1e7);
@@ -27,7 +26,7 @@ TEST_F(TransferTest, CopyIsLinkBound) {
 TEST_F(TransferTest, MigrationIsEngineBound) {
   // The migration engine (250 GB/s) is narrower than the link.
   SimTime done = -1;
-  engine.migrate(2'500'000'000, RegionId::kLpddr, RegionId::kHbm,
+  topo.migrate(2'500'000'000, RegionId::kLpddr, RegionId::kHbm,
                  [&] { done = sim.now(); });
   sim.run();
   EXPECT_NEAR(static_cast<double>(done), 10e9, 1e7);
@@ -35,27 +34,27 @@ TEST_F(TransferTest, MigrationIsEngineBound) {
 
 TEST_F(TransferTest, ZeroByteCopyCompletesInline) {
   bool called = false;
-  engine.copy(0, RegionId::kLpddr, RegionId::kHbm, [&] { called = true; });
+  topo.copy(0, RegionId::kLpddr, RegionId::kHbm, [&] { called = true; });
   EXPECT_TRUE(called);
   EXPECT_EQ(sim.now(), 0);
 }
 
 TEST_F(TransferTest, NegativeBytesRejected) {
-  EXPECT_THROW(engine.copy(-1, RegionId::kLpddr, RegionId::kHbm, nullptr),
+  EXPECT_THROW(topo.copy(-1, RegionId::kLpddr, RegionId::kHbm, nullptr),
                Error);
 }
 
 TEST_F(TransferTest, ZeroByteCopyNotCounted) {
-  engine.copy(0, RegionId::kLpddr, RegionId::kHbm, nullptr);
+  topo.copy(0, RegionId::kLpddr, RegionId::kHbm, nullptr);
   EXPECT_EQ(topo.network().active_flows(), 0u);
 }
 
 TEST_F(TransferTest, ConcurrentCopiesShareTheLink) {
   SimTime done_a = -1;
   SimTime done_b = -1;
-  engine.copy(450'000'000, RegionId::kLpddr, RegionId::kHbm,
+  topo.copy(450'000'000, RegionId::kLpddr, RegionId::kHbm,
               [&] { done_a = sim.now(); });
-  engine.copy(450'000'000, RegionId::kLpddr, RegionId::kHbm,
+  topo.copy(450'000'000, RegionId::kLpddr, RegionId::kHbm,
               [&] { done_b = sim.now(); });
   sim.run();
   // Two 0.45 GB copies over a 450 GB/s lane: 2 ms total when shared.
@@ -66,9 +65,9 @@ TEST_F(TransferTest, ConcurrentCopiesShareTheLink) {
 TEST_F(TransferTest, OppositeDirectionsContendOnMemoriesNotLink) {
   SimTime done_up = -1;
   SimTime done_down = -1;
-  engine.copy(450'000'000, RegionId::kLpddr, RegionId::kHbm,
+  topo.copy(450'000'000, RegionId::kLpddr, RegionId::kHbm,
               [&] { done_up = sim.now(); });
-  engine.copy(450'000'000, RegionId::kHbm, RegionId::kLpddr,
+  topo.copy(450'000'000, RegionId::kHbm, RegionId::kLpddr,
               [&] { done_down = sim.now(); });
   sim.run();
   // Each direction has its own C2C lane, but both copies read and write

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -13,6 +14,7 @@
 #include "ghs/telemetry/exporters.hpp"
 #include "ghs/telemetry/flight_recorder.hpp"
 #include "ghs/telemetry/registry.hpp"
+#include "ghs/trace/tracer.hpp"
 
 namespace ghs {
 namespace {
@@ -91,6 +93,43 @@ TEST(ServeTelemetryTest, SameSeedRunsSnapshotByteIdentical) {
   telemetry::FlightRecorder flight_c;
   const std::string c = run_workload(registry_c, flight_c, 8);
   EXPECT_NE(a, c);
+}
+
+TEST(ServeTelemetryTest, ExemplarsNameOnlyTracesTheSamplerKeeps) {
+  // An exemplar points a reader at a trace, so it may name only a trace
+  // the tracer kept: a sampled-out job observes without one.
+  telemetry::Registry registry;
+  serve::ServiceModel model;
+  serve::OpenLoopOptions open;
+  open.shape.min_log2_elements = 12;
+  open.shape.max_log2_elements = 16;
+  open.rate_hz = 50000.0;
+  open.jobs = 400;
+  open.seed = 7;
+  trace::Tracer tracer;
+  tracer.set_sampler({0.05, 0});
+  serve::ServiceOptions options;
+  options.telemetry.metrics = &registry;
+  serve::ReductionService service(serve::make_policy("bandwidth", model),
+                                  model, options, &tracer);
+  service.submit_all(serve::open_loop_poisson(open));
+  service.run();
+  ASSERT_GT(tracer.dropped_by_sampler(), 0);
+
+  std::set<std::uint64_t> kept;
+  for (const auto& span : tracer.spans()) kept.insert(span.ctx.trace_id);
+  int exemplars = 0;
+  registry.visit([&](const telemetry::Registry::View& view) {
+    if (view.histogram == nullptr) return;
+    for (std::size_t i = 0; i <= view.histogram->bounds().size(); ++i) {
+      const std::uint64_t id = view.histogram->exemplar(i).trace_id;
+      if (id == 0) continue;
+      ++exemplars;
+      EXPECT_EQ(kept.count(id), 1u)
+          << view.name << " bucket " << i << " names dropped trace " << id;
+    }
+  });
+  EXPECT_GT(exemplars, 0);
 }
 
 TEST(ServeTelemetryTest, NullSinkStillServes) {

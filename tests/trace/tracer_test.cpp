@@ -121,10 +121,8 @@ TEST(TracerTest, TrackNames) {
 }
 
 TEST(TracerTest, PlatformIntegrationRecordsKernelSpans) {
-  core::Platform platform;
-  auto& tracer = platform.enable_tracing();
-  // Idempotent.
-  EXPECT_EQ(&platform.enable_tracing(), &tracer);
+  Tracer tracer;
+  core::Platform platform(core::gh200_config(), {}, &tracer);
 
   core::GpuBenchmark bench;
   bench.case_id = workload::CaseId::kC1;
@@ -149,8 +147,8 @@ TEST(TracerTest, PlatformIntegrationRecordsKernelSpans) {
 }
 
 TEST(TracerTest, PlatformIntegrationRecordsCoExecution) {
-  core::Platform platform;
-  auto& tracer = platform.enable_tracing();
+  Tracer tracer;
+  core::Platform platform(core::gh200_config(), {}, &tracer);
   core::HeteroBenchmark bench;
   bench.case_id = workload::CaseId::kC1;
   bench.cpu_parts = {0.5};

@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include "ghs/mem/topology.hpp"
-#include "ghs/mem/transfer.hpp"
 #include "ghs/sim/simulator.hpp"
 #include "ghs/telemetry/flight_recorder.hpp"
 #include "ghs/telemetry/registry.hpp"
@@ -42,10 +41,9 @@ constexpr Bytes kPage = 2 * kMiB;
 
 class ReferenceUm {
  public:
-  ReferenceUm(mem::Topology& topology, mem::TransferEngine& transfers,
-              UmPolicy policy, telemetry::FlightRecorder* flight)
+  ReferenceUm(mem::Topology& topology, UmPolicy policy,
+              telemetry::FlightRecorder* flight)
       : topology_(topology),
-        transfers_(transfers),
         policy_(policy),
         flight_(flight) {}
 
@@ -263,7 +261,7 @@ class ReferenceUm {
                                    a.size) -
                           begin;
       total += bytes;
-      transfers_.migrate(
+      topology_.migrate(
           bytes, run.from, destination,
           [this, id, begin, bytes, destination, pending, done] {
             complete_segment(id, begin, bytes, destination);
@@ -321,7 +319,7 @@ class ReferenceUm {
     label << "um-migrate:" << a.label << "[" << begin << "," << end << ")->"
           << mem::region_name(destination);
     record("migration_start", label.str());
-    transfers_.migrate(
+    topology_.migrate(
         end - begin, a.pages[first_page].residency, destination,
         [this, id, begin, bytes = end - begin, destination] {
           complete_segment(id, begin, bytes, destination);
@@ -349,7 +347,6 @@ class ReferenceUm {
   }
 
   mem::Topology& topology_;
-  mem::TransferEngine& transfers_;
   UmPolicy policy_;
   telemetry::FlightRecorder* flight_;
   std::vector<Allocation> allocations_;
@@ -363,7 +360,6 @@ class ReferenceUm {
 struct Machine {
   sim::Simulator sim;
   mem::Topology topo{sim, mem::TopologyConfig{}};
-  mem::TransferEngine engine{topo};
   telemetry::FlightRecorder flight{1 << 16};
 };
 
@@ -413,10 +409,9 @@ bool run_seed(const Case& c, std::uint64_t seed, int steps) {
   Machine real_machine;
   Machine ref_machine;
   telemetry::Registry registry;
-  UmManager real(real_machine.topo, real_machine.engine, policy);
-  real.set_telemetry(telemetry::Sink{&registry, &real_machine.flight});
-  ReferenceUm ref(ref_machine.topo, ref_machine.engine, policy,
-                  &ref_machine.flight);
+  UmManager real(real_machine.topo, policy,
+                 telemetry::Sink{&registry, &real_machine.flight});
+  ReferenceUm ref(ref_machine.topo, policy, &ref_machine.flight);
   const auto stream = static_cast<std::uint64_t>(c.mode) * 31 +
                       static_cast<std::uint64_t>(c.cpu_threshold);
   Rng rng(seed * std::uint64_t{0x9E3779B97F4A7C15} + stream);

@@ -18,12 +18,11 @@ class UmManagerTest : public ::testing::Test {
     policy_.mode = mode;
     policy_.gpu_access_threshold = gpu_threshold;
     policy_.cpu_access_threshold = cpu_threshold;
-    return UmManager(topo_, engine_, policy_);
+    return UmManager(topo_, policy_);
   }
 
   sim::Simulator sim_;
   mem::Topology topo_{sim_, mem::TopologyConfig{}};
-  mem::TransferEngine engine_{topo_};
   UmPolicy policy_;
 };
 
@@ -364,7 +363,7 @@ TEST_F(UmManagerTest, DuplicationNotDoubleCharged) {
 
 TEST_F(UmManagerTest, BadPolicyRejected) {
   policy_.gpu_access_threshold = 0;
-  EXPECT_THROW(UmManager(topo_, engine_, policy_), Error);
+  EXPECT_THROW(UmManager(topo_, policy_), Error);
 }
 
 }  // namespace
