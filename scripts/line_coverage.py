@@ -56,7 +56,9 @@ def src_lines(reports) -> dict[pathlib.Path, dict[int, bool]]:
         cwd = pathlib.Path(report.get("current_working_directory", "."))
         for entry in report["files"]:
             path = (cwd / entry["file"]).resolve()
-            if SRC not in path.parents:
+            # A stale object in a reused build tree still names a source
+            # that has since been deleted; it has no lines to cover.
+            if SRC not in path.parents or not path.exists():
                 continue
             per_line = lines.setdefault(path, {})
             for line in entry["lines"]:

@@ -77,8 +77,9 @@ std::optional<std::size_t> BandwidthAwarePolicy::select(
 
 core::ReduceTuning BandwidthAwarePolicy::geometry(const Job& job) {
   const telemetry::Sink& sink = model_.options().telemetry;
-  const Key key{static_cast<int>(job.case_id), job.elements};
-  if (const auto it = cache_.find(key); it != cache_.end()) {
+  const FlatTable<2, core::ReduceTuning>::Key key{
+      static_cast<int>(job.case_id), job.elements};
+  if (const core::ReduceTuning* tuned = cache_.find(key)) {
     ++cache_stats_.hits;
     if (sink.metrics != nullptr) {
       // Resolved at the first hit, not before: an instrument appears in
@@ -90,7 +91,7 @@ core::ReduceTuning BandwidthAwarePolicy::geometry(const Job& job) {
       }
       m_hits_->inc();
     }
-    return it->second;
+    return *tuned;
   }
   ++cache_stats_.misses;
   if (sink.metrics != nullptr) {
@@ -113,7 +114,7 @@ core::ReduceTuning BandwidthAwarePolicy::geometry(const Job& job) {
   tuner.telemetry = sink;
   const auto result = core::tune_reduction(
       job.case_id, core::paper_best_tuning(job.case_id), tuner);
-  cache_[key] = result.best;
+  cache_.insert(key, result.best);
   return result.best;
 }
 

@@ -12,15 +12,14 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <utility>
 
 #include "ghs/core/reduce.hpp"
 #include "ghs/core/tuner.hpp"
 #include "ghs/serve/queue.hpp"
 #include "ghs/serve/service_model.hpp"
+#include "ghs/util/flat_table.hpp"
 
 namespace ghs::serve {
 
@@ -93,12 +92,11 @@ class BandwidthAwarePolicy : public SchedulerPolicy {
   bool cpu_eligible(const Job& job);
 
  private:
-  // (case, elements) -> tuned geometry. The model, and so the machine
-  // being tuned for, never changes under a policy.
-  using Key = std::pair<int, std::int64_t>;
-
   ServiceModel& model_;
-  std::map<Key, core::ReduceTuning> cache_;
+  /// (case, elements) -> tuned geometry, looked up per dispatch. The
+  /// model, and so the machine being tuned for, never changes under a
+  /// policy.
+  FlatTable<2, core::ReduceTuning> cache_;
   TunerCacheStats cache_stats_;
   /// The model's registry's cache counters, resolved at first use.
   telemetry::Counter* m_hits_ = nullptr;

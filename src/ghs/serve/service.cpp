@@ -1,7 +1,10 @@
 #include "ghs/serve/service.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <string>
 
 #include "ghs/util/error.hpp"
@@ -128,30 +131,148 @@ void write_latency_json(Writer& w, const char* key,
     << ",\"max_ms\":" << Fixed{stats.max_ms, 6} << "}";
 }
 
-/// The distribution of one span of every served job, in milliseconds. The
-/// buffer is moved into make_latency_stats, so a report holds one at a
-/// time.
-LatencyStats stats_of(const std::vector<JobTimes>& served,
-                      SimTime (JobTimes::*span)() const) {
-  std::vector<double> ms;
-  ms.reserve(served.size());
-  for (const JobTimes& times : served) ms.push_back(to_millis((times.*span)()));
-  return make_latency_stats(std::move(ms));
+/// An order statistic being selected: the value at `rank` lies in
+/// [lo, lo + width), above `below` values.
+struct Wanted {
+  std::size_t rank;
+  SimTime lo;
+  std::uint64_t width;
+  std::size_t below;
+};
+
+/// A counting pass's window: the [lo, lo + width) that wanted[begin, end)
+/// share, whose values count at counts[first + (offset from lo >> shift)].
+struct Window {
+  std::size_t begin;
+  std::size_t end;
+  int shift;
+  std::size_t first;
+};
+
+/// The shift that counts a window `width` picoseconds wide into at most
+/// 2^16 buckets.
+int bucket_shift(std::uint64_t width) {
+  return std::max(0, static_cast<int>(std::bit_width(width - 1)) - 16);
+}
+
+/// The distribution of span(times) over the served jobs, in milliseconds,
+/// read from the log directly. The mean sums to_millis in log order. The
+/// max and the ranks p50-p999 interpolate between are order statistics,
+/// which to_millis, being monotone, maps from the integer ones, so those
+/// are selected on picoseconds: each pass over the log counts the values
+/// inside every window that holds a wanted rank into at most 2^16 buckets,
+/// and each window narrows to the bucket holding its ranks until it is one
+/// picosecond wide.
+template <typename Span>
+LatencyStats span_stats(const std::vector<JobTimes>& served, Span span) {
+  LatencyStats stats;
+  const std::size_t n = served.size();
+  if (n == 0) return stats;
+  double sum = 0.0;
+  SimTime min = span(served[0]);
+  SimTime max = min;
+  for (const JobTimes& times : served) {
+    const SimTime v = span(times);
+    sum += to_millis(v);
+    min = std::min(min, v);
+    max = std::max(max, v);
+  }
+  // The distinct ranks the percentiles read, ascending.
+  std::vector<std::size_t> ranks;
+  for (const double q : stats::kPercentileQs) {
+    const stats::Rank rank = stats::rank_of(n, q);
+    ranks.insert(ranks.end(), {rank.lo, rank.hi});
+  }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  const auto width = static_cast<std::uint64_t>(max - min) + 1;
+  std::vector<Wanted> wanted;
+  for (const std::size_t rank : ranks) wanted.push_back({rank, min, width, 0});
+  // Below the top level every window lies inside one top-level bucket, so
+  // a value finds the windows to test through its own: route[bucket] is
+  // the index range of the windows there.
+  const int top_shift = bucket_shift(width);
+  const auto top = [min, top_shift](SimTime v) {
+    return static_cast<std::size_t>((v - min) >> top_shift);
+  };
+  std::vector<std::array<std::uint8_t, 2>> route(std::size_t{1} << 16);
+  std::vector<Window> windows;
+  std::vector<std::size_t> counts;
+  for (bool top_level = true;; top_level = false) {
+    windows.clear();
+    std::size_t buckets = 0;
+    for (std::size_t i = 0; i < wanted.size(); ++i) {
+      const Wanted& w = wanted[i];
+      if (w.width == 1) continue;
+      if (!windows.empty() && wanted[windows.back().begin].lo == w.lo) {
+        windows.back().end = i + 1;
+        continue;
+      }
+      const int shift = bucket_shift(w.width);
+      windows.push_back({i, i + 1, shift, buckets});
+      buckets += static_cast<std::size_t>((w.width - 1) >> shift) + 1;
+    }
+    if (windows.empty()) break;
+    counts.assign(buckets, 0);
+    if (top_level) {
+      // One window, the whole range: every value counts.
+      for (const JobTimes& times : served) ++counts[top(span(times))];
+    } else {
+      for (std::size_t j = 0; j < windows.size(); ++j) {
+        auto& r = route[top(wanted[windows[j].begin].lo)];
+        r = {r[0] == r[1] ? static_cast<std::uint8_t>(j) : r[0],
+             static_cast<std::uint8_t>(j + 1)};
+      }
+      for (const JobTimes& times : served) {
+        const SimTime v = span(times);
+        const auto [begin, end] = route[top(v)];
+        for (std::size_t j = begin; j < end; ++j) {
+          const Window& x = windows[j];
+          const auto offset = static_cast<std::uint64_t>(v - wanted[x.begin].lo);
+          if (offset < wanted[x.begin].width) {
+            ++counts[x.first + (offset >> x.shift)];
+          }
+        }
+      }
+      for (const Window& x : windows) route[top(wanted[x.begin].lo)] = {0, 0};
+    }
+    for (const Window& x : windows) {
+      // The window's ranks ascend, so one walk over its buckets finds them.
+      const Wanted shared = wanted[x.begin];
+      std::size_t bucket = x.first;
+      std::size_t below = shared.below;
+      for (std::size_t i = x.begin; i < x.end; ++i) {
+        Wanted& w = wanted[i];
+        while (below + counts[bucket] <= w.rank) below += counts[bucket++];
+        const std::uint64_t offset = std::uint64_t{bucket - x.first}
+                                     << x.shift;
+        w.lo = shared.lo + static_cast<SimTime>(offset);
+        w.width = std::min(std::uint64_t{1} << x.shift, shared.width - offset);
+        w.below = below;
+      }
+    }
+  }
+  const auto at = [&wanted](std::size_t rank) {
+    return to_millis(std::find_if(wanted.begin(), wanted.end(),
+                                  [rank](const Wanted& w) {
+                                    return w.rank == rank;
+                                  })->lo);
+  };
+  stats.count = n;
+  stats.mean_ms = sum / static_cast<double>(n);
+  stats.max_ms = to_millis(max);
+  double* const pct[] = {&stats.pct.p50, &stats.pct.p95, &stats.pct.p99,
+                         &stats.pct.p999};
+  for (std::size_t i = 0; i < std::size(pct); ++i) {
+    const stats::Rank rank = stats::rank_of(n, stats::kPercentileQs[i]);
+    *pct[i] = rank.between(at(rank.lo), at(rank.hi));
+  }
+  return stats;
 }
 
 }  // namespace
 
-LatencyStats make_latency_stats(std::vector<double> ms) {
-  LatencyStats stats;
-  stats.count = ms.size();
-  if (ms.empty()) return stats;
-  stats.mean_ms = stats::arithmetic_mean(ms);
-  stats.max_ms = *std::max_element(ms.begin(), ms.end());
-  stats.pct = stats::percentiles(std::move(ms));
-  return stats;
-}
-
-void OutcomeStats::fill(const Outcomes& outcomes) {
+void OutcomeStats::fill(const Outcomes& outcomes, LatencyStats* queue_wait) {
   const std::vector<JobTimes>& served = outcomes.served;
   bytes_served = outcomes.bytes_served;
   // Entries are in completion order, so the last one completed last.
@@ -161,7 +282,11 @@ void OutcomeStats::fill(const Outcomes& outcomes) {
     throughput_jobs_per_s = static_cast<double>(served.size()) / seconds;
     throughput_gbps = static_cast<double>(bytes_served) / 1e9 / seconds;
   }
-  latency = stats_of(served, &JobTimes::latency);
+  latency = span_stats(served, [](const JobTimes& t) { return t.latency(); });
+  if (queue_wait != nullptr) {
+    *queue_wait =
+        span_stats(served, [](const JobTimes& t) { return t.queue_wait(); });
+  }
 }
 
 void OutcomeStats::write_json(Writer& w) const {
@@ -483,7 +608,8 @@ void ReductionService::dispatch(Placement device) {
       }
     }
     if (!selected) return;
-    std::vector<Job> batch;
+    std::vector<Job>& batch = batches_[device_index(device)];
+    batch.clear();
     batch.push_back(queue_.take(*selected));
     const auto& opts = options_.batching;
     if (opts.enable && batch.front().elements <= opts.small_elements) {
@@ -531,14 +657,15 @@ void ReductionService::dispatch(Placement device) {
                                           ? policy_->geometry(batch.front())
                                           : core::ReduceTuning{};
     update_queue_gauge();
-    launch(device, std::move(batch), tuning);
+    launch(device, tuning);
   }
 }
 
-void ReductionService::launch(Placement device, std::vector<Job> jobs,
+void ReductionService::launch(Placement device,
                               const core::ReduceTuning& tuning) {
   // dispatch() only launches on an idle device, and only batches jobs of
   // one case and one memory mode.
+  const std::vector<Job>& jobs = batches_[device_index(device)];
   const auto case_id = jobs.front().case_id;
   const bool unified = jobs.front().unified;
   std::int64_t total_elements = 0;
@@ -699,18 +826,16 @@ void ReductionService::launch(Placement device, std::vector<Job> jobs,
   // so a restarted node reclaims the device the moment the stale
   // completion frees it.
   sim_.schedule_at(end, [this, device, failed, launch_id, begin,
-                         epoch = epoch_, jobs = std::move(jobs)]() {
+                         epoch = epoch_]() {
     busy_[device_index(device)] = false;
-    if (epoch == epoch_) {
-      complete_launch(device, failed, launch_id, begin, jobs);
-    }
+    if (epoch == epoch_) complete_launch(device, failed, launch_id, begin);
     dispatch_all();
   });
 }
 
 void ReductionService::complete_launch(Placement device, bool failed,
-                                       std::int64_t launch_id, SimTime begin,
-                                       const std::vector<Job>& jobs) {
+                                       std::int64_t launch_id, SimTime begin) {
+  const std::vector<Job>& jobs = batches_[device_index(device)];
   if (failed) {
     if (injector_ != nullptr) breaker_ref(device).record_failure(sim_.now());
     for (const auto& job : jobs) handle_failed_job(job);
@@ -895,8 +1020,7 @@ ServiceReport ReductionService::report() const {
   report.served = static_cast<std::int64_t>(served.size());
   report.um_jobs = um_jobs_;
   report.deadline_missed = deadline_missed_;
-  report.fill(outcomes_);
-  report.queue_wait = stats_of(served, &JobTimes::queue_wait);
+  report.fill(outcomes_, &report.queue_wait);
 
   if (const auto* bandwidth =
           dynamic_cast<const BandwidthAwarePolicy*>(policy_.get())) {

@@ -167,11 +167,6 @@ struct LatencyStats {
   stats::Percentiles pct;  // p50/p95/p99/p999
 };
 
-/// Zero-filled for empty input; a single sample pins every percentile to
-/// that sample. The mean sums `ms` in its given order; the percentiles
-/// then reorder it, so callers move their buffer in.
-LatencyStats make_latency_stats(std::vector<double> ms);
-
 /// The report keys a service and a fleet share, all read from one
 /// Outcomes log.
 struct OutcomeStats {
@@ -183,8 +178,12 @@ struct OutcomeStats {
   LatencyStats latency;
 
   /// Fills every field from `outcomes`; the makespan runs from its
-  /// origin to the last completion.
-  void fill(const Outcomes& outcomes);
+  /// origin to the last completion. With `queue_wait`, also fills the
+  /// served jobs' queue wait. The distributions are exactly those of the
+  /// spans as millisecond doubles (mean summed in log order,
+  /// sort-then-interpolate percentiles), and zero-filled when nothing was
+  /// served.
+  void fill(const Outcomes& outcomes, LatencyStats* queue_wait = nullptr);
   /// Writes the five keys as JSON members, comma-separated.
   void write_json(Writer& w) const;
 };
@@ -320,16 +319,16 @@ class ReductionService {
   fault::CircuitBreaker& breaker_ref(Placement device) {
     return device == Placement::kGpu ? gpu_breaker_ : cpu_breaker_;
   }
-  /// Runs `jobs` as one launch on the idle `device` from sim.now():
-  /// prices the batch, applies the fault plan, emits the launch's spans,
-  /// counters and cost charges, and schedules its completion. `tuning` is
-  /// the GPU geometry (ignored for CPU launches).
-  void launch(Placement device, std::vector<Job> jobs,
-              const core::ReduceTuning& tuning);
-  /// The launch's completion in the incarnation that started it: served
-  /// jobs are recorded, failed ones go to the retry machinery.
+  /// Runs the device's batch as one launch on the idle `device` from
+  /// sim.now(): prices the batch, applies the fault plan, emits the
+  /// launch's spans, counters and cost charges, and schedules its
+  /// completion. `tuning` is the GPU geometry (ignored for CPU launches).
+  void launch(Placement device, const core::ReduceTuning& tuning);
+  /// The launch's completion in the incarnation that started it: the
+  /// batch's served jobs are recorded, failed ones go to the retry
+  /// machinery.
   void complete_launch(Placement device, bool failed, std::int64_t launch_id,
-                       SimTime begin, const std::vector<Job>& jobs);
+                       SimTime begin);
   void handle_failed_job(const Job& job);
   /// `reason` is a string literal: the flight recorder keeps the pointer.
   void shed_job(const Job& job, const char* reason);
@@ -369,6 +368,11 @@ class ReductionService {
   std::int64_t submitted_ = 0;
   // Launch accounting; per-device arrays are indexed gpu 0, cpu 1.
   bool busy_[2] = {false, false};
+  /// The jobs of each device's launch, from dispatch to completion. A
+  /// device runs one launch at a time, a crashed incarnation's included
+  /// (its completion still frees the device), so the next dispatch refills
+  /// the buffer without allocating.
+  std::vector<Job> batches_[2];
   /// Service time credited at launch, failed launches included.
   SimTime busy_ps_[2] = {0, 0};
   /// Jobs of successful launches, counted at launch.

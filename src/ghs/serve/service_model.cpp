@@ -15,21 +15,21 @@ ServiceModel::ServiceModel(ServiceModelOptions options)
 ServiceModel::Key ServiceModel::gpu_key(int device, workload::CaseId case_id,
                                         std::int64_t elements,
                                         const core::ReduceTuning& tuning) {
-  return {device,      static_cast<int>(case_id), elements,
-          tuning.teams, tuning.thread_limit,        tuning.v,
-          static_cast<int>(tuning.strategy)};
+  return {device | static_cast<int>(case_id) << 8 |
+              static_cast<int>(tuning.strategy) << 16,
+          elements, tuning.teams, tuning.thread_limit, tuning.v};
 }
 
 template <typename Price>
 SimTime ServiceModel::memo(const Key& key, Price price) {
-  if (const auto it = cache_.find(key); it != cache_.end()) {
+  if (const SimTime* duration = cache_.find(key)) {
     ++hits_;
-    return it->second;
+    return *duration;
   }
   ++misses_;
   core::Platform platform(options_.config, options_.telemetry);
   const SimTime duration = price(platform);
-  cache_.emplace(key, duration);
+  cache_.insert(key, duration);
   return duration;
 }
 
@@ -81,7 +81,7 @@ SimTime ServiceModel::unified_migration_share(workload::CaseId case_id,
 
 SimTime ServiceModel::cpu_service(workload::CaseId case_id,
                                   std::int64_t elements) {
-  const Key key{1, static_cast<int>(case_id), elements, 0, 0, 0, 0};
+  const Key key{1 | static_cast<int>(case_id) << 8, elements, 0, 0, 0};
   return memo(key, [&](core::Platform& platform) {
     const auto& spec = workload::case_spec(case_id);
     cpu::CpuReduceRequest request;

@@ -11,12 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <tuple>
-#include <unordered_map>
 
 #include "ghs/core/reduce.hpp"
 #include "ghs/core/system_config.hpp"
 #include "ghs/telemetry/registry.hpp"
+#include "ghs/util/flat_table.hpp"
 #include "ghs/workload/cases.hpp"
 
 namespace ghs::serve {
@@ -64,10 +63,10 @@ class ServiceModel {
   std::int64_t misses() const { return misses_; }
 
  private:
-  // (device, case, elements, teams, thread_limit, v, strategy); device is
-  // 0 = explicit-map GPU, 1 = CPU, 2 = unified-memory GPU. CPU entries
-  // zero the geometry fields.
-  using Key = std::tuple<int, int, std::int64_t, std::int64_t, int, int, int>;
+  // (device | case << 8 | strategy << 16, elements, teams, thread_limit,
+  // v); device is 0 = explicit-map GPU, 1 = CPU, 2 = unified-memory GPU.
+  // CPU entries zero the geometry fields.
+  using Key = FlatTable<5, SimTime>::Key;
 
   static Key gpu_key(int device, workload::CaseId case_id,
                      std::int64_t elements, const core::ReduceTuning& tuning);
@@ -78,30 +77,14 @@ class ServiceModel {
   template <typename Price>
   SimTime memo(const Key& key, Price price);
 
-  // Pricing sits on the per-launch hot path (hundreds of thousands of
-  // lookups in a million-job run), so the memo is hashed, not ordered.
-  // Nothing iterates the cache; only hits_/misses_ are observable.
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      std::uint64_t h = 0x9e3779b97f4a7c15ull;
-      const auto mix = [&h](std::uint64_t v) {
-        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-      };
-      mix(static_cast<std::uint64_t>(std::get<0>(key)));
-      mix(static_cast<std::uint64_t>(std::get<1>(key)));
-      mix(static_cast<std::uint64_t>(std::get<2>(key)));
-      mix(static_cast<std::uint64_t>(std::get<3>(key)));
-      mix(static_cast<std::uint64_t>(std::get<4>(key)));
-      mix(static_cast<std::uint64_t>(std::get<5>(key)));
-      mix(static_cast<std::uint64_t>(std::get<6>(key)));
-      return static_cast<std::size_t>(h);
-    }
-  };
-
   ServiceModelOptions options_;
   /// Host threads a CPU-placed job reduces with.
   int cpu_threads_;
-  std::unordered_map<Key, SimTime, KeyHash> cache_;
+  /// Pricing sits on the per-launch hot path (millions of lookups in a
+  /// million-job run), so the memo is a flat open-addressed table: a hit
+  /// hashes five words and reads one or two adjacent slots. Nothing
+  /// iterates it; only hits_/misses_ are observable.
+  FlatTable<5, SimTime> cache_;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
 };

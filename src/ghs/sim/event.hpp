@@ -4,9 +4,9 @@
 // sized so every scheduling closure in the repository — including the
 // serve layer's [this, job] arrival and retry lambdas — lives inline in
 // the simulator's event slot instead of in its own heap block. Only
-// oversized callables fall back to one heap allocation; nothing is ever
-// copied, so captured state (jobs, launch batches) moves straight from
-// the caller into the slot and from the slot into the dispatch loop.
+// oversized callables fall back to one heap allocation. The simulator
+// builds each callable in its slot (emplace), so captured state is
+// constructed once there and then moved once, into the dispatch loop.
 #pragma once
 
 #include <cstddef>
@@ -26,17 +26,16 @@ class Event {
 
   Event() noexcept = default;
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Event> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  Event(F&& fn) {  // NOLINT(google-explicit-constructor): callable adaptor
+  /// Builds `fn` in this empty event. A constructor that throws leaves it
+  /// empty.
+  template <typename F>
+  void emplace(F&& fn) {
     using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, Fn&>, "events take no arguments");
     if constexpr (sizeof(Fn) <= kInlineBytes &&
                   alignof(Fn) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-      invoke_ = [](void* target) { (*static_cast<Fn*>(target))(); };
       manage_ = [](Op op, void* self, void* other) {
         switch (op) {
           case Op::kDestroy:
@@ -50,12 +49,12 @@ class Event {
       };
     } else {
       heap_ = new Fn(std::forward<F>(fn));
-      invoke_ = [](void* target) { (*static_cast<Fn*>(target))(); };
       manage_ = [](Op op, void* self, void*) {
         if (op == Op::kDestroy) delete static_cast<Fn*>(self);
       };
       heap_deleter_ = true;
     }
+    invoke_ = [](void* target) { (*static_cast<Fn*>(target))(); };
   }
 
   Event(Event&& other) noexcept { move_from(other); }
@@ -72,8 +71,6 @@ class Event {
   Event& operator=(const Event&) = delete;
 
   ~Event() { destroy(); }
-
-  explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
   void operator()() { invoke_(target()); }
 

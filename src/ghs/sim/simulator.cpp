@@ -33,31 +33,26 @@ Simulator::Simulator(telemetry::Registry* registry) {
   advanced_counter_ = &m.advanced;
 }
 
-void Simulator::schedule_at(SimTime t, Event fn) {
+std::uint32_t Simulator::free_slot(SimTime t) {
   GHS_REQUIRE(t >= now_, "cannot schedule into the past: t=" << t
                                                              << " now=" << now_);
-  std::uint32_t slot;
   if (free_.empty()) {
     GHS_CHECK(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
               "event slots exhausted");
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back({t, next_seq_++, std::move(fn)});
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-    Slot& s = slots_[slot];
-    s.time = t;
-    s.seq = next_seq_++;
-    s.fn = std::move(fn);
+    slots_.emplace_back();
+    free_.push_back(static_cast<std::uint32_t>(slots_.size() - 1));
   }
+  return free_.back();
+}
+
+void Simulator::push(std::uint32_t slot, SimTime t) {
+  free_.pop_back();
+  Slot& s = slots_[slot];
+  s.time = t;
+  s.seq = next_seq_++;
   heap_.push_back(slot);
   sift_up(heap_.size() - 1);
   if (heap_.size() > peak_queue_size_) peak_queue_size_ = heap_.size();
-}
-
-void Simulator::schedule_after(SimTime dt, Event fn) {
-  GHS_REQUIRE(dt >= 0, "negative delay " << dt);
-  schedule_at(now_ + dt, std::move(fn));
 }
 
 void Simulator::advance_to(SimTime t) {

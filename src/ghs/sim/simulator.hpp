@@ -12,10 +12,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ghs/sim/event.hpp"
 #include "ghs/telemetry/registry.hpp"
+#include "ghs/util/error.hpp"
 #include "ghs/util/units.hpp"
 
 namespace ghs::sim {
@@ -31,11 +33,22 @@ class Simulator {
 
   SimTime now() const { return now_; }
 
-  /// Schedules `fn` at absolute simulated time `t` (>= now()).
-  void schedule_at(SimTime t, Event fn);
+  /// Schedules `fn` at absolute simulated time `t` (>= now()), building
+  /// the callable in its event slot. A callable whose construction throws
+  /// leaves the queue unchanged.
+  template <typename F>
+  void schedule_at(SimTime t, F&& fn) {
+    const std::uint32_t slot = free_slot(t);
+    slots_[slot].fn.emplace(std::forward<F>(fn));
+    push(slot, t);
+  }
 
   /// Schedules `fn` after a delay of `dt` picoseconds.
-  void schedule_after(SimTime dt, Event fn);
+  template <typename F>
+  void schedule_after(SimTime dt, F&& fn) {
+    GHS_REQUIRE(dt >= 0, "negative delay " << dt);
+    schedule_at(now_ + dt, std::forward<F>(fn));
+  }
 
   /// Runs until the event queue drains.
   void run();
@@ -91,6 +104,12 @@ class Simulator {
     const Slot& y = slots_[b];
     return x.time != y.time ? x.time < y.time : x.seq < y.seq;
   }
+  /// Checks `t` and returns the free slot its event will take, growing
+  /// the slots when none is free. The slot stays on the free list until
+  /// push() takes it.
+  std::uint32_t free_slot(SimTime t);
+  /// Queues the event just built in `slot` (free_slot's) at `t`.
+  void push(std::uint32_t slot, SimTime t);
   void sift_up(std::size_t index);
   void sift_down(std::size_t index);
   void advance_to(SimTime t);

@@ -1,6 +1,7 @@
 #include "ghs/stats/summary.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "ghs/util/error.hpp"
 
@@ -13,16 +14,6 @@ double arithmetic_mean(const std::vector<double>& values) {
   return sum / static_cast<double>(values.size());
 }
 
-namespace {
-
-/// Where q falls among n ascending values: between ranks lo and hi, frac
-/// of the way.
-struct Rank {
-  std::size_t lo;
-  std::size_t hi;
-  double frac;
-};
-
 Rank rank_of(std::size_t n, double q) {
   GHS_REQUIRE(q >= 0.0 && q <= 1.0, "q=" << q);
   const double idx = q * static_cast<double>(n - 1);
@@ -30,15 +21,10 @@ Rank rank_of(std::size_t n, double q) {
   return {lo, std::min(lo + 1, n - 1), idx - static_cast<double>(lo)};
 }
 
-double interpolate(const std::vector<double>& ranked, const Rank& rank) {
-  return ranked[rank.lo] + (ranked[rank.hi] - ranked[rank.lo]) * rank.frac;
-}
-
-}  // namespace
-
 double sorted_quantile(const std::vector<double>& sorted_values, double q) {
   GHS_REQUIRE(!sorted_values.empty(), "quantile of empty vector");
-  return interpolate(sorted_values, rank_of(sorted_values.size(), q));
+  const Rank rank = rank_of(sorted_values.size(), q);
+  return rank.between(sorted_values[rank.lo], sorted_values[rank.hi]);
 }
 
 double percentile(std::vector<double> values, double q) {
@@ -72,7 +58,9 @@ std::vector<double> quantiles(std::vector<double> values,
   }
   std::vector<double> out;
   out.reserve(ranks.size());
-  for (const Rank& rank : ranks) out.push_back(interpolate(values, rank));
+  for (const Rank& rank : ranks) {
+    out.push_back(rank.between(values[rank.lo], values[rank.hi]));
+  }
   return out;
 }
 
@@ -110,7 +98,8 @@ Percentiles percentiles(std::vector<double> values) {
   // run through here, and "nothing survived" (all jobs rejected or shed) is
   // a legitimate outcome, not a programming error.
   if (values.empty()) return Percentiles{};
-  const auto qs = quantiles(std::move(values), {0.50, 0.95, 0.99, 0.999});
+  const auto qs = quantiles(
+      std::move(values), {std::begin(kPercentileQs), std::end(kPercentileQs)});
   return Percentiles{qs[0], qs[1], qs[2], qs[3]};
 }
 

@@ -3,6 +3,7 @@
 // export.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -10,6 +11,21 @@ namespace ghs::stats {
 
 /// Arithmetic mean; requires non-empty input.
 double arithmetic_mean(const std::vector<double>& values);
+
+/// Where q (in [0,1]) falls among n > 0 ascending values: between ranks
+/// lo and hi = min(lo + 1, n - 1), frac of the way. Every quantile below
+/// interpolates through it.
+struct Rank {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+
+  /// The quantile, from the values at ranks lo and hi.
+  double between(double at_lo, double at_hi) const {
+    return at_lo + (at_hi - at_lo) * frac;
+  }
+};
+Rank rank_of(std::size_t n, double q);
 
 /// Exact percentile (q in [0,1], linear interpolation); quantiles() with
 /// one q.
@@ -38,13 +54,15 @@ double histogram_quantile(const std::vector<double>& upper_bounds,
                           const std::vector<std::int64_t>& cumulative_counts,
                           double q);
 
-/// The latency-report percentile bundle (serve layer, benches).
+/// The latency-report percentile bundle (serve layer, benches): the
+/// quantiles at kPercentileQs.
 struct Percentiles {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
   double p999 = 0.0;
 };
+inline constexpr double kPercentileQs[] = {0.50, 0.95, 0.99, 0.999};
 
 /// p50/p95/p99/p999 of `values` through quantiles(). Empty input yields all
 /// zeros; a single sample pins every percentile to that sample.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ghs/util/error.hpp"
 
 namespace ghs::serve {
@@ -66,6 +68,30 @@ TEST(BandwidthAwarePolicyTest, TunerCacheHitsOnRepeatedShapes) {
   // A different shape is a fresh hill climb.
   policy.geometry(job(2, workload::CaseId::kC1, 1 << 19));
   EXPECT_EQ(policy.tuner_cache().misses, 2);
+}
+
+TEST(BandwidthAwarePolicyTest, TunerCacheKeepsEveryShapeAcrossGrowth) {
+  // 300 shapes outgrow the cache's first table several times over: each
+  // tunes once, and every later lookup hits with the same geometry.
+  ServiceModel model;
+  BandwidthAwarePolicy policy(model);
+  const auto shape = [](int i) {
+    return job(i, static_cast<workload::CaseId>(i % 4), 1024 + 32 * (i / 4));
+  };
+  std::vector<core::ReduceTuning> first;
+  for (int i = 0; i < 300; ++i) first.push_back(policy.geometry(shape(i)));
+  EXPECT_EQ(policy.tuner_cache().misses, 300);
+  EXPECT_EQ(policy.tuner_cache().hits, 0);
+  for (int i = 0; i < 300; ++i) {
+    const core::ReduceTuning again = policy.geometry(shape(i));
+    const core::ReduceTuning& tuned = first[static_cast<std::size_t>(i)];
+    EXPECT_EQ(again.teams, tuned.teams) << "shape " << i;
+    EXPECT_EQ(again.thread_limit, tuned.thread_limit) << "shape " << i;
+    EXPECT_EQ(again.v, tuned.v) << "shape " << i;
+    EXPECT_EQ(again.strategy, tuned.strategy) << "shape " << i;
+  }
+  EXPECT_EQ(policy.tuner_cache().misses, 300);
+  EXPECT_EQ(policy.tuner_cache().hits, 300);
 }
 
 TEST(BandwidthAwarePolicyTest, PlacesSmallJobsOnCpuAndLargeOnGpu) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace ghs::serve {
 namespace {
 
@@ -18,6 +20,29 @@ TEST(ServiceModelTest, CachesShapes) {
   // CPU entries are cached independently of GPU entries.
   model.cpu_service(workload::CaseId::kC1, 1 << 16);
   EXPECT_EQ(model.misses(), 2);
+}
+
+TEST(ServiceModelTest, MemoKeepsEveryShapeAcrossGrowth) {
+  // 300 shapes outgrow the memo's first table several times over: each
+  // prices once, and every later lookup hits with the same duration.
+  ServiceModel model;
+  std::vector<SimTime> first;
+  const auto price = [&model](int i) {
+    const auto case_id = static_cast<workload::CaseId>(i % 4);
+    const std::int64_t elements = 1024 + 64 * (i / 3);
+    core::ReduceTuning tuning = core::paper_best_tuning(case_id);
+    tuning.teams = 256 << (i % 3);
+    return i % 3 == 0 ? model.cpu_service(case_id, elements)
+                      : model.gpu_service(case_id, elements, tuning);
+  };
+  for (int i = 0; i < 300; ++i) first.push_back(price(i));
+  EXPECT_EQ(model.misses(), 300);
+  EXPECT_EQ(model.hits(), 0);
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_EQ(price(i), first[static_cast<std::size_t>(i)]) << "shape " << i;
+  }
+  EXPECT_EQ(model.misses(), 300);
+  EXPECT_EQ(model.hits(), 300);
 }
 
 TEST(ServiceModelTest, ServiceGrowsWithElements) {

@@ -204,19 +204,64 @@ TEST(ReductionServiceTest, ServerSpansLandOnTheServerTrack) {
 }
 
 TEST(ReductionServiceTest, LatencyStatsDegradeGracefullyOnTinySeries) {
-  const LatencyStats empty = make_latency_stats({});
-  EXPECT_EQ(empty.count, 0u);
-  EXPECT_DOUBLE_EQ(empty.mean_ms, 0.0);
-  EXPECT_DOUBLE_EQ(empty.max_ms, 0.0);
-  EXPECT_DOUBLE_EQ(empty.pct.p50, 0.0);
-  EXPECT_DOUBLE_EQ(empty.pct.p999, 0.0);
+  ServiceModel model;
+  ReductionService idle(std::make_unique<FifoPolicy>(), model);
+  idle.run();
+  const ServiceReport empty = idle.report();
+  for (const LatencyStats& stats : {empty.latency, empty.queue_wait}) {
+    EXPECT_EQ(stats.count, 0u);
+    EXPECT_DOUBLE_EQ(stats.mean_ms, 0.0);
+    EXPECT_DOUBLE_EQ(stats.max_ms, 0.0);
+    EXPECT_DOUBLE_EQ(stats.pct.p50, 0.0);
+    EXPECT_DOUBLE_EQ(stats.pct.p999, 0.0);
+  }
 
-  const LatencyStats single = make_latency_stats({2.25});
-  EXPECT_EQ(single.count, 1u);
-  EXPECT_DOUBLE_EQ(single.mean_ms, 2.25);
-  EXPECT_DOUBLE_EQ(single.max_ms, 2.25);
-  EXPECT_DOUBLE_EQ(single.pct.p50, 2.25);
-  EXPECT_DOUBLE_EQ(single.pct.p99, 2.25);
+  ReductionService one(std::make_unique<FifoPolicy>(), model);
+  one.submit(job(0, workload::CaseId::kC2, 1 << 16, 3 * kMicrosecond));
+  one.run();
+  const ServiceReport single = one.report();
+  const JobTimes& times = one.outcomes().served.at(0);
+  const double latency_ms = to_millis(times.latency());
+  EXPECT_GT(latency_ms, 0.0);
+  EXPECT_EQ(single.latency.count, 1u);
+  EXPECT_DOUBLE_EQ(single.latency.mean_ms, latency_ms);
+  EXPECT_DOUBLE_EQ(single.latency.max_ms, latency_ms);
+  EXPECT_DOUBLE_EQ(single.latency.pct.p50, latency_ms);
+  EXPECT_DOUBLE_EQ(single.latency.pct.p99, latency_ms);
+  EXPECT_DOUBLE_EQ(single.latency.pct.p999, latency_ms);
+  EXPECT_EQ(single.queue_wait.count, 1u);
+  EXPECT_DOUBLE_EQ(single.queue_wait.mean_ms, 0.0);  // an idle GPU
+  EXPECT_DOUBLE_EQ(single.queue_wait.max_ms, 0.0);
+  EXPECT_DOUBLE_EQ(single.queue_wait.pct.p99, 0.0);
+}
+
+TEST(ReductionServiceTest, RestoredServiceServesOnlyItsNewJobs) {
+  // The node crashes with a five-job launch in flight and restarts before
+  // that launch's completion frees the GPU; the next launch reuses the
+  // GPU's batch buffer and must carry none of the dead incarnation's jobs.
+  ServiceModel model;
+  ReductionService service(std::make_unique<FifoPolicy>(), model);
+  std::vector<JobId> served;
+  service.set_on_complete(
+      [&served](const JobRecord& record) { served.push_back(record.job.id); });
+  service.submit(job(0, workload::CaseId::kC4, 1 << 22, 0));
+  for (JobId id = 1; id <= 5; ++id) {
+    service.submit(job(id, workload::CaseId::kC1, 1 << 16, 1));
+  }
+  while (served.empty()) service.sim().drain_batch();
+  ASSERT_TRUE(service.busy(Placement::kGpu));  // jobs 1-5, one launch
+  service.crash();
+  service.restore();
+  const SimTime later = service.sim().now() + 1;
+  for (JobId id = 100; id < 103; ++id) {
+    service.submit(job(id, workload::CaseId::kC1, 1 << 16, later));
+  }
+  service.run();
+  EXPECT_EQ(served, (std::vector<JobId>{0, 100, 101, 102}));
+  const ServiceReport report = service.report();
+  EXPECT_EQ(report.served, 4);
+  EXPECT_EQ(report.launches, 3);
+  EXPECT_EQ(report.batched_jobs, 5 + 3);
 }
 
 TEST(ReductionServiceTest, BurstyArrivalsFillQueueToDepthDeterministically) {

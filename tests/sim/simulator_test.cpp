@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,32 @@ TEST(SimulatorTest, HoldsMoveOnlyCallables) {
   sim.schedule_at(10, [p = std::move(payload), &seen] { seen = *p; });
   sim.run();
   EXPECT_EQ(seen, "move-only");
+}
+
+TEST(SimulatorTest, ThrowingCallableLeavesTheQueueUnchanged) {
+  // Built in its slot from a copy that throws: neither a fresh slot nor a
+  // recycled one may end up queued, counted or half-built.
+  struct Throws {
+    Throws() = default;
+    Throws(const Throws&) { throw std::runtime_error("copy"); }
+    Throws(Throws&&) noexcept = default;
+    void operator()() const {}
+  };
+  Simulator sim;
+  int ran = 0;
+  sim.schedule_at(5, [&ran] { ++ran; });
+  const Throws bad;
+  EXPECT_THROW(sim.schedule_at(7, bad), std::runtime_error);  // fresh slot
+  EXPECT_EQ(sim.peak_queue_size(), 1u);
+  EXPECT_EQ(sim.drain_batch(), 1u);
+  EXPECT_THROW(sim.schedule_after(4, bad), std::runtime_error);  // recycled
+  EXPECT_TRUE(sim.idle());
+  sim.schedule_at(11, [&ran] { ++ran; });
+  sim.run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(sim.now(), 11);
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.peak_queue_size(), 1u);
 }
 
 TEST(SimulatorTest, DestroysPendingEventsExactlyOnce) {

@@ -12,6 +12,7 @@
 
 #include "ghs/util/error.hpp"
 #include "ghs/util/rng.hpp"
+#include "sort_then_interpolate.hpp"
 
 namespace ghs::stats {
 namespace {
@@ -115,25 +116,8 @@ TEST(SummaryTest, HistogramQuantileRejectsBadInput) {
   EXPECT_THROW(histogram_quantile(bounds, {1, 1}, 1.5), Error);
 }
 
-/// The quantiles the selection replaced: sort a copy, then interpolate
-/// between ranks lo and lo + 1 as sorted_quantile() did. Kept here in full
-/// as the reference, so a fault in the library's shared rank arithmetic
-/// cannot hide in both sides.
-std::vector<double> sort_then_interpolate(std::vector<double> values,
-                                          const std::vector<double>& qs) {
-  std::sort(values.begin(), values.end());
-  std::vector<double> out;
-  for (double q : qs) {
-    const double idx = q * static_cast<double>(values.size() - 1);
-    const auto lo = static_cast<std::size_t>(idx);
-    const auto hi = std::min(lo + 1, values.size() - 1);
-    const double frac = idx - static_cast<double>(lo);
-    out.push_back(values[lo] + (values[hi] - values[lo]) * frac);
-  }
-  return out;
-}
-
-std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+using test::bits;
+using test::sort_then_interpolate;
 
 /// One input vector of `n` values in the given shape.
 std::vector<double> make_values(const std::string& shape, std::size_t n,
